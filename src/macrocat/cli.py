@@ -165,8 +165,11 @@ def cmd_tomography(args) -> list[str]:
     }
     _write_json(args.out / "summary.json", summary)
     log.info(
-        "reconstruction: %d iterations, concurrence %.4f, fidelity to model %.4f",
+        "reconstruction: %d iterations, stop %s at likelihood gap %.3e, "
+        "concurrence %.4f, fidelity to model %.4f",
         scenario.result.iterations,
+        scenario.result.stop_reason,
+        scenario.result.gap,
         scenario.result.concurrence,
         scenario.fidelity_to_model,
     )

@@ -1,14 +1,42 @@
 """Maximum-likelihood reconstruction of two-mode states from homodyne data.
 
-The estimator is the standard iterative fixed point for rank-1 POVMs:
-with per-record projectors ``P_j = |x_j, theta_j><x_j, theta_j|`` (tensor
-product over the two modes) and outcome densities ``pr_j = Tr[P_j rho]``,
+With per-record projectors ``P_j = |x_j, theta_j><x_j, theta_j|`` (tensor
+product over the two modes), outcome probabilities ``pr_j = Tr[P_j rho]``
+and ``R(rho) = (1/N) sum_j P_j / pr_j``, the mean log-likelihood
+``l(rho) = (1/N) sum_j log pr_j`` is concave with gradient ``R``, and every
+state ``sigma`` obeys
 
-    R(rho) = (1/N) sum_j P_j / pr_j,      rho <- R rho R / Tr[R rho R].
+    l(sigma) - l(rho) <= log Tr[R sigma] <= log lambda_max(R)
 
-Each step cannot decrease the likelihood in exact arithmetic for this
-model class; the iteration aborts with an internal-consistency error if
-the recorded trace ever drops by more than the tolerance.
+(Jensen's inequality; Glancy, Knill and Girard, NJP 14, 095017 (2012)).
+So ``gap = log lambda_max(R(rho))`` bounds how far the likelihood of
+``rho`` lies below the maximum, and :func:`mle_reconstruct` stops as soon
+as the gap is at most ``tol``: the stop is certified, not an iteration cap.
+
+The maximiser works on the ``d**2`` real coordinates ``x`` of a Hermitian
+``d x d`` matrix on the support (its diagonal, then the real and the
+imaginary parts of its upper triangle).  The projectors become one real
+``N x d**2`` feature matrix ``F``, built once per call, so that
+``pr = F x`` and ``R`` is unpacked from ``F^T (1/pr) / N``: each
+likelihood-and-gradient evaluation is two real matrix-vector products.
+Two kinds of step raise the likelihood:
+
+* accelerated projected-gradient steps with backtracking and restart
+  (Shang, Zhang and Ng, PRA 95, 062336 (2017)), projecting onto the
+  density matrices through the eigenvalue simplex, until the gap falls to
+  ``_NEWTON_GAP`` (1e-3);
+* then proximal Newton steps: the quadratic model with the weighted Gram
+  ``F^T diag(1/pr**2) F / N`` as curvature is maximised over the density
+  matrices of the support (so a step can also rotate the support of a
+  rank-deficient state), and the step backtracks along the segment to that
+  maximiser.  A Newton step that does not halve the gap hands the next
+  step back to the gradient method.
+
+A step is accepted only if the likelihood rises.  That test uses
+the exact increment ``mean(log1p(F d / pr))`` of the trace-normalised
+likelihood, which stays resolvable after ``l`` itself has stopped changing
+in float64.  The recorded trace must still never drop by more than
+``_LL_DECREASE_TOL``; an internal-consistency error aborts the run if it does.
 
 Reconstruction targets the measured (lossy) state directly with
 unit-efficiency projectors; no detector-efficiency deconvolution is
@@ -29,7 +57,14 @@ from .fock import DensityMatrix, quadrature_basis
 from .sampling import QuadratureSample
 
 _LL_DECREASE_TOL = 1e-9
-_PR_FLOOR = 1e-300
+# likelihood gap below which Newton steps replace accelerated gradient steps
+_NEWTON_GAP = 1e-3
+# accelerated gradient iterations spent maximising one Newton model
+_MAX_MODEL_ITER = 2000
+# step-size halvings before a line search gives up
+_MAX_HALVINGS = 60
+# the accelerated method's momentum parameter one step after a restart
+_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -37,10 +72,12 @@ class TomographyResult:
     """Reconstructed state plus convergence diagnostics."""
 
     rho: DensityMatrix
-    loglik: np.ndarray  # mean log-likelihood per record, one entry per pass
-    iterations: int
-    converged: bool
+    loglik: np.ndarray  # mean log-likelihood per record: start, then one per accepted step
+    iterations: int  # accepted steps
+    converged: bool  # the likelihood-gap certificate holds
     concurrence: float
+    stop_reason: str  # "certified", "max_iter" or "stalled"
+    gap: float  # log lambda_max(R): bounds max loglik - loglik[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -48,22 +85,25 @@ class TomographyResult:
             "loglik": [float(v) for v in self.loglik],
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "gap": self.gap,
             "concurrence": self.concurrence,
         }
 
 
-def _projector_rows(records: QuadratureSample, dim: int) -> np.ndarray:
-    """Row j holds the two-mode overlap vector <(n,l)|x_j, theta_j>."""
-    n = len(records)
-    rows = np.empty((n, dim * dim), dtype=complex)
+def _projector_rows(records: QuadratureSample, dim: int, support: np.ndarray) -> np.ndarray:
+    """Row j holds the overlaps ``<(n,l)|x_j, theta_j>`` for the flat two-mode
+    indices ``n*dim + l`` listed in ``support``."""
+    mode_a, mode_b = np.divmod(support, dim)
+    rows = np.empty((len(records), support.size), dtype=complex)
     # records repeat few distinct settings; build per setting to amortize
-    keys = np.stack([records.theta_a, records.theta_b], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    for k, (ta, tb) in enumerate(uniq):
+    # (one complex key per setting sorts far faster than unique rows)
+    uniq, inverse = np.unique(records.theta_a + 1j * records.theta_b, return_inverse=True)
+    for k, key in enumerate(uniq):
         idx = np.flatnonzero(inverse == k)
-        fa = quadrature_basis(records.x_a[idx], ta, dim)
-        fb = quadrature_basis(records.x_b[idx], tb, dim)
-        rows[idx] = (fa[:, :, None] * fb[:, None, :]).reshape(idx.size, dim * dim)
+        fa = quadrature_basis(records.x_a[idx], key.real, dim)
+        fb = quadrature_basis(records.x_b[idx], key.imag, dim)
+        rows[idx] = fa[:, mode_a] * fb[:, mode_b]
     return rows
 
 
@@ -73,6 +113,202 @@ def total_photon_support(dim: int, max_total: int) -> np.ndarray:
     return np.flatnonzero(m + k <= max_total)
 
 
+class _LogLikelihood:
+    """Mean log-likelihood of the records over the real coordinates ``x`` of a
+    Hermitian matrix on the support: its diagonal, then the real and the
+    imaginary parts of its upper triangle."""
+
+    def __init__(self, rows: np.ndarray):
+        n, m = rows.shape
+        self.n, self.m = n, m
+        self.iu, self.ju = np.triu_indices(m, 1)
+        p = self.iu.size
+        # pr_j = sum_a |w_a|^2 rho_aa + sum_{a<b} 2 Re(conj(w_a) w_b conj(rho_ab))
+        pair = rows[:, self.iu].conj() * rows[:, self.ju]
+        self.F = np.empty((n, m + 2 * p))
+        self.F[:, :m] = rows.real**2 + rows.imag**2
+        self.F[:, m : m + p] = 2.0 * pair.real
+        self.F[:, m + p :] = 2.0 * pair.imag
+        self.trace = np.concatenate([np.ones(m), np.zeros(2 * p)])  # Tr rho = trace . x
+        # Frobenius product <A, B> = x_A . (metric * x_B)
+        self.metric = np.concatenate([np.ones(m), np.full(2 * p, 2.0)])
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        off = a[self.iu, self.ju]
+        return np.concatenate([a.diagonal().real, off.real, off.imag])
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        m, p = self.m, self.iu.size
+        a = np.diag(x[:m].astype(complex))
+        off = x[m : m + p] + 1j * x[m + p :]
+        a[self.iu, self.ju] = off
+        a[self.ju, self.iu] = off.conj()
+        return a
+
+    def gradient(self, pr: np.ndarray) -> np.ndarray:
+        """Coordinates of ``R - I`` scaled by ``metric``: the gradient of the
+        trace-normalised mean log-likelihood ``l(x) - log Tr x`` at unit trace."""
+        return self.F.T @ (1.0 / pr) / self.n - self.trace
+
+    def top_eigenvalue(self, grad: np.ndarray) -> float:
+        """Largest eigenvalue of the matrix whose gradient coordinates are ``grad``."""
+        return float(np.linalg.eigvalsh(self.unpack(grad / self.metric))[-1])
+
+    def gap(self, grad: np.ndarray) -> float:
+        """``log lambda_max(R)``, the likelihood-gap certificate."""
+        return math.log1p(self.top_eigenvalue(grad))
+
+    def gain(self, x: np.ndarray, pr: np.ndarray, d: np.ndarray, fd=None) -> float:
+        """Exact rise of the trace-normalised mean log-likelihood from ``x`` to
+        ``x + d`` (``-inf`` when a record's probability would not stay positive);
+        ``fd`` is ``F d`` when the caller has it."""
+        r = (self.F @ d if fd is None else fd) / pr
+        if r.min() <= -1.0:
+            return -math.inf
+        return float(np.log1p(r).mean()) - math.log1p(d[: self.m].sum() / x[: self.m].sum())
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Nearest density matrix in Frobenius norm: eigenvalues onto the simplex."""
+        w, v = np.linalg.eigh(self.unpack(x))
+        desc = w[::-1]
+        excess = np.cumsum(desc) - 1.0
+        k = np.flatnonzero(desc * np.arange(1, w.size + 1) > excess)[-1]
+        lam = np.maximum(w - excess[k] / (k + 1), 0.0)
+        return self.pack((v * lam) @ v.conj().T)
+
+
+class _Accelerated:
+    """Accelerated projected-gradient ascent with backtracking and restart."""
+
+    def __init__(self, lik: _LogLikelihood):
+        self.lik = lik
+        self.prev = None  # (x, pr) of the previous step; None restarts the momentum
+        self.theta = 1.0
+        self.step_size = 1.0
+
+    def restart(self) -> None:
+        self.prev, self.theta = None, 1.0
+
+    def step(self, x, pr, grad):
+        """Next point, or None when no projected-gradient step raises the
+        likelihood at float64 resolution."""
+        lik = self.lik
+        theta = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.theta**2))
+        z = None
+        if self.prev is not None:
+            beta = (self.theta - 1.0) / theta
+            x_prev, pr_prev = self.prev
+            y, pr_y = x + beta * (x - x_prev), pr + beta * (pr - pr_prev)
+            if pr_y.min() > 0.0:
+                z = self._ascend(y, pr_y, lik.gradient(pr_y))
+                if z is not None and lik.gain(x, pr, z - x) <= 0.0:
+                    z = None
+        if z is None:  # no momentum, or it overshot: plain step from x
+            theta = _GOLDEN
+            z = self._ascend(x, pr, grad)
+            if z is not None and lik.gain(x, pr, z - x) <= 0.0:
+                z = None
+        self.prev, self.theta = (x, pr), theta
+        return z
+
+    def _ascend(self, y, pr_y, grad_y):
+        """Projected gradient step from ``y``, halving the step size until the
+        likelihood rise beats its quadratic lower bound."""
+        lik = self.lik
+        for _ in range(_MAX_HALVINGS):
+            t = self.step_size
+            z = lik.project(y + t * grad_y / lik.metric)
+            d = z - y
+            if lik.gain(y, pr_y, d) >= grad_y @ d - d @ (lik.metric * d) / (2.0 * t):
+                self.step_size = 2.0 * t
+                return z
+            self.step_size = 0.5 * t
+        return None
+
+
+def _newton_step(lik: _LogLikelihood, x, pr, grad, tol: float):
+    """Proximal Newton step: maximise the quadratic model of the likelihood over
+    the density matrices, then halve back along the segment from ``x`` until the
+    likelihood rises.  None when it does not."""
+    weighted = lik.F / pr[:, None]
+    curvature = weighted.T @ weighted / lik.n  # minus the Hessian of l
+    scale = 1.0 / np.sqrt(lik.metric)
+    lipschitz = float(np.linalg.eigvalsh(curvature * np.outer(scale, scale))[-1])
+    step = 1.0 / (lipschitz * lik.metric)
+
+    def model(z):
+        d = z - x
+        return grad @ d - 0.5 * d @ (curvature @ d)
+
+    # accelerated projected gradient on the model, which costs no pass over F
+    z = y = x
+    value, theta = 0.0, 1.0
+    for it in range(_MAX_MODEL_ITER):
+        cand = lik.project(y + step * (grad - curvature @ (y - x)))
+        cand_value = model(cand)
+        if cand_value < value:
+            if y is z:
+                break
+            y, theta = z, 1.0
+            continue
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        y = cand + ((theta - 1.0) / theta_next) * (cand - z)
+        z, value, theta = cand, cand_value, theta_next
+        if it % 10 == 9:
+            # the model's own gap certificate; the likelihood gap after the
+            # step is about this plus the model error
+            g = grad - curvature @ (z - x)
+            if lik.top_eigenvalue(g) - g @ z <= 0.25 * tol:
+                break
+    d = z - x
+    fd = lik.F @ d
+    for _ in range(_MAX_HALVINGS):
+        if lik.gain(x, pr, d, fd) > 0.0:
+            return x + d
+        d, fd = 0.5 * d, 0.5 * fd
+    return None
+
+
+def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
+    """Raise the likelihood from the maximally mixed state until the gap is at
+    most ``tol``.  Returns the coordinates, the log-likelihood trace, the final
+    gap and the stop reason."""
+    x = lik.pack(np.eye(lik.m) / lik.m)
+    pr = lik.F @ x
+    grad = lik.gradient(pr)
+    gap = lik.gap(grad)
+    loglik = [float(np.log(pr).mean())]
+    accelerated = _Accelerated(lik)
+    try_newton = True
+    while gap > tol:
+        if len(loglik) > max_iter:
+            return x, loglik, gap, "max_iter"
+        step = None
+        if try_newton and gap <= _NEWTON_GAP:
+            step = _newton_step(lik, x, pr, grad, tol)
+        newton = step is not None
+        if newton:
+            accelerated.restart()
+        else:
+            step = accelerated.step(x, pr, grad)
+            if step is None:
+                return x, loglik, gap, "stalled"
+        x = step
+        pr = lik.F @ x
+        ll = float(np.log(pr).mean())
+        if ll < loglik[-1] - _LL_DECREASE_TOL:
+            raise InternalConsistencyError(
+                f"likelihood decreased from {loglik[-1]:.12f} to {ll:.12f} "
+                f"at iteration {len(loglik)}"
+            )
+        loglik.append(ll)
+        grad = lik.gradient(pr)
+        new_gap = lik.gap(grad)
+        try_newton = not newton or new_gap < 0.5 * gap
+        gap = new_gap
+    return x, loglik, gap, "certified"
+
+
 def mle_reconstruct(
     records: QuadratureSample,
     dim: int = 4,
@@ -80,19 +316,27 @@ def mle_reconstruct(
     tol: float = 1e-8,
     max_total_photons: int | None = None,
 ) -> TomographyResult:
-    """Iterative MLE of the two-mode density matrix from quadrature records.
+    """Maximum-likelihood estimate of the two-mode density matrix from
+    quadrature records.  Requires at least 1000 records spread over at least
+    4 distinct Alice phases.
 
-    Stops when the max elementwise change per step drops below ``tol`` or
-    after ``max_iter`` passes.  Requires at least 1000 records spread over
-    at least 4 distinct Alice phases.
+    Stops, with ``stop_reason == "certified"`` and ``converged`` true, once the
+    likelihood gap ``log lambda_max(R(rho))`` is at most ``tol``: the mean
+    log-likelihood per record is then within ``tol`` nats of its maximum.
+    ``max_iter`` is only a safety cap on accepted steps (``"max_iter"``); a
+    run also ends early (``"stalled"``) if no step raises the likelihood at
+    float64 resolution before the gap reaches ``tol``.  Either uncertified
+    stop emits a ``UserWarning``.  ``loglik`` holds the start state and one
+    entry per accepted step, so ``len(loglik) == iterations + 1``; ``gap``
+    is the final certificate.
 
     ``max_total_photons`` restricts the reconstruction support to kets
     with at most that many photons in total.  With Bob's LO phase held
     fixed (the protocol modeled here), the unrestricted product basis
     contains pairs of coherences with identical data signatures
     (``rho_{01,10}`` and ``rho_{00,11}`` both ride ``exp(i theta_A)`` on
-    the same outcome shape), which only positivity separates, and the
-    fixed-point iteration resolves that boundary at O(1/iterations).
+    the same outcome shape), which only positivity separates, so the
+    estimate there is not unique even though its likelihood and gap are.
     When the source physically emits at most one photon, restricting the
     support removes the degeneracy; ``None`` keeps the full space.
     """
@@ -106,57 +350,32 @@ def mle_reconstruct(
         raise ValueError(
             f"only {distinct.size} distinct Alice phases; tomography needs >= 4"
         )
-    W = _projector_rows(records, dim)
-    if max_total_photons is not None:
-        if max_total_photons < 1:
-            raise ValueError("max_total_photons must be at least 1")
-        support = total_photon_support(dim, max_total_photons)
-        W = W[:, support]
+    if max_total_photons is None:
+        support = np.arange(dim * dim)
+    elif max_total_photons < 1:
+        raise ValueError("max_total_photons must be at least 1")
     else:
-        support = None
-    Wc = W.conj()
-    d_eff = W.shape[1]
-    rho = np.eye(d_eff, dtype=complex) / d_eff
+        support = total_photon_support(dim, max_total_photons)
+    lik = _LogLikelihood(_projector_rows(records, dim, support))
+    x, loglik, gap, stop_reason = _maximize(lik, tol, max_iter)
+    if stop_reason != "certified":
+        warnings.warn(
+            f"MLE stopped uncertified ({stop_reason}) after {len(loglik) - 1} "
+            f"steps: likelihood gap {gap:.3e} > tol {tol:g}",
+            stacklevel=2,
+        )
 
-    def mean_loglik(state):
-        pr = ((W @ state) * Wc).sum(axis=1).real
-        np.clip(pr, _PR_FLOOR, None, out=pr)
-        return float(np.log(pr).mean()), pr
-
-    loglik: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        ll, pr = mean_loglik(rho)
-        if loglik and ll < loglik[-1] - _LL_DECREASE_TOL:
-            raise InternalConsistencyError(
-                f"likelihood decreased from {loglik[-1]:.12f} to {ll:.12f} "
-                f"at iteration {iterations}"
-            )
-        loglik.append(ll)
-        R = (Wc.T @ (W / pr[:, None])) / n
-        new = R @ rho @ R
-        new = 0.5 * (new + new.conj().T)
-        new /= np.trace(new).real
-        delta = np.abs(new - rho).max()
-        rho = new
-        iterations += 1
-        if delta < tol:
-            converged = True
-            break
-    loglik.append(mean_loglik(rho)[0])
-
-    if support is not None:
-        full = np.zeros((dim * dim, dim * dim), dtype=complex)
-        full[np.ix_(support, support)] = rho
-        rho = full
+    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    rho[np.ix_(support, support)] = lik.unpack(x)
     result_rho = DensityMatrix(dim, 2, rho)
     return TomographyResult(
         rho=result_rho,
         loglik=np.asarray(loglik),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(loglik) - 1,
+        converged=stop_reason == "certified",
         concurrence=concurrence(result_rho),
+        stop_reason=stop_reason,
+        gap=gap,
     )
 
 

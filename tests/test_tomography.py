@@ -108,10 +108,113 @@ class TestMleReconstruct:
         records = _simulate(rho, 2000, seed=67, n_settings=4)
         result = tomography.mle_reconstruct(records, dim=2, max_iter=50)
         doc = result.to_json_dict()
-        assert set(doc) == {"rho", "loglik", "iterations", "converged", "concurrence"}
+        assert set(doc) == {
+            "rho",
+            "loglik",
+            "iterations",
+            "converged",
+            "stop_reason",
+            "gap",
+            "concurrence",
+        }
         back = fock.DensityMatrix.from_json_dict(doc["rho"])
         assert np.abs(back.data - result.rho.data).max() < 1e-12
         assert len(doc["loglik"]) == doc["iterations"] + 1
+
+    def test_uncertified_stop_warns(self):
+        model = model_microscopic_state(0.49, 0.0, dim=4)
+        records = _simulate(model, 2_000, seed=69)
+        with pytest.warns(UserWarning, match="uncertified"):
+            result = tomography.mle_reconstruct(
+                records, dim=4, max_iter=1, max_total_photons=1
+            )
+        assert result.stop_reason == "max_iter"
+        assert result.converged is False
+        assert result.iterations == 1
+        assert result.gap > 1e-8
+        assert np.all(np.diff(result.loglik) >= 0.0)
+
+
+def _rrr_oracle_loglik(records, dim, support, n_iter=2000):
+    """Mean log-likelihood after ``n_iter`` passes of the fixed point
+    ``rho <- R rho R / Tr[R rho R]`` from the maximally mixed state: the
+    estimator the certified solver replaced."""
+    W = tomography._projector_rows(records, dim, support)
+    Wc = W.conj()
+    n, d = W.shape
+    rho = np.eye(d, dtype=complex) / d
+
+    def probabilities(state):
+        return ((W @ state) * Wc).sum(axis=1).real
+
+    for _ in range(n_iter):
+        R = (Wc.T @ (W / probabilities(rho)[:, None])) / n
+        new = R @ rho @ R
+        new = 0.5 * (new + new.conj().T)
+        rho = new / np.trace(new).real
+    return float(np.log(probabilities(rho)).mean())
+
+
+_DEPHASING_SIGMA = math.sqrt(-2.0 * math.log(0.32 / 0.49))
+
+
+class TestCertifiedSolverOracle:
+    """The certified solver against 2000 passes of the fixed point it replaced,
+    with the gap recomputed from the complex projector rows."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # optimum on the boundary: the estimate has a zero eigenvalue
+            ("boundary", model_microscopic_state(0.49, 0.0, dim=4), 4, 1, 1),
+            # optimum inside the state space: the estimate has full rank
+            (
+                "interior",
+                model_microscopic_state(0.49, 0.0, dim=4, dephasing_sigma=_DEPHASING_SIGMA),
+                4,
+                1,
+                71,
+            ),
+            # full product space: the data do not identify every coordinate,
+            # so the Newton curvature is singular
+            ("unidentified", fock.DensityMatrix.vacuum(2, 2), 2, None, 71),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_matches_or_beats_fixed_point(self, case):
+        kind, model, dim, max_total, seed = case
+        records = _simulate(model, 20_000, seed=seed)
+        tol = 1e-8
+        result = tomography.mle_reconstruct(
+            records, dim=dim, tol=tol, max_total_photons=max_total
+        )
+        assert result.stop_reason == "certified" and result.converged
+        support = (
+            np.arange(dim * dim)
+            if max_total is None
+            else tomography.total_photon_support(dim, max_total)
+        )
+        block = result.rho.data[np.ix_(support, support)]
+        W = tomography._projector_rows(records, dim, support)
+        eig = np.linalg.eigvalsh(block)
+        if kind == "boundary":
+            assert eig[0] < 1e-12
+        elif kind == "interior":
+            assert eig[0] > 1e-3
+        else:
+            features = tomography._LogLikelihood(W).F
+            assert np.linalg.matrix_rank(features) < support.size**2
+
+        pr = np.einsum("ja,ab,jb->j", W, block, W.conj()).real
+        R = (W.conj().T @ (W / pr[:, None])) / pr.size
+        gap = float(np.log(np.linalg.eigvalsh(R)[-1]))
+        assert gap <= tol
+        assert gap == pytest.approx(result.gap, abs=1e-12)
+        assert float(np.log(pr).mean()) == pytest.approx(result.loglik[-1], abs=1e-12)
+
+        oracle = _rrr_oracle_loglik(records, dim, support)
+        assert result.loglik[-1] >= oracle - 1e-12
+        assert np.all(np.diff(result.loglik) >= -1e-9)
 
 
 class TestSupportRestriction:
