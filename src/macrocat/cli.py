@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, counting, fock, pipeline, sampling, tomography
+from . import __version__, counting, fock, output, pipeline, sampling
 from .errors import ConfigError, NumericError
 
 log = logging.getLogger("macrocat")
@@ -82,14 +82,8 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
     return config
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(outdir: Path, command: str, config_doc: dict, outputs: list[str]) -> None:
-    _write_json(
+    output.write_json(
         outdir / "manifest.json",
         {
             "command": command,
@@ -101,31 +95,24 @@ def _write_manifest(outdir: Path, command: str, config_doc: dict, outputs: list[
     )
 
 
-def _curve_centers(config: pipeline.ExperimentConfig, n_bins: int = 41) -> np.ndarray:
-    sig = counting.count_marginal_std(config.count_params(phi=0.0))
-    edges = np.linspace(-4.0 * sig, 4.0 * sig, n_bins + 1)
-    return 0.5 * (edges[:-1] + edges[1:])
-
-
 def cmd_analytic(args) -> list[str]:
     config = _experiment_config(args)
-    centers = _curve_centers(config)
+    edges = pipeline.count_bin_edges(config.count_params(phi=0.0))
+    centers = 0.5 * (edges[:-1] + edges[1:])
     outdir = args.out
-    counting.write_conditional_curves(
-        outdir / "curves_phi0.csv", centers, config.count_params(phi=0.0)
+    for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
+        params = config.count_params(phi=phi)
+        output.write_csv(outdir / name, {
+            "nA": centers,
+            "mean_nB": counting.conditional_mean(centers, params),
+            "var_nB": counting.conditional_variance(centers, params),
+        })
+    pipeline.write_summary(
+        outdir / "summary.json",
+        counting.variance_peak_ratio(config.eta_total),
+        config.model_discrimination_error(),
+        config.model_concurrence(),
     )
-    counting.write_conditional_curves(
-        outdir / "curves_phi90.csv", centers, config.count_params(phi=math.pi / 2.0)
-    )
-    delta_a = pipeline.default_delta_a(config.alpha)
-    summary = {
-        "variance_ratio": counting.variance_peak_ratio(config.eta_total),
-        "discrimination_error": counting.distinguishability_error(
-            config.count_params(phi=0.0), delta_a
-        ),
-        "concurrence": config.model_concurrence(),
-    }
-    _write_json(outdir / "summary.json", summary)
     outputs = ["curves_phi0.csv", "curves_phi90.csv", "summary.json"]
     _write_manifest(outdir, "analytic", config.to_json_dict(), outputs)
     return outputs
@@ -154,16 +141,13 @@ def cmd_tomography(args) -> list[str]:
     sampling.write_quadrature_csv(args.out / "records.csv", scenario.records)
     result_doc = scenario.result.to_json_dict()
     result_doc["fidelity_to_model"] = scenario.fidelity_to_model
-    _write_json(args.out / "result.json", result_doc)
-    delta_a = pipeline.default_delta_a(config.alpha)
-    summary = {
-        "variance_ratio": counting.variance_peak_ratio(config.eta_total),
-        "discrimination_error": counting.distinguishability_error(
-            config.count_params(phi=0.0), delta_a
-        ),
-        "concurrence": scenario.result.concurrence,
-    }
-    _write_json(args.out / "summary.json", summary)
+    output.write_json(args.out / "result.json", result_doc)
+    pipeline.write_summary(
+        args.out / "summary.json",
+        counting.variance_peak_ratio(config.eta_total),
+        config.model_discrimination_error(),
+        scenario.result.concurrence,
+    )
     log.info(
         "reconstruction: %d iterations, stop %s at likelihood gap %.3e, "
         "concurrence %.4f, fidelity to model %.4f",
@@ -213,11 +197,10 @@ def cmd_wigner(args) -> list[str]:
     rho = fock.DensityMatrix.from_pure(vec, dim, 1)
     axis = np.arange(lo, hi + step / 2.0, step)
     grid_w = fock.wigner(rho, axis, axis)
-    with open(args.out / "wigner.csv", "w", newline="") as fh:
-        fh.write("x,p,w\n")
-        for i, x in enumerate(axis):
-            for j, p in enumerate(axis):
-                fh.write(f"{x:.17g},{p:.17g},{grid_w[i, j]:.17g}\n")
+    output.write_csv(
+        args.out / "wigner.csv",
+        {"x": np.repeat(axis, axis.size), "p": np.tile(axis, axis.size), "w": grid_w.ravel()},
+    )
     resolved = {
         "alpha": alpha,
         "c0": [c0.real, c0.imag],
@@ -258,7 +241,7 @@ def cmd_roundtrip_check(args) -> list[str]:
         rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
         for i in range(len(rows) - 1)
     ) if sorted(etas, reverse=True) == etas else None
-    _write_json(
+    output.write_json(
         args.out / "roundtrip.json",
         {
             "alpha_small": alpha_small,

@@ -7,7 +7,9 @@ relative to that reference.  In the large-amplitude regime
 (``alpha >= GAUSSIAN_ALPHA_MIN``) the Poissonian photon statistics are
 replaced by their Gaussian limit, which is what every function below
 evaluates; the exact discrete law lives in :mod:`macrocat.sampling` for
-small amplitudes.
+small amplitudes.  Every result here is a closed form, including the
+single-shot discrimination error; nothing is integrated numerically and
+nothing is written to files.
 
 Everything is evaluated in log space where factorials or ``alpha**2`` of
 order 1e8 appear, so no intermediate overflows.
@@ -19,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, ndtr
 
 # Below this amplitude the Gaussian limit of the Poissonian is too crude;
@@ -37,8 +37,8 @@ class CountModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -182,82 +182,24 @@ def variance_peak_ratio(eta: float) -> float:
     return (4.0 + eta) / (4.0 - eta)
 
 
-def _conditional_density_pair(params: CountModelParams, delta_a: float):
-    """Bob's conditional densities for Alice at +delta_a and -delta_a."""
-    plus = CountModelParams(params.alpha, params.eta, 0.0)
-
-    norm_p = quad(
-        lambda nb: joint_prob_ref(delta_a, nb, plus),
-        -12.0 * math.sqrt(2.0) * params.alpha,
-        12.0 * math.sqrt(2.0) * params.alpha,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=300,
-    )[0]
-
-    def p_plus(nb):
-        return joint_prob_ref(delta_a, nb, plus) / norm_p
-
-    def p_minus(nb):
-        return joint_prob_ref(-delta_a, nb, plus) / norm_p
-
-    return p_plus, p_minus
-
-
-def distinguishability_error(
-    params: CountModelParams, delta_a: float, rule: str = "likelihood-ratio"
-) -> float:
-    """Single-shot error probability for telling Alice's +delta_a and
+def distinguishability_error(params: CountModelParams, delta_a: float) -> float:
+    """Bayes-optimal single-shot error for telling Alice's +delta_a and
     -delta_a outcomes apart from Bob's count (phi = 0 model, equal priors).
 
-    ``rule="likelihood-ratio"`` integrates ``min(p+, p-)/2`` over Bob's
-    count, the Bayes-optimal error.  ``rule="threshold"`` scores the best
-    single cut on Bob's count; for this model the likelihood ratio crosses
-    1 exactly once (at 0), so the two coincide and the variant serves as a
-    consistency check.
+    The likelihood ratio of Bob's two conditional densities crosses 1 only
+    at 0, so the optimal rule is the sign of Bob's count and the error is
+    Gaussian partial moments in closed form.  With ``s^2 = 2 alpha^2``,
+    ``g = s sqrt(pi/2)``, ``c = 4 (2-eta) alpha^2`` and ``d = delta_a``:
+    ``[eta (d^2 g + s^2 g - 2 d s^2) + c g] / (2 g [eta (d^2 + s^2) + c])``,
+    which is exactly 0.5 at ``eta = 0``.
     """
     params.require_gaussian_regime()
     if delta_a <= 0:
         raise ValueError(f"delta_a must be positive, got {delta_a}")
-    if rule not in ("likelihood-ratio", "threshold"):
-        raise ValueError(f"unknown decision rule {rule!r}")
-    if params.eta == 0.0:
-        return 0.5  # the conditionals are identical
-    p_plus, p_minus = _conditional_density_pair(params, delta_a)
-    span = 12.0 * math.sqrt(2.0) * params.alpha
-    if rule == "likelihood-ratio":
-        err, _ = quad(
-            lambda nb: min(p_plus(nb), p_minus(nb)),
-            -span,
-            span,
-            points=[0.0],
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=400,
-        )
-        return 0.5 * err
-    # single threshold t on Bob's count: decide "+" when nb > t
-    def err_at(t: float) -> float:
-        below_plus = quad(p_plus, -span, t, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
-        above_minus = quad(p_minus, t, span, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
-        return 0.5 * (below_plus + above_minus)
-
-    res = minimize_scalar(err_at, bracket=(-params.alpha, 0.0, params.alpha))
-    return float(res.fun)
-
-
-def conditional_curves(
-    centers, params: CountModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional mean/variance evaluated on a grid of Alice counts."""
-    centers = np.asarray(centers, dtype=float)
-    return centers, conditional_mean(centers, params), conditional_variance(centers, params)
-
-
-def write_conditional_curves(path, centers, params: CountModelParams) -> None:
-    """Emit the analytic curves as CSV with header ``nA,mean_nB,var_nB``."""
-    centers, mean, var = conditional_curves(centers, params)
-    with open(path, "w", newline="") as fh:
-        fh.write("nA,mean_nB,var_nB\n")
-        for c, m, v in zip(centers, mean, var):
-            fh.write(f"{c:.17g},{m:.17g},{v:.17g}\n")
+    a2 = params.alpha**2
+    s2 = 2.0 * a2
+    g = math.sqrt(s2) * math.sqrt(math.pi / 2.0)
+    c = 4.0 * (2.0 - params.eta) * a2
+    d = delta_a
+    num = params.eta * (d * d * g + s2 * g - 2.0 * d * s2) + c * g
+    return num / (2.0 * g * (params.eta * (d * d + s2) + c))

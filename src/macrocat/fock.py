@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from .errors import DegenerateConditionError, TruncationWarning
 
@@ -189,48 +189,15 @@ def displaced_fock(alpha: complex, n: int, dim: int) -> np.ndarray:
     return displacement_matrix(alpha, dim)[:, n].copy()
 
 
-def loss_kraus_operators(eta: float, dim: int) -> list[np.ndarray]:
-    """Kraus decomposition of the single-mode bosonic loss channel.
-
-    ``K_j`` removes j photons: ``<n-j|K_j|n> =
-    sqrt(C(n, j) * (1-eta)^j * eta^(n-j))``.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    if eta == 1.0:
-        return [np.eye(dim, dtype=complex)]
-    if eta == 0.0:  # every photon is lost: K_j = |0><j|
-        ops = []
-        for j in range(dim):
-            K = np.zeros((dim, dim), dtype=complex)
-            K[0, j] = 1.0
-            ops.append(K)
-        return ops
-    n = np.arange(dim)
-    log1m = np.log1p(-eta)
-    logeta = np.log(eta)
-    ops = []
-    for j in range(dim):
-        kept = n[j:]  # source levels n >= j
-        loga = 0.5 * (
-            gammaln(kept + 1)
-            - gammaln(j + 1)
-            - gammaln(kept - j + 1)
-            + j * log1m
-            + (kept - j) * logeta
-        )
-        K = np.zeros((dim, dim), dtype=complex)
-        K[np.arange(dim - j), kept] = np.exp(loga)
-        ops.append(K)
-    return ops
-
-
 def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
     """Bosonic loss channel of transmissivity ``eta`` on one mode.
 
-    Trace-preserving by construction (photons lost above the truncation
-    edge stay accounted for because the Kraus family is complete on the
-    truncated space).
+    The Kraus operator ``K_j`` that removes j photons has one nonzero
+    diagonal, ``<n-j|K_j|n> = c_j[n] = sqrt(C(n, j) (1-eta)^j eta^(n-j))``,
+    so each ``K_j rho K_j^dagger`` is the shifted block ``rho[j:, j:]`` of
+    the mode's ket and bra indices, scaled by ``c_j`` on both sides and
+    added into ``out[:d-j, :d-j]``.  Trace-preserving by construction:
+    the family is complete on the truncated space.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
@@ -239,26 +206,23 @@ def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
     if eta == 1.0:
         return rho
     d = rho.dim
-    # terms below 1e-14 elementwise contribute < 1e-28 to the output
-    kraus = [K for K in loss_kraus_operators(eta, d) if np.abs(K).max() > 1e-14]
-    if rho.modes == 1:
-        out = np.zeros_like(rho.data)
-        for K in kraus:
-            out += K @ rho.data @ K.conj().T
-        return DensityMatrix(d, 1, out)
-    t = rho.data.reshape(d, d, d, d)  # (mA, kB, nA, lB)
+    t = rho.data
+    if rho.modes == 2:
+        # (mA, kB, nA, lB): the lossy mode's ket and bra axes go first
+        t = np.moveaxis(t.reshape(d, d, d, d), (mode, mode + 2), (0, 1))
     out = np.zeros_like(t)
-    if mode == 0:
-        for K in kraus:
-            # out[m,k,n,l] = K[m,i] t[i,k,j,l] conj(K[n,j])
-            step = np.tensordot(K, t, axes=([1], [0]))  # (m,k,j,l)
-            out += np.tensordot(step, K.conj(), axes=([2], [1])).transpose(0, 1, 3, 2)
-    else:
-        for K in kraus:
-            # out[m,k,a,j] = K[k,i] t[m,i,a,l] conj(K[j,l])
-            step = np.tensordot(K, t, axes=([1], [1]))  # (k,m,a,l)
-            out += np.tensordot(step, K.conj(), axes=([3], [1])).transpose(1, 0, 2, 3)
-    return DensityMatrix(d, 2, out.reshape(d * d, d * d))
+    n = np.arange(d)
+    spare = (1,) * (t.ndim - 2)  # broadcast over the other mode's axes
+    for j in range(d):
+        kept = n[j:]  # source levels n >= j
+        log_binom = gammaln(kept + 1) - gammaln(j + 1) - gammaln(kept - j + 1)
+        c = np.exp(0.5 * (log_binom + j * np.log1p(-eta) + xlogy(kept - j, eta)))
+        ket = c.reshape((d - j, 1) + spare)
+        bra = c.reshape((1, d - j) + spare)
+        out[: d - j, : d - j] += ket * t[j:, j:] * bra
+    if rho.modes == 2:
+        out = np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(d * d, d * d)
+    return DensityMatrix(d, rho.modes, out)
 
 
 def delocalized_photon_state(phi: float, dim: int) -> np.ndarray:

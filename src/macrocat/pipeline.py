@@ -16,13 +16,12 @@ validated at moderate amplitude where both apply (see the test suite).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import counting, fock, sampling, tomography
+from . import counting, fock, output, sampling, tomography
 from .counting import CountModelParams
 from .errors import ConfigError
 
@@ -33,6 +32,15 @@ STREAM_QUADRATURES = 2
 # Alice-offset for the conditional histograms, relative to alpha: at the
 # default amplitude 1.05e4 this lands on 3.1e4 photons.
 _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
+# Alice's outcomes (and Bob's, for the histograms) are binned uniformly over
+# +-4 marginal standard deviations; the conditioning windows of the
+# histograms and the empirical error are +-4% of one.
+_N_COUNT_BINS = 41
+_BIN_SPAN_SIGMAS = 4.0
+_WINDOW_FRAC = 0.04
+# tomography: Alice's LO sweeps 12 phases; each mode is truncated at 4 levels
+_TOMO_SETTINGS = 12
+_TOMO_DIM = 4
 
 _DEFAULT_ETA_BUDGET = {
     "modematch": 0.81,
@@ -56,8 +64,13 @@ class ExperimentConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        for name in ("n_count_shots", "n_quad_shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # the range checks below also reject NaN; alpha and sigma need isfinite
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
         if not 0.0 < self.eta_total <= 1.0:
@@ -74,8 +87,10 @@ class ExperimentConfig:
                 )
         if self.n_count_shots < 1 or self.n_quad_shots < 1:
             raise ConfigError("shot counts must be positive")
-        if self.phase_noise_sigma < 0:
-            raise ConfigError("phase_noise_sigma must be nonnegative")
+        if not (math.isfinite(self.phase_noise_sigma) and self.phase_noise_sigma >= 0):
+            raise ConfigError(
+                f"phase_noise_sigma must be finite and nonnegative, got {self.phase_noise_sigma}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -106,9 +121,21 @@ class ExperimentConfig:
         """Concurrence of the loss + dephasing model state."""
         return self.eta_total * math.exp(-self.phase_noise_sigma**2 / 2.0)
 
+    def model_discrimination_error(self) -> float:
+        """Closed-form discrimination error at the default Alice offset."""
+        return counting.distinguishability_error(
+            self.count_params(phi=0.0), default_delta_a(self.alpha)
+        )
+
 
 def default_delta_a(alpha: float) -> float:
     return _DELTA_A_PER_ALPHA * alpha
+
+
+def count_bin_edges(params: CountModelParams) -> np.ndarray:
+    """Edges of the count bins: uniform over +-4 marginal standard deviations."""
+    span = _BIN_SPAN_SIGMAS * counting.count_marginal_std(params)
+    return np.linspace(-span, span, _N_COUNT_BINS + 1)
 
 
 @dataclass(frozen=True)
@@ -131,34 +158,24 @@ class CountScenarioResult:
     histogram_centers: np.ndarray
     histogram_above: np.ndarray
     histogram_below: np.ndarray
-    delta_a: float
     discrimination_error: float
     variance_ratio: float
     model_discrimination_error: float
     model_variance_ratio: float
-    n_shots_per_setting: int
 
 
-def bin_count_records(
-    records: sampling.CountSample,
-    params: CountModelParams,
-    n_bins: int = 41,
-    span_sigmas: float = 4.0,
-) -> BinnedCurve:
+def bin_count_records(records: sampling.CountSample, params: CountModelParams) -> BinnedCurve:
     """Conditional mean/variance of dn_B binned over Alice's outcome.
 
-    Bins are uniform over +-``span_sigmas`` marginal standard deviations;
-    outliers are clipped into the edge bins so counts always total the
-    number of shots.
+    Bins are those of :func:`count_bin_edges`; outliers are clipped into
+    the edge bins so counts always total the number of shots.
     """
-    sig = counting.count_marginal_std(params)
-    span = span_sigmas * sig
-    edges = np.linspace(-span, span, n_bins + 1)
+    edges = count_bin_edges(params)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    idx = np.clip(np.digitize(records.dn_a, edges) - 1, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    sums = np.bincount(idx, weights=records.dn_b, minlength=n_bins)
-    sq = np.bincount(idx, weights=records.dn_b**2, minlength=n_bins)
+    idx = np.clip(np.digitize(records.dn_a, edges) - 1, 0, _N_COUNT_BINS - 1)
+    counts = np.bincount(idx, minlength=_N_COUNT_BINS).astype(np.int64)
+    sums = np.bincount(idx, weights=records.dn_b, minlength=_N_COUNT_BINS)
+    sq = np.bincount(idx, weights=records.dn_b**2, minlength=_N_COUNT_BINS)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts
         var = sq / counts - mean**2
@@ -186,32 +203,9 @@ def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
     return float(curve.variance[center] / (2.0 * params.alpha**2))
 
 
-def empirical_discrimination_error(
-    records: sampling.CountSample, delta_a: float, window: float
-) -> float:
-    """Error rate of the sign-of-dn_B rule on shots near Alice = +-delta_a.
-
-    The likelihood-ratio test for the two conditional laws reduces to the
-    sign of Bob's count, so this is the empirical Bayes error.
-    """
-    above = np.abs(records.dn_a - delta_a) <= window
-    below = np.abs(records.dn_a + delta_a) <= window
-    if above.sum() == 0 or below.sum() == 0:
-        raise ValueError("no shots fall in the conditioning windows")
-    err_above = float(np.mean(records.dn_b[above] < 0.0))
-    err_below = float(np.mean(records.dn_b[below] > 0.0))
-    return 0.5 * (err_above + err_below)
-
-
-def run_counts_scenario(
-    config: ExperimentConfig,
-    delta_a: float | None = None,
-    n_bins: int = 41,
-    window_frac: float = 0.04,
-) -> CountScenarioResult:
+def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     """Counting run for both phase settings with analytic overlays."""
-    if delta_a is None:
-        delta_a = default_delta_a(config.alpha)
+    delta_a = default_delta_a(config.alpha)
     params0 = config.count_params(phi=0.0)
     params90 = config.count_params(phi=math.pi / 2.0)
     rec0 = sampling.sample_counts(
@@ -221,27 +215,28 @@ def run_counts_scenario(
         params90, config.n_count_shots, config.seed, stream=STREAM_COUNTS_PHI90
     )
     curves = {
-        0.0: bin_count_records(rec0, params0, n_bins=n_bins),
-        math.pi / 2.0: bin_count_records(rec90, params90, n_bins=n_bins),
+        0.0: bin_count_records(rec0, params0),
+        math.pi / 2.0: bin_count_records(rec90, params90),
     }
-    sig = counting.count_marginal_std(params0)
-    window = window_frac * sig
-    hist_edges = np.linspace(-4.0 * sig, 4.0 * sig, n_bins + 1)
+    window = _WINDOW_FRAC * counting.count_marginal_std(params0)
+    hist_edges = count_bin_edges(params0)
     above = np.abs(rec0.dn_a - delta_a) <= window
     below = np.abs(rec0.dn_a + delta_a) <= window
-    hist_above = np.histogram(rec0.dn_b[above], bins=hist_edges)[0]
-    hist_below = np.histogram(rec0.dn_b[below], bins=hist_edges)[0]
+    if above.sum() == 0 or below.sum() == 0:
+        raise ValueError("no shots fall in the conditioning windows")
+    # the likelihood-ratio test for the two conditional laws reduces to the
+    # sign of Bob's count, so its error rate here is the empirical Bayes error
+    err_above = float(np.mean(rec0.dn_b[above] < 0.0))
+    err_below = float(np.mean(rec0.dn_b[below] > 0.0))
     return CountScenarioResult(
         curves=curves,
-        histogram_centers=0.5 * (hist_edges[:-1] + hist_edges[1:]),
-        histogram_above=hist_above,
-        histogram_below=hist_below,
-        delta_a=delta_a,
-        discrimination_error=empirical_discrimination_error(rec0, delta_a, window),
+        histogram_centers=curves[0.0].centers,
+        histogram_above=np.histogram(rec0.dn_b[above], bins=hist_edges)[0],
+        histogram_below=np.histogram(rec0.dn_b[below], bins=hist_edges)[0],
+        discrimination_error=0.5 * (err_above + err_below),
         variance_ratio=peak_variance_ratio(curves[0.0], params0),
-        model_discrimination_error=counting.distinguishability_error(params0, delta_a),
+        model_discrimination_error=config.model_discrimination_error(),
         model_variance_ratio=counting.variance_peak_ratio(config.eta_total),
-        n_shots_per_setting=config.n_count_shots,
     )
 
 
@@ -269,39 +264,32 @@ def model_microscopic_state(
 class TomographyScenarioResult:
     result: tomography.TomographyResult
     records: sampling.QuadratureSample
-    model: fock.DensityMatrix
     fidelity_to_model: float
 
 
 def run_tomography_scenario(
-    config: ExperimentConfig,
-    n_settings: int = 12,
-    dim: int = 4,
-    max_iter: int = 2000,
-    tol: float = 1e-8,
-    max_total_photons: int | None = 1,
+    config: ExperimentConfig, max_iter: int = 2000
 ) -> TomographyScenarioResult:
     """Simulate the homodyne run on the model state and reconstruct it.
 
     The heralded source emits one photon split between the arms, so the
-    reconstruction defaults to the vacuum + one-photon support; with
+    reconstruction is restricted to the vacuum + one-photon support; with
     Bob's LO phase locked the full product basis is not informationally
     complete (see :func:`macrocat.tomography.mle_reconstruct`).
     """
     model = model_microscopic_state(
-        config.eta_total, config.phi, dim=dim, dephasing_sigma=config.phase_noise_sigma
+        config.eta_total, config.phi, dim=_TOMO_DIM, dephasing_sigma=config.phase_noise_sigma
     )
-    schedule = sampling.phase_schedule(n_settings, mode="sweep")
+    schedule = sampling.phase_schedule(_TOMO_SETTINGS, mode="sweep")
     records = sampling.sample_quadrature_schedule(
         model, schedule, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
     result = tomography.mle_reconstruct(
-        records, dim=dim, max_iter=max_iter, tol=tol, max_total_photons=max_total_photons
+        records, dim=_TOMO_DIM, max_iter=max_iter, max_total_photons=1
     )
     return TomographyScenarioResult(
         result=result,
         records=records,
-        model=model,
         fidelity_to_model=tomography.fidelity(result.rho, model),
     )
 
@@ -359,36 +347,31 @@ def displacement_roundtrip_check(
 # ---------------------------------------------------------------------------
 # file emission
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def write_curve_csv(path, curve: BinnedCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("nA,mean_nB,var_nB,count,model_mean_nB,model_var_nB\n")
-        for c, m, v, n, mm, mv in zip(
-            curve.centers, curve.mean, curve.variance, curve.counts,
-            curve.model_mean, curve.model_variance,
-        ):
-            fh.write(f"{_fmt(c)},{_fmt(m)},{_fmt(v)},{n},{_fmt(mm)},{_fmt(mv)}\n")
+def write_summary(
+    path, variance_ratio: float, discrimination_error: float, concurrence: float
+) -> None:
+    """``summary.json``: the three headline numbers of a run."""
+    output.write_json(path, {
+        "variance_ratio": variance_ratio,
+        "discrimination_error": discrimination_error,
+        "concurrence": concurrence,
+    })
 
 
 def write_count_outputs(outdir, result: CountScenarioResult, config: ExperimentConfig) -> list[str]:
     """Emit curves_phi0.csv, curves_phi90.csv, histograms.csv, summary.json."""
-    write_curve_csv(outdir / "curves_phi0.csv", result.curves[0.0])
-    write_curve_csv(outdir / "curves_phi90.csv", result.curves[math.pi / 2.0])
-    with open(outdir / "histograms.csv", "w", newline="") as fh:
-        fh.write("dnB,count_above,count_below\n")
-        for c, a, b in zip(
-            result.histogram_centers, result.histogram_above, result.histogram_below
-        ):
-            fh.write(f"{_fmt(c)},{a},{b}\n")
-    summary = {
-        "variance_ratio": result.variance_ratio,
-        "discrimination_error": result.discrimination_error,
-        "concurrence": config.model_concurrence(),
-    }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
+        curve = result.curves[phi]
+        output.write_csv(outdir / name, {
+            "nA": curve.centers, "mean_nB": curve.mean, "var_nB": curve.variance,
+            "count": curve.counts, "model_mean_nB": curve.model_mean,
+            "model_var_nB": curve.model_variance,
+        })
+    output.write_csv(outdir / "histograms.csv", {
+        "dnB": result.histogram_centers,
+        "count_above": result.histogram_above,
+        "count_below": result.histogram_below,
+    })
+    write_summary(outdir / "summary.json", result.variance_ratio, result.discrimination_error,
+                  config.model_concurrence())
     return ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv", "summary.json"]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ndtri
 
-from . import fock
+from . import fock, output
 from .counting import CountModelParams
 from .errors import NumericError
 
@@ -228,13 +228,14 @@ def joint_quadrature_density(
 
 def _inverse_cell_draw(
     cum: np.ndarray, grid: np.ndarray, step: float, u: np.ndarray
-) -> np.ndarray:
-    """Map uniforms through the piecewise-linear CDF of tabulated cell masses."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms through the piecewise-linear CDF of tabulated cell masses;
+    returns the draws and their cell indices."""
     target = u * cum[-1]
     j = np.searchsorted(cum, target, side="left")
     lo = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
     frac = (target - lo) / np.maximum(cum[j] - lo, 1e-300)
-    return grid[j] + (frac - 0.5) * step
+    return grid[j] + (frac - 0.5) * step, j
 
 
 class _GridSampler:
@@ -260,18 +261,14 @@ class _GridSampler:
         self.cum_b_rows = np.cumsum(self.mass, axis=1)
 
     def draw(self, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        target = u_a * self.cum_a[-1]
-        ja = np.searchsorted(self.cum_a, target, side="left")
-        lo = np.where(ja > 0, self.cum_a[np.maximum(ja - 1, 0)], 0.0)
-        frac = (target - lo) / np.maximum(self.cum_a[ja] - lo, 1e-300)
-        x_a = self.grid[ja] + (frac - 0.5) * self.step
+        x_a, ja = _inverse_cell_draw(self.cum_a, self.grid, self.step, u_a)
         # group shots sharing an x_A cell so each conditional row is scanned once
         x_b = np.empty_like(x_a)
         order = np.argsort(ja, kind="stable")
         bounds = np.flatnonzero(np.diff(ja[order])) + 1
         for seg in np.split(order, bounds):
             row = self.cum_b_rows[ja[seg[0]]]
-            x_b[seg] = _inverse_cell_draw(row, self.grid, self.step, u_b[seg])
+            x_b[seg] = _inverse_cell_draw(row, self.grid, self.step, u_b[seg])[0]
         return x_a, x_b
 
 
@@ -282,46 +279,22 @@ def default_quadrature_grid(span: float = 8.0, step: float = 0.02) -> np.ndarray
     return np.linspace(-span, span, n)
 
 
-def sample_quadratures(
-    rho: fock.DensityMatrix,
-    theta_a: float,
-    theta_b: float,
-    n_shots: int,
-    seed: int,
-    stream: int = 0,
-    start_shot: int = 0,
-    grid: np.ndarray | None = None,
-) -> QuadratureSample:
-    """Joint homodyne samples of a two-mode state at fixed LO phases."""
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
-    if grid is None:
-        grid = default_quadrature_grid()
-    sampler = _GridSampler(rho, theta_a, theta_b, grid)
-    tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
-    x_a, x_b = sampler.draw(tab[:, 0], tab[:, 1])
-    return QuadratureSample(
-        theta_a=np.full(n_shots, float(theta_a)),
-        x_a=x_a,
-        theta_b=np.full(n_shots, float(theta_b)),
-        x_b=x_b,
-        start_shot=start_shot,
-    )
-
-
 def sample_quadrature_schedule(
     rho: fock.DensityMatrix,
     schedule: list[tuple[float, float]],
     n_shots: int,
     seed: int,
     stream: int = 0,
+    start_shot: int = 0,
     grid: np.ndarray | None = None,
 ) -> QuadratureSample:
-    """Homodyne samples with shots assigned round-robin over a phase schedule.
+    """Joint homodyne samples of a two-mode state over a phase schedule.
 
-    Shot ``i`` is measured at ``schedule[i % len(schedule)]``; the uniforms
-    for shot ``i`` are the same as in the single-setting samplers, so the
-    record set is reproducible independent of how settings are processed.
+    Absolute shot ``s`` (``start_shot <= s < start_shot + n_shots``) is
+    measured at the LO phases ``schedule[s % len(schedule)]`` and draws its
+    uniforms from row ``s`` of the stream, so any partitioning of a shot
+    range reproduces bit-identical records.  A one-setting schedule samples
+    at fixed LO phases.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
@@ -329,13 +302,13 @@ def sample_quadrature_schedule(
         raise ValueError("schedule must contain at least one setting")
     if grid is None:
         grid = default_quadrature_grid()
-    tab = shot_uniforms(seed, stream, 0, n_shots, _WORDS_QUAD)
+    tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
     theta_a = np.empty(n_shots)
     x_a = np.empty(n_shots)
     theta_b = np.empty(n_shots)
     x_b = np.empty(n_shots)
     for k, (ta, tb) in enumerate(schedule):
-        idx = np.arange(k, n_shots, len(schedule))
+        idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
         if idx.size == 0:
             continue
         sampler = _GridSampler(rho, ta, tb, grid)
@@ -344,7 +317,9 @@ def sample_quadrature_schedule(
         x_a[idx] = xa
         theta_b[idx] = tb
         x_b[idx] = xb
-    return QuadratureSample(theta_a=theta_a, x_a=x_a, theta_b=theta_b, x_b=x_b)
+    return QuadratureSample(
+        theta_a=theta_a, x_a=x_a, theta_b=theta_b, x_b=x_b, start_shot=start_shot
+    )
 
 
 def phase_schedule(n_settings: int, mode: str = "sweep") -> list[tuple[float, float]]:
@@ -367,14 +342,13 @@ def phase_schedule(n_settings: int, mode: str = "sweep") -> list[tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits, exact round-trip)
+# CSV serialization (see macrocat.output: exact round-trip)
 
 def write_count_csv(path, sample: CountSample) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("shot,dnA,dnB,phi\n")
-        phi = sample.phi
-        for s, a, b in zip(sample.shots, sample.dn_a, sample.dn_b):
-            fh.write(f"{s},{a:.17g},{b:.17g},{phi:.17g}\n")
+    output.write_csv(path, {
+        "shot": sample.shots, "dnA": sample.dn_a, "dnB": sample.dn_b,
+        "phi": np.full(len(sample), float(sample.phi)),
+    })
 
 
 def read_count_csv(path) -> CountSample:
@@ -393,12 +367,10 @@ def read_count_csv(path) -> CountSample:
 
 
 def write_quadrature_csv(path, sample: QuadratureSample) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("shot,thetaA,xA,thetaB,xB\n")
-        for s, ta, xa, tb, xb in zip(
-            sample.shots, sample.theta_a, sample.x_a, sample.theta_b, sample.x_b
-        ):
-            fh.write(f"{s},{ta:.17g},{xa:.17g},{tb:.17g},{xb:.17g}\n")
+    output.write_csv(path, {
+        "shot": sample.shots, "thetaA": sample.theta_a, "xA": sample.x_a,
+        "thetaB": sample.theta_b, "xB": sample.x_b,
+    })
 
 
 def read_quadrature_csv(path) -> QuadratureSample:

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, file emission, determinism
 and manifest-based regeneration."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from macrocat import cli, fock
+from macrocat import cli, fock, output
+from macrocat.errors import NumericError
 
 
 def run_cli(*argv):
@@ -223,7 +225,42 @@ class TestExitCodes:
         code = run_cli("analytic", "--config", cfg, "--out", blocker / "sub")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            ("analytic", '{"alpha": NaN}'),
+            ("analytic", '{"alpha": Infinity}'),
+            ("tomography", '{"phase_noise_sigma": NaN}'),
+            ("tomography", '{"n_quad_shots": 1500.5}'),
+            ("simulate-counts", '{"n_count_shots": true}'),
+        ],
+    )
+    def test_non_finite_or_mistyped_config(self, tmp_path, capsys, command, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_json_writer_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with pytest.raises(NumericError):
+            output.write_json(path, {"value": float("nan")})
+        assert not path.exists()
+
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         run_cli("analytic", "--config", cfg, "--out", tmp_path / "o", "--quiet")
         assert capsys.readouterr().out == ""
+
+
+def test_import_loads_no_numerical_integration_or_optimization():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import macrocat.cli, sys; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert not loaded & {"scipy.integrate", "scipy.optimize"}

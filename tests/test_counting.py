@@ -2,8 +2,8 @@
 
 Oracles: trapezoid/adaptive quadrature for normalizations and moments,
 FFT convolution for the reference-subtracted law, direct summation for
-total-variation distances, and an independently derived closed form for
-the discrimination error.
+total-variation distances, and adaptive quadrature of the Bayes error (plus
+an independently derived closed form) for the discrimination error.
 """
 
 import math
@@ -11,10 +11,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.signal import fftconvolve
 from scipy.special import gammaln
 
-from macrocat import counting
+from macrocat import counting, output
 from macrocat.counting import CountModelParams
 
 
@@ -222,6 +223,46 @@ def _error_closed_form(alpha, eta, delta):
     return num / (eta * delta**2 + (4.0 - eta) * s2)
 
 
+def _conditional_density_pair(params, delta_a):
+    """Bob's conditional densities for Alice at +delta_a and -delta_a."""
+    plus = CountModelParams(params.alpha, params.eta, 0.0)
+    span = 12.0 * math.sqrt(2.0) * params.alpha
+    norm_p = quad(
+        lambda nb: counting.joint_prob_ref(delta_a, nb, plus),
+        -span, span, epsabs=0.0, epsrel=1e-12, limit=300,
+    )[0]
+
+    def p_plus(nb):
+        return counting.joint_prob_ref(delta_a, nb, plus) / norm_p
+
+    def p_minus(nb):
+        return counting.joint_prob_ref(-delta_a, nb, plus) / norm_p
+
+    return p_plus, p_minus, span
+
+
+def _bayes_error_quad_oracle(params, delta_a):
+    """Integral of min(p+, p-)/2 over Bob's count."""
+    p_plus, p_minus, span = _conditional_density_pair(params, delta_a)
+    err, _ = quad(
+        lambda nb: min(p_plus(nb), p_minus(nb)),
+        -span, span, points=[0.0], epsabs=1e-12, epsrel=1e-10, limit=400,
+    )
+    return 0.5 * err
+
+
+def _threshold_error_oracle(params, delta_a):
+    """Error of the best single cut t on Bob's count (decide "+" when nb > t)."""
+    p_plus, p_minus, span = _conditional_density_pair(params, delta_a)
+
+    def err_at(t):
+        below_plus = quad(p_plus, -span, t, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
+        above_minus = quad(p_minus, t, span, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
+        return 0.5 * (below_plus + above_minus)
+
+    return float(minimize_scalar(err_at, bracket=(-params.alpha, 0.0, params.alpha)).fun)
+
+
 class TestDistinguishability:
     def test_eta_zero_is_coin_flip(self):
         p = CountModelParams(1e4, 0.0, 0.0)
@@ -237,9 +278,26 @@ class TestDistinguishability:
     def test_threshold_rule_matches_bayes(self):
         # the likelihood ratio crosses 1 once, so one cut is optimal
         p = CountModelParams(1.05e4, 0.49, 0.0)
-        lr = counting.distinguishability_error(p, 3.1e4, rule="likelihood-ratio")
-        th = counting.distinguishability_error(p, 3.1e4, rule="threshold")
+        lr = counting.distinguishability_error(p, 3.1e4)
+        th = _threshold_error_oracle(p, 3.1e4)
         assert th == pytest.approx(lr, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "alpha,eta,delta_per_alpha",
+        [
+            (1.05e4, 0.49, 3.1e4 / 1.05e4),  # default operating point
+            (1.05e4, 1.0, 3.1e4 / 1.05e4),
+            (1.05e4, 1e-9, 3.1e4 / 1.05e4),
+            (1e4, 0.49, 0.01),
+            (1e4, 0.49, 8.0),
+            (10.0, 0.7, 2.0),
+        ],
+    )
+    def test_closed_form_matches_quad_oracle(self, alpha, eta, delta_per_alpha):
+        p = CountModelParams(alpha, eta, 0.0)
+        delta_a = delta_per_alpha * alpha
+        oracle = _bayes_error_quad_oracle(p, delta_a)
+        assert abs(counting.distinguishability_error(p, delta_a) - oracle) <= 1e-12
 
     def test_monotone_in_efficiency(self):
         alpha = 1e4
@@ -288,7 +346,14 @@ class TestCurveEmission:
         p = CountModelParams(1e4, 0.49, 0.0)
         centers = np.linspace(-6e4, 6e4, 41)
         path = tmp_path / "curves.csv"
-        counting.write_conditional_curves(path, centers, p)
+        output.write_csv(
+            path,
+            {
+                "nA": centers,
+                "mean_nB": counting.conditional_mean(centers, p),
+                "var_nB": counting.conditional_variance(centers, p),
+            },
+        )
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert list(data.dtype.names) == ["nA", "mean_nB", "var_nB"]
         assert np.array_equal(data["nA"], centers)

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from macrocat import fock
 from macrocat.errors import DegenerateConditionError, TruncationWarning
@@ -23,6 +24,58 @@ def displacement_expm_oracle(alpha, dim, pad=192):
     adag = np.diag(np.sqrt(n), -1).astype(complex)
     a = np.diag(np.sqrt(n), 1).astype(complex)
     return expm(alpha * adag - np.conj(alpha) * a)[:dim, :dim]
+
+
+def loss_kraus_operators(eta, dim):
+    """Kraus decomposition of the single-mode bosonic loss channel.
+
+    ``K_j`` removes j photons: ``<n-j|K_j|n> =
+    sqrt(C(n, j) * (1-eta)^j * eta^(n-j))``.
+    """
+    if eta == 1.0:
+        return [np.eye(dim, dtype=complex)]
+    if eta == 0.0:  # every photon is lost: K_j = |0><j|
+        ops = []
+        for j in range(dim):
+            K = np.zeros((dim, dim), dtype=complex)
+            K[0, j] = 1.0
+            ops.append(K)
+        return ops
+    n = np.arange(dim)
+    ops = []
+    for j in range(dim):
+        kept = n[j:]  # source levels n >= j
+        loga = 0.5 * (
+            gammaln(kept + 1)
+            - gammaln(j + 1)
+            - gammaln(kept - j + 1)
+            + j * np.log1p(-eta)
+            + (kept - j) * np.log(eta)
+        )
+        K = np.zeros((dim, dim), dtype=complex)
+        K[np.arange(dim - j), kept] = np.exp(loga)
+        ops.append(K)
+    return ops
+
+
+def kraus_loss_oracle(rho, eta, mode):
+    """Direct Kraus sum ``sum_j K_j rho K_j^dagger`` with the identity on the
+    other mode."""
+    eye = np.eye(rho.dim)
+    out = np.zeros_like(rho.data)
+    for K in loss_kraus_operators(eta, rho.dim):
+        if rho.modes == 2:
+            K = np.kron(K, eye) if mode == 0 else np.kron(eye, K)
+        out += K @ rho.data @ K.conj().T
+    return out
+
+
+def random_state(dim, modes, seed):
+    rng = np.random.default_rng(seed)
+    d = dim**modes
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    data = a @ a.conj().T
+    return fock.DensityMatrix(dim, modes, data / np.trace(data))
 
 
 class TestDisplacementMatrix:
@@ -97,9 +150,16 @@ class TestLossChannel:
         assert np.abs(out.data - expected).max() < 1e-10
 
     def test_kraus_family_is_complete(self):
-        ops = fock.loss_kraus_operators(0.6, 12)
+        ops = loss_kraus_operators(0.6, 12)
         total = sum(K.conj().T @ K for K in ops)
         assert np.abs(total - np.eye(12)).max() < 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.99])
+    @pytest.mark.parametrize("dim,modes,mode", [(8, 1, 0), (6, 2, 0), (6, 2, 1)])
+    def test_matches_kraus_sum_oracle(self, eta, dim, modes, mode):
+        rho = random_state(dim, modes, seed=dim + mode)
+        out = fock.apply_loss(rho, eta, mode)
+        assert np.abs(out.data - kraus_loss_oracle(rho, eta, mode)).max() <= 1e-14
 
     def test_rejects_bad_eta(self):
         rho = fock.DensityMatrix.vacuum(4)

@@ -58,13 +58,31 @@ class TestDeterminism:
 
     def test_quadratures_partition_equivalence(self):
         rho = fock.DensityMatrix.vacuum(4, 2)
-        whole = sampling.sample_quadratures(rho, 0.3, 0.0, 1200, seed=8)
+        sched = [(0.3, 0.0)]
+        whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
-            sampling.sample_quadratures(rho, 0.3, 0.0, 500, seed=8),
-            sampling.sample_quadratures(rho, 0.3, 0.0, 700, seed=8, start_shot=500),
+            sampling.sample_quadrature_schedule(rho, sched, 500, seed=8),
+            sampling.sample_quadrature_schedule(rho, sched, 700, seed=8, start_shot=500),
         ]
         assert np.array_equal(whole.x_a, np.concatenate([q.x_a for q in parts]))
         assert np.array_equal(whole.x_b, np.concatenate([q.x_b for q in parts]))
+
+    def test_schedule_partition_equivalence(self):
+        # the split at 803 is not a multiple of the 4 settings, so the last
+        # part must pick its settings by absolute shot index
+        psi = fock.delocalized_photon_state(0.4, 4)
+        rho = fock.apply_loss(fock.DensityMatrix.from_pure(psi, 4, 2), 0.6, 0)
+        sched = sampling.phase_schedule(4)
+        whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
+        parts = [
+            sampling.sample_quadrature_schedule(rho, sched, 500, seed=8),
+            sampling.sample_quadrature_schedule(rho, sched, 303, seed=8, start_shot=500),
+            sampling.sample_quadrature_schedule(rho, sched, 397, seed=8, start_shot=803),
+        ]
+        assert [q.start_shot for q in parts] == [0, 500, 803]
+        for col in ("theta_a", "x_a", "theta_b", "x_b"):
+            joined = np.concatenate([getattr(q, col) for q in parts])
+            assert np.array_equal(getattr(whole, col), joined), col
 
     def test_schedule_reproducible(self):
         rho = fock.DensityMatrix.vacuum(4, 2)
@@ -272,7 +290,7 @@ def _marginal_moment_oracle(rho, theta, power, mode):
 class TestQuadratureSampler:
     def test_vacuum_variance(self):
         rho = fock.DensityMatrix.vacuum(4, 2)
-        rec = sampling.sample_quadratures(rho, 0.0, 0.0, 200_000, seed=41)
+        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=41)
         se = math.sqrt(2.0 / len(rec)) * 0.5
         assert rec.x_a.var() == pytest.approx(0.5, abs=4 * se)
         assert rec.x_b.var() == pytest.approx(0.5, abs=4 * se)
@@ -280,7 +298,7 @@ class TestQuadratureSampler:
     def test_delocalized_photon_correlation(self):
         psi = fock.delocalized_photon_state(0.0, 4)
         rho = fock.DensityMatrix.from_pure(psi, 4, 2)
-        rec = sampling.sample_quadratures(rho, 0.0, 0.0, 200_000, seed=42)
+        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=42)
         prod = rec.x_a * rec.x_b
         se = prod.std() / math.sqrt(len(rec))
         assert prod.mean() == pytest.approx(0.5, abs=4 * se)
@@ -289,7 +307,7 @@ class TestQuadratureSampler:
         vec = np.zeros(16)
         vec[1 * 4 + 0] = 1.0  # |1>_A |0>_B
         rho = fock.DensityMatrix.from_pure(vec, 4, 2)
-        rec = sampling.sample_quadratures(rho, 0.0, 0.0, 1_000_000, seed=43)
+        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 1_000_000, seed=43)
         h, edges = np.histogram(rec.x_a, bins=np.arange(-4.0, 4.01, 0.05))
         center = h[np.searchsorted(edges, -0.025)]
         assert center < 0.01 * h.max()
@@ -301,7 +319,7 @@ class TestQuadratureSampler:
         psi = fock.delocalized_photon_state(0.8, 4)
         rho = fock.DensityMatrix.from_pure(psi, 4, 2)
         rho = fock.apply_loss(rho, 0.6, 0)
-        rec = sampling.sample_quadratures(rho, theta_a, theta_b, 200_000, seed=44)
+        rec = sampling.sample_quadrature_schedule(rho, [(theta_a, theta_b)], 200_000, seed=44)
         for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, theta_b)):
             for power in (1, 2):
                 target = _marginal_moment_oracle(rho, theta, power, mode)
@@ -316,7 +334,7 @@ class TestQuadratureSampler:
         vac[0] = 1.0
         rho = fock.DensityMatrix.from_pure(np.kron(coh, vac), 32, 2)
         with pytest.raises(NumericError, match="grid"):
-            sampling.sample_quadratures(rho, 0.0, 0.0, 10, seed=45)
+            sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 10, seed=45)
 
 
 class TestPhaseSchedule:

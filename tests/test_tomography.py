@@ -99,7 +99,7 @@ class TestMleReconstruct:
 
     def test_single_phase_rejected(self):
         rho = fock.DensityMatrix.vacuum(2, 2)
-        records = sampling.sample_quadratures(rho, 0.7, 0.0, 2000, seed=66)
+        records = sampling.sample_quadrature_schedule(rho, [(0.7, 0.0)], 2000, seed=66)
         with pytest.raises(ValueError, match="phases"):
             tomography.mle_reconstruct(records, dim=2)
 
