@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -180,14 +181,21 @@ def cmd_wigner(args) -> list[str]:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown state fields: {sorted(unknown)}")
-    alpha = float(doc.get("alpha", 0.0))
-    c0 = _coeff(doc.get("c0", 1.0))
-    c1 = _coeff(doc.get("c1", 0.0))
-    dim = int(doc.get("dim", 16))
-    grid_doc = doc.get("grid", {})
-    lo = float(grid_doc.get("min", -6.0))
-    hi = float(grid_doc.get("max", 6.0))
-    step = float(grid_doc.get("step", 0.1))
+    try:
+        alpha = float(doc.get("alpha", 0.0))
+        c0 = _coeff(doc.get("c0", 1.0))
+        c1 = _coeff(doc.get("c1", 0.0))
+        grid_doc = doc.get("grid", {})
+        lo = float(grid_doc.get("min", -6.0))
+        hi = float(grid_doc.get("max", 6.0))
+        step = float(grid_doc.get("step", 0.1))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed state spec: {exc}") from exc
+    dim = doc.get("dim", 16)
+    if type(dim) is not int:
+        raise ConfigError(f"dim must be an integer, got {dim!r}")
+    if not np.isfinite([alpha, c0, c1, lo, hi, step]).all():
+        raise ConfigError("state spec values must be finite")
     if hi <= lo or step <= 0:
         raise ConfigError("grid must satisfy min < max and step > 0")
     if c0 == 0 and c1 == 0:
@@ -219,24 +227,24 @@ def cmd_roundtrip_check(args) -> list[str]:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown roundtrip-spec fields: {sorted(unknown)}")
-    alpha_small = float(doc.get("alpha_small", 2.0))
-    etas = [float(v) for v in doc.get("mismatch_etas", [1.0, 0.99, 0.95])]
-    dim = int(doc.get("dim", 32))
-    phi = float(doc.get("phi", 0.0))
-    rows = []
+    etas = doc.get("mismatch_etas", [1.0, 0.99, 0.95])
+    if not isinstance(etas, list):
+        raise ConfigError(f"mismatch_etas must be a list, got {etas!r}")
     try:
-        for eta in etas:
-            res = pipeline.displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi)
-            rows.append(
-                {
-                    "mismatch_eta": res.mismatch_eta,
-                    "fidelity_to_loss_model": res.fidelity_to_loss_model,
-                    "concurrence_roundtrip": res.concurrence_roundtrip,
-                    "concurrence_initial": res.concurrence_initial,
-                }
-            )
-    except ValueError as exc:
-        raise NumericError(str(exc)) from exc
+        alpha_small = float(doc.get("alpha_small", 2.0))
+        etas = [float(v) for v in etas]
+        phi = float(doc.get("phi", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed roundtrip spec: {exc}") from exc
+    dim = doc.get("dim", 32)
+    if type(dim) is not int:
+        raise ConfigError(f"dim must be an integer, got {dim!r}")
+    if not np.isfinite([alpha_small, phi, *etas]).all():
+        raise ConfigError("roundtrip spec values must be finite")
+    rows = [
+        asdict(pipeline.displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi))
+        for eta in etas
+    ]
     monotone = all(
         rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
         for i in range(len(rows) - 1)
@@ -281,7 +289,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, ValueError) as exc:  # ValueError covers numpy's LinAlgError
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,7 +19,6 @@ a pure function, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -110,24 +109,6 @@ class DensityMatrix:
             "im": self.data.imag.ravel().tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DensityMatrix":
-        dim = int(doc["dim"])
-        modes = int(doc["modes"])
-        d = dim**modes
-        re = np.asarray(doc["re"], dtype=float).reshape(d, d)
-        im = np.asarray(doc["im"], dtype=float).reshape(d, d)
-        rho = cls(dim=dim, modes=modes, data=re + 1j * im)
-        rho.validate()
-        return rho
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "DensityMatrix":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _check_trailing_population(rho: DensityMatrix) -> None:
     worst = photon_number_pmf(rho, 0)[-1]
@@ -180,13 +161,6 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
         (-1.0) ** k * np.exp(-1j * k * theta),
     )
     return mag * phase
-
-
-def displaced_fock(alpha: complex, n: int, dim: int) -> np.ndarray:
-    """Ket of ``D(alpha)|n>`` in the truncated basis."""
-    if not 0 <= n < dim:
-        raise ValueError(f"Fock index {n} outside [0, {dim})")
-    return displacement_matrix(alpha, dim)[:, n].copy()
 
 
 def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:

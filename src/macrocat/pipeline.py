@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
         if not 0.0 < self.eta_total <= 1.0:
             raise ConfigError(f"eta_total must lie in (0, 1], got {self.eta_total}")
+        if not isinstance(self.eta_budget, dict):
+            raise ConfigError(f"eta_budget must be an object, got {self.eta_budget!r}")
         for name, value in self.eta_budget.items():
             if not 0.0 < value <= 1.0:
                 raise ConfigError(f"eta_budget[{name!r}] must lie in (0, 1], got {value}")
@@ -280,7 +282,7 @@ def run_tomography_scenario(
     model = model_microscopic_state(
         config.eta_total, config.phi, dim=_TOMO_DIM, dephasing_sigma=config.phase_noise_sigma
     )
-    schedule = sampling.phase_schedule(_TOMO_SETTINGS, mode="sweep")
+    schedule = sampling.phase_schedule(_TOMO_SETTINGS)
     records = sampling.sample_quadrature_schedule(
         model, schedule, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
@@ -312,9 +314,11 @@ def displacement_roundtrip_check(
 
     Both arms of the delocalized photon get ``D(alpha)``, a loss channel of
     transmissivity ``mismatch_eta``, then the reverse displacement matched
-    to the attenuated amplitude (``-sqrt(eta) alpha``).  Displacement being
-    local and unitary, the result must coincide with applying the loss
-    alone, and the entanglement can only drop.
+    to the attenuated amplitude (``-sqrt(eta) alpha``), applied mode by mode.
+    Displacement being local and unitary, the result must coincide with
+    applying the loss alone, so the reference is the closed-form loss model
+    ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` of
+    :func:`model_microscopic_state`, and the entanglement can only drop.
     """
     if alpha_small**2 > dim / 8.0:
         raise ValueError(
@@ -323,24 +327,22 @@ def displacement_roundtrip_check(
         )
     if not 0.0 < mismatch_eta <= 1.0:
         raise ValueError(f"mismatch_eta must lie in (0, 1], got {mismatch_eta}")
-    psi0 = fock.delocalized_photon_state(phi, dim)
-    rho0 = fock.DensityMatrix.from_pure(psi0, dim, 2)
-
-    d_fwd = fock.displacement_matrix(alpha_small, dim)
-    big_fwd = np.kron(d_fwd, d_fwd)
-    displaced = fock.DensityMatrix(dim, 2, big_fwd @ rho0.data @ big_fwd.conj().T)
+    displaced = fock.build_macro_state(alpha_small, phi, dim)
     lossy = fock.apply_loss(fock.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
-    d_rev = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
-    big_rev = np.kron(d_rev, d_rev)
-    roundtrip = fock.DensityMatrix(dim, 2, big_rev @ lossy.data @ big_rev.conj().T)
-    roundtrip = roundtrip.normalize()
-
-    reference = fock.apply_loss(fock.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
+    u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
+    # (mA, kB, nA, lB): D on both ket axes, D^dagger on both bra axes
+    t = np.einsum(
+        "am,bk,mknl,cn,dl->abcd", u, u, lossy.data.reshape((dim,) * 4), u.conj(), u.conj(),
+        optimize=True,
+    )
+    roundtrip = fock.DensityMatrix(dim, 2, t.reshape(dim * dim, dim * dim)).normalize()
     return RoundtripResult(
         mismatch_eta=mismatch_eta,
-        fidelity_to_loss_model=tomography.fidelity(roundtrip, reference),
+        fidelity_to_loss_model=tomography.fidelity(
+            roundtrip, model_microscopic_state(mismatch_eta, phi, dim)
+        ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
-        concurrence_initial=tomography.concurrence(rho0),
+        concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi, dim)),
     )
 
 

@@ -322,64 +322,24 @@ def sample_quadrature_schedule(
     )
 
 
-def phase_schedule(n_settings: int, mode: str = "sweep") -> list[tuple[float, float]]:
+def phase_schedule(n_settings: int) -> list[tuple[float, float]]:
     """LO phase settings for two-mode tomography.
 
-    ``sweep``: Alice's phase steps uniformly over [0, 2*pi) while Bob's LO
-    stays locked at 0 (the measurement protocol this package models).
-    ``locked``: both LOs step together (common-phase variant).
-    At least 4 settings are required for an informationally complete scan
-    of the one-photon subspace.
+    Alice's phase steps uniformly over [0, 2*pi) while Bob's LO stays
+    locked at 0 (the measurement protocol this package models).  At least
+    4 settings are required for an informationally complete scan of the
+    one-photon subspace.
     """
     if n_settings < 4:
         raise ValueError(f"need at least 4 settings, got {n_settings}")
-    if mode not in ("sweep", "locked"):
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    thetas = [2.0 * math.pi * j / n_settings for j in range(n_settings)]
-    if mode == "sweep":
-        return [(t, 0.0) for t in thetas]
-    return [(t, t) for t in thetas]
+    return [(2.0 * math.pi * j / n_settings, 0.0) for j in range(n_settings)]
 
 
 # ---------------------------------------------------------------------------
 # CSV serialization (see macrocat.output: exact round-trip)
-
-def write_count_csv(path, sample: CountSample) -> None:
-    output.write_csv(path, {
-        "shot": sample.shots, "dnA": sample.dn_a, "dnB": sample.dn_b,
-        "phi": np.full(len(sample), float(sample.phi)),
-    })
-
-
-def read_count_csv(path) -> CountSample:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    phi = np.unique(data["phi"])
-    if phi.size != 1:
-        raise ValueError("count CSV mixes phase settings")
-    start = int(data["shot"][0])
-    return CountSample(
-        dn_a=np.asarray(data["dnA"], dtype=float),
-        dn_b=np.asarray(data["dnB"], dtype=float),
-        phi=float(phi[0]),
-        start_shot=start,
-    )
-
 
 def write_quadrature_csv(path, sample: QuadratureSample) -> None:
     output.write_csv(path, {
         "shot": sample.shots, "thetaA": sample.theta_a, "xA": sample.x_a,
         "thetaB": sample.theta_b, "xB": sample.x_b,
     })
-
-
-def read_quadrature_csv(path) -> QuadratureSample:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    return QuadratureSample(
-        theta_a=np.asarray(data["thetaA"], dtype=float),
-        x_a=np.asarray(data["xA"], dtype=float),
-        theta_b=np.asarray(data["thetaB"], dtype=float),
-        x_b=np.asarray(data["xB"], dtype=float),
-        start_shot=int(data["shot"][0]),
-    )

@@ -408,30 +408,25 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2``.
+    """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))**2``.
 
-    Reduces to ``|<psi|phi>|**2`` for pure inputs.  Returns a value in
-    [0, 1] (tiny numerical overshoot is clipped).
+    ``sigma`` must be a density matrix (positive semidefinite): then a zero
+    diagonal entry means a zero row and column, so the fidelity is exactly
+    that of ``rho[s, s]`` with ``sigma[s, s]`` on the basis kets ``s`` where
+    ``diag(sigma)`` is nonzero, and only that block is decomposed (a model
+    state as ``sigma`` costs a few-by-few eigenproblem at any ``dim``).  The
+    product is formed in sigma's eigenbasis on its positive eigenvalues, so
+    no square root is taken of a rounding-level eigenvalue of ``sigma`` or
+    of ``rho`` outside sigma's range.  Reduces to ``|<psi|phi>|**2`` for
+    pure inputs.  Returns a value in [0, 1] (tiny numerical overshoot is
+    clipped).
     """
     if (rho.dim, rho.modes) != (sigma.dim, sigma.modes):
         raise ValueError("states live on different spaces")
-    w, v = np.linalg.eigh(rho.data)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = sqrt_rho @ sigma.data @ sqrt_rho
+    s = np.flatnonzero(np.diag(sigma.data))
+    w, v = np.linalg.eigh(sigma.data[np.ix_(s, s)])
+    root, v = np.sqrt(w[w > 0.0]), v[:, w > 0.0]
+    inner = root[:, None] * (v.conj().T @ rho.data[np.ix_(s, s)] @ v) * root
     lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     val = float(np.sqrt(lam).sum() ** 2)
     return min(max(val, 0.0), 1.0)
-
-
-def povm_completeness_defect(theta: float, dim: int, grid: np.ndarray) -> float:
-    """Max elementwise deviation of ``sum_x |x,theta><x,theta| dx`` from identity.
-
-    Diagnostic for the projector family used by the reconstruction: on a
-    dense grid covering the truncated space the sum must resolve the
-    identity.
-    """
-    grid = np.asarray(grid, dtype=float)
-    step = float(grid[1] - grid[0])
-    basis = quadrature_basis(grid, theta, dim)
-    overlap = basis.conj().T @ basis * step
-    return float(np.abs(overlap - np.eye(dim)).max())

@@ -67,10 +67,10 @@ class TestCriterion2DisplacedStatistics:
     def test_moments(self, alpha):
         dim = 64
         m0, v0 = fock.photon_moments(
-            fock.DensityMatrix.from_pure(fock.displaced_fock(alpha, 0, dim), dim, 1)
+            fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 0], dim, 1)
         )
         m1, v1 = fock.photon_moments(
-            fock.DensityMatrix.from_pure(fock.displaced_fock(alpha, 1, dim), dim, 1)
+            fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 1], dim, 1)
         )
         a2 = alpha * alpha
         passed = (

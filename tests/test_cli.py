@@ -88,8 +88,10 @@ class TestSmoke:
         assert summary["concurrence"] >= 0.97
         result = json.loads((out / "result.json").read_text())
         assert np.all(np.diff(result["loglik"]) >= -1e-9)
-        rho = fock.DensityMatrix.from_json_dict(result["rho"])
-        assert rho.modes == 2
+        doc = result["rho"]
+        assert (doc["dim"], doc["modes"]) == (4, 2)
+        data = np.reshape(doc["re"], (16, 16)) + 1j * np.reshape(doc["im"], (16, 16))
+        fock.DensityMatrix(4, 2, data).validate()
         assert (out / "records.csv").read_text().startswith("shot,thetaA,xA,thetaB,xB")
 
     def test_wigner_marginal_matches_direct_computation(self, tmp_path):
@@ -233,6 +235,13 @@ class TestExitCodes:
             ("tomography", '{"phase_noise_sigma": NaN}'),
             ("tomography", '{"n_quad_shots": 1500.5}'),
             ("simulate-counts", '{"n_count_shots": true}'),
+            ("analytic", '{"eta_budget": [1]}'),
+            ("wigner", '{"alpha": NaN}'),
+            ("wigner", '{"dim": 3.7}'),
+            ("wigner", '{"grid": {"step": NaN}}'),
+            ("roundtrip-check", '{"alpha_small": NaN}'),
+            ("roundtrip-check", '{"mismatch_etas": 0.9}'),
+            ("roundtrip-check", '{"dim": 16.5}'),
         ],
     )
     def test_non_finite_or_mistyped_config(self, tmp_path, capsys, command, document):
@@ -241,7 +250,22 @@ class TestExitCodes:
         assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
-        assert not (tmp_path / "o" / "summary.json").exists()
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            ("analytic", '{"alpha": 5.0}'),
+            ("wigner", '{"dim": 1}'),
+            ("wigner", '{"grid": {"step": 0.6}}'),
+        ],
+    )
+    def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
 
     def test_json_writer_rejects_non_finite(self, tmp_path):
         path = tmp_path / "doc.json"

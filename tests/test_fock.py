@@ -211,7 +211,7 @@ class TestPhotonMoments:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_vacuum(self, alpha):
-        vec = fock.displaced_fock(alpha, 0, 64)
+        vec = fock.displacement_matrix(alpha, 64)[:, 0]
         mean, var = fock.photon_moments(fock.DensityMatrix.from_pure(vec, 64, 1))
         assert mean == pytest.approx(alpha**2, abs=1e-6)
         assert var == pytest.approx(alpha**2, abs=1e-6)
@@ -219,7 +219,7 @@ class TestPhotonMoments:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_single_photon(self, alpha):
         # mean alpha^2 + 1, variance three shot-noise units
-        vec = fock.displaced_fock(alpha, 1, 64)
+        vec = fock.displacement_matrix(alpha, 64)[:, 1]
         mean, var = fock.photon_moments(fock.DensityMatrix.from_pure(vec, 64, 1))
         assert mean == pytest.approx(alpha**2 + 1.0, abs=1e-6)
         assert var == pytest.approx(3.0 * alpha**2, abs=1e-6)
@@ -229,7 +229,7 @@ class TestConditionalBobState:
     def test_on_mean_outcome_is_displaced_photon(self):
         # n = alpha^2 kills the displaced-vacuum branch
         vec = fock.conditional_bob_state(4, 2.0, 0.0, 32)
-        d1 = fock.displaced_fock(2.0, 1, 32)
+        d1 = fock.displacement_matrix(2.0, 32)[:, 1]
         assert abs(abs(np.vdot(d1, vec)) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("delta,sign", [(2, 1.0), (-2, -1.0)])
@@ -335,20 +335,20 @@ class TestWigner:
 class TestSerialization:
     def test_round_trip(self):
         rho = fock.build_macro_state(0.7, 1.2, 12)
-        doc = json.loads(rho.dumps())
-        back = fock.DensityMatrix.from_json_dict(doc)
+        doc = json.loads(json.dumps(rho.to_json_dict()))
+        d = doc["dim"] ** doc["modes"]
+        data = np.reshape(doc["re"], (d, d)) + 1j * np.reshape(doc["im"], (d, d))
+        back = fock.DensityMatrix(doc["dim"], doc["modes"], data)
         assert back.dim == rho.dim and back.modes == rho.modes
         assert np.abs(back.data - rho.data).max() < 1e-15
 
     def test_rejects_non_hermitian_payload(self):
-        doc = {"dim": 2, "modes": 1, "re": [1.0, 0.5, 0.0, 0.0], "im": [0.0] * 4}
         with pytest.raises(ValueError):
-            fock.DensityMatrix.from_json_dict(doc)
+            fock.DensityMatrix(2, 1, [[1.0, 0.5], [0.0, 0.0]]).validate()
 
     def test_rejects_wrong_trace(self):
-        doc = {"dim": 2, "modes": 1, "re": [0.7, 0.0, 0.0, 0.7], "im": [0.0] * 4}
         with pytest.raises(ValueError):
-            fock.DensityMatrix.from_json_dict(doc)
+            fock.DensityMatrix(2, 1, [[0.7, 0.0], [0.0, 0.7]]).validate()
 
 
 class TestInvariantSweeps:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from macrocat import counting, pipeline, tomography
+from macrocat import counting, fock, pipeline, tomography
 from macrocat.errors import ConfigError
 from macrocat.pipeline import ExperimentConfig
 
@@ -166,7 +166,40 @@ class TestCountsScenario:
         assert curves["count"].sum() == cfg.n_count_shots
 
 
+def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
+    """The round trip with dense ``D (x) D`` products and the loss channel
+    applied to the undisplaced photon as the reference."""
+    rho0 = fock.DensityMatrix.from_pure(fock.delocalized_photon_state(phi, dim), dim, 2)
+    d_fwd = np.kron(*[fock.displacement_matrix(alpha_small, dim)] * 2)
+    displaced = fock.DensityMatrix(dim, 2, d_fwd @ rho0.data @ d_fwd.conj().T)
+    lossy = fock.apply_loss(fock.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
+    d_rev = np.kron(*[fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)] * 2)
+    roundtrip = fock.DensityMatrix(dim, 2, d_rev @ lossy.data @ d_rev.conj().T).normalize()
+    reference = fock.apply_loss(fock.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
+    return pipeline.RoundtripResult(
+        mismatch_eta=mismatch_eta,
+        # the round-trip state as sigma has full diagonal support, so this
+        # decomposes the whole dense state
+        fidelity_to_loss_model=tomography.fidelity(reference, roundtrip),
+        concurrence_roundtrip=tomography.concurrence(roundtrip),
+        concurrence_initial=tomography.concurrence(rho0),
+    )
+
+
 class TestRoundtripCheck:
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    @pytest.mark.parametrize("eta", [1.0, 0.99, 0.95])
+    def test_matches_dense_oracle(self, eta, phi):
+        # at alpha 1 the truncated round trip leaks ~3e-12 outside the
+        # one-photon block; the oracle's dense square root cannot resolve
+        # leaks near 1e-8 (it returns 1.0 where the exact value is 1 - 2.5e-8
+        # at alpha 1.4)
+        res = pipeline.displacement_roundtrip_check(1.0, eta, dim=16, phi=phi)
+        ref = _dense_roundtrip_oracle(1.0, eta, 16, phi)
+        for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_roundtrip",
+                     "concurrence_initial"):
+            assert getattr(res, name) == pytest.approx(getattr(ref, name), abs=1e-8), name
+
     def test_perfect_undisplacement(self):
         res = pipeline.displacement_roundtrip_check(2.0, 1.0)
         assert res.fidelity_to_loss_model == pytest.approx(1.0, abs=1e-6)

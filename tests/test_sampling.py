@@ -329,7 +329,7 @@ class TestQuadratureSampler:
     def test_underresolved_grid_rejected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            coh = fock.displaced_fock(4.5, 0, 32)
+            coh = fock.displacement_matrix(4.5, 32)[:, 0]
         vac = np.zeros(32)
         vac[0] = 1.0
         rho = fock.DensityMatrix.from_pure(np.kron(coh, vac), 32, 2)
@@ -348,10 +348,6 @@ class TestPhaseSchedule:
         assert all(tb == 0.0 for _, tb in sched)
         assert np.allclose(np.diff([ta for ta, _ in sched]), math.pi / 6.0)
 
-    def test_locked_mode_tracks_common_phase(self):
-        sched = sampling.phase_schedule(6, mode="locked")
-        assert all(ta == tb for ta, tb in sched)
-
     def test_determinism(self):
         assert sampling.phase_schedule(8) == sampling.phase_schedule(8)
 
@@ -361,18 +357,6 @@ class TestPhaseSchedule:
 
 
 class TestCsvSerialization:
-    def test_count_round_trip(self, tmp_path):
-        p = CountModelParams(1e4, 0.49, 0.7)
-        rec = sampling.sample_counts(p, 500, seed=51)
-        path = tmp_path / "counts.csv"
-        sampling.write_count_csv(path, rec)
-        header = path.read_text().splitlines()[0]
-        assert header == "shot,dnA,dnB,phi"
-        back = sampling.read_count_csv(path)
-        assert np.array_equal(back.dn_a, rec.dn_a)
-        assert np.array_equal(back.dn_b, rec.dn_b)
-        assert back.phi == rec.phi
-
     def test_quadrature_round_trip(self, tmp_path):
         rho = fock.DensityMatrix.vacuum(4, 2)
         rec = sampling.sample_quadrature_schedule(rho, sampling.phase_schedule(4), 400, seed=52)
@@ -380,13 +364,9 @@ class TestCsvSerialization:
         sampling.write_quadrature_csv(path, rec)
         header = path.read_text().splitlines()[0]
         assert header == "shot,thetaA,xA,thetaB,xB"
-        back = sampling.read_quadrature_csv(path)
-        assert np.array_equal(back.x_a, rec.x_a)
-        assert np.array_equal(back.theta_a, rec.theta_a)
-        assert np.array_equal(back.x_b, rec.x_b)
-
-    def test_mixed_phase_count_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("shot,dnA,dnB,phi\n0,1.0,2.0,0\n1,0.5,0.1,1.5\n")
-        with pytest.raises(ValueError, match="phase"):
-            sampling.read_count_csv(path)
+        shot, theta_a, x_a, theta_b, x_b = np.loadtxt(path, delimiter=",", skiprows=1).T
+        assert np.array_equal(shot, rec.shots)
+        assert np.array_equal(x_a, rec.x_a)
+        assert np.array_equal(theta_a, rec.theta_a)
+        assert np.array_equal(theta_b, rec.theta_b)
+        assert np.array_equal(x_b, rec.x_b)

@@ -23,11 +23,38 @@ def _simulate(rho, n_shots, seed, n_settings=12):
     return sampling.sample_quadrature_schedule(rho, schedule, n_shots, seed)
 
 
+def povm_completeness_defect(theta: float, dim: int, grid: np.ndarray) -> float:
+    """Max elementwise deviation of ``sum_x |x,theta><x,theta| dx`` from identity.
+
+    Oracle for the projector family used by the reconstruction: on a
+    dense grid covering the truncated space the sum must resolve the
+    identity.
+    """
+    grid = np.asarray(grid, dtype=float)
+    step = float(grid[1] - grid[0])
+    basis = fock.quadrature_basis(grid, theta, dim)
+    overlap = basis.conj().T @ basis * step
+    return float(np.abs(overlap - np.eye(dim)).max())
+
+
+def _dense_fidelity_oracle(rho, sigma):
+    """Uhlmann fidelity through the dense square root of ``rho``."""
+    w, v = np.linalg.eigh(rho.data)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.clip(np.linalg.eigvalsh(sqrt_rho @ sigma.data @ sqrt_rho), 0.0, None)
+    return min(max(float(np.sqrt(lam).sum() ** 2), 0.0), 1.0)
+
+
+def _random_full_rank_state(rng, dim):
+    g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
+    return fock.DensityMatrix(dim, 2, g @ g.conj().T).normalize()
+
+
 class TestPovmCompleteness:
     @pytest.mark.parametrize("theta", [0.0, 1.1])
     def test_dense_grid_resolves_identity(self, theta):
         grid = np.arange(-8.0, 8.0 + 0.01, 0.02)
-        defect = tomography.povm_completeness_defect(theta, 6, grid)
+        defect = povm_completeness_defect(theta, 6, grid)
         assert defect < 1e-3
 
 
@@ -117,8 +144,9 @@ class TestMleReconstruct:
             "gap",
             "concurrence",
         }
-        back = fock.DensityMatrix.from_json_dict(doc["rho"])
-        assert np.abs(back.data - result.rho.data).max() < 1e-12
+        shape = result.rho.data.shape
+        back = np.reshape(doc["rho"]["re"], shape) + 1j * np.reshape(doc["rho"]["im"], shape)
+        assert np.abs(back - result.rho.data).max() < 1e-12
         assert len(doc["loglik"]) == doc["iterations"] + 1
 
     def test_uncertified_stop_warns(self):
@@ -306,6 +334,34 @@ class TestFidelity:
         # <psi| rho |psi> for pure second argument: 0.49 (the |00> branch
         # is orthogonal to the delocalized photon)
         assert tomography.fidelity(lossy, bell) == pytest.approx(0.49, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle_on_full_rank_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        rho, sigma = _random_full_rank_state(rng, 3), _random_full_rank_state(rng, 3)
+        assert tomography.fidelity(rho, sigma) == pytest.approx(
+            _dense_fidelity_oracle(rho, sigma), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    @pytest.mark.parametrize("eta1,eta2", [(0.49, 0.6), (0.95, 0.99), (0.3, 0.3)])
+    def test_loss_models_closed_form(self, eta1, eta2, phi, dim):
+        # both states mix the same two orthogonal pure states
+        expected = (math.sqrt(eta1 * eta2) + math.sqrt((1.0 - eta1) * (1.0 - eta2))) ** 2
+        value = tomography.fidelity(
+            model_microscopic_state(eta1, phi, dim), model_microscopic_state(eta2, phi, dim)
+        )
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    def test_pure_reference_gives_overlap(self, phi):
+        # a rank-deficient sigma costs no square root of its zero eigenvalue
+        rho = _random_full_rank_state(np.random.default_rng(5), 4)
+        psi = fock.delocalized_photon_state(phi, 4)
+        sigma = fock.DensityMatrix.from_pure(psi, 4, 2)
+        overlap = float((psi.conj() @ rho.data @ psi).real)
+        assert tomography.fidelity(rho, sigma) == pytest.approx(overlap, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
