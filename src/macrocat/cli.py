@@ -137,6 +137,10 @@ def cmd_simulate_counts(args) -> list[str]:
 
 def cmd_tomography(args) -> list[str]:
     config = _experiment_config(args)
+    # the summary's closed forms can reject the config; evaluate them before
+    # any output is written
+    variance_ratio = counting.variance_peak_ratio(config.eta_total)
+    discrimination_error = config.model_discrimination_error()
     log.info("sampling %d quadrature records", config.n_quad_shots)
     scenario = pipeline.run_tomography_scenario(config)
     sampling.write_quadrature_csv(args.out / "records.csv", scenario.records)
@@ -144,9 +148,7 @@ def cmd_tomography(args) -> list[str]:
     result_doc["fidelity_to_model"] = scenario.fidelity_to_model
     output.write_json(args.out / "result.json", result_doc)
     pipeline.write_summary(
-        args.out / "summary.json",
-        counting.variance_peak_ratio(config.eta_total),
-        config.model_discrimination_error(),
+        args.out / "summary.json", variance_ratio, discrimination_error,
         scenario.result.concurrence,
     )
     log.info(

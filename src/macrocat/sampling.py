@@ -37,7 +37,9 @@ _WORDS_QUAD = 4  # x_A cell+fraction, x_B cell+fraction, 2 pad
 EXACT_ALPHA_MAX = 30.0
 
 _U_LO = 2.0**-53
-_U_HI = 1.0 - 2.0**-53
+
+# count shots per block: a 1 MiB uniform table that stays in cache
+_COUNT_BLOCK_SHOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,8 @@ def shot_uniforms(
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     bg.advance(start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK)
     u = np.random.Generator(bg).random((n_shots, words_per_shot))
-    return np.clip(u, _U_LO, _U_HI)
-
-
-def _maxwell_radius(u1, u2, u3):
-    # |u| for the u^2-weighted Gaussian of unit scale: chi with 3 dof
-    z1, z2, z3 = ndtri(u1), ndtri(u2), ndtri(u3)
-    return np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+    # random() returns k * 2**-53 for k < 2**53, so only the lower clip can bind
+    return np.maximum(u, _U_LO, out=u)
 
 
 def sample_counts(
@@ -104,7 +101,7 @@ def sample_counts(
     seed: int,
     stream: int = 0,
     start_shot: int = 0,
-    chunk_shots: int = 1 << 20,
+    chunk_shots: int = _COUNT_BLOCK_SHOTS,
 ) -> CountSample:
     """Draw i.i.d. reference-subtracted count pairs from the joint law.
 
@@ -114,6 +111,10 @@ def sample_counts(
     Gaussian) with weights ``eta(1+cos phi)/4``, ``eta(1-cos phi)/4`` and
     ``1 - eta/2``; the quadratic components are signed chi(3)-distributed
     radii.  Cost per shot is constant in alpha.
+
+    Shots are drawn in blocks of ``chunk_shots``, so the working memory
+    beyond the two output arrays is O(block); the records do not depend on
+    the block size.
     """
     params.require_gaussian_regime()
     if n_shots < 1:
@@ -124,22 +125,28 @@ def sample_counts(
     w_v = params.eta * (1.0 - cph) / 4.0
     dn_a = np.empty(n_shots)
     dn_b = np.empty(n_shots)
-    done = 0
-    while done < n_shots:
-        m = min(chunk_shots, n_shots - done)
-        tab = shot_uniforms(seed, stream, start_shot + done, m, _WORDS_COUNTS)
-        comp_u = tab[:, 0] < w_u
-        comp_v = (tab[:, 0] >= w_u) & (tab[:, 0] < w_u + w_v)
-        comp_c = ~(comp_u | comp_v)
-        sign = np.where(tab[:, 4] < 0.5, -1.0, 1.0)
-        radius = sigma * _maxwell_radius(tab[:, 1], tab[:, 2], tab[:, 3])
-        plain = sigma * ndtri(tab[:, 1])
-        partner = sigma * ndtri(tab[:, 5])
-        u = np.where(comp_u, sign * radius, np.where(comp_c, plain, partner))
-        v = np.where(comp_v, sign * radius, partner)
-        dn_a[done : done + m] = (u + v) / math.sqrt(2.0)
-        dn_b[done : done + m] = (u - v) / math.sqrt(2.0)
-        done += m
+    for lo in range(0, n_shots, chunk_shots):
+        hi = min(lo + chunk_shots, n_shots)
+        tab = shot_uniforms(seed, stream, start_shot + lo, hi - lo, _WORDS_COUNTS)
+        # plain component: u is the first primary normal, v the partner
+        z1 = ndtri(tab[:, 1])
+        u = sigma * z1
+        v = sigma * ndtri(tab[:, 5])
+        # quadratic components: a signed chi(3) radius replaces u (or v,
+        # whose partner normal then moves to u)
+        quad = np.flatnonzero(tab[:, 0] < w_u + w_v)
+        q = tab[quad]
+        z1 = z1[quad]
+        z2, z3 = ndtri(q[:, 2]), ndtri(q[:, 3])
+        radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+        np.negative(radius, out=radius, where=q[:, 4] < 0.5)
+        in_u = q[:, 0] < w_u
+        iu, iv = quad[in_u], quad[~in_u]
+        u[iv] = v[iv]
+        v[iv] = radius[~in_u]
+        u[iu] = radius[in_u]
+        dn_a[lo:hi] = (u + v) / math.sqrt(2.0)
+        dn_b[lo:hi] = (u - v) / math.sqrt(2.0)
     return CountSample(dn_a=dn_a, dn_b=dn_b, phi=params.phi, start_shot=start_shot)
 
 

@@ -256,6 +256,8 @@ class TestExitCodes:
         "command,document",
         [
             ("analytic", '{"alpha": 5.0}'),
+            ("simulate-counts", '{"alpha": 5.0}'),
+            ("tomography", '{"alpha": 5.0, "n_quad_shots": 6000}'),
             ("wigner", '{"dim": 1}'),
             ("wigner", '{"grid": {"step": 0.6}}'),
         ],
@@ -266,6 +268,7 @@ class TestExitCodes:
         assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_json_writer_rejects_non_finite(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from macrocat import counting, fock, sampling
 from macrocat.counting import CountModelParams
@@ -95,6 +96,78 @@ class TestDeterminism:
         p = CountModelParams(1e4, 0.49, 0.0)
         with pytest.raises(ValueError):
             sampling.sample_counts(p, 0, seed=1)
+
+
+def _sample_counts_oracle(params, n_shots, seed, stream=0, start_shot=0):
+    """The unblocked count kernel: one clipped uniform table for all shots,
+    five ``ndtri`` per shot and nested selects over full columns."""
+    sigma = math.sqrt(2.0) * params.alpha
+    cph = math.cos(params.phi)
+    w_u = params.eta * (1.0 + cph) / 4.0
+    w_v = params.eta * (1.0 - cph) / 4.0
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance(start_shot * 8 // 4)
+    tab = np.clip(np.random.Generator(bg).random((n_shots, 8)), 2.0**-53, 1.0 - 2.0**-53)
+    comp_u = tab[:, 0] < w_u
+    comp_v = (tab[:, 0] >= w_u) & (tab[:, 0] < w_u + w_v)
+    comp_c = ~(comp_u | comp_v)
+    sign = np.where(tab[:, 4] < 0.5, -1.0, 1.0)
+    z1, z2, z3 = ndtri(tab[:, 1]), ndtri(tab[:, 2]), ndtri(tab[:, 3])
+    radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+    plain = sigma * ndtri(tab[:, 1])
+    partner = sigma * ndtri(tab[:, 5])
+    u = np.where(comp_u, sign * radius, np.where(comp_c, plain, partner))
+    v = np.where(comp_v, sign * radius, partner)
+    return (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_BLOCK = sampling._COUNT_BLOCK_SHOTS
+
+
+class TestCountKernelOracle:
+    """The blocked count kernel reproduces the unblocked one bit for bit."""
+
+    @pytest.mark.parametrize(
+        "eta,phi,n_shots,start_shot,chunk_shots",
+        [
+            (0.49, 0.0, 3000, 0, _BLOCK),  # w_v = 0
+            (0.49, math.pi, 3000, 0, _BLOCK),  # w_u = 0
+            (0.49, 1.0, 3000, 0, _BLOCK),
+            (0.49, math.pi / 2.0, 3000, 0, _BLOCK),
+            (0.0, 1.0, 3000, 0, _BLOCK),  # no quadratic-component shots
+            (1.0, 1.0, 3000, 0, _BLOCK),
+            # unaligned start, 2.5 blocks and a ragged tail
+            (0.49, 1.0, 5 * _BLOCK // 2 + 13, 3 * _BLOCK + 77, _BLOCK),
+            (0.49, 1.0, 1000, 5, 7),
+        ],
+    )
+    def test_matches_unblocked_kernel(self, eta, phi, n_shots, start_shot, chunk_shots):
+        p = CountModelParams(1.05e4, eta, phi)
+        rec = sampling.sample_counts(
+            p, n_shots, seed=61, stream=2, start_shot=start_shot, chunk_shots=chunk_shots
+        )
+        ref_a, ref_b = _sample_counts_oracle(p, n_shots, seed=61, stream=2, start_shot=start_shot)
+        assert _bitwise_equal(rec.dn_a, ref_a) and _bitwise_equal(rec.dn_b, ref_b)
+
+
+class TestShotUniforms:
+    @pytest.mark.parametrize("words", [4, 8])
+    @pytest.mark.parametrize("seed,stream,start_shot", [(1, 0, 0), (42, 3, 0), (7, 1, 1001)])
+    def test_matches_clipped_philox_stream(self, words, seed, stream, start_shot):
+        # the reference draws the stream from its first shot, so the
+        # nonzero start checks the Philox advance as well
+        gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        ref = np.clip(gen.random((start_shot + 500, words)), 2.0**-53, 1.0 - 2.0**-53)
+        got = sampling.shot_uniforms(seed, stream, start_shot, 500, words)
+        assert _bitwise_equal(got, ref[start_shot:])
+
+    def test_words_per_shot_must_fill_philox_ticks(self):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            sampling.shot_uniforms(1, 0, 0, 10, 6)
 
 
 class TestGaussianCountSampler:
