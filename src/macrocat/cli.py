@@ -65,11 +65,14 @@ def _load_json(path: Path | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
@@ -291,7 +294,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ValueError) as exc:  # ValueError covers numpy's LinAlgError
+    # ValueError covers numpy's LinAlgError, ArithmeticError a float overflow
+    except (NumericError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

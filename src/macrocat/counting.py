@@ -37,8 +37,9 @@ class CountModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # alpha**2 appears everywhere below; a finite alpha can still overflow it
+        if not (math.isfinite(self.alpha * self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive with a finite square, got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:

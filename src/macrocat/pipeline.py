@@ -269,9 +269,7 @@ class TomographyScenarioResult:
     fidelity_to_model: float
 
 
-def run_tomography_scenario(
-    config: ExperimentConfig, max_iter: int = 2000
-) -> TomographyScenarioResult:
+def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResult:
     """Simulate the homodyne run on the model state and reconstruct it.
 
     The heralded source emits one photon split between the arms, so the
@@ -286,9 +284,7 @@ def run_tomography_scenario(
     records = sampling.sample_quadrature_schedule(
         model, schedule, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
-    result = tomography.mle_reconstruct(
-        records, dim=_TOMO_DIM, max_iter=max_iter, max_total_photons=1
-    )
+    result = tomography.mle_reconstruct(records, dim=_TOMO_DIM, max_total_photons=1)
     return TomographyScenarioResult(
         result=result,
         records=records,

@@ -48,15 +48,9 @@ class CountSample:
 
     dn_a: np.ndarray
     dn_b: np.ndarray
-    phi: float
-    start_shot: int = 0
 
     def __len__(self) -> int:
         return self.dn_a.size
-
-    @property
-    def shots(self) -> np.ndarray:
-        return self.start_shot + np.arange(len(self), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,7 @@ def sample_counts(
         u[iu] = radius[in_u]
         dn_a[lo:hi] = (u + v) / math.sqrt(2.0)
         dn_b[lo:hi] = (u - v) / math.sqrt(2.0)
-    return CountSample(dn_a=dn_a, dn_b=dn_b, phi=params.phi, start_shot=start_shot)
+    return CountSample(dn_a=dn_a, dn_b=dn_b)
 
 
 def _discrete_joint_table(alpha: float, eta: float, phi: float) -> np.ndarray:
@@ -212,9 +206,7 @@ def sample_counts_exact(
     n_b = (cell % side).astype(float)
     ref_a = _table_draw(cum_ref, tab[:, 1]).astype(float)
     ref_b = _table_draw(cum_ref, tab[:, 2]).astype(float)
-    return CountSample(
-        dn_a=n_a - ref_a, dn_b=n_b - ref_b, phi=phi, start_shot=start_shot
-    )
+    return CountSample(dn_a=n_a - ref_a, dn_b=n_b - ref_b)
 
 
 def joint_quadrature_density(

@@ -19,18 +19,14 @@ imaginary parts of its upper triangle).  The projectors become one real
 ``N x d**2`` feature matrix ``F``, built once per call, so that
 ``pr = F x`` and ``R`` is unpacked from ``F^T (1/pr) / N``: each
 likelihood-and-gradient evaluation is two real matrix-vector products.
-Two kinds of step raise the likelihood:
 
-* accelerated projected-gradient steps with backtracking and restart
-  (Shang, Zhang and Ng, PRA 95, 062336 (2017)), projecting onto the
-  density matrices through the eigenvalue simplex, until the gap falls to
-  ``_NEWTON_GAP`` (1e-3);
-* then proximal Newton steps: the quadratic model with the weighted Gram
-  ``F^T diag(1/pr**2) F / N`` as curvature is maximised over the density
-  matrices of the support (so a step can also rotate the support of a
-  rank-deficient state), and the step backtracks along the segment to that
-  maximiser.  A Newton step that does not halve the gap hands the next
-  step back to the gradient method.
+Every step, from the maximally mixed start on, is a proximal Newton step.
+The quadratic model with the weighted Gram ``F^T diag(1/pr**2) F / N`` as
+curvature is maximised over the density matrices of the support by
+accelerated projected gradient on the model alone, projecting through the
+eigenvalue simplex, so a step can also rotate the support of a
+rank-deficient state.  The step then halves back along the segment to that
+maximiser until the likelihood rises.
 
 A step is accepted only if the likelihood rises.  That test uses
 the exact increment ``mean(log1p(F d / pr))`` of the trace-normalised
@@ -57,14 +53,10 @@ from .fock import DensityMatrix, quadrature_basis
 from .sampling import QuadratureSample
 
 _LL_DECREASE_TOL = 1e-9
-# likelihood gap below which Newton steps replace accelerated gradient steps
-_NEWTON_GAP = 1e-3
 # accelerated gradient iterations spent maximising one Newton model
 _MAX_MODEL_ITER = 2000
 # step-size halvings before a line search gives up
 _MAX_HALVINGS = 60
-# the accelerated method's momentum parameter one step after a restart
-_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -158,11 +150,11 @@ class _LogLikelihood:
         """``log lambda_max(R)``, the likelihood-gap certificate."""
         return math.log1p(self.top_eigenvalue(grad))
 
-    def gain(self, x: np.ndarray, pr: np.ndarray, d: np.ndarray, fd=None) -> float:
+    def gain(self, x: np.ndarray, pr: np.ndarray, d: np.ndarray, fd: np.ndarray) -> float:
         """Exact rise of the trace-normalised mean log-likelihood from ``x`` to
-        ``x + d`` (``-inf`` when a record's probability would not stay positive);
-        ``fd`` is ``F d`` when the caller has it."""
-        r = (self.F @ d if fd is None else fd) / pr
+        ``x + d``, given ``fd = F d`` (``-inf`` when a record's probability
+        would not stay positive)."""
+        r = fd / pr
         if r.min() <= -1.0:
             return -math.inf
         return float(np.log1p(r).mean()) - math.log1p(d[: self.m].sum() / x[: self.m].sum())
@@ -175,55 +167,6 @@ class _LogLikelihood:
         k = np.flatnonzero(desc * np.arange(1, w.size + 1) > excess)[-1]
         lam = np.maximum(w - excess[k] / (k + 1), 0.0)
         return self.pack((v * lam) @ v.conj().T)
-
-
-class _Accelerated:
-    """Accelerated projected-gradient ascent with backtracking and restart."""
-
-    def __init__(self, lik: _LogLikelihood):
-        self.lik = lik
-        self.prev = None  # (x, pr) of the previous step; None restarts the momentum
-        self.theta = 1.0
-        self.step_size = 1.0
-
-    def restart(self) -> None:
-        self.prev, self.theta = None, 1.0
-
-    def step(self, x, pr, grad):
-        """Next point, or None when no projected-gradient step raises the
-        likelihood at float64 resolution."""
-        lik = self.lik
-        theta = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * self.theta**2))
-        z = None
-        if self.prev is not None:
-            beta = (self.theta - 1.0) / theta
-            x_prev, pr_prev = self.prev
-            y, pr_y = x + beta * (x - x_prev), pr + beta * (pr - pr_prev)
-            if pr_y.min() > 0.0:
-                z = self._ascend(y, pr_y, lik.gradient(pr_y))
-                if z is not None and lik.gain(x, pr, z - x) <= 0.0:
-                    z = None
-        if z is None:  # no momentum, or it overshot: plain step from x
-            theta = _GOLDEN
-            z = self._ascend(x, pr, grad)
-            if z is not None and lik.gain(x, pr, z - x) <= 0.0:
-                z = None
-        self.prev, self.theta = (x, pr), theta
-        return z
-
-    def _ascend(self, y, pr_y, grad_y):
-        """Projected gradient step from ``y``, halving the step size until the
-        likelihood rise beats its quadratic lower bound."""
-        lik = self.lik
-        for _ in range(_MAX_HALVINGS):
-            t = self.step_size
-            z = lik.project(y + t * grad_y / lik.metric)
-            d = z - y
-            if lik.gain(y, pr_y, d) >= grad_y @ d - d @ (lik.metric * d) / (2.0 * t):
-                self.step_size = 2.0 * t
-                return z
-            self.step_size = 0.5 * t
-        return None
 
 
 def _newton_step(lik: _LogLikelihood, x, pr, grad, tol: float):
@@ -278,21 +221,12 @@ def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
     grad = lik.gradient(pr)
     gap = lik.gap(grad)
     loglik = [float(np.log(pr).mean())]
-    accelerated = _Accelerated(lik)
-    try_newton = True
     while gap > tol:
         if len(loglik) > max_iter:
             return x, loglik, gap, "max_iter"
-        step = None
-        if try_newton and gap <= _NEWTON_GAP:
-            step = _newton_step(lik, x, pr, grad, tol)
-        newton = step is not None
-        if newton:
-            accelerated.restart()
-        else:
-            step = accelerated.step(x, pr, grad)
-            if step is None:
-                return x, loglik, gap, "stalled"
+        step = _newton_step(lik, x, pr, grad, tol)
+        if step is None:
+            return x, loglik, gap, "stalled"
         x = step
         pr = lik.F @ x
         ll = float(np.log(pr).mean())
@@ -303,9 +237,7 @@ def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
             )
         loglik.append(ll)
         grad = lik.gradient(pr)
-        new_gap = lik.gap(grad)
-        try_newton = not newton or new_gap < 0.5 * gap
-        gap = new_gap
+        gap = lik.gap(grad)
     return x, loglik, gap, "certified"
 
 
@@ -323,12 +255,14 @@ def mle_reconstruct(
     Stops, with ``stop_reason == "certified"`` and ``converged`` true, once the
     likelihood gap ``log lambda_max(R(rho))`` is at most ``tol``: the mean
     log-likelihood per record is then within ``tol`` nats of its maximum.
-    ``max_iter`` is only a safety cap on accepted steps (``"max_iter"``); a
-    run also ends early (``"stalled"``) if no step raises the likelihood at
-    float64 resolution before the gap reaches ``tol``.  Either uncertified
-    stop emits a ``UserWarning``.  ``loglik`` holds the start state and one
-    entry per accepted step, so ``len(loglik) == iterations + 1``; ``gap``
-    is the final certificate.
+    Each step is a proximal Newton step from the maximally mixed state on
+    (see the module docstring).  ``max_iter`` is only a safety cap on
+    accepted steps (``"max_iter"``); a run also ends early (``"stalled"``)
+    if no Newton step raises the likelihood at float64 resolution before
+    the gap reaches ``tol``.  Either uncertified stop emits a
+    ``UserWarning``.  ``loglik`` holds the start state and one entry per
+    accepted step, so ``len(loglik) == iterations + 1``; ``gap`` is the
+    final certificate.
 
     ``max_total_photons`` restricts the reconstruction support to kets
     with at most that many photons in total.  With Bob's LO phase held

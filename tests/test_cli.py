@@ -242,6 +242,10 @@ class TestExitCodes:
             ("roundtrip-check", '{"alpha_small": NaN}'),
             ("roundtrip-check", '{"mismatch_etas": 0.9}'),
             ("roundtrip-check", '{"dim": 16.5}'),
+            ("wigner", "5"),
+            ("roundtrip-check", "null"),
+            ("wigner", '"ab"'),
+            ("analytic", "[1]"),
         ],
     )
     def test_non_finite_or_mistyped_config(self, tmp_path, capsys, command, document):
@@ -260,6 +264,11 @@ class TestExitCodes:
             ("tomography", '{"alpha": 5.0, "n_quad_shots": 6000}'),
             ("wigner", '{"dim": 1}'),
             ("wigner", '{"grid": {"step": 0.6}}'),
+            ("analytic", '{"alpha": 1e160}'),
+            ("simulate-counts", '{"alpha": 1e160, "n_count_shots": 1000}'),
+            ("tomography", '{"alpha": 1e160, "n_quad_shots": 6000}'),
+            ("wigner", '{"alpha": 1e200}'),
+            ("roundtrip-check", '{"alpha_small": 1e200}'),
         ],
     )
     def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):

@@ -231,21 +231,21 @@ class TestTomographyScenarioSmall:
             cfg = ExperimentConfig(
                 seed=37, eta_total=eta, eta_budget={}, n_quad_shots=30_000
             )
-            scenario = pipeline.run_tomography_scenario(cfg, max_iter=600)
+            scenario = pipeline.run_tomography_scenario(cfg)
             values.append(scenario.result.concurrence)
         # statistical slack ~2 standard errors at this sample size
         assert all(a >= b - 0.03 for a, b in zip(values, values[1:]))
 
     def test_small_run_consistent(self):
         cfg = ExperimentConfig(seed=29, n_quad_shots=20_000)
-        scenario = pipeline.run_tomography_scenario(cfg, max_iter=800)
+        scenario = pipeline.run_tomography_scenario(cfg)
         assert scenario.result.concurrence == pytest.approx(0.49, abs=0.06)
         assert scenario.fidelity_to_model > 0.99
         assert np.all(np.diff(scenario.result.loglik) >= -1e-9)
 
     def test_identical_reconstruction_inputs(self):
         cfg = ExperimentConfig(seed=31, n_quad_shots=5_000)
-        a = pipeline.run_tomography_scenario(cfg, max_iter=5)
-        b = pipeline.run_tomography_scenario(cfg, max_iter=5)
+        a = pipeline.run_tomography_scenario(cfg)
+        b = pipeline.run_tomography_scenario(cfg)
         assert np.array_equal(a.records.x_a, b.records.x_a)
         assert np.array_equal(a.records.theta_a, b.records.theta_a)

@@ -5,6 +5,7 @@ source; closed-form loss-model states provide exact targets.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,30 @@ class TestMleReconstruct:
         assert result.iterations == 1
         assert result.gap > 1e-8
         assert np.all(np.diff(result.loglik) >= 0.0)
+
+    def test_stalled_stop_below_float64_resolution(self):
+        # tol = 1e-15 lies below what the eigenvalue projection resolves, so a
+        # run either certifies or stalls; which seeds stall depends on BLAS
+        # rounding, so the test counts stalls over seeds instead of pinning one
+        model = model_microscopic_state(0.49, 0.0, dim=4)
+        stalled = 0
+        for seed in range(3000, 3010):
+            records = _simulate(model, 20_000, seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = tomography.mle_reconstruct(
+                    records, dim=4, tol=1e-15, max_total_photons=1
+                )
+            assert result.stop_reason in ("certified", "stalled"), seed
+            if result.stop_reason == "stalled":
+                stalled += 1
+                assert any("uncertified" in str(w.message) for w in caught), seed
+                assert result.converged is False
+                assert result.gap < 1e-9
+                # an accepted step's exact gain is positive, but the float64
+                # mean of log pr may still round down by an ulp
+                assert np.all(np.diff(result.loglik) >= -1e-12), seed
+        assert stalled >= 1
 
 
 def _rrr_oracle_loglik(records, dim, support, n_iter=2000):
