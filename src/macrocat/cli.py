@@ -233,8 +233,8 @@ def cmd_roundtrip_check(args) -> list[str]:
     if unknown:
         raise ConfigError(f"unknown roundtrip-spec fields: {sorted(unknown)}")
     etas = doc.get("mismatch_etas", [1.0, 0.99, 0.95])
-    if not isinstance(etas, list):
-        raise ConfigError(f"mismatch_etas must be a list, got {etas!r}")
+    if not isinstance(etas, list) or not etas:
+        raise ConfigError(f"mismatch_etas must be a non-empty list, got {etas!r}")
     try:
         alpha_small = float(doc.get("alpha_small", 2.0))
         etas = [float(v) for v in etas]
@@ -294,8 +294,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # ValueError covers numpy's LinAlgError, ArithmeticError a float overflow
-    except (NumericError, ValueError, ArithmeticError) as exc:
+    # ValueError covers numpy's LinAlgError, ArithmeticError a float overflow,
+    # MemoryError an array too large for this machine
+    except (NumericError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

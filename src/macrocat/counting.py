@@ -6,13 +6,9 @@ reference pulse of the same mean energy, and all counts are expressed
 relative to that reference.  In the large-amplitude regime
 (``alpha >= GAUSSIAN_ALPHA_MIN``) the Poissonian photon statistics are
 replaced by their Gaussian limit, which is what every function below
-evaluates; the exact discrete law lives in :mod:`macrocat.sampling` for
-small amplitudes.  Every result here is a closed form, including the
-single-shot discrimination error; nothing is integrated numerically and
-nothing is written to files.
-
-Everything is evaluated in log space where factorials or ``alpha**2`` of
-order 1e8 appear, so no intermediate overflows.
+evaluates; the ones that rely on that limit raise ``ValueError`` below
+``GAUSSIAN_ALPHA_MIN``.  Every result here is a closed form, including the single-shot discrimination error;
+nothing is integrated numerically and nothing is written to files.
 """
 
 from __future__ import annotations
@@ -21,10 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
-# Below this amplitude the Gaussian limit of the Poissonian is too crude;
-# callers are pointed at the exact Fock-basis path instead.
+# Below this amplitude the Gaussian limit of the Poissonian is too crude.
 GAUSSIAN_ALPHA_MIN = 10.0
 
 
@@ -49,93 +43,8 @@ class CountModelParams:
         if self.alpha < GAUSSIAN_ALPHA_MIN:
             raise ValueError(
                 f"alpha={self.alpha} is below {GAUSSIAN_ALPHA_MIN}; the Gaussian "
-                "count model does not apply, use the exact Fock-basis sampler"
+                "count model does not apply"
             )
-
-
-def xi0(n, alpha: float):
-    """Coherent-state amplitude ``exp(-alpha^2/2) alpha^n / sqrt(n!)``."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 0):
-        raise ValueError("photon number must be nonnegative")
-    out = np.exp(-alpha * alpha / 2.0 + n * np.log(alpha) - 0.5 * gammaln(n + 1))
-    return out if out.shape else float(out)
-
-
-def xi1(n, alpha: float):
-    """Displaced-single-photon amplitude ``xi0(n) * (n/alpha - alpha)``."""
-    n = np.asarray(n, dtype=float)
-    out = xi0(n, alpha) * (n / alpha - alpha)
-    return out if out.shape else float(out)
-
-
-def xi_ratio(n, alpha: float):
-    """``|xi1/xi0| = |n/alpha - alpha|``: small within a shot-noise band of
-    ``alpha^2``, large far outside it."""
-    n = np.asarray(n, dtype=float)
-    out = np.abs(n / alpha - alpha)
-    return out if out.shape else float(out)
-
-
-def joint_prob(dn_a, dn_b, params: CountModelParams):
-    """Joint density of the centered counts ``(dn_a, dn_b)``, no reference.
-
-    ``exp(-(u^2+v^2)/2a^2) / (2 pi a^4) *
-    [eta/2 (u^2 + v^2 + 2 cos(phi) u v) + (1-eta) a^2]``
-    where ``u, v`` are photon numbers relative to ``alpha^2``.
-    """
-    params.require_gaussian_regime()
-    u = np.asarray(dn_a, dtype=float)
-    v = np.asarray(dn_b, dtype=float)
-    a2 = params.alpha**2
-    gauss = np.exp(-(u * u + v * v) / (2.0 * a2)) / (2.0 * math.pi * a2 * a2)
-    bracket = 0.5 * params.eta * (u * u + v * v + 2.0 * math.cos(params.phi) * u * v)
-    bracket = bracket + (1.0 - params.eta) * a2
-    out = gauss * bracket
-    return out if out.shape else float(out)
-
-
-def joint_prob_ref(n_a, n_b, params: CountModelParams):
-    """Joint density of the reference-subtracted counts.
-
-    Convolving :func:`joint_prob` with the Gaussian reference statistics in
-    each arm gives
-    ``exp(-(nA^2+nB^2)/4a^2) / (32 pi a^4) *
-    [eta (nA^2 + nB^2 + 2 cos(phi) nA nB) + 4 (2-eta) a^2]``.
-    Arguments are centered: zero means the arm matched its reference pulse.
-    """
-    params.require_gaussian_regime()
-    u = np.asarray(n_a, dtype=float)
-    v = np.asarray(n_b, dtype=float)
-    a2 = params.alpha**2
-    gauss = np.exp(-(u * u + v * v) / (4.0 * a2)) / (32.0 * math.pi * a2 * a2)
-    bracket = params.eta * (u * u + v * v + 2.0 * math.cos(params.phi) * u * v)
-    bracket = bracket + 4.0 * (2.0 - params.eta) * a2
-    out = gauss * bracket
-    return out if out.shape else float(out)
-
-
-def alice_marginal_ref(n_a, params: CountModelParams):
-    """Single-arm density of the reference-subtracted count (nB integrated out)."""
-    params.require_gaussian_regime()
-    u = np.asarray(n_a, dtype=float)
-    a2 = params.alpha**2
-    s2 = 2.0 * a2
-    gauss = np.exp(-u * u / (2.0 * s2)) / math.sqrt(2.0 * math.pi * s2)
-    out = gauss * (params.eta * u * u / (8.0 * a2) + 1.0 - params.eta / 4.0)
-    return out if out.shape else float(out)
-
-
-def alice_marginal_ref_cdf(n_a, params: CountModelParams):
-    """CDF of :func:`alice_marginal_ref`: ``Phi(z) - (eta/4) z phi(z)``
-    with ``z = n_a / (sqrt(2) alpha)``."""
-    params.require_gaussian_regime()
-    z = np.asarray(n_a, dtype=float) / (math.sqrt(2.0) * params.alpha)
-    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    out = ndtr(z) - 0.25 * params.eta * z * pdf
-    return out if out.shape else float(out)
 
 
 def count_marginal_std(params: CountModelParams) -> float:

@@ -13,10 +13,6 @@ class NumericError(Exception):
     """A computation failed or was requested outside its domain of validity."""
 
 
-class DegenerateConditionError(NumericError):
-    """Conditioning amplitudes vanished; the conditional state is undefined."""
-
-
 class InternalConsistencyError(NumericError):
     """A mathematical invariant the implementation relies on was violated."""
 

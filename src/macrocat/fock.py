@@ -19,13 +19,14 @@ a pure function, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, xlogy
 
-from .errors import DegenerateConditionError, TruncationWarning
+from .errors import TruncationWarning
 
 # Population allowed on the trailing diagonal of any mode before a
 # truncation warning is emitted.  Silent truncation error is the dominant
@@ -34,7 +35,6 @@ TRAILING_POPULATION_BUDGET = 1e-6
 
 _HERMITIAN_ATOL = 1e-10
 _TRACE_ATOL = 1e-8
-_PSD_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,6 @@ class DensityMatrix:
         v = v / norm
         return cls(dim=dim, modes=modes, data=np.outer(v, v.conj()))
 
-    @classmethod
-    def vacuum(cls, dim: int, modes: int = 1) -> "DensityMatrix":
-        d = dim**modes
-        vec = np.zeros(d)
-        vec[0] = 1.0
-        return cls.from_pure(vec, dim, modes)
-
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
@@ -88,18 +81,14 @@ class DensityMatrix:
             raise ValueError("cannot normalize a traceless operator")
         return DensityMatrix(self.dim, self.modes, self.data / tr)
 
-    def validate(self, check_psd: bool = False) -> None:
-        """Raise if Hermiticity/trace (optionally positivity) are violated."""
+    def validate(self) -> None:
+        """Raise if Hermiticity or unit trace is violated."""
         dev = np.abs(self.data - self.data.conj().T).max()
         if dev > _HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
         tr = self.trace()
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(self.data)[0])
-            if lo < -_PSD_ATOL:
-                raise ValueError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,15 +127,17 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
-    if abs(alpha) ** 2 > dim / 4:
+    a = abs(alpha)
+    x = a * a
+    if not math.isfinite(x):
+        raise ValueError(f"alpha = {alpha} has no finite square")
+    if x > dim / 4:
         warnings.warn(
-            f"|alpha|^2 = {abs(alpha)**2:.3g} exceeds dim/4 = {dim/4:.3g}; "
+            f"|alpha|^2 = {x:.3g} exceeds dim/4 = {dim/4:.3g}; "
             "displacement is truncation-dominated",
             TruncationWarning,
             stacklevel=2,
         )
-    a = abs(alpha)
-    x = a * a
     theta = np.angle(alpha)
     n = np.arange(dim)
     row, col = np.meshgrid(n, n, indexing="ij")
@@ -229,18 +220,6 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     return rho
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
-    """Reduce a two-mode state to the given mode (0 = A, 1 = B)."""
-    if rho.modes != 2:
-        raise ValueError("partial_trace expects a two-mode state")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    d = rho.dim
-    t = rho.data.reshape(d, d, d, d)
-    out = np.einsum("mknk->mn", t) if keep == 0 else np.einsum("kmkn->mn", t)
-    return DensityMatrix(d, 1, out)
-
-
 def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
     """Photon-number distribution of one mode (real, clipped at 0)."""
     if rho.modes == 1:
@@ -252,42 +231,6 @@ def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
         t = rho.data.reshape(d, d, d, d)
         p = np.einsum("mkmk->m", t).real if mode == 0 else np.einsum("kmkm->m", t).real
     return np.clip(p, 0.0, None)
-
-
-def photon_moments(rho: DensityMatrix, mode: int = 0) -> tuple[float, float]:
-    """Mean and variance of the photon number in the selected mode."""
-    p = photon_number_pmf(rho, mode)
-    n = np.arange(rho.dim)
-    mean = float(np.dot(n, p))
-    var = float(np.dot(n * n, p)) - mean * mean
-    return mean, var
-
-
-def conditional_bob_state(n_a: int, alpha: float, phi: float, dim: int) -> np.ndarray:
-    """Bob's pure state after Alice counts ``n_a`` photons.
-
-    The relative weight between the displaced vacuum and the displaced
-    single photon is set by the coherent-amplitude decomposition: the
-    state is ``xi1(n_a) D(a)|0> + e^{i phi} xi0(n_a) D(a)|1>``, normalized.
-    Raises :class:`DegenerateConditionError` when both weights underflow
-    (|n_a - alpha^2| absurdly large).
-    """
-    if n_a < 0:
-        raise ValueError(f"photon number must be nonnegative, got {n_a}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive for a conditional state")
-    # log-space weights; only their ratio survives normalization
-    log_xi0 = -alpha * alpha / 2.0 + n_a * np.log(alpha) - 0.5 * gammaln(n_a + 1)
-    ratio = n_a / alpha - alpha  # xi1 / xi0
-    log_peak = log_xi0 + np.log1p(abs(ratio))
-    if not np.isfinite(ratio) or log_peak < np.log(np.finfo(float).tiny):
-        raise DegenerateConditionError(
-            f"both conditioning amplitudes vanish for n_a={n_a}, alpha={alpha}"
-        )
-    norm = np.hypot(abs(ratio), 1.0)
-    D = displacement_matrix(alpha, dim)
-    vec = (ratio * D[:, 0] + np.exp(1j * phi) * D[:, 1]) / norm
-    return vec
 
 
 def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
@@ -313,30 +256,6 @@ def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
     psi = hermite_functions(np.asarray(x, dtype=float), dim)
     phases = np.exp(1j * theta * np.arange(dim))
     return psi * phases[None, :]
-
-
-def quadrature_marginal(rho: DensityMatrix, theta: float, grid: np.ndarray) -> np.ndarray:
-    """Probability density ``pr(x | theta)`` of a single-mode state on ``grid``.
-
-    The grid must extend at least six units beyond the quadrature mean so
-    the density integrates to 1 within the contract tolerance.
-    """
-    if rho.modes != 1:
-        raise ValueError("quadrature_marginal expects a single-mode state")
-    rho.validate()
-    grid = np.asarray(grid, dtype=float)
-    d = rho.dim
-    a_op = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-    mean_a = complex(np.trace(a_op @ rho.data))
-    mean_x = np.sqrt(2.0) * (mean_a * np.exp(-1j * theta)).real
-    if grid[0] > mean_x - 6.0 or grid[-1] < mean_x + 6.0:
-        raise ValueError(
-            f"grid [{grid[0]}, {grid[-1]}] does not cover the quadrature mean "
-            f"{mean_x:.3f} +- 6"
-        )
-    basis = quadrature_basis(grid, theta, d)
-    dens = np.einsum("xm,mn,xn->x", basis.conj(), rho.data, basis).real
-    return np.clip(dens, 0.0, None)
 
 
 def wigner(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:

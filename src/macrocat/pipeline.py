@@ -272,10 +272,10 @@ class TomographyScenarioResult:
 def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResult:
     """Simulate the homodyne run on the model state and reconstruct it.
 
-    The heralded source emits one photon split between the arms, so the
-    reconstruction is restricted to the vacuum + one-photon support; with
-    Bob's LO phase locked the full product basis is not informationally
-    complete (see :func:`macrocat.tomography.mle_reconstruct`).
+    The heralded source emits one photon split between the arms, and
+    :func:`macrocat.tomography.mle_reconstruct` reconstructs on the vacuum +
+    one-photon support (see there why the full product basis is not
+    identifiable).
     """
     model = model_microscopic_state(
         config.eta_total, config.phi, dim=_TOMO_DIM, dephasing_sigma=config.phase_noise_sigma
@@ -284,7 +284,7 @@ def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResul
     records = sampling.sample_quadrature_schedule(
         model, schedule, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
-    result = tomography.mle_reconstruct(records, dim=_TOMO_DIM, max_total_photons=1)
+    result = tomography.mle_reconstruct(records, dim=_TOMO_DIM)
     return TomographyScenarioResult(
         result=result,
         records=records,
@@ -316,10 +316,12 @@ def displacement_roundtrip_check(
     ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` of
     :func:`model_microscopic_state`, and the entanglement can only drop.
     """
-    if alpha_small**2 > dim / 8.0:
+    a2 = alpha_small * alpha_small
+    if not math.isfinite(a2):
+        raise ValueError(f"alpha_small = {alpha_small} has no finite square")
+    if a2 > dim / 8.0:
         raise ValueError(
-            f"alpha_small^2 = {alpha_small**2} violates the dim/8 = {dim/8} "
-            "truncation budget"
+            f"alpha_small^2 = {a2} violates the dim/8 = {dim/8} truncation budget"
         )
     if not 0.0 < mismatch_eta <= 1.0:
         raise ValueError(f"mismatch_eta must lie in (0, 1], got {mismatch_eta}")

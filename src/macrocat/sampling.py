@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
 from . import fock, output
 from .counting import CountModelParams
@@ -29,12 +29,7 @@ from .errors import NumericError
 
 _PHILOX_WORDS_PER_TICK = 4
 _WORDS_COUNTS = 8  # component, 3 primary normals, sign, partner normal, 2 pad
-_WORDS_EXACT = 4  # joint cell, reference A, reference B, 1 pad
 _WORDS_QUAD = 4  # x_A cell+fraction, x_B cell+fraction, 2 pad
-
-# Exact discrete enumeration is limited to amplitudes where a 4*alpha^2
-# truncation stays tractable.
-EXACT_ALPHA_MAX = 30.0
 
 _U_LO = 2.0**-53
 
@@ -142,71 +137,6 @@ def sample_counts(
         dn_a[lo:hi] = (u + v) / math.sqrt(2.0)
         dn_b[lo:hi] = (u - v) / math.sqrt(2.0)
     return CountSample(dn_a=dn_a, dn_b=dn_b)
-
-
-def _discrete_joint_table(alpha: float, eta: float, phi: float) -> np.ndarray:
-    """Exact joint photon-number law on ``[0, 4 alpha^2]^2`` before the
-    reference subtraction."""
-    n_max = int(math.ceil(4.0 * alpha * alpha))
-    n = np.arange(n_max + 1, dtype=float)
-    x0 = np.exp(-alpha * alpha / 2.0 + n * np.log(alpha) - 0.5 * gammaln(n + 1))
-    x1 = x0 * (n / alpha - alpha)
-    a0, a1, cross = x0 * x0, x1 * x1, x0 * x1
-    table = 0.5 * eta * (
-        np.outer(a0, a1) + np.outer(a1, a0) + 2.0 * math.cos(phi) * np.outer(cross, cross)
-    )
-    table += (1.0 - eta) * np.outer(a0, a0)
-    np.clip(table, 0.0, None, out=table)
-    return table / table.sum()
-
-
-def _poisson_pmf(lam: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    pmf = np.exp(-lam + n * np.log(lam) - gammaln(n + 1))
-    return pmf / pmf.sum()
-
-
-def _table_draw(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cum, u * cum[-1], side="left")
-
-
-def sample_counts_exact(
-    alpha: float,
-    eta: float,
-    phi: float,
-    n_shots: int,
-    seed: int,
-    stream: int = 0,
-    start_shot: int = 0,
-) -> CountSample:
-    """Exact Fock-basis counterpart of :func:`sample_counts`.
-
-    Draws the signal pair from the enumerated discrete joint law, then
-    subtracts an independent Poissonian reference count of mean
-    ``alpha^2`` per arm (the balanced-detection model: one extra unit of
-    shot noise each).  Limited to ``alpha <= EXACT_ALPHA_MAX``.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if alpha > EXACT_ALPHA_MAX:
-        raise ValueError(
-            f"alpha={alpha} exceeds {EXACT_ALPHA_MAX}; use the Gaussian sampler"
-        )
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
-    table = _discrete_joint_table(alpha, eta, phi)
-    side = table.shape[0]
-    cum_joint = np.cumsum(table.ravel())
-    cum_ref = np.cumsum(_poisson_pmf(alpha * alpha, side - 1))
-    tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_EXACT)
-    cell = _table_draw(cum_joint, tab[:, 0])
-    n_a = (cell // side).astype(float)
-    n_b = (cell % side).astype(float)
-    ref_a = _table_draw(cum_ref, tab[:, 1]).astype(float)
-    ref_b = _table_draw(cum_ref, tab[:, 2]).astype(float)
-    return CountSample(dn_a=n_a - ref_a, dn_b=n_b - ref_b)
 
 
 def joint_quadrature_density(

@@ -14,8 +14,9 @@ So ``gap = log lambda_max(R(rho))`` bounds how far the likelihood of
 as the gap is at most ``tol``: the stop is certified, not an iteration cap.
 
 The maximiser works on the ``d**2`` real coordinates ``x`` of a Hermitian
-``d x d`` matrix on the support (its diagonal, then the real and the
-imaginary parts of its upper triangle).  The projectors become one real
+``d x d`` matrix on the support, the ``d = 3`` kets with at most one photon
+in total (its diagonal, then the real and the imaginary parts of its upper
+triangle).  The projectors become one real
 ``N x d**2`` feature matrix ``F``, built once per call, so that
 ``pr = F x`` and ``R`` is unpacked from ``F^T (1/pr) / N``: each
 likelihood-and-gradient evaluation is two real matrix-vector products.
@@ -246,7 +247,6 @@ def mle_reconstruct(
     dim: int = 4,
     max_iter: int = 2000,
     tol: float = 1e-8,
-    max_total_photons: int | None = None,
 ) -> TomographyResult:
     """Maximum-likelihood estimate of the two-mode density matrix from
     quadrature records.  Requires at least 1000 records spread over at least
@@ -264,15 +264,17 @@ def mle_reconstruct(
     accepted step, so ``len(loglik) == iterations + 1``; ``gap`` is the
     final certificate.
 
-    ``max_total_photons`` restricts the reconstruction support to kets
-    with at most that many photons in total.  With Bob's LO phase held
-    fixed (the protocol modeled here), the unrestricted product basis
-    contains pairs of coherences with identical data signatures
-    (``rho_{01,10}`` and ``rho_{00,11}`` both ride ``exp(i theta_A)`` on
-    the same outcome shape), which only positivity separates, so the
-    estimate there is not unique even though its likelihood and gap are.
-    When the source physically emits at most one photon, restricting the
-    support removes the degeneracy; ``None`` keeps the full space.
+    The support is fixed: the kets with at most one photon in total,
+    ``|00>``, ``|01>`` and ``|10>``, which hold every state the modeled
+    source emits; ``rho`` is zero outside them.  With Bob's LO phase held fixed (the protocol modeled
+    here), the full product basis contains pairs of coherences with
+    identical data signatures (``rho_{01,10}`` and ``rho_{00,11}`` both
+    ride ``exp(i theta_A)`` on the same outcome shape), which only
+    positivity separates, so an estimate there would not be unique even
+    though its likelihood and gap are.  Even on the support,
+    ``Im rho_{00,01}`` leaves no trace in data taken at Bob's locked phase:
+    the likelihood is flat along it, the Newton curvature is singular, and
+    only positivity bounds it.
     """
     n = len(records)
     if n < 1000:
@@ -284,12 +286,7 @@ def mle_reconstruct(
         raise ValueError(
             f"only {distinct.size} distinct Alice phases; tomography needs >= 4"
         )
-    if max_total_photons is None:
-        support = np.arange(dim * dim)
-    elif max_total_photons < 1:
-        raise ValueError("max_total_photons must be at least 1")
-    else:
-        support = total_photon_support(dim, max_total_photons)
+    support = total_photon_support(dim, 1)
     lik = _LogLikelihood(_projector_rows(records, dim, support))
     x, loglik, gap, stop_reason = _maximize(lik, tol, max_iter)
     if stop_reason != "certified":

@@ -17,6 +17,7 @@ from scipy.signal import fftconvolve
 from macrocat import cli, counting, fock, pipeline, sampling, tomography
 from macrocat.counting import CountModelParams
 from macrocat.pipeline import ExperimentConfig
+import oracles
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -66,10 +67,10 @@ class TestCriterion2DisplacedStatistics:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_moments(self, alpha):
         dim = 64
-        m0, v0 = fock.photon_moments(
+        m0, v0 = oracles.photon_moments(
             fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 0], dim, 1)
         )
-        m1, v1 = fock.photon_moments(
+        m1, v1 = oracles.photon_moments(
             fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 1], dim, 1)
         )
         a2 = alpha * alpha
@@ -160,7 +161,7 @@ class TestCriterion6OracleEquivalences:
     def test_exact_vs_gaussian_sampler(self):
         alpha, eta = 25.0, 0.49
         n = 500_000
-        exact = sampling.sample_counts_exact(alpha, eta, 0.0, n, seed=111)
+        exact = oracles.sample_counts_exact(alpha, eta, 0.0, n, seed=111)
         gauss = sampling.sample_counts(CountModelParams(alpha, eta, 0.0), n, seed=112)
         sig = counting.count_marginal_std(CountModelParams(alpha, eta, 0.0))
         edges = np.floor(np.linspace(-4 * sig, 4 * sig, 26)) + 0.5
@@ -176,13 +177,13 @@ class TestCriterion6OracleEquivalences:
         h = alpha / 50.0
         grid = np.arange(-14 * alpha, 14 * alpha + h / 2, h)
         kern_x = np.arange(-8 * alpha, 8 * alpha + h / 2, h)
-        dens = counting.joint_prob(grid[:, None], grid[None, :], p)
+        dens = oracles.joint_prob(grid[:, None], grid[None, :], p)
         kern = np.exp(-(kern_x**2) / (2 * a2)) / math.sqrt(2 * math.pi * a2)
         conv = fftconvolve(dens, kern[:, None] * h, mode="same")
         conv = fftconvolve(conv, kern[None, :] * h, mode="same")
         mask = np.abs(grid) <= 6 * alpha
         inner = grid[mask]
-        expected = counting.joint_prob_ref(inner[:, None], inner[None, :], p)
+        expected = oracles.joint_prob_ref(inner[:, None], inner[None, :], p)
         rel = (np.abs(conv[np.ix_(mask, mask)] - expected) / expected).max()
         report("6b reference law vs convolution", rel <= 1e-4, f"max rel={rel:.2e}")
 

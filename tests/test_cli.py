@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from macrocat import cli, fock, output
+from macrocat import cli, fock, output, pipeline
 from macrocat.errors import NumericError
+import oracles
 
 
 def run_cli(*argv):
@@ -111,7 +112,7 @@ class TestSmoke:
         rho = fock.DensityMatrix.from_pure(D[:, 0] + D[:, 1], 16, 1)
         # the direct evaluation needs a grid spanning the displaced mean +- 6
         wide = np.arange(-6.0, 8.5, 0.05)
-        direct = fock.quadrature_marginal(rho, 0.0, wide)[: xs.size]
+        direct = oracles.quadrature_marginal(rho, 0.0, wide)[: xs.size]
         assert np.allclose(wide[: xs.size], xs, atol=1e-12)
         assert np.abs(marginal - direct).max() < 1e-3
 
@@ -241,6 +242,7 @@ class TestExitCodes:
             ("wigner", '{"grid": {"step": NaN}}'),
             ("roundtrip-check", '{"alpha_small": NaN}'),
             ("roundtrip-check", '{"mismatch_etas": 0.9}'),
+            ("roundtrip-check", '{"mismatch_etas": []}'),
             ("roundtrip-check", '{"dim": 16.5}'),
             ("wigner", "5"),
             ("roundtrip-check", "null"),
@@ -275,6 +277,31 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(document)
         assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        # the message names the offending field
+        assert next(iter(json.loads(document))) in err, err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,target,document",
+        [
+            ("wigner", (fock, "wigner"), "{}"),
+            ("roundtrip-check", (pipeline, "displacement_roundtrip_check"), "{}"),
+        ],
+    )
+    def test_out_of_memory_is_numerical_error(
+        self, tmp_path, capsys, monkeypatch, command, target, document
+    ):
+        # a spec too large to allocate (say "dim": 100000) ends in numpy's
+        # MemoryError; raise it directly instead of allocating
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+        monkeypatch.setattr(*target, exhausted)
+        spec = tmp_path / "spec.json"
+        spec.write_text(document)
+        assert run_cli(command, "--config", spec, "--out", tmp_path / "o", "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert list((tmp_path / "o").iterdir()) == []

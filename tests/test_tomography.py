@@ -12,6 +12,7 @@ import pytest
 
 from macrocat import fock, sampling, tomography
 from macrocat.pipeline import model_microscopic_state
+from oracles import vacuum
 
 
 def _bell_pair(phi=0.0, dim=4):
@@ -61,10 +62,7 @@ class TestPovmCompleteness:
 
 class TestMleReconstruct:
     def test_vacuum_self_consistency(self):
-        # full product space at dim matched to the data; with Bob's LO
-        # phase fixed, oversized spaces soak sampling noise into weakly
-        # identified sectors instead (see max_total_photons docstring)
-        rho = fock.DensityMatrix.vacuum(2, 2)
+        rho = vacuum(2, 2)
         records = _simulate(rho, 50_000, seed=61)
         result = tomography.mle_reconstruct(records, dim=2)
         assert tomography.fidelity(result.rho, rho) > 0.99
@@ -74,7 +72,7 @@ class TestMleReconstruct:
         # vacuum admixture and coherence recovered to statistical accuracy
         model = model_microscopic_state(0.49, 0.0, dim=4)
         records = _simulate(model, 100_000, seed=62)
-        result = tomography.mle_reconstruct(records, dim=4, max_total_photons=1)
+        result = tomography.mle_reconstruct(records, dim=4)
         d = result.rho.dim
         assert result.rho.data[0, 0].real == pytest.approx(0.51, abs=0.02)
         assert abs(result.rho.data[1, d]) == pytest.approx(0.245, abs=0.02)
@@ -98,8 +96,8 @@ class TestMleReconstruct:
             theta_b=records.theta_b,
             x_b=records.x_b,
         )
-        base = tomography.mle_reconstruct(records, dim=4, max_total_photons=1)
-        rot = tomography.mle_reconstruct(shifted, dim=4, max_total_photons=1)
+        base = tomography.mle_reconstruct(records, dim=4)
+        rot = tomography.mle_reconstruct(shifted, dim=4)
         d = base.rho.dim
         c0 = base.rho.data[1, d]
         c1 = rot.rho.data[1, d]
@@ -113,26 +111,24 @@ class TestMleReconstruct:
         for seed in range(10):
             for n in fids:
                 records = _simulate(model, n, seed=1000 + seed)
-                result = tomography.mle_reconstruct(
-                    records, dim=4, max_iter=300, max_total_photons=1
-                )
+                result = tomography.mle_reconstruct(records, dim=4, max_iter=300)
                 fids[n].append(tomography.fidelity(result.rho, model))
         assert np.mean(fids[200_000]) >= np.mean(fids[10_000])
 
     def test_too_few_records_rejected(self):
-        rho = fock.DensityMatrix.vacuum(2, 2)
+        rho = vacuum(2, 2)
         records = _simulate(rho, 999, seed=65)
         with pytest.raises(ValueError, match="records"):
             tomography.mle_reconstruct(records, dim=2)
 
     def test_single_phase_rejected(self):
-        rho = fock.DensityMatrix.vacuum(2, 2)
+        rho = vacuum(2, 2)
         records = sampling.sample_quadrature_schedule(rho, [(0.7, 0.0)], 2000, seed=66)
         with pytest.raises(ValueError, match="phases"):
             tomography.mle_reconstruct(records, dim=2)
 
     def test_result_json_shape(self):
-        rho = fock.DensityMatrix.vacuum(2, 2)
+        rho = vacuum(2, 2)
         records = _simulate(rho, 2000, seed=67, n_settings=4)
         result = tomography.mle_reconstruct(records, dim=2, max_iter=50)
         doc = result.to_json_dict()
@@ -154,9 +150,7 @@ class TestMleReconstruct:
         model = model_microscopic_state(0.49, 0.0, dim=4)
         records = _simulate(model, 2_000, seed=69)
         with pytest.warns(UserWarning, match="uncertified"):
-            result = tomography.mle_reconstruct(
-                records, dim=4, max_iter=1, max_total_photons=1
-            )
+            result = tomography.mle_reconstruct(records, dim=4, max_iter=1)
         assert result.stop_reason == "max_iter"
         assert result.converged is False
         assert result.iterations == 1
@@ -173,9 +167,7 @@ class TestMleReconstruct:
             records = _simulate(model, 20_000, seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = tomography.mle_reconstruct(
-                    records, dim=4, tol=1e-15, max_total_photons=1
-                )
+                result = tomography.mle_reconstruct(records, dim=4, tol=1e-15)
             assert result.stop_reason in ("certified", "stalled"), seed
             if result.stop_reason == "stalled":
                 stalled += 1
@@ -219,44 +211,35 @@ class TestCertifiedSolverOracle:
         "case",
         [
             # optimum on the boundary: the estimate has a zero eigenvalue
-            ("boundary", model_microscopic_state(0.49, 0.0, dim=4), 4, 1, 1),
+            ("boundary", model_microscopic_state(0.49, 0.0, dim=4), 4, 1),
             # optimum inside the state space: the estimate has full rank
             (
                 "interior",
                 model_microscopic_state(0.49, 0.0, dim=4, dephasing_sigma=_DEPHASING_SIGMA),
                 4,
-                1,
                 71,
             ),
-            # full product space: the data do not identify every coordinate,
-            # so the Newton curvature is singular
-            ("unidentified", fock.DensityMatrix.vacuum(2, 2), 2, None, 71),
         ],
         ids=lambda case: case[0],
     )
     def test_matches_or_beats_fixed_point(self, case):
-        kind, model, dim, max_total, seed = case
+        kind, model, dim, seed = case
         records = _simulate(model, 20_000, seed=seed)
         tol = 1e-8
-        result = tomography.mle_reconstruct(
-            records, dim=dim, tol=tol, max_total_photons=max_total
-        )
+        result = tomography.mle_reconstruct(records, dim=dim, tol=tol)
         assert result.stop_reason == "certified" and result.converged
-        support = (
-            np.arange(dim * dim)
-            if max_total is None
-            else tomography.total_photon_support(dim, max_total)
-        )
+        support = tomography.total_photon_support(dim, 1)
         block = result.rho.data[np.ix_(support, support)]
         W = tomography._projector_rows(records, dim, support)
         eig = np.linalg.eigvalsh(block)
         if kind == "boundary":
             assert eig[0] < 1e-12
-        elif kind == "interior":
-            assert eig[0] > 1e-3
         else:
-            features = tomography._LogLikelihood(W).F
-            assert np.linalg.matrix_rank(features) < support.size**2
+            assert eig[0] > 1e-3
+        # with Bob's LO locked, Im rho_{00,01} leaves no trace in the data, so
+        # the Newton curvature is singular
+        features = tomography._LogLikelihood(W).F
+        assert np.linalg.matrix_rank(features) < support.size**2
 
         pr = np.einsum("ja,ab,jb->j", W, block, W.conj()).real
         R = (W.conj().T @ (W / pr[:, None])) / pr.size
@@ -280,9 +263,7 @@ class TestSupportRestriction:
     def test_restricted_result_lives_on_support(self):
         model = model_microscopic_state(0.49, 0.0, dim=4)
         records = _simulate(model, 5_000, seed=68)
-        result = tomography.mle_reconstruct(
-            records, dim=4, max_iter=100, max_total_photons=1
-        )
+        result = tomography.mle_reconstruct(records, dim=4, max_iter=100)
         outside = np.ones(16, dtype=bool)
         outside[[0, 1, 4]] = False
         assert np.abs(result.rho.data[outside][:, outside]).max() == 0.0
@@ -347,7 +328,7 @@ class TestFidelity:
         assert tomography.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        a = fock.DensityMatrix.vacuum(4, 2)
+        a = vacuum(4, 2)
         vec = np.zeros(16)
         vec[1] = 1.0
         b = fock.DensityMatrix.from_pure(vec, 4, 2)
@@ -391,5 +372,5 @@ class TestFidelity:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             tomography.fidelity(
-                fock.DensityMatrix.vacuum(4, 2), fock.DensityMatrix.vacuum(3, 2)
+                vacuum(4, 2), vacuum(3, 2)
             )
