@@ -81,11 +81,15 @@ class DensityMatrix:
             raise ValueError("cannot normalize a traceless operator")
         return DensityMatrix(self.dim, self.modes, self.data / tr)
 
-    def validate(self) -> None:
-        """Raise if Hermiticity or unit trace is violated."""
+    def check_hermitian(self) -> None:
+        """Raise if the matrix deviates from its adjoint beyond rounding."""
         dev = np.abs(self.data - self.data.conj().T).max()
         if dev > _HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+
+    def validate(self) -> None:
+        """Raise if Hermiticity or unit trace is violated."""
+        self.check_hermitian()
         tr = self.trace()
         if abs(tr - 1.0) > _TRACE_ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -99,10 +103,11 @@ class DensityMatrix:
         }
 
 
-def _check_trailing_population(rho: DensityMatrix) -> None:
-    worst = photon_number_pmf(rho, 0)[-1]
-    if rho.modes == 2:
-        worst = max(worst, photon_number_pmf(rho, 1)[-1])
+def _check_trailing_population(psi: np.ndarray) -> None:
+    """Warn if either mode's top Fock level of the two-mode amplitude matrix
+    ``psi`` (rows: mode A, columns: mode B) holds too much population."""
+    pops = psi.real**2 + psi.imag**2
+    worst = max(pops.sum(axis=1)[-1], pops.sum(axis=0)[-1])
     if worst > TRAILING_POPULATION_BUDGET:
         warnings.warn(
             f"trailing Fock level holds population {worst:.2e}; "
@@ -154,18 +159,37 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return mag * phase
 
 
-def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
-    """Bosonic loss channel of transmissivity ``eta`` on one mode.
+def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
+    """Nonzero diagonals of the Kraus operators of the bosonic loss channel.
 
-    The Kraus operator ``K_j`` that removes j photons has one nonzero
-    diagonal, ``<n-j|K_j|n> = c_j[n] = sqrt(C(n, j) (1-eta)^j eta^(n-j))``,
-    so each ``K_j rho K_j^dagger`` is the shifted block ``rho[j:, j:]`` of
-    the mode's ket and bra indices, scaled by ``c_j`` on both sides and
-    added into ``out[:d-j, :d-j]``.  Trace-preserving by construction:
-    the family is complete on the truncated space.
+    The operator ``K_j`` that removes j photons has one nonzero diagonal,
+    ``<n-j|K_j|n> = c_j[n-j] = sqrt(C(n, j) (1-eta)^j eta^(n-j))`` for the
+    source levels ``j <= n < dim``; entry j of the result is ``c_j``.  At
+    ``eta = 1`` only ``K_0`` (the identity) is nonzero, and the list holds
+    it alone.  The family is complete on the truncated space.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    if eta == 1.0:
+        return [np.ones(dim)]
+    n = np.arange(dim)
+    coeffs = []
+    for j in range(dim):
+        kept = n[j:]  # source levels n >= j
+        log_binom = gammaln(kept + 1) - gammaln(j + 1) - gammaln(kept - j + 1)
+        coeffs.append(np.exp(0.5 * (log_binom + j * np.log1p(-eta) + xlogy(kept - j, eta))))
+    return coeffs
+
+
+def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
+    """Bosonic loss channel of transmissivity ``eta`` on one mode.
+
+    With the Kraus diagonals ``c_j`` of :func:`loss_kraus_coefficients`,
+    each ``K_j rho K_j^dagger`` is the shifted block ``rho[j:, j:]`` of the
+    mode's ket and bra indices, scaled by ``c_j`` on both sides and added
+    into ``out[:d-j, :d-j]``.  Trace-preserving by construction.
+    """
+    coeffs = loss_kraus_coefficients(eta, rho.dim)
     if mode not in range(rho.modes):
         raise ValueError(f"mode {mode} invalid for a {rho.modes}-mode state")
     if eta == 1.0:
@@ -176,12 +200,8 @@ def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
         # (mA, kB, nA, lB): the lossy mode's ket and bra axes go first
         t = np.moveaxis(t.reshape(d, d, d, d), (mode, mode + 2), (0, 1))
     out = np.zeros_like(t)
-    n = np.arange(d)
     spare = (1,) * (t.ndim - 2)  # broadcast over the other mode's axes
-    for j in range(d):
-        kept = n[j:]  # source levels n >= j
-        log_binom = gammaln(kept + 1) - gammaln(j + 1) - gammaln(kept - j + 1)
-        c = np.exp(0.5 * (log_binom + j * np.log1p(-eta) + xlogy(kept - j, eta)))
+    for j, c in enumerate(coeffs):
         ket = c.reshape((d - j, 1) + spare)
         bra = c.reshape((1, d - j) + spare)
         out[: d - j, : d - j] += ket * t[j:, j:] * bra
@@ -204,33 +224,23 @@ def delocalized_photon_state(phi: float, dim: int) -> np.ndarray:
     return (ket01 + np.exp(1j * phi) * ket10) / np.sqrt(2.0)
 
 
-def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
+def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
     """Two-mode pure state with both arms displaced by ``alpha``.
 
-    ``(D(a)|0>_A D(a)|1>_B + e^{i phi} D(a)|1>_A D(a)|0>_B)/sqrt(2)``
-    as a rank-1 density matrix.  ``alpha = 0`` reduces to the delocalized
-    single photon.
+    ``(D(a)|0>_A D(a)|1>_B + e^{i phi} D(a)|1>_A D(a)|0>_B)/sqrt(2)``,
+    normalized, as the ``dim x dim`` amplitude matrix ``psi[m, k] =
+    <m|_A <k|_B |psi>``; ``psi.ravel()`` is the ket in the package's
+    two-mode ordering.  ``alpha = 0`` gives the delocalized single photon.
+    Warns (:class:`TruncationWarning`) when either mode's top level holds
+    more than ``TRAILING_POPULATION_BUDGET``.
     """
     D = displacement_matrix(alpha, dim)
     d0 = D[:, 0]
     d1 = D[:, 1]
-    vec = (np.kron(d0, d1) + np.exp(1j * phi) * np.kron(d1, d0)) / np.sqrt(2.0)
-    rho = DensityMatrix.from_pure(vec, dim, 2)
-    _check_trailing_population(rho)
-    return rho
-
-
-def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
-    """Photon-number distribution of one mode (real, clipped at 0)."""
-    if rho.modes == 1:
-        if mode != 0:
-            raise ValueError("single-mode state has only mode 0")
-        p = np.diag(rho.data).real
-    else:
-        d = rho.dim
-        t = rho.data.reshape(d, d, d, d)
-        p = np.einsum("mkmk->m", t).real if mode == 0 else np.einsum("kmkm->m", t).real
-    return np.clip(p, 0.0, None)
+    psi = np.outer(d0, d1) + np.exp(1j * phi) * np.outer(d1, d0)
+    psi /= np.linalg.norm(psi)
+    _check_trailing_population(psi)
+    return psi
 
 
 def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:

@@ -19,9 +19,15 @@ _ROWS_PER_WRITE = 4096
 
 
 def _cells(column: np.ndarray) -> list[str]:
-    if column.dtype.kind == "f":
-        return [f"{v:.17g}" for v in column.tolist()]
-    return [f"{v}" for v in column.tolist()]
+    """The column's cells as text; each distinct value is formatted once.
+
+    Values are told apart by bit pattern, so ``-0.0`` keeps its sign.
+    """
+    bits = np.ascontiguousarray(column).view(f"u{column.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    spec = ".17g" if column.dtype.kind == "f" else ""
+    text = [format(v, spec) for v in column[first].tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import counting, fock, output, sampling, tomography
 from .counting import CountModelParams
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 STREAM_COUNTS_PHI0 = 0
 STREAM_COUNTS_PHI90 = 1
@@ -300,6 +300,32 @@ class RoundtripResult:
     concurrence_initial: float
 
 
+def _roundtrip_block(
+    alpha_small: float, mismatch_eta: float, dim: int, phi: float
+) -> tuple[np.ndarray, float]:
+    """Unnormalized round-trip state on ``|00>, |01>, |10>, |11>``, and its trace.
+
+    See :func:`displacement_roundtrip_check` for the formulas.  No array
+    here has more than ``4 dim**2`` entries.
+    """
+    psi = fock.macro_state_amplitudes(alpha_small, phi, dim)
+    u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
+    coeffs = fock.loss_kraus_coefficients(mismatch_eta, dim)
+    n = len(coeffs)
+    gram = u.conj().T @ u
+    rows = np.zeros((n, 2, dim), dtype=complex)  # first two rows of U K_j
+    h = np.zeros((dim, dim), dtype=complex)  # sum_j K_j^dagger U^dagger U K_j
+    for j, c in enumerate(coeffs):
+        rows[j, :, j:] = u[:2, : dim - j] * c
+        h[j:, j:] += c[:, None] * gram[: dim - j, : dim - j] * c
+    rows = rows.reshape(2 * n, dim)
+    m = rows @ psi @ rows.T  # m[(j, a), (k, b)] = (A_j psi A_k^T)[a, b]
+    # x[(a, b), (j, k)]: the block is x x^dagger
+    x = m.reshape(n, 2, n, 2).transpose(1, 3, 0, 2).reshape(4, n * n)
+    trace = float(np.trace(psi @ h.conj() @ psi.conj().T @ h).real)
+    return x @ x.conj().T, trace
+
+
 def displacement_roundtrip_check(
     alpha_small: float,
     mismatch_eta: float,
@@ -315,6 +341,26 @@ def displacement_roundtrip_check(
     applying the loss alone, so the reference is the closed-form loss model
     ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` of
     :func:`model_microscopic_state`, and the entanglement can only drop.
+
+    The state is never formed on the full two-mode space.  The displaced
+    ket is the ``dim x dim`` amplitude matrix ``Psi`` of
+    :func:`macrocat.fock.macro_state_amplitudes`, and with ``U =
+    D(-sqrt(eta) alpha)`` and the loss Kraus operators ``K_j`` (one nonzero
+    diagonal ``c_j`` each, :func:`macrocat.fock.loss_kraus_coefficients`)
+    the unnormalized result is the ensemble of kets ``A_j Psi A_k^T`` with
+    ``A_j = U K_j``.  Only the first two rows of each ``A_j`` reach the
+    one-photon block: ``(U K_j)[a, n] = U[a, n-j] c_j[n-j]`` for ``n >= j``.
+    Stacked into ``L`` (``2 dim x dim``), ``M = L Psi L^T`` holds every
+    ``(A_j Psi A_k^T)[a, b]`` and
+
+        block[(a,b), (c,e)] = sum_jk M[(j,a), (k,b)] conj(M[(j,c), (k,e)]),
+        trace = Tr(Psi conj(H) Psi^dagger H),  H = sum_j K_j^dagger U^dagger U K_j,
+
+    with ``H`` built from shifted diagonal blocks of ``U^dagger U``: O(dim^3)
+    in all.  The trace falls short of 1 by the truncation leakage; the
+    block over the trace is the dim-2 two-mode state the fidelity and the
+    concurrence read, and the concurrence's leakage warning sees
+    ``1 - tr(block) / trace``.
     """
     a2 = alpha_small * alpha_small
     if not math.isfinite(a2):
@@ -325,22 +371,18 @@ def displacement_roundtrip_check(
         )
     if not 0.0 < mismatch_eta <= 1.0:
         raise ValueError(f"mismatch_eta must lie in (0, 1], got {mismatch_eta}")
-    displaced = fock.build_macro_state(alpha_small, phi, dim)
-    lossy = fock.apply_loss(fock.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
-    u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
-    # (mA, kB, nA, lB): D on both ket axes, D^dagger on both bra axes
-    t = np.einsum(
-        "am,bk,mknl,cn,dl->abcd", u, u, lossy.data.reshape((dim,) * 4), u.conj(), u.conj(),
-        optimize=True,
-    )
-    roundtrip = fock.DensityMatrix(dim, 2, t.reshape(dim * dim, dim * dim)).normalize()
+    block, trace = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
+    if not (math.isfinite(trace) and trace > 0.0):
+        raise NumericError(f"round-trip state has trace {trace}")
+    roundtrip = fock.DensityMatrix(2, 2, block / trace)
+    roundtrip.check_hermitian()
     return RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
-            roundtrip, model_microscopic_state(mismatch_eta, phi, dim)
+            roundtrip, model_microscopic_state(mismatch_eta, phi, dim=2)
         ),
-        concurrence_roundtrip=tomography.concurrence(roundtrip),
-        concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi, dim)),
+        concurrence_roundtrip=tomography._qubit_block_concurrence(roundtrip.data),
+        concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi, dim=2)),
     )
 
 

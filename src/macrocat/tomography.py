@@ -324,17 +324,24 @@ def concurrence(rho: DensityMatrix) -> float:
         raise ValueError("concurrence expects a two-mode state with dim >= 2")
     rho.validate()
     d = rho.dim
-    m = rho.data
-    pops = np.clip(np.diag(m).real, 0.0, None)
-    qubit_block = pops[0] + pops[1] + pops[d] + pops[d + 1]
-    if 1.0 - qubit_block > 0.05:
+    qubit = [0, 1, d, d + 1]
+    return _qubit_block_concurrence(rho.data[np.ix_(qubit, qubit)])
+
+
+def _qubit_block_concurrence(block: np.ndarray) -> float:
+    """:func:`concurrence` from the 4 x 4 block on ``|00>, |01>, |10>, |11>``
+    of a unit-trace state; the population missing from the block is the
+    leakage the warning reports.  The caller checks the state."""
+    pops = np.clip(np.diag(block).real, 0.0, None)
+    leak = 1.0 - pops.sum()
+    if leak > 0.05:
         warnings.warn(
-            f"{1.0 - qubit_block:.3f} of the population lies outside the "
+            f"{leak:.3f} of the population lies outside the "
             "one-photon subspace; concurrence may be unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
-    coherence = abs(m[1, d])  # <01| rho |10>
-    value = 2.0 * (coherence - math.sqrt(pops[0] * pops[d + 1]))
+    coherence = abs(block[1, 2])  # <01| rho |10>
+    value = 2.0 * (coherence - math.sqrt(pops[0] * pops[3]))
     return max(0.0, value)
 
 

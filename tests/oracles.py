@@ -11,9 +11,12 @@ trustworthy as an oracle:
 * the Gaussian-regime joint and marginal count densities (counterparts of
   the closed-form conditional moments and discrimination error in
   :mod:`macrocat.counting`);
-* the partial trace, photon-number moments and single-mode quadrature
-  marginal of a truncated Fock-space state (counterparts of the homodyne
-  sampler and the Wigner function).
+* the delocalized photon with both arms displaced, as a dense two-mode
+  density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`);
+* the photon-number distribution, partial trace, photon-number moments and
+  single-mode quadrature marginal of a truncated Fock-space state
+  (counterparts of the truncation check, the homodyne sampler and the
+  Wigner function).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from macrocat.counting import CountModelParams
-from macrocat.fock import DensityMatrix, photon_number_pmf, quadrature_basis
+from macrocat.fock import DensityMatrix, displacement_matrix, quadrature_basis
 from macrocat.sampling import CountSample, shot_uniforms
 
 # ---------------------------------------------------------------------------
@@ -178,6 +181,33 @@ def alice_marginal_ref_cdf(n_a, params: CountModelParams):
 
 # ---------------------------------------------------------------------------
 # Fock-space reductions
+
+
+def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
+    """Two-mode pure state with both arms displaced by ``alpha``.
+
+    ``(D(a)|0>_A D(a)|1>_B + e^{i phi} D(a)|1>_A D(a)|0>_B)/sqrt(2)``
+    as a rank-1 density matrix built from Kronecker products.  ``alpha = 0``
+    reduces to the delocalized single photon.
+    """
+    D = displacement_matrix(alpha, dim)
+    d0 = D[:, 0]
+    d1 = D[:, 1]
+    vec = (np.kron(d0, d1) + np.exp(1j * phi) * np.kron(d1, d0)) / np.sqrt(2.0)
+    return DensityMatrix.from_pure(vec, dim, 2)
+
+
+def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
+    """Photon-number distribution of one mode (real, clipped at 0)."""
+    if rho.modes == 1:
+        if mode != 0:
+            raise ValueError("single-mode state has only mode 0")
+        p = np.diag(rho.data).real
+    else:
+        d = rho.dim
+        t = rho.data.reshape(d, d, d, d)
+        p = np.einsum("mkmk->m", t).real if mode == 0 else np.einsum("kmkm->m", t).real
+    return np.clip(p, 0.0, None)
 
 
 def vacuum(dim: int, modes: int = 1) -> DensityMatrix:

@@ -2,12 +2,20 @@
 and manifest-based regeneration."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrocat import cli, fock, output, pipeline
 from macrocat.errors import NumericError
@@ -70,6 +78,23 @@ class TestSmoke:
         assert curves["var_nB"][20] == pytest.approx(
             (4 + 0.49) / (4 - 0.49) * floor, rel=1e-9
         )
+
+    @pytest.mark.parametrize("alpha", [1e60, 1e150])
+    def test_analytic_finite_at_huge_amplitude(self, tmp_path, alpha):
+        # the closed forms in alpha^2 overflowed here: exit 0 with -inf in
+        # var_nB at 1e60, and a NaN discrimination error at 1e150
+        cfg = write_config(tmp_path, alpha=alpha)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("analytic", "--config", cfg, "--out", out, "--quiet") == 0
+        assert [str(w.message) for w in caught] == []
+        for name in ("curves_phi0.csv", "curves_phi90.csv"):
+            curves = np.genfromtxt(out / name, delimiter=",", names=True)
+            for column in curves.dtype.names:
+                assert np.isfinite(curves[column]).all(), (name, column)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["discrimination_error"] == pytest.approx(0.36, abs=0.03)
 
     def test_simulate_counts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -267,6 +292,7 @@ class TestExitCodes:
             ("wigner", '{"dim": 1}'),
             ("wigner", '{"grid": {"step": 0.6}}'),
             ("analytic", '{"alpha": 1e160}'),
+            ("analytic", '{"alpha": 1.3e154}'),
             ("simulate-counts", '{"alpha": 1e160, "n_count_shots": 1000}'),
             ("tomography", '{"alpha": 1e160, "n_quad_shots": 6000}'),
             ("wigner", '{"alpha": 1e200}'),
@@ -306,6 +332,32 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_csv_writer_matches_per_cell_formatting(self, tmp_path):
+        # mixed columns over three 4096-row blocks: repeated values, signed
+        # zeros, NaN, infinities, ints and bools
+        rng = np.random.default_rng(5)
+        n = 9000
+        floats = rng.choice([0.0, -0.0, 1.5, -2.25e-300, np.nan, np.inf, -np.inf, 0.1], n)
+        floats[::7] = rng.normal(size=floats[::7].size)
+        columns = {
+            "f": floats,
+            "g": np.repeat(np.linspace(-6.0, 6.0, 121), 75)[:n],
+            "i": rng.integers(-3, 3, n),
+            "big": rng.integers(-(2**62), 2**62, n),
+            "b": rng.integers(0, 2, n).astype(bool),
+        }
+        path = tmp_path / "t.csv"
+        output.write_csv(path, columns)
+
+        def cell(v):
+            return f"{v:.17g}" if isinstance(v, float) else f"{v}"
+
+        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+        expected = ",".join(columns) + "\n" + "".join(
+            ",".join(cell(v) for v in row) + "\n" for row in rows
+        )
+        assert path.read_text() == expected
+
     def test_json_writer_rejects_non_finite(self, tmp_path):
         path = tmp_path / "doc.json"
         with pytest.raises(NumericError):
@@ -327,3 +379,68 @@ def test_import_loads_no_numerical_integration_or_optimization():
     )
     loaded = set(ast.literal_eval(proc.stdout))
     assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
+# Any JSON value a roundtrip spec field can hold: NaN and +-Infinity tokens,
+# bools, strings, nested lists and objects, integers at and beyond 2^64.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _field(plausible, other=_JSON_VALUES):
+    """A spec field: three draws in four from its plausible range, the rest
+    from ``other``."""
+    return st.integers(0, 3).flatmap(lambda k: plausible if k else other)
+
+
+_ROUNDTRIP_SPECS = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha_small": _field(st.floats(-1.5, 1.5)),
+        "mismatch_etas": _field(st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=3)),
+        "phi": _field(st.floats(-10.0, 10.0)),
+        # integers are kept in [2, 12] so every run is small
+        "dim": _field(st.integers(2, 12), _JSON_VALUES.filter(lambda v: type(v) is not int)),
+    },
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_ROUNDTRIP_SPECS)
+def test_roundtrip_spec_property(spec):
+    """Any roundtrip spec ends in finite, bounded results (exit 0) or in one
+    stderr line, no traceback and an empty --out (exit 1 or 2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.json"
+        path.write_text(json.dumps(spec))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli("roundtrip-check", "--config", path, "--out", out, "--quiet")
+        if code == 0:
+            doc = json.loads((out / "roundtrip.json").read_text())
+            assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
+            for row in doc["results"]:
+                assert all(math.isfinite(v) for v in row.values()), row
+                for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
+                             "concurrence_initial"):
+                    assert 0.0 <= row[name] <= 1.0 + 1e-9, row
+        else:
+            assert code in (1, 2)
+            text = err.getvalue()
+            assert text.count("\n") == 1 and "Traceback" not in text, text
+            assert list(out.iterdir()) == []

@@ -206,6 +206,39 @@ class TestConditionalMoments:
         tail = counting.conditional_variance(1e6 * p.alpha, p)
         assert tail == pytest.approx(2.0 * p.alpha**2, rel=1e-3)
 
+    @pytest.mark.parametrize("eta,phi", [(0.49, 0.0), (0.8, 1.1), (1.0, math.pi / 2.0), (0.0, 0.3)])
+    def test_matches_forms_in_alpha_squared(self, eta, phi):
+        # the docstrings' forms in nA and alpha^2, at an amplitude where none
+        # of their intermediates overflows
+        p = CountModelParams(1.05e4, eta, phi)
+        u = np.linspace(-6.0, 6.0, 41) * p.alpha
+        a2 = p.alpha**2
+        mean = 4.0 * a2 * u * eta * math.cos(phi) / (eta * (u * u - 2.0 * a2) + 8.0 * a2)
+        den = 2.0 * a2 * (4.0 - eta) + u * u * eta
+        var = 2.0 * a2 * (2.0 * a2 * (eta + 4.0) + u * u * eta) / den - (
+            4.0 * a2 * u * eta * math.cos(phi)
+        ) ** 2 / (den * den)
+        assert np.all(np.abs(counting.conditional_mean(u, p) - mean) <= 1e-15 * np.abs(mean))
+        assert np.all(np.abs(counting.conditional_variance(u, p) - var) <= 1e-15 * var)
+
+    @pytest.mark.parametrize("alpha", [1e60, 1e150, 5e153])
+    def test_finite_and_scale_covariant_at_huge_amplitude(self, alpha):
+        t = np.linspace(-6.0, 6.0, 41)
+        small = CountModelParams(1e4, 0.49, 0.0)
+        huge = CountModelParams(alpha, 0.49, 0.0)
+        with np.errstate(all="raise"):
+            mean = counting.conditional_mean(t * alpha, huge)
+            var = counting.conditional_variance(t * alpha, huge)
+        ref_mean = counting.conditional_mean(t * 1e4, small) / 1e4
+        ref_var = counting.conditional_variance(t * 1e4, small) / 1e8
+        assert np.allclose(mean / alpha, ref_mean, rtol=1e-14, atol=0.0)
+        assert np.allclose(var / alpha / alpha, ref_var, rtol=1e-14, atol=0.0)
+
+    def test_amplitude_with_overflowing_variance_rejected(self):
+        # alpha^2 is finite but the variance peak 2 alpha^2 (4+eta)/(4-eta) is not
+        with pytest.raises(ValueError, match="alpha"):
+            CountModelParams(1.3e154, 0.49, 0.0)
+
 
 def _error_closed_form(alpha, eta, delta):
     # independent derivation: Gaussian partial moments of the conditional
@@ -293,6 +326,14 @@ class TestDistinguishability:
         delta_a = delta_per_alpha * alpha
         oracle = _bayes_error_quad_oracle(p, delta_a)
         assert abs(counting.distinguishability_error(p, delta_a) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e60, 1e150])
+    def test_depends_on_offset_over_alpha_alone(self, alpha):
+        ref = counting.distinguishability_error(CountModelParams(1.05e4, 0.49, 0.0), 3.1e4)
+        err = counting.distinguishability_error(
+            CountModelParams(alpha, 0.49, 0.0), 3.1e4 / 1.05e4 * alpha
+        )
+        assert err == pytest.approx(ref, rel=1e-15)
 
     def test_monotone_in_efficiency(self):
         alpha = 1e4

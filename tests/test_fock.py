@@ -122,7 +122,7 @@ class TestDisplacementMatrix:
 
 class TestLossChannel:
     def test_eta_one_is_identity(self):
-        rho = fock.build_macro_state(0.8, 0.3, 16)
+        rho = oracles.build_macro_state(0.8, 0.3, 16)
         out = fock.apply_loss(rho, 1.0, 0)
         assert np.abs(out.data - rho.data).max() == 0.0
 
@@ -133,7 +133,7 @@ class TestLossChannel:
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.49, 0.85])
     def test_trace_preserved(self, eta):
-        rho = fock.build_macro_state(1.2, 0.7, 24)
+        rho = oracles.build_macro_state(1.2, 0.7, 24)
         out = fock.apply_loss(fock.apply_loss(rho, eta, 0), eta, 1)
         assert out.trace() == pytest.approx(1.0, abs=1e-10)
 
@@ -153,6 +153,15 @@ class TestLossChannel:
         total = sum(K.conj().T @ K for K in ops)
         assert np.abs(total - np.eye(12)).max() < 1e-12
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.99, 1.0])
+    def test_kraus_coefficients_are_the_operator_diagonals(self, eta):
+        dim = 10
+        coeffs = fock.loss_kraus_coefficients(eta, dim)
+        ops = loss_kraus_operators(eta, dim)
+        assert len(coeffs) == len(ops)
+        for j, (c, K) in enumerate(zip(coeffs, ops)):
+            assert np.abs(np.diagonal(K, offset=j) - c).max() <= 1e-15
+
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.99])
     @pytest.mark.parametrize("dim,modes,mode", [(8, 1, 0), (6, 2, 0), (6, 2, 1)])
     def test_matches_kraus_sum_oracle(self, eta, dim, modes, mode):
@@ -166,21 +175,31 @@ class TestLossChannel:
             fock.apply_loss(rho, 1.2, 0)
 
 
+def macro_rho(alpha, phi, dim):
+    """Density matrix of the amplitude matrix under test."""
+    psi = fock.macro_state_amplitudes(alpha, phi, dim)
+    return fock.DensityMatrix.from_pure(psi.ravel(), dim, 2)
+
+
 class TestMacroState:
     def test_alpha_zero_is_delocalized_photon(self):
-        rho = fock.build_macro_state(0.0, 0.0, 4)
-        psi = fock.delocalized_photon_state(0.0, 4)
-        assert np.abs(rho.data - np.outer(psi, psi.conj())).max() < 1e-14
+        psi = fock.macro_state_amplitudes(0.0, 0.0, 4)
+        expected = fock.delocalized_photon_state(0.0, 4)
+        assert np.abs(psi.ravel() - expected).max() < 1e-15
 
     @pytest.mark.parametrize("alpha,phi", [(0.0, 0.0), (1.0, 0.5), (1.5, np.pi / 2)])
     def test_unit_trace(self, alpha, phi):
-        rho = fock.build_macro_state(alpha, phi, 32)
-        assert rho.trace() == pytest.approx(1.0, abs=1e-10)
+        psi = fock.macro_state_amplitudes(alpha, phi, 32)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha,phi,dim", [(0.8, 0.3, 16), (1.2, 0.7, 24), (2.0, 1.7, 32)])
+    def test_matches_dense_kron_oracle(self, alpha, phi, dim):
+        rho = oracles.build_macro_state(alpha, phi, dim)
+        assert np.abs(macro_rho(alpha, phi, dim).data - rho.data).max() <= 1e-15
 
     @pytest.mark.parametrize("phi", [0.0, 1.0, np.pi / 2])
     def test_reduced_state_at_zero_alpha(self, phi):
-        rho = fock.build_macro_state(0.0, phi, 4)
-        red = oracles.partial_trace(rho, 0)
+        red = oracles.partial_trace(macro_rho(0.0, phi, 4), 0)
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 0.5
         assert np.abs(red.data - expected).max() < 1e-12
@@ -188,20 +207,32 @@ class TestMacroState:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_reduced_mode_mean_photon_number(self, alpha):
         # each arm averages the displaced-vacuum and displaced-photon branch
-        rho = fock.build_macro_state(alpha, 0.9, 32)
+        rho = macro_rho(alpha, 0.9, 32)
         for mode in (0, 1):
             mean, _ = oracles.photon_moments(rho, mode)
             assert mean == pytest.approx(alpha**2 + 0.5, abs=1e-6)
 
     def test_undisplacement_recovers_delocalized_photon(self):
         alpha, dim = 1.5, 32
-        rho = fock.build_macro_state(alpha, 0.3, dim)
+        psi = fock.macro_state_amplitudes(alpha, 0.3, dim)
         D = fock.displacement_matrix(-alpha, dim)
-        DD = np.kron(D, D)
-        back = DD @ rho.data @ DD.conj().T
-        psi = fock.delocalized_photon_state(0.3, dim)
-        fidelity = float((psi.conj() @ back @ psi).real)
+        back = D @ psi @ D.T  # D (x) D on the ket
+        expected = fock.delocalized_photon_state(0.3, dim)
+        fidelity = abs(np.vdot(expected, back.ravel())) ** 2
         assert fidelity > 1.0 - 1e-6
+
+    @pytest.mark.filterwarnings("ignore::macrocat.errors.TruncationWarning")
+    @pytest.mark.parametrize("alpha,dim", [(1.4, 6), (1.0, 8), (1.2, 12), (1.0, 16), (2.0, 32)])
+    def test_truncation_warning_matches_dense_pmf(self, alpha, dim):
+        # the check on the amplitude marginals warns exactly where the
+        # photon-number distributions of the dense state exceed the budget
+        rho = oracles.build_macro_state(alpha, 0.4, dim)
+        worst = max(oracles.photon_number_pmf(rho, m)[-1] for m in (0, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fock.macro_state_amplitudes(alpha, 0.4, dim)
+        warned = any(issubclass(w.category, TruncationWarning) for w in caught)
+        assert warned == (worst > fock.TRAILING_POPULATION_BUDGET)
 
 
 class TestPhotonMoments:
@@ -298,7 +329,7 @@ class TestWigner:
 
 class TestSerialization:
     def test_round_trip(self):
-        rho = fock.build_macro_state(0.7, 1.2, 12)
+        rho = oracles.build_macro_state(0.7, 1.2, 12)
         doc = json.loads(json.dumps(rho.to_json_dict()))
         d = doc["dim"] ** doc["modes"]
         data = np.reshape(doc["re"], (d, d)) + 1j * np.reshape(doc["im"], (d, d))
@@ -345,4 +376,4 @@ class TestInvariantSweeps:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             with pytest.raises(TruncationWarning):
-                fock.build_macro_state(1.4, 0.0, 6)
+                fock.macro_state_amplitudes(1.4, 0.0, 6)

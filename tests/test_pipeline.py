@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from macrocat import counting, fock, pipeline, tomography
-from macrocat.errors import ConfigError
+from macrocat.errors import ConfigError, TruncationWarning
 from macrocat.pipeline import ExperimentConfig
+import oracles
 
 
 class TestExperimentConfig:
@@ -188,6 +189,44 @@ def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     )
 
 
+def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
+    """The round trip on the dense two-mode density matrix: loss on each mode
+    with :func:`macrocat.fock.apply_loss`, then ``D (x) D`` undisplacement as
+    one five-operand ``einsum``.  Returns the unnormalized block on
+    ``|00>, |01>, |10>, |11>``, the trace, and the result fields read from
+    the normalized dense state."""
+    displaced = oracles.build_macro_state(alpha_small, phi, dim)
+    lossy = fock.apply_loss(fock.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
+    u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
+    # (mA, kB, nA, lB): D on both ket axes, D^dagger on both bra axes
+    t = np.einsum(
+        "am,bk,mknl,cn,dl->abcd", u, u, lossy.data.reshape((dim,) * 4), u.conj(), u.conj(),
+        optimize=True,
+    )
+    data = t.reshape(dim * dim, dim * dim)
+    qubit = [0, 1, dim, dim + 1]
+    roundtrip = fock.DensityMatrix(dim, 2, data).normalize()
+    result = pipeline.RoundtripResult(
+        mismatch_eta=mismatch_eta,
+        fidelity_to_loss_model=tomography.fidelity(
+            roundtrip, pipeline.model_microscopic_state(mismatch_eta, phi, dim)
+        ),
+        concurrence_roundtrip=tomography.concurrence(roundtrip),
+        concurrence_initial=tomography.concurrence(
+            pipeline.model_microscopic_state(1.0, phi, dim)
+        ),
+    )
+    return data[np.ix_(qubit, qubit)], float(np.trace(data).real), result
+
+
+_EINSUM_CASES = [
+    (alpha, dim, eta, phi)
+    for alpha, dim in ((2.0, 32), (1.4, 16), (1.0, 8))
+    for eta in (1.0, 0.99, 0.95, 0.5)
+    for phi in (0.0, 1.7)
+]
+
+
 class TestRoundtripCheck:
     @pytest.mark.parametrize("phi", [0.0, 1.3])
     @pytest.mark.parametrize("eta", [1.0, 0.99, 0.95])
@@ -201,6 +240,38 @@ class TestRoundtripCheck:
         for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_roundtrip",
                      "concurrence_initial"):
             assert getattr(res, name) == pytest.approx(getattr(ref, name), abs=1e-8), name
+
+    # dim 8, alpha 1 is truncation-dominated: 3.7e-4 of the state leaks out
+    @pytest.mark.filterwarnings("ignore::macrocat.errors.TruncationWarning")
+    @pytest.mark.parametrize("alpha,dim,eta,phi", _EINSUM_CASES)
+    def test_matches_einsum_oracle(self, alpha, dim, eta, phi):
+        block, trace = pipeline._roundtrip_block(alpha, eta, dim, phi)
+        ref_block, ref_trace, ref = _einsum_roundtrip_oracle(alpha, eta, dim, phi)
+        assert np.abs(block - ref_block).max() <= 1e-14
+        assert abs(trace - ref_trace) <= 1e-14
+        res = pipeline.displacement_roundtrip_check(alpha, eta, dim=dim, phi=phi)
+        for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_initial"):
+            assert abs(getattr(res, name) - getattr(ref, name)) <= 1e-12, name
+        # the concurrence subtracts 2 sqrt(p00 p11); the dense path leaves the
+        # |11> population p11 at its rounding level (|p11| up to ~2e-17, often
+        # negative and clipped), so its concurrence is only good to
+        # 2 sqrt(p00 * 1e-16); the Kraus path sums squares, so its p11 stays
+        # nonnegative and accurate (~1e-31 at dim 32, alpha 2, eta >= 0.95)
+        p00 = max(ref_block[0, 0].real / ref_trace, 0.0)
+        tol = 1e-12 + 2.0 * math.sqrt(p00 * 1e-16)
+        assert abs(res.concurrence_roundtrip - ref.concurrence_roundtrip) <= tol
+
+    def test_truncation_dominated_round_trip_warns(self):
+        with pytest.warns(TruncationWarning):
+            pipeline.displacement_roundtrip_check(1.0, 0.95, dim=8)
+
+    def test_never_applies_the_dense_loss_channel(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("apply_loss called on the round-trip path")
+
+        monkeypatch.setattr(fock, "apply_loss", dense)
+        res = pipeline.displacement_roundtrip_check(2.0, 0.95)
+        assert res.concurrence_roundtrip == pytest.approx(0.95, abs=1e-6)
 
     def test_perfect_undisplacement(self):
         res = pipeline.displacement_roundtrip_check(2.0, 1.0)
