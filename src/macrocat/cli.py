@@ -76,11 +76,7 @@ def _load_json(path: Path | None) -> dict:
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
-    doc = _load_json(args.config)
-    try:
-        config = pipeline.ExperimentConfig.from_json_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    config = pipeline.ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         config = config.replace_seed(args.seed)
     return config
@@ -168,12 +164,20 @@ def cmd_tomography(args) -> list[str]:
     return outputs
 
 
-def _coeff(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"coefficient must be a number or [re, im] pair, got {value!r}")
+def _check_fields(what: str, doc: dict, known: set[str]) -> None:
+    unknown = set(doc) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _coeff(name: str, value) -> complex:
+    """A number, or an ``[re, im]`` pair of numbers."""
+    if not isinstance(value, list):
+        return complex(pipeline.json_number(name, value))
+    if len(value) != 2:
+        raise ConfigError(f"{name} must be a number or an [re, im] pair, got {value!r}")
+    re, im = (pipeline.json_number(f"{name}[{k}]", v) for k, v in enumerate(value))
+    return complex(float(re), float(im))
 
 
 def cmd_wigner(args) -> list[str]:
@@ -182,25 +186,19 @@ def cmd_wigner(args) -> list[str]:
     The tabulated state is ``c0 D(alpha)|0> + c1 D(alpha)|1>``, normalized.
     """
     doc = _load_json(args.config)
-    known = {"alpha", "c0", "c1", "dim", "grid"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown state fields: {sorted(unknown)}")
-    try:
-        alpha = float(doc.get("alpha", 0.0))
-        c0 = _coeff(doc.get("c0", 1.0))
-        c1 = _coeff(doc.get("c1", 0.0))
-        grid_doc = doc.get("grid", {})
-        lo = float(grid_doc.get("min", -6.0))
-        hi = float(grid_doc.get("max", 6.0))
-        step = float(grid_doc.get("step", 0.1))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed state spec: {exc}") from exc
-    dim = doc.get("dim", 16)
-    if type(dim) is not int:
-        raise ConfigError(f"dim must be an integer, got {dim!r}")
-    if not np.isfinite([alpha, c0, c1, lo, hi, step]).all():
-        raise ConfigError("state spec values must be finite")
+    _check_fields("state", doc, {"alpha", "c0", "c1", "dim", "grid"})
+    alpha = float(pipeline.json_number("alpha", doc.get("alpha", 0.0)))
+    c0 = _coeff("c0", doc.get("c0", 1.0))
+    c1 = _coeff("c1", doc.get("c1", 0.0))
+    grid_doc = doc.get("grid", {})
+    if not isinstance(grid_doc, dict):
+        raise ConfigError(f"grid must be an object, got {grid_doc!r}")
+    _check_fields("grid", grid_doc, {"min", "max", "step"})
+    lo, hi, step = (
+        float(pipeline.json_number(f"grid.{key}", grid_doc.get(key, default)))
+        for key, default in (("min", -6.0), ("max", 6.0), ("step", 0.1))
+    )
+    dim = pipeline.json_integer("dim", doc.get("dim", 16))
     if hi <= lo or step <= 0:
         raise ConfigError("grid must satisfy min < max and step > 0")
     if c0 == 0 and c1 == 0:
@@ -228,24 +226,14 @@ def cmd_wigner(args) -> list[str]:
 def cmd_roundtrip_check(args) -> list[str]:
     """Config: {"alpha_small", "mismatch_etas", "dim", "phi"}; all optional."""
     doc = _load_json(args.config)
-    known = {"alpha_small", "mismatch_etas", "dim", "phi"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown roundtrip-spec fields: {sorted(unknown)}")
+    _check_fields("roundtrip-spec", doc, {"alpha_small", "mismatch_etas", "dim", "phi"})
     etas = doc.get("mismatch_etas", [1.0, 0.99, 0.95])
     if not isinstance(etas, list) or not etas:
         raise ConfigError(f"mismatch_etas must be a non-empty list, got {etas!r}")
-    try:
-        alpha_small = float(doc.get("alpha_small", 2.0))
-        etas = [float(v) for v in etas]
-        phi = float(doc.get("phi", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed roundtrip spec: {exc}") from exc
-    dim = doc.get("dim", 32)
-    if type(dim) is not int:
-        raise ConfigError(f"dim must be an integer, got {dim!r}")
-    if not np.isfinite([alpha_small, phi, *etas]).all():
-        raise ConfigError("roundtrip spec values must be finite")
+    alpha_small = float(pipeline.json_number("alpha_small", doc.get("alpha_small", 2.0)))
+    etas = [float(pipeline.json_number(f"mismatch_etas[{k}]", v)) for k, v in enumerate(etas)]
+    phi = float(pipeline.json_number("phi", doc.get("phi", 0.0)))
+    dim = pipeline.json_integer("dim", doc.get("dim", 32))
     rows = [
         asdict(pipeline.displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi))
         for eta in etas

@@ -75,12 +75,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
-    def normalize(self) -> "DensityMatrix":
-        tr = np.trace(self.data)
-        if abs(tr) == 0.0:
-            raise ValueError("cannot normalize a traceless operator")
-        return DensityMatrix(self.dim, self.modes, self.data / tr)
-
     def check_hermitian(self) -> None:
         """Raise if the matrix deviates from its adjoint beyond rounding."""
         dev = np.abs(self.data - self.data.conj().T).max()

@@ -17,6 +17,7 @@ validated at moderate amplitude where both apply (see the test suite).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -38,9 +39,8 @@ _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
 _N_COUNT_BINS = 41
 _BIN_SPAN_SIGMAS = 4.0
 _WINDOW_FRAC = 0.04
-# tomography: Alice's LO sweeps 12 phases; each mode is truncated at 4 levels
+# tomography: Alice's LO sweeps 12 phases
 _TOMO_SETTINGS = 12
-_TOMO_DIM = 4
 
 _DEFAULT_ETA_BUDGET = {
     "modematch": 0.81,
@@ -48,6 +48,23 @@ _DEFAULT_ETA_BUDGET = {
     "detector": 0.86,
     "undisplacement": 0.95,
 }
+
+
+def json_number(name: str, value):
+    """``value`` if it is a finite JSON number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    # an exact comparison, so an int beyond the float range fails it too
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def json_integer(name: str, value) -> int:
+    """``value`` if it is a JSON integer (an int, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,12 +82,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_count_shots", "n_quad_shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # the range checks below also reject NaN; alpha and sigma need isfinite
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+            json_integer(name, getattr(self, name))
+        for name in ("alpha", "phi", "eta_total", "phase_noise_sigma"):
+            json_number(name, getattr(self, name))
+        if not self.alpha > 0:
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
         if not 0.0 < self.eta_total <= 1.0:
@@ -78,7 +94,7 @@ class ExperimentConfig:
         if not isinstance(self.eta_budget, dict):
             raise ConfigError(f"eta_budget must be an object, got {self.eta_budget!r}")
         for name, value in self.eta_budget.items():
-            if not 0.0 < value <= 1.0:
+            if not 0.0 < json_number(f"eta_budget[{name!r}]", value) <= 1.0:
                 raise ConfigError(f"eta_budget[{name!r}] must lie in (0, 1], got {value}")
         if self.eta_budget:
             prod = math.prod(self.eta_budget.values())
@@ -89,10 +105,8 @@ class ExperimentConfig:
                 )
         if self.n_count_shots < 1 or self.n_quad_shots < 1:
             raise ConfigError("shot counts must be positive")
-        if not (math.isfinite(self.phase_noise_sigma) and self.phase_noise_sigma >= 0):
-            raise ConfigError(
-                f"phase_noise_sigma must be finite and nonnegative, got {self.phase_noise_sigma}"
-            )
+        if self.phase_noise_sigma < 0:
+            raise ConfigError(f"phase_noise_sigma must be nonnegative, got {self.phase_noise_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -112,12 +126,8 @@ class ExperimentConfig:
         doc["seed"] = seed
         return self.from_json_dict(doc)
 
-    def count_params(self, phi: float | None = None) -> CountModelParams:
-        return CountModelParams(
-            alpha=self.alpha,
-            eta=self.eta_total,
-            phi=self.phi if phi is None else phi,
-        )
+    def count_params(self, phi: float) -> CountModelParams:
+        return CountModelParams(alpha=self.alpha, eta=self.eta_total, phi=phi)
 
     def model_concurrence(self) -> float:
         """Concurrence of the loss + dephasing model state."""
@@ -176,8 +186,13 @@ def bin_count_records(records: sampling.CountSample, params: CountModelParams) -
     centers = 0.5 * (edges[:-1] + edges[1:])
     idx = np.clip(np.digitize(records.dn_a, edges) - 1, 0, _N_COUNT_BINS - 1)
     counts = np.bincount(idx, minlength=_N_COUNT_BINS).astype(np.int64)
-    sums = np.bincount(idx, weights=records.dn_b, minlength=_N_COUNT_BINS)
-    sq = np.bincount(idx, weights=records.dn_b**2, minlength=_N_COUNT_BINS)
+    # Bob's counts scaled by a power of two near 1/alpha, which is exact, so
+    # their squares stay finite at any alpha the config accepts; squared in
+    # place, so one full-length temporary serves both sums
+    scale = 2.0 ** -math.frexp(params.alpha)[1]
+    dn_b = records.dn_b * scale
+    sums = np.bincount(idx, weights=dn_b, minlength=_N_COUNT_BINS)
+    sq = np.bincount(idx, weights=np.square(dn_b, out=dn_b), minlength=_N_COUNT_BINS)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts
         var = sq / counts - mean**2
@@ -185,8 +200,8 @@ def bin_count_records(records: sampling.CountSample, params: CountModelParams) -
         var = np.where(counts > 1, var * counts / (counts - 1), np.nan)
     return BinnedCurve(
         centers=centers,
-        mean=mean,
-        variance=var,
+        mean=mean / scale,
+        variance=var / scale**2,
         counts=counts,
         model_mean=counting.conditional_mean(centers, params),
         model_variance=counting.conditional_variance(centers, params),
@@ -243,23 +258,24 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
 
 
 def model_microscopic_state(
-    eta: float, phi: float, dim: int = 4, dephasing_sigma: float = 0.0
+    eta: float, phi: float, dephasing_sigma: float = 0.0
 ) -> fock.DensityMatrix:
     """Post-undisplacement model: lossy delocalized photon plus dephasing.
 
     ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` with the single-photon
-    coherence damped by ``exp(-sigma^2/2)``.  The dephasing factor is a
+    coherence damped by ``exp(-sigma^2/2)``, on ``|00>, |01>, |10>, |11>``
+    (two levels per mode, which hold all of it).  The dephasing factor is a
     one-parameter surrogate for the quadrature noise of the displacement/
     undisplacement round trip; it is a modeling knob, not a calibrated
     physical mechanism.
     """
-    psi = fock.delocalized_photon_state(phi, dim)
+    psi = fock.delocalized_photon_state(phi, 2)
     data = eta * np.outer(psi, psi.conj())
     data[0, 0] += 1.0 - eta
     kappa = math.exp(-dephasing_sigma**2 / 2.0)
-    data[1, dim] *= kappa
-    data[dim, 1] *= kappa
-    return fock.DensityMatrix(dim, 2, data)
+    data[1, 2] *= kappa
+    data[2, 1] *= kappa
+    return fock.DensityMatrix(2, 2, data)
 
 
 @dataclass(frozen=True)
@@ -278,13 +294,13 @@ def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResul
     identifiable).
     """
     model = model_microscopic_state(
-        config.eta_total, config.phi, dim=_TOMO_DIM, dephasing_sigma=config.phase_noise_sigma
+        config.eta_total, config.phi, dephasing_sigma=config.phase_noise_sigma
     )
     schedule = sampling.phase_schedule(_TOMO_SETTINGS)
     records = sampling.sample_quadrature_schedule(
         model, schedule, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
-    result = tomography.mle_reconstruct(records, dim=_TOMO_DIM)
+    result = tomography.mle_reconstruct(records)
     return TomographyScenarioResult(
         result=result,
         records=records,
@@ -379,10 +395,10 @@ def displacement_roundtrip_check(
     return RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
-            roundtrip, model_microscopic_state(mismatch_eta, phi, dim=2)
+            roundtrip, model_microscopic_state(mismatch_eta, phi)
         ),
         concurrence_roundtrip=tomography._qubit_block_concurrence(roundtrip.data),
-        concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi, dim=2)),
+        concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi)),
     )
 
 
@@ -401,7 +417,13 @@ def write_summary(
 
 
 def write_count_outputs(outdir, result: CountScenarioResult, config: ExperimentConfig) -> list[str]:
-    """Emit curves_phi0.csv, curves_phi90.csv, histograms.csv, summary.json."""
+    """Emit summary.json, curves_phi0.csv, curves_phi90.csv, histograms.csv.
+
+    The summary goes first: it is the one document that can reject a value
+    (a NaN ratio from an empty bin), and then nothing has been written.
+    """
+    write_summary(outdir / "summary.json", result.variance_ratio, result.discrimination_error,
+                  config.model_concurrence())
     for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
         curve = result.curves[phi]
         output.write_csv(outdir / name, {
@@ -414,6 +436,4 @@ def write_count_outputs(outdir, result: CountScenarioResult, config: ExperimentC
         "count_above": result.histogram_above,
         "count_below": result.histogram_below,
     })
-    write_summary(outdir / "summary.json", result.variance_ratio, result.discrimination_error,
-                  config.model_concurrence())
     return ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv", "summary.json"]

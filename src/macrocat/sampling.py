@@ -35,6 +35,8 @@ _U_LO = 2.0**-53
 
 # count shots per block: a 1 MiB uniform table that stays in cache
 _COUNT_BLOCK_SHOTS = 1 << 14
+# homodyne outcomes are tabulated on [-8, 8] in steps of 0.02
+_QUAD_GRID = np.linspace(-8.0, 8.0, 801)
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ def sample_counts(
     seed: int,
     stream: int = 0,
     start_shot: int = 0,
-    chunk_shots: int = _COUNT_BLOCK_SHOTS,
 ) -> CountSample:
     """Draw i.i.d. reference-subtracted count pairs from the joint law.
 
@@ -101,9 +102,8 @@ def sample_counts(
     ``1 - eta/2``; the quadratic components are signed chi(3)-distributed
     radii.  Cost per shot is constant in alpha.
 
-    Shots are drawn in blocks of ``chunk_shots``, so the working memory
-    beyond the two output arrays is O(block); the records do not depend on
-    the block size.
+    Shots are drawn in blocks of ``_COUNT_BLOCK_SHOTS``, so the working
+    memory beyond the two output arrays is O(block).
     """
     params.require_gaussian_regime()
     if n_shots < 1:
@@ -114,8 +114,8 @@ def sample_counts(
     w_v = params.eta * (1.0 - cph) / 4.0
     dn_a = np.empty(n_shots)
     dn_b = np.empty(n_shots)
-    for lo in range(0, n_shots, chunk_shots):
-        hi = min(lo + chunk_shots, n_shots)
+    for lo in range(0, n_shots, _COUNT_BLOCK_SHOTS):
+        hi = min(lo + _COUNT_BLOCK_SHOTS, n_shots)
         tab = shot_uniforms(seed, stream, start_shot + lo, hi - lo, _WORDS_COUNTS)
         # plain component: u is the first primary normal, v the partner
         z1 = ndtri(tab[:, 1])
@@ -155,57 +155,48 @@ def joint_quadrature_density(
     return np.clip(dens, 0.0, None)
 
 
-def _inverse_cell_draw(
-    cum: np.ndarray, grid: np.ndarray, step: float, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_cell_draw(cum: np.ndarray, step: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniforms through the piecewise-linear CDF of tabulated cell masses;
     returns the draws and their cell indices."""
     target = u * cum[-1]
     j = np.searchsorted(cum, target, side="left")
     lo = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
     frac = (target - lo) / np.maximum(cum[j] - lo, 1e-300)
-    return grid[j] + (frac - 0.5) * step, j
+    return _QUAD_GRID[j] + (frac - 0.5) * step, j
 
 
 class _GridSampler:
-    """Conditional inverse-CDF sampler over a tabulated joint density.
+    """Conditional inverse-CDF sampler over the joint density tabulated on
+    ``_QUAD_GRID`` in both coordinates.
 
     The density is treated as piecewise constant on cells centered at the
     grid points, making the per-coordinate CDF piecewise linear and the
     inverse transform exact for that discretization.
     """
 
-    def __init__(self, rho, theta_a, theta_b, grid):
-        self.grid = grid
-        self.step = float(grid[1] - grid[0])
-        mass = joint_quadrature_density(rho, theta_a, theta_b, grid) * self.step**2
+    def __init__(self, rho, theta_a, theta_b):
+        self.step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
+        mass = joint_quadrature_density(rho, theta_a, theta_b, _QUAD_GRID) * self.step**2
         total = mass.sum()
         if abs(total - 1.0) > 1e-3:
             raise NumericError(
-                f"grid captures only {total:.6f} of the quadrature density; "
-                "enlarge or refine the grid"
+                f"the grid [-8, 8] captures only {total:.6f} of the quadrature "
+                "density; the state reaches too far out in phase space"
             )
         self.mass = mass / total
         self.cum_a = np.cumsum(self.mass.sum(axis=1))
         self.cum_b_rows = np.cumsum(self.mass, axis=1)
 
     def draw(self, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x_a, ja = _inverse_cell_draw(self.cum_a, self.grid, self.step, u_a)
+        x_a, ja = _inverse_cell_draw(self.cum_a, self.step, u_a)
         # group shots sharing an x_A cell so each conditional row is scanned once
         x_b = np.empty_like(x_a)
         order = np.argsort(ja, kind="stable")
         bounds = np.flatnonzero(np.diff(ja[order])) + 1
         for seg in np.split(order, bounds):
             row = self.cum_b_rows[ja[seg[0]]]
-            x_b[seg] = _inverse_cell_draw(row, self.grid, self.step, u_b[seg])[0]
+            x_b[seg] = _inverse_cell_draw(row, self.step, u_b[seg])[0]
         return x_a, x_b
-
-
-def default_quadrature_grid(span: float = 8.0, step: float = 0.02) -> np.ndarray:
-    if step > 0.02:
-        raise ValueError("quadrature sampling grid spacing must be <= 0.02")
-    n = int(round(2 * span / step)) + 1
-    return np.linspace(-span, span, n)
 
 
 def sample_quadrature_schedule(
@@ -215,7 +206,6 @@ def sample_quadrature_schedule(
     seed: int,
     stream: int = 0,
     start_shot: int = 0,
-    grid: np.ndarray | None = None,
 ) -> QuadratureSample:
     """Joint homodyne samples of a two-mode state over a phase schedule.
 
@@ -223,14 +213,14 @@ def sample_quadrature_schedule(
     measured at the LO phases ``schedule[s % len(schedule)]`` and draws its
     uniforms from row ``s`` of the stream, so any partitioning of a shot
     range reproduces bit-identical records.  A one-setting schedule samples
-    at fixed LO phases.
+    at fixed LO phases.  Outcomes are drawn on ``[-8, 8]`` in cells of 0.02;
+    a state with more than 1e-3 of its density outside raises
+    :class:`NumericError`.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
     if not schedule:
         raise ValueError("schedule must contain at least one setting")
-    if grid is None:
-        grid = default_quadrature_grid()
     tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
     theta_a = np.empty(n_shots)
     x_a = np.empty(n_shots)
@@ -240,7 +230,7 @@ def sample_quadrature_schedule(
         idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
         if idx.size == 0:
             continue
-        sampler = _GridSampler(rho, ta, tb, grid)
+        sampler = _GridSampler(rho, ta, tb)
         xa, xb = sampler.draw(tab[idx, 0], tab[idx, 1])
         theta_a[idx] = ta
         x_a[idx] = xa

@@ -84,18 +84,18 @@ class TomographyResult:
         }
 
 
-def _projector_rows(records: QuadratureSample, dim: int, support: np.ndarray) -> np.ndarray:
-    """Row j holds the overlaps ``<(n,l)|x_j, theta_j>`` for the flat two-mode
-    indices ``n*dim + l`` listed in ``support``."""
-    mode_a, mode_b = np.divmod(support, dim)
+def _projector_rows(records: QuadratureSample, support: np.ndarray) -> np.ndarray:
+    """Row j holds the overlaps ``<(n,l)|x_j, theta_j>`` for the flat indices
+    ``2*n + l`` of the two-level two-mode basis listed in ``support``."""
+    mode_a, mode_b = np.divmod(support, 2)
     rows = np.empty((len(records), support.size), dtype=complex)
     # records repeat few distinct settings; build per setting to amortize
     # (one complex key per setting sorts far faster than unique rows)
     uniq, inverse = np.unique(records.theta_a + 1j * records.theta_b, return_inverse=True)
     for k, key in enumerate(uniq):
         idx = np.flatnonzero(inverse == k)
-        fa = quadrature_basis(records.x_a[idx], key.real, dim)
-        fb = quadrature_basis(records.x_b[idx], key.imag, dim)
+        fa = quadrature_basis(records.x_a[idx], key.real, 2)
+        fb = quadrature_basis(records.x_b[idx], key.imag, 2)
         rows[idx] = fa[:, mode_a] * fb[:, mode_b]
     return rows
 
@@ -244,12 +244,11 @@ def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
 
 def mle_reconstruct(
     records: QuadratureSample,
-    dim: int = 4,
     max_iter: int = 2000,
     tol: float = 1e-8,
 ) -> TomographyResult:
-    """Maximum-likelihood estimate of the two-mode density matrix from
-    quadrature records.  Requires at least 1000 records spread over at least
+    """Maximum-likelihood estimate of the two-mode density matrix, with two
+    levels per mode, from quadrature records.  Requires at least 1000 records spread over at least
     4 distinct Alice phases.
 
     Stops, with ``stop_reason == "certified"`` and ``converged`` true, once the
@@ -266,8 +265,9 @@ def mle_reconstruct(
 
     The support is fixed: the kets with at most one photon in total,
     ``|00>``, ``|01>`` and ``|10>``, which hold every state the modeled
-    source emits; ``rho`` is zero outside them.  With Bob's LO phase held fixed (the protocol modeled
-    here), the full product basis contains pairs of coherences with
+    source emits; ``rho`` (on ``|00>, |01>, |10>, |11>``) is zero outside
+    them.  With Bob's LO phase held fixed (the protocol modeled here), the
+    full product basis contains pairs of coherences with
     identical data signatures (``rho_{01,10}`` and ``rho_{00,11}`` both
     ride ``exp(i theta_A)`` on the same outcome shape), which only
     positivity separates, so an estimate there would not be unique even
@@ -279,15 +279,13 @@ def mle_reconstruct(
     n = len(records)
     if n < 1000:
         raise ValueError(f"need at least 1000 records, got {n}")
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
     distinct = np.unique(np.round(records.theta_a, 12))
     if distinct.size < 4:
         raise ValueError(
             f"only {distinct.size} distinct Alice phases; tomography needs >= 4"
         )
-    support = total_photon_support(dim, 1)
-    lik = _LogLikelihood(_projector_rows(records, dim, support))
+    support = total_photon_support(2, 1)
+    lik = _LogLikelihood(_projector_rows(records, support))
     x, loglik, gap, stop_reason = _maximize(lik, tol, max_iter)
     if stop_reason != "certified":
         warnings.warn(
@@ -296,9 +294,9 @@ def mle_reconstruct(
             stacklevel=2,
         )
 
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    rho = np.zeros((4, 4), dtype=complex)
     rho[np.ix_(support, support)] = lik.unpack(x)
-    result_rho = DensityMatrix(dim, 2, rho)
+    result_rho = DensityMatrix(2, 2, rho)
     return TomographyResult(
         rho=result_rho,
         loglik=np.asarray(loglik),

@@ -197,6 +197,14 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     return DensityMatrix.from_pure(vec, dim, 2)
 
 
+def embed_two_level(rho: DensityMatrix, dim: int) -> DensityMatrix:
+    """A two-mode state on two levels per mode, zero-padded to ``dim`` levels."""
+    qubit = [0, 1, dim, dim + 1]  # |00>, |01>, |10>, |11>
+    data = np.zeros((dim * dim, dim * dim), dtype=complex)
+    data[np.ix_(qubit, qubit)] = rho.data
+    return DensityMatrix(dim, 2, data)
+
+
 def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
     """Photon-number distribution of one mode (real, clipped at 0)."""
     if rho.modes == 1:

@@ -115,9 +115,9 @@ class TestSmoke:
         result = json.loads((out / "result.json").read_text())
         assert np.all(np.diff(result["loglik"]) >= -1e-9)
         doc = result["rho"]
-        assert (doc["dim"], doc["modes"]) == (4, 2)
-        data = np.reshape(doc["re"], (16, 16)) + 1j * np.reshape(doc["im"], (16, 16))
-        fock.DensityMatrix(4, 2, data).validate()
+        assert (doc["dim"], doc["modes"]) == (2, 2)
+        data = np.reshape(doc["re"], (4, 4)) + 1j * np.reshape(doc["im"], (4, 4))
+        fock.DensityMatrix(2, 2, data).validate()
         assert (out / "records.csv").read_text().startswith("shot,thetaA,xA,thetaB,xB")
 
     def test_wigner_marginal_matches_direct_computation(self, tmp_path):
@@ -273,6 +273,14 @@ class TestExitCodes:
             ("roundtrip-check", "null"),
             ("wigner", '"ab"'),
             ("analytic", "[1]"),
+            # bools and numeric strings are not numbers; grid takes no other keys
+            ("tomography", '{"phi": true}'),
+            ("tomography", '{"phase_noise_sigma": true}'),
+            ("analytic", '{"eta_budget": {"a": true}, "eta_total": 1.0}'),
+            ("wigner", '{"c1": [true, "0.5"]}'),
+            ("wigner", '{"alpha": "0.5"}'),
+            ("wigner", '{"grid": {"stpe": 0.5}}'),
+            ("roundtrip-check", '{"alpha_small": true, "phi": "1.5", "mismatch_etas": ["0.9"]}'),
         ],
     )
     def test_non_finite_or_mistyped_config(self, tmp_path, capsys, command, document):
@@ -281,7 +289,37 @@ class TestExitCodes:
         assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1, err
+        doc = json.loads(document)
+        if isinstance(doc, dict):
+            # the message names the offending field
+            assert next(iter(doc)) in err, err
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_counts_at_largest_amplitudes_stay_finite(self, tmp_path):
+        # dn_B**2 overflowed here: exit 2 with three CSVs left in --out
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"alpha": 5e153, "n_count_shots": 20000}')
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("simulate-counts", "--config", cfg, "--out", out, "--quiet") == 0
+        assert [str(w.message) for w in caught] == []
+        for name in ("curves_phi0.csv", "curves_phi90.csv"):
+            curves = np.genfromtxt(out / name, delimiter=",", names=True)
+            filled = curves["count"] > 1
+            assert filled.sum() > 20, name
+            for column in curves.dtype.names:
+                assert np.isfinite(curves[column][filled]).all(), (name, column)
+
+    def test_counts_rejected_summary_leaves_no_files(self, tmp_path, capsys):
+        # 40 shots leave the centre bin empty: the variance ratio is NaN
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_count_shots": 40, "seed": 302}')
+        out = tmp_path / "o"
+        assert run_cli("simulate-counts", "--config", cfg, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command,document",
@@ -418,29 +456,177 @@ _ROUNDTRIP_SPECS = st.fixed_dictionaries(
 )
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(spec=_ROUNDTRIP_SPECS)
-def test_roundtrip_spec_property(spec):
-    """Any roundtrip spec ends in finite, bounded results (exit 0) or in one
-    stderr line, no traceback and an empty --out (exit 1 or 2)."""
+def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
+    """Run ``command`` on the document ``spec``; return the exit code and
+    stderr.  On exit 0, ``check_outputs`` reads the output directory;
+    otherwise stderr must hold one line and no traceback, and --out must be
+    empty."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rt.json"
+        path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = run_cli("roundtrip-check", "--config", path, "--out", out, "--quiet")
+            code = run_cli(command, "--config", path, "--out", out, "--quiet")
         if code == 0:
-            doc = json.loads((out / "roundtrip.json").read_text())
-            assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
-            for row in doc["results"]:
-                assert all(math.isfinite(v) for v in row.values()), row
-                for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
-                             "concurrence_initial"):
-                    assert 0.0 <= row[name] <= 1.0 + 1e-9, row
+            check_outputs(out)
         else:
             assert code in (1, 2)
             text = err.getvalue()
             assert text.count("\n") == 1 and "Traceback" not in text, text
             assert list(out.iterdir()) == []
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_ROUNDTRIP_SPECS)
+def test_roundtrip_spec_property(spec):
+    """Any roundtrip spec ends in finite, bounded results (exit 0) or in one
+    stderr line, no traceback and an empty --out (exit 1 or 2)."""
+
+    def check(out):
+        doc = json.loads((out / "roundtrip.json").read_text())
+        assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
+        for row in doc["results"]:
+            assert all(math.isfinite(v) for v in row.values()), row
+            for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
+                         "concurrence_initial"):
+                assert 0.0 <= row[name] <= 1.0 + 1e-9, row
+
+    _run_spec("roundtrip-check", spec, check)
+
+
+_EXPERIMENT_SPECS = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": _field(st.floats(1.0, 1e5)),
+        "phi": _field(st.floats(-1.0, 7.0)),
+        # near the default budget's product, or anywhere
+        "eta_total": _field(st.one_of(st.floats(0.47, 0.53), st.floats(-0.1, 1.1))),
+        "eta_budget": _field(st.one_of(
+            st.just({}),
+            st.dictionaries(
+                st.sampled_from(["modematch", "optics", "detector", "undisplacement"]),
+                _field(st.floats(0.0, 1.1)),
+                max_size=4,
+            ),
+        )),
+        "n_count_shots": _field(st.integers(-5, 10**7)),
+        "n_quad_shots": _field(st.integers(-5, 10**7)),
+        "phase_noise_sigma": _field(st.floats(-0.5, 3.0)),
+        "seed": _field(st.integers(-5, 2**64 + 5)),
+    },
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_EXPERIMENT_SPECS)
+def test_experiment_config_property(spec):
+    """Any experiment.json, read by ``analytic`` (every command reads it the
+    same way), ends in bounded results and a manifest that records each field
+    as given (exit 0), or fails as in :func:`_run_spec`."""
+
+    def check(out):
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["variance_ratio"] >= 1.0
+        assert 0.0 <= summary["discrimination_error"] <= 0.5
+        assert 0.0 <= summary["concurrence"] <= 1.0
+        for name in ("curves_phi0.csv", "curves_phi90.csv"):
+            curves = np.genfromtxt(out / name, delimiter=",", names=True)
+            for column in curves.dtype.names:
+                assert np.isfinite(curves[column]).all(), (name, column)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        given_config = {**pipeline.ExperimentConfig().to_json_dict(), **spec}
+        assert json.dumps(config, sort_keys=True) == json.dumps(given_config, sort_keys=True)
+
+    _run_spec("analytic", spec, check)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and (
+        isinstance(v, int) or math.isfinite(v)
+    )
+
+
+# grid bounds and steps outside the plausible draws are never numbers, so no
+# run tabulates a large grid
+_NON_NUMBERS = _JSON_VALUES.filter(lambda v: not _is_number(v))
+_COEFFS = st.one_of(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+_WIGNER_SPECS = st.fixed_dictionaries(
+    {},
+    optional={
+        "alpha": _field(st.floats(-2.0, 2.0)),
+        "c0": _field(_COEFFS),
+        "c1": _field(_COEFFS),
+        "dim": _field(st.integers(1, 12), _JSON_VALUES.filter(lambda v: type(v) is not int)),
+        "grid": _field(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "min": _field(st.floats(-3.0, 0.0), _NON_NUMBERS),
+                    "max": _field(st.floats(0.0, 3.0), _NON_NUMBERS),
+                    "step": _field(st.floats(0.05, 0.6), _NON_NUMBERS),
+                },
+            ),
+            _NON_NUMBERS.filter(lambda v: not isinstance(v, dict)),
+        ),
+    },
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_WIGNER_SPECS)
+def test_wigner_spec_property(spec):
+    """Any wigner spec on a small grid ends in a finite Wigner function within
+    the bound ``|W| <= 1/pi`` of a normalized state (exit 0), or fails as in
+    :func:`_run_spec`."""
+
+    def check(out):
+        data = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)
+        assert np.isfinite(data["w"]).all()
+        assert np.abs(data["w"]).max() <= 1.0 / math.pi + 1e-9
+
+    _run_spec("wigner", spec, check)
+
+
+# a valid document of each kind, and the paths to its number fields
+_NUMBER_FIELDS = {
+    "analytic": (
+        {"alpha": 1.05e4, "phi": 0.5, "eta_total": 0.49, "eta_budget": {"optics": 0.49},
+         "n_count_shots": 1000, "n_quad_shots": 1000, "phase_noise_sigma": 0.1, "seed": 3},
+        [("alpha",), ("phi",), ("eta_total",), ("eta_budget", "optics"), ("n_count_shots",),
+         ("n_quad_shots",), ("phase_noise_sigma",), ("seed",)],
+    ),
+    "wigner": (
+        {"alpha": 0.5, "c0": 1.0, "c1": [0.0, 1.0], "dim": 8,
+         "grid": {"min": -2.0, "max": 2.0, "step": 0.5}},
+        [("alpha",), ("c0",), ("c1", 0), ("c1", 1), ("dim",), ("grid", "min"),
+         ("grid", "max"), ("grid", "step")],
+    ),
+    "roundtrip-check": (
+        {"alpha_small": 1.0, "mismatch_etas": [1.0, 0.97], "dim": 8, "phi": 0.5},
+        [("alpha_small",), ("mismatch_etas", 1), ("dim",), ("phi",)],
+    ),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(data=st.data())
+def test_bool_or_string_in_number_field_exits_1(data):
+    """Each of the three documents, valid as given, exits 1 with a message
+    naming the field once any one number field holds a bool or a string."""
+    command = data.draw(st.sampled_from(sorted(_NUMBER_FIELDS)))
+    doc, paths = _NUMBER_FIELDS[command]
+    assert _run_spec(command, doc)[0] == 0
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(st.one_of(
+        st.booleans(), st.sampled_from(["1", "0.5", "1e4", "NaN"]), st.text(max_size=6)
+    ))
+    spec = json.loads(json.dumps(doc))
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, err = _run_spec(command, spec)
+    assert code == 1 and err.startswith("config error:") and path[0] in err, err

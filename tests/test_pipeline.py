@@ -77,14 +77,14 @@ class TestExperimentConfig:
 
 class TestMicroscopicModel:
     def test_plain_loss_model(self):
-        rho = pipeline.model_microscopic_state(0.49, 0.0, dim=4)
+        rho = pipeline.model_microscopic_state(0.49, 0.0)
         rho.validate()
         assert np.linalg.eigvalsh(rho.data)[0] >= -1e-8
         assert tomography.concurrence(rho) == pytest.approx(0.49, abs=1e-12)
 
     def test_dephasing_damps_concurrence(self):
         sigma = math.sqrt(-2.0 * math.log(0.32 / 0.49))
-        rho = pipeline.model_microscopic_state(0.49, 0.0, dim=4, dephasing_sigma=sigma)
+        rho = pipeline.model_microscopic_state(0.49, 0.0, dephasing_sigma=sigma)
         rho.validate()
         assert np.linalg.eigvalsh(rho.data)[0] >= -1e-8
         assert tomography.concurrence(rho) == pytest.approx(0.32, abs=1e-12)
@@ -177,7 +177,8 @@ def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     displaced = fock.DensityMatrix(dim, 2, d_fwd @ rho0.data @ d_fwd.conj().T)
     lossy = fock.apply_loss(fock.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
     d_rev = np.kron(*[fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)] * 2)
-    roundtrip = fock.DensityMatrix(dim, 2, d_rev @ lossy.data @ d_rev.conj().T).normalize()
+    data = d_rev @ lossy.data @ d_rev.conj().T
+    roundtrip = fock.DensityMatrix(dim, 2, data / np.trace(data))
     reference = fock.apply_loss(fock.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
     return pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
@@ -205,15 +206,16 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     )
     data = t.reshape(dim * dim, dim * dim)
     qubit = [0, 1, dim, dim + 1]
-    roundtrip = fock.DensityMatrix(dim, 2, data).normalize()
+    roundtrip = fock.DensityMatrix(dim, 2, data / np.trace(data))
     result = pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
-            roundtrip, pipeline.model_microscopic_state(mismatch_eta, phi, dim)
+            roundtrip,
+            oracles.embed_two_level(pipeline.model_microscopic_state(mismatch_eta, phi), dim),
         ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(
-            pipeline.model_microscopic_state(1.0, phi, dim)
+            oracles.embed_two_level(pipeline.model_microscopic_state(1.0, phi), dim)
         ),
     )
     return data[np.ix_(qubit, qubit)], float(np.trace(data).real), result

@@ -38,12 +38,6 @@ class TestDeterminism:
         assert np.array_equal(whole.dn_a, np.concatenate([q.dn_a for q in parts]))
         assert np.array_equal(whole.dn_b, np.concatenate([q.dn_b for q in parts]))
 
-    def test_counts_chunk_size_irrelevant(self):
-        p = CountModelParams(1e4, 0.3, 0.0)
-        a = sampling.sample_counts(p, 2500, seed=3, chunk_shots=7)
-        b = sampling.sample_counts(p, 2500, seed=3, chunk_shots=1 << 20)
-        assert np.array_equal(a.dn_a, b.dn_a) and np.array_equal(a.dn_b, b.dn_b)
-
     def test_streams_are_independent(self):
         p = CountModelParams(1e4, 0.49, 0.0)
         a = sampling.sample_counts(p, 100, seed=1, stream=0)
@@ -130,10 +124,11 @@ _BLOCK = sampling._COUNT_BLOCK_SHOTS
 
 
 class TestCountKernelOracle:
-    """The blocked count kernel reproduces the unblocked one bit for bit."""
+    """The blocked count kernel reproduces the unblocked one bit for bit, in
+    one call and split into calls of ``part_shots`` shots."""
 
     @pytest.mark.parametrize(
-        "eta,phi,n_shots,start_shot,chunk_shots",
+        "eta,phi,n_shots,start_shot,part_shots",
         [
             (0.49, 0.0, 3000, 0, _BLOCK),  # w_v = 0
             (0.49, math.pi, 3000, 0, _BLOCK),  # w_u = 0
@@ -146,13 +141,19 @@ class TestCountKernelOracle:
             (0.49, 1.0, 1000, 5, 7),
         ],
     )
-    def test_matches_unblocked_kernel(self, eta, phi, n_shots, start_shot, chunk_shots):
+    def test_matches_unblocked_kernel(self, eta, phi, n_shots, start_shot, part_shots):
         p = CountModelParams(1.05e4, eta, phi)
-        rec = sampling.sample_counts(
-            p, n_shots, seed=61, stream=2, start_shot=start_shot, chunk_shots=chunk_shots
-        )
         ref_a, ref_b = _sample_counts_oracle(p, n_shots, seed=61, stream=2, start_shot=start_shot)
+        rec = sampling.sample_counts(p, n_shots, seed=61, stream=2, start_shot=start_shot)
         assert _bitwise_equal(rec.dn_a, ref_a) and _bitwise_equal(rec.dn_b, ref_b)
+        parts = [
+            sampling.sample_counts(
+                p, min(part_shots, n_shots - lo), seed=61, stream=2, start_shot=start_shot + lo
+            )
+            for lo in range(0, n_shots, part_shots)
+        ]
+        assert _bitwise_equal(np.concatenate([q.dn_a for q in parts]), ref_a)
+        assert _bitwise_equal(np.concatenate([q.dn_b for q in parts]), ref_b)
 
 
 class TestShotUniforms:

@@ -12,7 +12,7 @@ import pytest
 
 from macrocat import fock, sampling, tomography
 from macrocat.pipeline import model_microscopic_state
-from oracles import vacuum
+from oracles import embed_two_level, vacuum
 
 
 def _bell_pair(phi=0.0, dim=4):
@@ -49,7 +49,8 @@ def _dense_fidelity_oracle(rho, sigma):
 
 def _random_full_rank_state(rng, dim):
     g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
-    return fock.DensityMatrix(dim, 2, g @ g.conj().T).normalize()
+    data = g @ g.conj().T
+    return fock.DensityMatrix(dim, 2, data / np.trace(data))
 
 
 class TestPovmCompleteness:
@@ -64,15 +65,15 @@ class TestMleReconstruct:
     def test_vacuum_self_consistency(self):
         rho = vacuum(2, 2)
         records = _simulate(rho, 50_000, seed=61)
-        result = tomography.mle_reconstruct(records, dim=2)
+        result = tomography.mle_reconstruct(records)
         assert tomography.fidelity(result.rho, rho) > 0.99
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
     def test_lossy_delocalized_photon(self):
         # vacuum admixture and coherence recovered to statistical accuracy
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 100_000, seed=62)
-        result = tomography.mle_reconstruct(records, dim=4)
+        result = tomography.mle_reconstruct(records)
         d = result.rho.dim
         assert result.rho.data[0, 0].real == pytest.approx(0.51, abs=0.02)
         assert abs(result.rho.data[1, d]) == pytest.approx(0.245, abs=0.02)
@@ -80,14 +81,14 @@ class TestMleReconstruct:
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
     def test_likelihood_trace_nondecreasing(self):
-        model = model_microscopic_state(0.8, 0.4, dim=4)
+        model = model_microscopic_state(0.8, 0.4)
         records = _simulate(model, 20_000, seed=63)
-        result = tomography.mle_reconstruct(records, dim=4, max_iter=500)
+        result = tomography.mle_reconstruct(records, max_iter=500)
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
     def test_phase_covariance(self):
         # relabeling every Alice phase by +c rotates the coherence by -c
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 50_000, seed=64)
         offset = math.pi / 3.0
         shifted = sampling.QuadratureSample(
@@ -96,8 +97,8 @@ class TestMleReconstruct:
             theta_b=records.theta_b,
             x_b=records.x_b,
         )
-        base = tomography.mle_reconstruct(records, dim=4)
-        rot = tomography.mle_reconstruct(shifted, dim=4)
+        base = tomography.mle_reconstruct(records)
+        rot = tomography.mle_reconstruct(shifted)
         d = base.rho.dim
         c0 = base.rho.data[1, d]
         c1 = rot.rho.data[1, d]
@@ -106,12 +107,12 @@ class TestMleReconstruct:
 
     def test_consistency_with_sample_size(self):
         # average fidelity to the generating state improves with samples
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         fids = {10_000: [], 200_000: []}
         for seed in range(10):
             for n in fids:
                 records = _simulate(model, n, seed=1000 + seed)
-                result = tomography.mle_reconstruct(records, dim=4, max_iter=300)
+                result = tomography.mle_reconstruct(records, max_iter=300)
                 fids[n].append(tomography.fidelity(result.rho, model))
         assert np.mean(fids[200_000]) >= np.mean(fids[10_000])
 
@@ -119,18 +120,18 @@ class TestMleReconstruct:
         rho = vacuum(2, 2)
         records = _simulate(rho, 999, seed=65)
         with pytest.raises(ValueError, match="records"):
-            tomography.mle_reconstruct(records, dim=2)
+            tomography.mle_reconstruct(records)
 
     def test_single_phase_rejected(self):
         rho = vacuum(2, 2)
         records = sampling.sample_quadrature_schedule(rho, [(0.7, 0.0)], 2000, seed=66)
         with pytest.raises(ValueError, match="phases"):
-            tomography.mle_reconstruct(records, dim=2)
+            tomography.mle_reconstruct(records)
 
     def test_result_json_shape(self):
         rho = vacuum(2, 2)
         records = _simulate(rho, 2000, seed=67, n_settings=4)
-        result = tomography.mle_reconstruct(records, dim=2, max_iter=50)
+        result = tomography.mle_reconstruct(records, max_iter=50)
         doc = result.to_json_dict()
         assert set(doc) == {
             "rho",
@@ -147,10 +148,10 @@ class TestMleReconstruct:
         assert len(doc["loglik"]) == doc["iterations"] + 1
 
     def test_uncertified_stop_warns(self):
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 2_000, seed=69)
         with pytest.warns(UserWarning, match="uncertified"):
-            result = tomography.mle_reconstruct(records, dim=4, max_iter=1)
+            result = tomography.mle_reconstruct(records, max_iter=1)
         assert result.stop_reason == "max_iter"
         assert result.converged is False
         assert result.iterations == 1
@@ -161,13 +162,13 @@ class TestMleReconstruct:
         # tol = 1e-15 lies below what the eigenvalue projection resolves, so a
         # run either certifies or stalls; which seeds stall depends on BLAS
         # rounding, so the test counts stalls over seeds instead of pinning one
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         stalled = 0
         for seed in range(3000, 3010):
             records = _simulate(model, 20_000, seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = tomography.mle_reconstruct(records, dim=4, tol=1e-15)
+                result = tomography.mle_reconstruct(records, tol=1e-15)
             assert result.stop_reason in ("certified", "stalled"), seed
             if result.stop_reason == "stalled":
                 stalled += 1
@@ -180,11 +181,11 @@ class TestMleReconstruct:
         assert stalled >= 1
 
 
-def _rrr_oracle_loglik(records, dim, support, n_iter=2000):
+def _rrr_oracle_loglik(records, support, n_iter=2000):
     """Mean log-likelihood after ``n_iter`` passes of the fixed point
     ``rho <- R rho R / Tr[R rho R]`` from the maximally mixed state: the
     estimator the certified solver replaced."""
-    W = tomography._projector_rows(records, dim, support)
+    W = tomography._projector_rows(records, support)
     Wc = W.conj()
     n, d = W.shape
     rho = np.eye(d, dtype=complex) / d
@@ -211,26 +212,25 @@ class TestCertifiedSolverOracle:
         "case",
         [
             # optimum on the boundary: the estimate has a zero eigenvalue
-            ("boundary", model_microscopic_state(0.49, 0.0, dim=4), 4, 1),
+            ("boundary", model_microscopic_state(0.49, 0.0), 1),
             # optimum inside the state space: the estimate has full rank
             (
                 "interior",
-                model_microscopic_state(0.49, 0.0, dim=4, dephasing_sigma=_DEPHASING_SIGMA),
-                4,
+                model_microscopic_state(0.49, 0.0, dephasing_sigma=_DEPHASING_SIGMA),
                 71,
             ),
         ],
         ids=lambda case: case[0],
     )
     def test_matches_or_beats_fixed_point(self, case):
-        kind, model, dim, seed = case
+        kind, model, seed = case
         records = _simulate(model, 20_000, seed=seed)
         tol = 1e-8
-        result = tomography.mle_reconstruct(records, dim=dim, tol=tol)
+        result = tomography.mle_reconstruct(records, tol=tol)
         assert result.stop_reason == "certified" and result.converged
-        support = tomography.total_photon_support(dim, 1)
+        support = tomography.total_photon_support(2, 1)
         block = result.rho.data[np.ix_(support, support)]
-        W = tomography._projector_rows(records, dim, support)
+        W = tomography._projector_rows(records, support)
         eig = np.linalg.eigvalsh(block)
         if kind == "boundary":
             assert eig[0] < 1e-12
@@ -248,7 +248,7 @@ class TestCertifiedSolverOracle:
         assert gap == pytest.approx(result.gap, abs=1e-12)
         assert float(np.log(pr).mean()) == pytest.approx(result.loglik[-1], abs=1e-12)
 
-        oracle = _rrr_oracle_loglik(records, dim, support)
+        oracle = _rrr_oracle_loglik(records, support)
         assert result.loglik[-1] >= oracle - 1e-12
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
@@ -261,12 +261,12 @@ class TestSupportRestriction:
         assert idx2.tolist() == [0, 1, 2, 3, 4, 6]
 
     def test_restricted_result_lives_on_support(self):
-        model = model_microscopic_state(0.49, 0.0, dim=4)
+        model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 5_000, seed=68)
-        result = tomography.mle_reconstruct(records, dim=4, max_iter=100)
-        outside = np.ones(16, dtype=bool)
-        outside[[0, 1, 4]] = False
-        assert np.abs(result.rho.data[outside][:, outside]).max() == 0.0
+        result = tomography.mle_reconstruct(records, max_iter=100)
+        # |11>, index 3, lies outside the support
+        assert np.abs(result.rho.data[3]).max() == 0.0
+        assert np.abs(result.rho.data[:, 3]).max() == 0.0
         assert result.rho.trace() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -276,7 +276,7 @@ class TestConcurrence:
 
     @pytest.mark.parametrize("eta", [0.25, 0.49, 0.8])
     def test_loss_model_equals_efficiency(self, eta):
-        rho = model_microscopic_state(eta, 0.0, dim=4)
+        rho = model_microscopic_state(eta, 0.0)
         assert tomography.concurrence(rho) == pytest.approx(eta, abs=1e-12)
 
     def test_separable_state_clamped_to_zero(self):
@@ -324,7 +324,7 @@ class TestConcurrence:
 
 class TestFidelity:
     def test_self_fidelity(self):
-        rho = model_microscopic_state(0.49, 0.3, dim=4)
+        rho = model_microscopic_state(0.49, 0.3)
         assert tomography.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
@@ -336,7 +336,7 @@ class TestFidelity:
 
     def test_pure_state_overlap_formula(self):
         bell = _bell_pair(0.0)
-        lossy = model_microscopic_state(0.49, 0.0, dim=4)
+        lossy = embed_two_level(model_microscopic_state(0.49, 0.0), 4)
         # <psi| rho |psi> for pure second argument: 0.49 (the |00> branch
         # is orthogonal to the delocalized photon)
         assert tomography.fidelity(lossy, bell) == pytest.approx(0.49, abs=1e-12)
@@ -356,7 +356,8 @@ class TestFidelity:
         # both states mix the same two orthogonal pure states
         expected = (math.sqrt(eta1 * eta2) + math.sqrt((1.0 - eta1) * (1.0 - eta2))) ** 2
         value = tomography.fidelity(
-            model_microscopic_state(eta1, phi, dim), model_microscopic_state(eta2, phi, dim)
+            embed_two_level(model_microscopic_state(eta1, phi), dim),
+            embed_two_level(model_microscopic_state(eta2, phi), dim),
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
