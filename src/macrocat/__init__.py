@@ -8,7 +8,7 @@ Subpackages:
 * :mod:`macrocat.sampling` - seeded Monte Carlo record generators
 * :mod:`macrocat.tomography` - maximum-likelihood state reconstruction
 * :mod:`macrocat.pipeline` - end-to-end experiment scenarios
-* :mod:`macrocat.output` - the CSV and JSON writers behind every output file
+* :mod:`macrocat.output` - the one writer of a run's CSV and JSON files
 * :mod:`macrocat.cli` - command-line front end
 """
 

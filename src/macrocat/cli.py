@@ -2,16 +2,19 @@
 
 Subcommands::
 
-    macrocat analytic        --out DIR [--config experiment.json]
+    macrocat analytic        --out DIR [--config experiment.json] [--seed N]
     macrocat simulate-counts --out DIR [--config experiment.json] [--seed N]
     macrocat tomography      --out DIR [--config experiment.json] [--seed N]
-    macrocat wigner          --out DIR --config state.json
+    macrocat wigner          --out DIR [--config state.json]
     macrocat roundtrip-check --out DIR [--config roundtrip.json]
 
-Every run writes a ``manifest.json`` recording the command, the fully
-resolved configuration and the package version; re-running the command
-with the manifest's config regenerates the output directory byte for
-byte (no timestamps or machine state enter any output file).
+Each command returns its resolved configuration and its documents (file
+name to content); :func:`main` adds a ``manifest.json`` recording the
+command, that configuration, the package version and the output list, and
+hands everything to :func:`macrocat.output.write_documents`.  Re-running the
+command with the manifest's config regenerates the output directory byte for
+byte (no timestamps or machine state enter any output file).  A run that
+exits 1 or 2 writes no file.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 I/O
 error.
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, counting, fock, output, pipeline, sampling
+from . import __version__, counting, fock, output, pipeline
 from .errors import ConfigError, NumericError
 
 log = logging.getLogger("macrocat")
@@ -40,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
     # config-error path so the documented exit taxonomy holds
     def error(self, message):
         raise ConfigError(message)
+
+
+# the commands that read experiment.json, the only document with a seed
+_EXPERIMENT_COMMANDS = ("analytic", "simulate-counts", "tomography")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None, help="JSON config path")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in _EXPERIMENT_COMMANDS:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -76,98 +84,72 @@ def _load_json(path: Path | None) -> dict:
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
-    config = pipeline.ExperimentConfig.from_json_dict(_load_json(args.config))
+    doc = _load_json(args.config)
     if args.seed is not None:
-        config = config.replace_seed(args.seed)
-    return config
+        doc["seed"] = args.seed
+    return pipeline.ExperimentConfig.from_json_dict(doc)
 
 
-def _write_manifest(outdir: Path, command: str, config_doc: dict, outputs: list[str]) -> None:
-    output.write_json(
-        outdir / "manifest.json",
-        {
-            "command": command,
-            "config": config_doc,
-            "package": "macrocat",
-            "version": __version__,
-            "outputs": sorted(outputs),
-        },
-    )
-
-
-def cmd_analytic(args) -> list[str]:
+def cmd_analytic(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
     edges = pipeline.count_bin_edges(config.count_params(phi=0.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    outdir = args.out
+    documents = {}
     for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
         params = config.count_params(phi=phi)
-        output.write_csv(outdir / name, {
+        documents[name] = {
             "nA": centers,
             "mean_nB": counting.conditional_mean(centers, params),
             "var_nB": counting.conditional_variance(centers, params),
-        })
-    pipeline.write_summary(
-        outdir / "summary.json",
+        }
+    documents["summary.json"] = pipeline.summary(
         counting.variance_peak_ratio(config.eta_total),
         config.model_discrimination_error(),
         config.model_concurrence(),
     )
-    outputs = ["curves_phi0.csv", "curves_phi90.csv", "summary.json"]
-    _write_manifest(outdir, "analytic", config.to_json_dict(), outputs)
-    return outputs
+    return config.to_json_dict(), documents
 
 
-def cmd_simulate_counts(args) -> list[str]:
+def cmd_simulate_counts(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
     log.info(
         "sampling %d count shots per setting at alpha=%g", config.n_count_shots, config.alpha
     )
     result = pipeline.run_counts_scenario(config)
-    outputs = pipeline.write_count_outputs(args.out, result, config)
     log.info(
         "variance ratio %.4f, discrimination error %.4f",
         result.variance_ratio,
         result.discrimination_error,
     )
-    _write_manifest(args.out, "simulate-counts", config.to_json_dict(), outputs)
-    return outputs
+    return config.to_json_dict(), pipeline.count_documents(result, config)
 
 
-def cmd_tomography(args) -> list[str]:
+def cmd_tomography(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
-    # the summary's closed forms can reject the config; evaluate them before
-    # any output is written
-    variance_ratio = counting.variance_peak_ratio(config.eta_total)
-    discrimination_error = config.model_discrimination_error()
     log.info("sampling %d quadrature records", config.n_quad_shots)
     scenario = pipeline.run_tomography_scenario(config)
-    sampling.write_quadrature_csv(args.out / "records.csv", scenario.records)
-    result_doc = scenario.result.to_json_dict()
-    result_doc["fidelity_to_model"] = scenario.fidelity_to_model
-    output.write_json(args.out / "result.json", result_doc)
-    pipeline.write_summary(
-        args.out / "summary.json", variance_ratio, discrimination_error,
-        scenario.result.concurrence,
-    )
+    result, records = scenario.result, scenario.records
     log.info(
         "reconstruction: %d iterations, stop %s at likelihood gap %.3e, "
         "concurrence %.4f, fidelity to model %.4f",
-        scenario.result.iterations,
-        scenario.result.stop_reason,
-        scenario.result.gap,
-        scenario.result.concurrence,
+        result.iterations,
+        result.stop_reason,
+        result.gap,
+        result.concurrence,
         scenario.fidelity_to_model,
     )
-    outputs = ["records.csv", "result.json", "summary.json"]
-    _write_manifest(args.out, "tomography", config.to_json_dict(), outputs)
-    return outputs
-
-
-def _check_fields(what: str, doc: dict, known: set[str]) -> None:
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return config.to_json_dict(), {
+        "records.csv": {
+            "shot": records.shots, "thetaA": records.theta_a, "xA": records.x_a,
+            "thetaB": records.theta_b, "xB": records.x_b,
+        },
+        "result.json": {**result.to_json_dict(), "fidelity_to_model": scenario.fidelity_to_model},
+        "summary.json": pipeline.summary(
+            counting.variance_peak_ratio(config.eta_total),
+            config.model_discrimination_error(),
+            result.concurrence,
+        ),
+    }
 
 
 def _coeff(name: str, value) -> complex:
@@ -180,20 +162,20 @@ def _coeff(name: str, value) -> complex:
     return complex(float(re), float(im))
 
 
-def cmd_wigner(args) -> list[str]:
+def cmd_wigner(args) -> tuple[dict, dict]:
     """Config: {"alpha", "c0", "c1", "dim", "grid": {"min", "max", "step"}}.
 
     The tabulated state is ``c0 D(alpha)|0> + c1 D(alpha)|1>``, normalized.
     """
     doc = _load_json(args.config)
-    _check_fields("state", doc, {"alpha", "c0", "c1", "dim", "grid"})
+    pipeline.check_fields("state", doc, {"alpha", "c0", "c1", "dim", "grid"})
     alpha = float(pipeline.json_number("alpha", doc.get("alpha", 0.0)))
     c0 = _coeff("c0", doc.get("c0", 1.0))
     c1 = _coeff("c1", doc.get("c1", 0.0))
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError(f"grid must be an object, got {grid_doc!r}")
-    _check_fields("grid", grid_doc, {"min", "max", "step"})
+    pipeline.check_fields("grid", grid_doc, {"min", "max", "step"})
     lo, hi, step = (
         float(pipeline.json_number(f"grid.{key}", grid_doc.get(key, default)))
         for key, default in (("min", -6.0), ("max", 6.0), ("step", 0.1))
@@ -208,10 +190,6 @@ def cmd_wigner(args) -> list[str]:
     rho = fock.DensityMatrix.from_pure(vec, dim, 1)
     axis = np.arange(lo, hi + step / 2.0, step)
     grid_w = fock.wigner(rho, axis, axis)
-    output.write_csv(
-        args.out / "wigner.csv",
-        {"x": np.repeat(axis, axis.size), "p": np.tile(axis, axis.size), "w": grid_w.ravel()},
-    )
     resolved = {
         "alpha": alpha,
         "c0": [c0.real, c0.imag],
@@ -219,14 +197,17 @@ def cmd_wigner(args) -> list[str]:
         "dim": dim,
         "grid": {"min": lo, "max": hi, "step": step},
     }
-    _write_manifest(args.out, "wigner", resolved, ["wigner.csv"])
-    return ["wigner.csv"]
+    return resolved, {
+        "wigner.csv": {
+            "x": np.repeat(axis, axis.size), "p": np.tile(axis, axis.size), "w": grid_w.ravel(),
+        },
+    }
 
 
-def cmd_roundtrip_check(args) -> list[str]:
+def cmd_roundtrip_check(args) -> tuple[dict, dict]:
     """Config: {"alpha_small", "mismatch_etas", "dim", "phi"}; all optional."""
     doc = _load_json(args.config)
-    _check_fields("roundtrip-spec", doc, {"alpha_small", "mismatch_etas", "dim", "phi"})
+    pipeline.check_fields("roundtrip-spec", doc, {"alpha_small", "mismatch_etas", "dim", "phi"})
     etas = doc.get("mismatch_etas", [1.0, 0.99, 0.95])
     if not isinstance(etas, list) or not etas:
         raise ConfigError(f"mismatch_etas must be a non-empty list, got {etas!r}")
@@ -242,19 +223,16 @@ def cmd_roundtrip_check(args) -> list[str]:
         rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
         for i in range(len(rows) - 1)
     ) if sorted(etas, reverse=True) == etas else None
-    output.write_json(
-        args.out / "roundtrip.json",
-        {
+    resolved = {"alpha_small": alpha_small, "mismatch_etas": etas, "dim": dim, "phi": phi}
+    return resolved, {
+        "roundtrip.json": {
             "alpha_small": alpha_small,
             "dim": dim,
             "phi": phi,
             "results": rows,
             "concurrence_monotone": monotone,
         },
-    )
-    resolved = {"alpha_small": alpha_small, "mismatch_etas": etas, "dim": dim, "phi": phi}
-    _write_manifest(args.out, "roundtrip-check", resolved, ["roundtrip.json"])
-    return ["roundtrip.json"]
+    }
 
 
 _COMMANDS = {
@@ -269,16 +247,21 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(message)s",
+        )
         args.out.mkdir(parents=True, exist_ok=True)
-        outputs = _COMMANDS[args.command](args)
+        config, documents = _COMMANDS[args.command](args)
+        outputs = sorted(documents)
+        documents["manifest.json"] = {
+            "command": args.command,
+            "config": config,
+            "package": "macrocat",
+            "version": __version__,
+            "outputs": outputs,
+        }
+        output.write_documents(args.out, documents)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

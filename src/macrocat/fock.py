@@ -175,35 +175,6 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     return coeffs
 
 
-def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
-    """Bosonic loss channel of transmissivity ``eta`` on one mode.
-
-    With the Kraus diagonals ``c_j`` of :func:`loss_kraus_coefficients`,
-    each ``K_j rho K_j^dagger`` is the shifted block ``rho[j:, j:]`` of the
-    mode's ket and bra indices, scaled by ``c_j`` on both sides and added
-    into ``out[:d-j, :d-j]``.  Trace-preserving by construction.
-    """
-    coeffs = loss_kraus_coefficients(eta, rho.dim)
-    if mode not in range(rho.modes):
-        raise ValueError(f"mode {mode} invalid for a {rho.modes}-mode state")
-    if eta == 1.0:
-        return rho
-    d = rho.dim
-    t = rho.data
-    if rho.modes == 2:
-        # (mA, kB, nA, lB): the lossy mode's ket and bra axes go first
-        t = np.moveaxis(t.reshape(d, d, d, d), (mode, mode + 2), (0, 1))
-    out = np.zeros_like(t)
-    spare = (1,) * (t.ndim - 2)  # broadcast over the other mode's axes
-    for j, c in enumerate(coeffs):
-        ket = c.reshape((d - j, 1) + spare)
-        bra = c.reshape((1, d - j) + spare)
-        out[: d - j, : d - j] += ket * t[j:, j:] * bra
-    if rho.modes == 2:
-        out = np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(d * d, d * d)
-    return DensityMatrix(d, rho.modes, out)
-
-
 def delocalized_photon_state(phi: float, dim: int) -> np.ndarray:
     """Ket of the single photon shared between two modes.
 

@@ -1,14 +1,21 @@
-"""The package's two file formats: column CSV and JSON documents.
+"""The one writer of a run's files, and their two formats.
 
-CSV floats carry 17 significant digits, so every value round-trips exactly;
-integer columns are written as plain integers.  JSON documents are indented
-with sorted keys and reject NaN and infinities, which are not valid JSON.
+A run produces documents: a ``.csv`` document is a ``{column: array}`` dict,
+written as column CSV; any other is a JSON object.  CSV floats carry 17
+significant digits, so every value round-trips exactly; integer columns are
+written as plain integers.  JSON documents are indented with sorted keys.
 Both formats are deterministic, so a fixed seed gives byte-identical files.
+
+A CSV column may hold NaN (a curve bin with too few shots has no mean or
+variance) but no infinity, and a JSON document neither, which is not valid
+JSON.  :func:`write_documents` checks every document before it opens any
+file, so a run that fails the check leaves its output directory as it was.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -40,14 +47,27 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-def write_json(path, doc: dict) -> None:
-    """Write ``doc`` indented, with sorted keys and a trailing newline.
+def write_documents(outdir: Path, documents: dict[str, dict]) -> None:
+    """Write each document to ``outdir / name``.
 
-    A non-finite float raises :class:`NumericError` before the file is opened.
+    Every JSON document is serialized and every CSV column checked for
+    infinities first; a failure raises :class:`NumericError` naming the file
+    (and column) before any file is opened.
     """
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"{path}: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    texts = {}
+    for name, doc in documents.items():
+        if name.endswith(".csv"):
+            for column, values in doc.items():
+                if np.isinf(values).any():
+                    raise NumericError(f"{name}: column {column} holds an infinity")
+        else:
+            try:
+                texts[name] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise NumericError(f"{name}: {exc}") from exc
+    for name, doc in documents.items():
+        if name in texts:
+            with open(outdir / name, "w") as fh:
+                fh.write(texts[name])
+        else:
+            write_csv(outdir / name, doc)

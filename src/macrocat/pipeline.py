@@ -1,5 +1,6 @@
 """End-to-end experiment scenarios: counting runs, tomography runs and the
-undisplacement locality check, with analytic overlays and file emission.
+undisplacement locality check, with analytic overlays and the documents a
+counting run emits.
 
 A counting scenario draws balanced-detection records for both phase
 settings (0 and pi/2), bins Alice's outcomes, and produces the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import counting, fock, output, sampling, tomography
+from . import counting, fock, sampling, tomography
 from .counting import CountModelParams
 from .errors import ConfigError, NumericError
 
@@ -65,6 +66,13 @@ def json_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_fields(what: str, doc: dict, known: set[str]) -> None:
+    """Raise :class:`ConfigError` if ``doc`` has a key outside ``known``."""
+    unknown = set(doc) - known
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -115,16 +123,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_fields("config", doc, set(cls.__dataclass_fields__))
         return cls(**doc)
-
-    def replace_seed(self, seed: int) -> "ExperimentConfig":
-        doc = self.to_json_dict()
-        doc["seed"] = seed
-        return self.from_json_dict(doc)
 
     def count_params(self, phi: float) -> CountModelParams:
         return CountModelParams(alpha=self.alpha, eta=self.eta_total, phi=phi)
@@ -193,15 +193,19 @@ def bin_count_records(records: sampling.CountSample, params: CountModelParams) -
     dn_b = records.dn_b * scale
     sums = np.bincount(idx, weights=dn_b, minlength=_N_COUNT_BINS)
     sq = np.bincount(idx, weights=np.square(dn_b, out=dn_b), minlength=_N_COUNT_BINS)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a few shots spread over ~10 alpha can have a variance beyond the float64
+    # range once unscaled; the infinity is rejected when the curve is written
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         mean = sums / counts
         var = sq / counts - mean**2
         # unbiased correction
         var = np.where(counts > 1, var * counts / (counts - 1), np.nan)
+        mean /= scale
+        var /= scale**2
     return BinnedCurve(
         centers=centers,
-        mean=mean / scale,
-        variance=var / scale**2,
+        mean=mean,
+        variance=var,
         counts=counts,
         model_mean=counting.conditional_mean(centers, params),
         model_variance=counting.conditional_variance(centers, params),
@@ -403,37 +407,35 @@ def displacement_roundtrip_check(
 
 
 # ---------------------------------------------------------------------------
-# file emission
+# documents (written by macrocat.output.write_documents)
 
-def write_summary(
-    path, variance_ratio: float, discrimination_error: float, concurrence: float
-) -> None:
+def summary(variance_ratio: float, discrimination_error: float, concurrence: float) -> dict:
     """``summary.json``: the three headline numbers of a run."""
-    output.write_json(path, {
+    return {
         "variance_ratio": variance_ratio,
         "discrimination_error": discrimination_error,
         "concurrence": concurrence,
-    })
+    }
 
 
-def write_count_outputs(outdir, result: CountScenarioResult, config: ExperimentConfig) -> list[str]:
-    """Emit summary.json, curves_phi0.csv, curves_phi90.csv, histograms.csv.
-
-    The summary goes first: it is the one document that can reject a value
-    (a NaN ratio from an empty bin), and then nothing has been written.
-    """
-    write_summary(outdir / "summary.json", result.variance_ratio, result.discrimination_error,
-                  config.model_concurrence())
+def count_documents(result: CountScenarioResult, config: ExperimentConfig) -> dict:
+    """The documents of a counting run: summary.json, curves_phi0.csv,
+    curves_phi90.csv and histograms.csv."""
+    documents = {
+        "summary.json": summary(
+            result.variance_ratio, result.discrimination_error, config.model_concurrence()
+        ),
+    }
     for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
         curve = result.curves[phi]
-        output.write_csv(outdir / name, {
+        documents[name] = {
             "nA": curve.centers, "mean_nB": curve.mean, "var_nB": curve.variance,
             "count": curve.counts, "model_mean_nB": curve.model_mean,
             "model_var_nB": curve.model_variance,
-        })
-    output.write_csv(outdir / "histograms.csv", {
+        }
+    documents["histograms.csv"] = {
         "dnB": result.histogram_centers,
         "count_above": result.histogram_above,
         "count_below": result.histogram_below,
-    })
-    return ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv", "summary.json"]
+    }
+    return documents

@@ -11,8 +11,7 @@ shots ``[0, N)`` in one call, in chunks, or per shot yields bit-identical
 records.  The generator identity is fixed per release: numpy's Philox-4x64
 counter-based generator keyed by ``(seed, stream)``.
 
-Record containers hold one numpy array per column; CSV serialization uses
-17 significant digits so that round-trips are exact.
+Record containers hold one numpy array per column.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import fock, output
+from . import fock
 from .counting import CountModelParams
 from .errors import NumericError
 
@@ -252,13 +251,3 @@ def phase_schedule(n_settings: int) -> list[tuple[float, float]]:
     if n_settings < 4:
         raise ValueError(f"need at least 4 settings, got {n_settings}")
     return [(2.0 * math.pi * j / n_settings, 0.0) for j in range(n_settings)]
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (see macrocat.output: exact round-trip)
-
-def write_quadrature_csv(path, sample: QuadratureSample) -> None:
-    output.write_csv(path, {
-        "shot": sample.shots, "thetaA": sample.theta_a, "xA": sample.x_a,
-        "thetaB": sample.theta_b, "xB": sample.x_b,
-    })

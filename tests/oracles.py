@@ -12,7 +12,9 @@ trustworthy as an oracle:
   the closed-form conditional moments and discrimination error in
   :mod:`macrocat.counting`);
 * the delocalized photon with both arms displaced, as a dense two-mode
-  density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`);
+  density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`),
+  and the bosonic loss channel on a density matrix (with the two, the dense
+  counterpart of :func:`macrocat.pipeline.displacement_roundtrip_check`);
 * the photon-number distribution, partial trace, photon-number moments and
   single-mode quadrature marginal of a truncated Fock-space state
   (counterparts of the truncation check, the homodyne sampler and the
@@ -27,7 +29,12 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from macrocat.counting import CountModelParams
-from macrocat.fock import DensityMatrix, displacement_matrix, quadrature_basis
+from macrocat.fock import (
+    DensityMatrix,
+    displacement_matrix,
+    loss_kraus_coefficients,
+    quadrature_basis,
+)
 from macrocat.sampling import CountSample, shot_uniforms
 
 # ---------------------------------------------------------------------------
@@ -195,6 +202,37 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     d1 = D[:, 1]
     vec = (np.kron(d0, d1) + np.exp(1j * phi) * np.kron(d1, d0)) / np.sqrt(2.0)
     return DensityMatrix.from_pure(vec, dim, 2)
+
+
+def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
+    """Bosonic loss channel of transmissivity ``eta`` on one mode of a
+    density matrix.
+
+    With the Kraus diagonals ``c_j`` of
+    :func:`macrocat.fock.loss_kraus_coefficients`,
+    each ``K_j rho K_j^dagger`` is the shifted block ``rho[j:, j:]`` of the
+    mode's ket and bra indices, scaled by ``c_j`` on both sides and added
+    into ``out[:d-j, :d-j]``.  Trace-preserving by construction.
+    """
+    coeffs = loss_kraus_coefficients(eta, rho.dim)
+    if mode not in range(rho.modes):
+        raise ValueError(f"mode {mode} invalid for a {rho.modes}-mode state")
+    if eta == 1.0:
+        return rho
+    d = rho.dim
+    t = rho.data
+    if rho.modes == 2:
+        # (mA, kB, nA, lB): the lossy mode's ket and bra axes go first
+        t = np.moveaxis(t.reshape(d, d, d, d), (mode, mode + 2), (0, 1))
+    out = np.zeros_like(t)
+    spare = (1,) * (t.ndim - 2)  # broadcast over the other mode's axes
+    for j, c in enumerate(coeffs):
+        ket = c.reshape((d - j, 1) + spare)
+        bra = c.reshape((1, d - j) + spare)
+        out[: d - j, : d - j] += ket * t[j:, j:] * bra
+    if rho.modes == 2:
+        out = np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(d * d, d * d)
+    return DensityMatrix(d, rho.modes, out)
 
 
 def embed_two_level(rho: DensityMatrix, dim: int) -> DensityMatrix:

@@ -191,7 +191,7 @@ class TestCriterion6OracleEquivalences:
         dim, eta = 4, 0.49
         psi = fock.delocalized_photon_state(0.0, dim)
         rho = fock.DensityMatrix.from_pure(psi, dim, 2)
-        lossy = fock.apply_loss(fock.apply_loss(rho, eta, 0), eta, 1)
+        lossy = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         closed = eta * np.outer(psi, psi.conj())
         closed[0, 0] += 1.0 - eta
         dev = np.abs(lossy.data - closed).max()

@@ -311,6 +311,32 @@ class TestExitCodes:
             for column in curves.dtype.names:
                 assert np.isfinite(curves[column][filled]).all(), (name, column)
 
+    @pytest.mark.parametrize("seed", [3, 71])
+    def test_counts_infinite_edge_variance_leaves_no_files(self, tmp_path, capsys, seed):
+        # an edge bin's few shots spread over ~10 alpha: its variance exceeds
+        # the float64 range; this exited 0 with inf in var_nB, after a numpy
+        # overflow warning
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"alpha": 5e153, "n_count_shots": 20000}')
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("simulate-counts", "--config", cfg, "--out", out, "--seed", seed,
+                           "--quiet")
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "numerical error: curves_phi90.csv: column var_nB holds an infinity\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["wigner", "roundtrip-check"])
+    def test_seed_only_where_a_seed_exists(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run_cli(command, "--out", out, "--seed", 5, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--seed" in err and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_counts_rejected_summary_leaves_no_files(self, tmp_path, capsys):
         # 40 shots leave the centre bin empty: the variance ratio is NaN
         cfg = tmp_path / "c.json"
@@ -397,10 +423,24 @@ class TestExitCodes:
         assert path.read_text() == expected
 
     def test_json_writer_rejects_non_finite(self, tmp_path):
-        path = tmp_path / "doc.json"
-        with pytest.raises(NumericError):
-            output.write_json(path, {"value": float("nan")})
-        assert not path.exists()
+        # checked before any file is opened, the valid CSV document included
+        documents = {"a.csv": {"x": np.arange(3.0)}, "doc.json": {"value": float("nan")}}
+        with pytest.raises(NumericError, match="doc.json"):
+            output.write_documents(tmp_path, documents)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_writer_rejects_infinity_but_keeps_nan(self, tmp_path):
+        documents = {
+            "a.json": {"value": 1.0},
+            "b.csv": {"n": np.arange(3), "x": np.array([1.0, np.nan, -np.inf])},
+        }
+        with pytest.raises(NumericError, match="b.csv: column x"):
+            output.write_documents(tmp_path, documents)
+        assert list(tmp_path.iterdir()) == []
+        documents["b.csv"]["x"][2] = 0.5
+        output.write_documents(tmp_path, documents)
+        assert (tmp_path / "b.csv").read_text() == "n,x\n0,1\n1,nan\n2,0.5\n"
+        assert (tmp_path / "a.json").read_text() == '{\n  "value": 1.0\n}\n'
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -444,6 +484,7 @@ def _field(plausible, other=_JSON_VALUES):
     return st.integers(0, 3).flatmap(lambda k: plausible if k else other)
 
 
+_NON_INTEGERS = _JSON_VALUES.filter(lambda v: type(v) is not int)
 _ROUNDTRIP_SPECS = st.fixed_dictionaries(
     {},
     optional={
@@ -451,16 +492,16 @@ _ROUNDTRIP_SPECS = st.fixed_dictionaries(
         "mismatch_etas": _field(st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=3)),
         "phi": _field(st.floats(-10.0, 10.0)),
         # integers are kept in [2, 12] so every run is small
-        "dim": _field(st.integers(2, 12), _JSON_VALUES.filter(lambda v: type(v) is not int)),
+        "dim": _field(st.integers(2, 12), _NON_INTEGERS),
     },
 )
 
 
 def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
     """Run ``command`` on the document ``spec``; return the exit code and
-    stderr.  On exit 0, ``check_outputs`` reads the output directory;
-    otherwise stderr must hold one line and no traceback, and --out must be
-    empty."""
+    stderr.  On exit 0, --out must hold exactly ``manifest.json`` and the
+    files it lists, and ``check_outputs`` reads them; otherwise stderr must
+    hold one line and no traceback, and --out must be empty."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec))
@@ -470,6 +511,11 @@ def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
             warnings.simplefilter("ignore")
             code = run_cli(command, "--config", path, "--out", out, "--quiet")
         if code == 0:
+            # exactly the files the manifest lists, and the manifest
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["manifest.json", *manifest["outputs"]]
+            )
             check_outputs(out)
         else:
             assert code in (1, 2)
@@ -497,31 +543,34 @@ def test_roundtrip_spec_property(spec):
     _run_spec("roundtrip-check", spec, check)
 
 
-_EXPERIMENT_SPECS = st.fixed_dictionaries(
-    {},
-    optional={
-        "alpha": _field(st.floats(1.0, 1e5)),
-        "phi": _field(st.floats(-1.0, 7.0)),
+def _experiment_specs(field=_field, **required):
+    """experiment.json documents whose fields are drawn with ``field``; each
+    keyword names a field that is always drawn, from the strategy given."""
+    optional = {
+        "alpha": field(st.floats(1.0, 1e5)),
+        "phi": field(st.floats(-1.0, 7.0)),
         # near the default budget's product, or anywhere
-        "eta_total": _field(st.one_of(st.floats(0.47, 0.53), st.floats(-0.1, 1.1))),
-        "eta_budget": _field(st.one_of(
+        "eta_total": field(st.one_of(st.floats(0.47, 0.53), st.floats(-0.1, 1.1))),
+        "eta_budget": field(st.one_of(
             st.just({}),
             st.dictionaries(
                 st.sampled_from(["modematch", "optics", "detector", "undisplacement"]),
-                _field(st.floats(0.0, 1.1)),
+                field(st.floats(0.0, 1.1)),
                 max_size=4,
             ),
         )),
-        "n_count_shots": _field(st.integers(-5, 10**7)),
-        "n_quad_shots": _field(st.integers(-5, 10**7)),
-        "phase_noise_sigma": _field(st.floats(-0.5, 3.0)),
-        "seed": _field(st.integers(-5, 2**64 + 5)),
-    },
-)
+        "n_count_shots": field(st.integers(-5, 10**7)),
+        "n_quad_shots": field(st.integers(-5, 10**7)),
+        "phase_noise_sigma": field(st.floats(-0.5, 3.0)),
+        "seed": field(st.integers(-5, 2**64 + 5)),
+    }
+    for name in required:
+        del optional[name]
+    return st.fixed_dictionaries(required, optional=optional)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(spec=_EXPERIMENT_SPECS)
+@given(spec=_experiment_specs())
 def test_experiment_config_property(spec):
     """Any experiment.json, read by ``analytic`` (every command reads it the
     same way), ends in bounded results and a manifest that records each field
@@ -543,6 +592,49 @@ def test_experiment_config_property(spec):
     _run_spec("analytic", spec, check)
 
 
+def _plausible(plausible, other=None):
+    """A field drawn from its plausible range only."""
+    return plausible
+
+
+# the commands that sample draw plausible fields (the analytic property above
+# draws the rest) and always a small shot count: anything else in that field
+# is not an integer
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(spec=_experiment_specs(
+    _plausible, n_quad_shots=_field(st.integers(1000, 3000), _NON_INTEGERS)
+))
+def test_tomography_config_property(spec):
+    """Any experiment.json run through ``tomography`` ends in a valid
+    reconstruction (exit 0) or fails as in :func:`_run_spec`."""
+
+    def check(out):
+        result = json.loads((out / "result.json").read_text())
+        assert 0.0 <= result["concurrence"] <= 1.0
+        assert 0.0 <= result["fidelity_to_model"] <= 1.0 + 1e-9
+
+    _run_spec("tomography", spec, check)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_experiment_specs(
+    _plausible, n_count_shots=_field(st.integers(-5, 2000), _NON_INTEGERS)
+))
+def test_simulate_counts_config_property(spec):
+    """Any experiment.json run through ``simulate-counts`` ends in curves
+    that hold NaN only in bins with too few shots (exit 0), or fails as in
+    :func:`_run_spec`."""
+
+    def check(out):
+        for name in ("curves_phi0.csv", "curves_phi90.csv"):
+            curves = np.genfromtxt(out / name, delimiter=",", names=True)
+            assert curves["count"].sum() == spec["n_count_shots"]
+            assert np.array_equal(np.isnan(curves["mean_nB"]), curves["count"] == 0)
+            assert np.array_equal(np.isnan(curves["var_nB"]), curves["count"] < 2)
+
+    _run_spec("simulate-counts", spec, check)
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and (
         isinstance(v, int) or math.isfinite(v)
@@ -559,7 +651,7 @@ _WIGNER_SPECS = st.fixed_dictionaries(
         "alpha": _field(st.floats(-2.0, 2.0)),
         "c0": _field(_COEFFS),
         "c1": _field(_COEFFS),
-        "dim": _field(st.integers(1, 12), _JSON_VALUES.filter(lambda v: type(v) is not int)),
+        "dim": _field(st.integers(1, 12), _NON_INTEGERS),
         "grid": _field(
             st.fixed_dictionaries(
                 {},

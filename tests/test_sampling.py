@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from macrocat import counting, fock, sampling
+from macrocat import cli, counting, fock, pipeline, sampling
 from macrocat.counting import CountModelParams
 from macrocat.errors import NumericError, TruncationWarning
 import oracles
@@ -67,7 +67,7 @@ class TestDeterminism:
         # the split at 803 is not a multiple of the 4 settings, so the last
         # part must pick its settings by absolute shot index
         psi = fock.delocalized_photon_state(0.4, 4)
-        rho = fock.apply_loss(fock.DensityMatrix.from_pure(psi, 4, 2), 0.6, 0)
+        rho = oracles.apply_loss(fock.DensityMatrix.from_pure(psi, 4, 2), 0.6, 0)
         sched = sampling.phase_schedule(4)
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
@@ -393,7 +393,7 @@ class TestQuadratureSampler:
     def test_moments_match_marginal_integrals(self, theta_a, theta_b):
         psi = fock.delocalized_photon_state(0.8, 4)
         rho = fock.DensityMatrix.from_pure(psi, 4, 2)
-        rho = fock.apply_loss(rho, 0.6, 0)
+        rho = oracles.apply_loss(rho, 0.6, 0)
         rec = sampling.sample_quadrature_schedule(rho, [(theta_a, theta_b)], 200_000, seed=44)
         for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, theta_b)):
             for power in (1, 2):
@@ -433,12 +433,17 @@ class TestPhaseSchedule:
 
 class TestCsvSerialization:
     def test_quadrature_round_trip(self, tmp_path):
-        rho = oracles.vacuum(4, 2)
-        rec = sampling.sample_quadrature_schedule(rho, sampling.phase_schedule(4), 400, seed=52)
-        path = tmp_path / "quads.csv"
-        sampling.write_quadrature_csv(path, rec)
+        # the records a tomography run writes read back bit for bit
+        cfg = tmp_path / "experiment.json"
+        cfg.write_text('{"n_quad_shots": 1000, "seed": 52}')
+        out = tmp_path / "out"
+        assert cli.main(["tomography", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        path = out / "records.csv"
         header = path.read_text().splitlines()[0]
         assert header == "shot,thetaA,xA,thetaB,xB"
+        rec = pipeline.run_tomography_scenario(
+            pipeline.ExperimentConfig(n_quad_shots=1000, seed=52)
+        ).records
         shot, theta_a, x_a, theta_b, x_b = np.loadtxt(path, delimiter=",", skiprows=1).T
         assert np.array_equal(shot, rec.shots)
         assert np.array_equal(x_a, rec.x_a)
