@@ -163,9 +163,11 @@ def _coeff(name: str, value) -> complex:
 
 
 def cmd_wigner(args) -> tuple[dict, dict]:
-    """Config: {"alpha", "c0", "c1", "dim", "grid": {"min", "max", "step"}}.
+    """Config: {"alpha", "c0", "c1", "grid": {"min", "max", "step"}}.
 
     The tabulated state is ``c0 D(alpha)|0> + c1 D(alpha)|1>``, normalized.
+    An integer ``dim`` is accepted for older spec files and ignored: the
+    closed form has no truncation.
     """
     doc = _load_json(args.config)
     pipeline.check_fields("state", doc, {"alpha", "c0", "c1", "dim", "grid"})
@@ -180,21 +182,18 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         float(pipeline.json_number(f"grid.{key}", grid_doc.get(key, default)))
         for key, default in (("min", -6.0), ("max", 6.0), ("step", 0.1))
     )
-    dim = pipeline.json_integer("dim", doc.get("dim", 16))
+    if "dim" in doc:
+        pipeline.json_integer("dim", doc["dim"])
     if hi <= lo or step <= 0:
         raise ConfigError("grid must satisfy min < max and step > 0")
     if c0 == 0 and c1 == 0:
         raise ConfigError("c0 and c1 cannot both vanish")
-    disp = fock.displacement_matrix(alpha, dim)
-    vec = c0 * disp[:, 0] + c1 * disp[:, 1]
-    rho = fock.DensityMatrix.from_pure(vec, dim, 1)
     axis = np.arange(lo, hi + step / 2.0, step)
-    grid_w = fock.wigner(rho, axis, axis)
+    grid_w = fock.wigner(alpha, c0, c1, axis, axis)
     resolved = {
         "alpha": alpha,
         "c0": [c0.real, c0.imag],
         "c1": [c1.real, c1.imag],
-        "dim": dim,
         "grid": {"min": lo, "max": hi, "step": step},
     }
     return resolved, {

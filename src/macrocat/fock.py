@@ -62,16 +62,6 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_pure(cls, vec: np.ndarray, dim: int, modes: int) -> "DensityMatrix":
-        """Rank-1 density matrix |v><v| / <v|v> from a ket."""
-        v = np.asarray(vec, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("cannot build a state from the zero vector")
-        v = v / norm
-        return cls(dim=dim, modes=modes, data=np.outer(v, v.conj()))
-
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
@@ -233,39 +223,40 @@ def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
     return psi * phases[None, :]
 
 
-def wigner(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Wigner function of a single-mode state on a phase-space grid.
+# Beyond |u| = 40 the Gaussian factor exp(-u^2) is exactly 0 in float64, so
+# clipping the shifted coordinates there changes no value of the table and
+# keeps u^2 finite at any grid point
+_FAR = 40.0
 
-    Evaluated through the displaced-parity identity
-    ``W(x, p) = (1/pi) Tr[rho D(2 gamma) PI]`` with
-    ``gamma = (x + i p)/sqrt(2)``, which reuses the analytic
-    displacement-matrix elements.  Returns shape ``(len(xs), len(ps))``;
-    normalized so that ``sum(W) dx dp -> 1``.
+
+def wigner(alpha: float, c0: complex, c1: complex, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Wigner function of the normalized state ``c0 D(alpha)|0> + c1 D(alpha)|1>``.
+
+    Displacement only shifts the Wigner function: with ``u = x - sqrt(2) alpha``,
+    ``v = p`` and ``(c0, c1)`` normalized,
+    ``W = exp(-(u^2+v^2))/pi * [|c0|^2 + |c1|^2 (2(u^2+v^2) - 1)
+    + 2 sqrt(2) Re(conj(c0) c1 (u - i v))]``, exact at any alpha with no
+    Fock truncation.  ``alpha`` must have ``4 alpha^2`` finite, as in the
+    counting model.  Returns shape ``(len(xs), len(ps))``; normalized so that
+    ``sum(W) dx dp -> 1``.
     """
-    if rho.modes != 1:
-        raise ValueError("wigner expects a single-mode state")
+    alpha = float(alpha)
+    if not math.isfinite(4.0 * alpha * alpha):
+        raise ValueError(f"alpha = {alpha} has no finite 4 alpha^2")
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     for g, name in ((xs, "x"), (ps, "p")):
         if g.size > 1 and np.diff(g).max() > 0.5:
             raise ValueError(f"{name}-grid spacing exceeds 0.5; refine the grid")
-    d = rho.dim
-    X, P = np.meshgrid(xs, ps, indexing="ij")
-    beta = np.sqrt(2.0) * (X + 1j * P)  # 2*gamma
-    b2 = np.abs(beta) ** 2
-    expfac = np.exp(-0.5 * b2)
-    W = np.zeros(X.shape)
-    signs = (-1.0) ** np.arange(d)
-    for m in range(d):
-        for n in range(m, d):
-            # <n|D(beta)|m> for n >= m
-            k = n - m
-            pref = np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-            elem = pref * beta**k * eval_genlaguerre(m, k, b2) * expfac
-            term = rho.data[m, n] * signs[m] * elem
-            if n == m:
-                W += term.real
-            else:
-                # conjugate pair (m, n) and (n, m)
-                W += 2.0 * term.real
-    return W / np.pi
+    c0, c1 = complex(c0), complex(c1)
+    norm = math.hypot(c0.real, c0.imag, c1.real, c1.imag)
+    if norm == 0.0:
+        raise ValueError("c0 and c1 cannot both vanish")
+    c0, c1 = c0 / norm, c1 / norm
+    cross = 2.0 * math.sqrt(2.0) * c0.conjugate() * c1
+    u = np.clip(xs - math.sqrt(2.0) * alpha, -_FAR, _FAR)[:, None]
+    v = np.clip(ps, -_FAR, _FAR)[None, :]
+    r2 = u * u + v * v
+    p0, p1 = abs(c0) ** 2, abs(c1) ** 2
+    bracket = p0 + p1 * (2.0 * r2 - 1.0) + cross.real * u + cross.imag * v
+    return np.exp(-r2) / np.pi * bracket

@@ -117,6 +117,10 @@ class ExperimentConfig:
             raise ConfigError(f"phase_noise_sigma must be nonnegative, got {self.phase_noise_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
+        # the count model's amplitude rules (4 alpha^2 finite, the Gaussian
+        # regime) hold for every command, so an amplitude they reject fails
+        # here, before any sampling
+        self.count_params(phi=0.0).require_gaussian_regime()
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -15,10 +15,14 @@ trustworthy as an oracle:
   density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`),
   and the bosonic loss channel on a density matrix (with the two, the dense
   counterpart of :func:`macrocat.pipeline.displacement_roundtrip_check`);
+* the rank-1 density matrix of a ket, ``pure_state``;
 * the photon-number distribution, partial trace, photon-number moments and
   single-mode quadrature marginal of a truncated Fock-space state
   (counterparts of the truncation check, the homodyne sampler and the
-  Wigner function).
+  Wigner function);
+* the Wigner function of a truncated single-mode state by the
+  displaced-parity Laguerre sum, ``wigner_fock`` (counterpart of the closed
+  form :func:`macrocat.fock.wigner`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtr
+from scipy.special import eval_genlaguerre, gammaln, ndtr
 
 from macrocat.counting import CountModelParams
 from macrocat.fock import (
@@ -190,6 +194,16 @@ def alice_marginal_ref_cdf(n_a, params: CountModelParams):
 # Fock-space reductions
 
 
+def pure_state(vec: np.ndarray, dim: int, modes: int) -> DensityMatrix:
+    """Rank-1 density matrix |v><v| / <v|v> from a ket."""
+    v = np.asarray(vec, dtype=complex).ravel()
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("cannot build a state from the zero vector")
+    v = v / norm
+    return DensityMatrix(dim=dim, modes=modes, data=np.outer(v, v.conj()))
+
+
 def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     """Two-mode pure state with both arms displaced by ``alpha``.
 
@@ -201,7 +215,7 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     d0 = D[:, 0]
     d1 = D[:, 1]
     vec = (np.kron(d0, d1) + np.exp(1j * phi) * np.kron(d1, d0)) / np.sqrt(2.0)
-    return DensityMatrix.from_pure(vec, dim, 2)
+    return pure_state(vec, dim, 2)
 
 
 def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
@@ -260,7 +274,7 @@ def vacuum(dim: int, modes: int = 1) -> DensityMatrix:
     """The vacuum ``|0...0><0...0|`` on ``modes`` modes truncated at ``dim``."""
     vec = np.zeros(dim**modes)
     vec[0] = 1.0
-    return DensityMatrix.from_pure(vec, dim, modes)
+    return pure_state(vec, dim, modes)
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
@@ -306,3 +320,41 @@ def quadrature_marginal(rho: DensityMatrix, theta: float, grid: np.ndarray) -> n
     basis = quadrature_basis(grid, theta, d)
     dens = np.einsum("xm,mn,xn->x", basis.conj(), rho.data, basis).real
     return np.clip(dens, 0.0, None)
+
+
+def wigner_fock(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Wigner function of a single-mode state on a phase-space grid.
+
+    Evaluated through the displaced-parity identity
+    ``W(x, p) = (1/pi) Tr[rho D(2 gamma) PI]`` with
+    ``gamma = (x + i p)/sqrt(2)``, which reuses the analytic
+    displacement-matrix elements.  Returns shape ``(len(xs), len(ps))``;
+    normalized so that ``sum(W) dx dp -> 1``.
+    """
+    if rho.modes != 1:
+        raise ValueError("wigner expects a single-mode state")
+    xs = np.asarray(xs, dtype=float)
+    ps = np.asarray(ps, dtype=float)
+    for g, name in ((xs, "x"), (ps, "p")):
+        if g.size > 1 and np.diff(g).max() > 0.5:
+            raise ValueError(f"{name}-grid spacing exceeds 0.5; refine the grid")
+    d = rho.dim
+    X, P = np.meshgrid(xs, ps, indexing="ij")
+    beta = np.sqrt(2.0) * (X + 1j * P)  # 2*gamma
+    b2 = np.abs(beta) ** 2
+    expfac = np.exp(-0.5 * b2)
+    W = np.zeros(X.shape)
+    signs = (-1.0) ** np.arange(d)
+    for m in range(d):
+        for n in range(m, d):
+            # <n|D(beta)|m> for n >= m
+            k = n - m
+            pref = np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
+            elem = pref * beta**k * eval_genlaguerre(m, k, b2) * expfac
+            term = rho.data[m, n] * signs[m] * elem
+            if n == m:
+                W += term.real
+            else:
+                # conjugate pair (m, n) and (n, m)
+                W += 2.0 * term.real
+    return W / np.pi

@@ -68,10 +68,10 @@ class TestCriterion2DisplacedStatistics:
     def test_moments(self, alpha):
         dim = 64
         m0, v0 = oracles.photon_moments(
-            fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 0], dim, 1)
+            oracles.pure_state(fock.displacement_matrix(alpha, dim)[:, 0], dim, 1)
         )
         m1, v1 = oracles.photon_moments(
-            fock.DensityMatrix.from_pure(fock.displacement_matrix(alpha, dim)[:, 1], dim, 1)
+            oracles.pure_state(fock.displacement_matrix(alpha, dim)[:, 1], dim, 1)
         )
         a2 = alpha * alpha
         passed = (
@@ -190,7 +190,7 @@ class TestCriterion6OracleEquivalences:
     def test_kraus_loss_vs_closed_form(self):
         dim, eta = 4, 0.49
         psi = fock.delocalized_photon_state(0.0, dim)
-        rho = fock.DensityMatrix.from_pure(psi, dim, 2)
+        rho = oracles.pure_state(psi, dim, 2)
         lossy = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         closed = eta * np.outer(psi, psi.conj())
         closed[0, 0] += 1.0 - eta

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macrocat import cli, fock, output, pipeline
+from macrocat import cli, fock, output, pipeline, sampling
 from macrocat.errors import NumericError
 import oracles
 
@@ -134,12 +134,67 @@ class TestSmoke:
         w = data["w"].reshape(xs.size, ps.size)
         marginal = np.trapezoid(w, ps, axis=1)
         D = fock.displacement_matrix(1.0, 16)
-        rho = fock.DensityMatrix.from_pure(D[:, 0] + D[:, 1], 16, 1)
+        rho = oracles.pure_state(D[:, 0] + D[:, 1], 16, 1)
         # the direct evaluation needs a grid spanning the displaced mean +- 6
         wide = np.arange(-6.0, 8.5, 0.05)
         direct = oracles.quadrature_marginal(rho, 0.0, wide)[: xs.size]
         assert np.allclose(wide[: xs.size], xs, atol=1e-12)
         assert np.abs(marginal - direct).max() < 1e-3
+
+    def test_wigner_at_the_paper_amplitude(self, tmp_path):
+        # D(alpha)|1> lies ~14849 units from the default grid: every value is 0
+        spec = tmp_path / "state.json"
+        spec.write_text(json.dumps({"alpha": 1.05e4, "c0": 0, "c1": 1}))
+        out = tmp_path / "out"
+        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        assert w.size == 121 * 121 and np.isfinite(w).all()
+
+    def test_wigner_single_photon_minimum_is_exact(self, tmp_path):
+        # the square grid passes through the displaced centre x = 2 sqrt(2), p = 0
+        step = 2.0 * math.sqrt(2.0) / 30.0
+        spec = tmp_path / "state.json"
+        spec.write_text(json.dumps({
+            "alpha": 2, "c0": 0, "c1": 1,
+            "grid": {"min": -64 * step, "max": 64 * step, "step": step},
+        }))
+        out = tmp_path / "out"
+        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        assert w.min() == pytest.approx(-1.0 / math.pi, abs=1e-12)
+
+    def test_wigner_far_single_point_grid_is_zero(self, tmp_path):
+        # one grid point at x = p = 1e300, where (x - sqrt(2) alpha)^2 overflows
+        spec = tmp_path / "state.json"
+        spec.write_text(json.dumps({"grid": {"min": 1e300, "max": 1.5e300, "step": 1e300}}))
+        out = tmp_path / "out"
+        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        assert (out / "wigner.csv").read_text().splitlines()[1].endswith(",0")
+
+    def test_wigner_ignores_dim(self, tmp_path):
+        # an integer dim from an older spec file changes no byte and is not recorded
+        base = {"alpha": 0.7, "c0": 1.0, "c1": [0.5, -0.5]}
+        runs = []
+        for extra in ({}, {"dim": 1}, {"dim": 16}):
+            spec = tmp_path / "state.json"
+            spec.write_text(json.dumps({**base, **extra}))
+            out = tmp_path / f"out{len(runs)}"
+            assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+            runs.append(read_dir(out))
+        assert runs[0] == runs[1] == runs[2]
+        assert "dim" not in json.loads(runs[0]["manifest.json"])["config"]
+
+    def test_wigner_at_the_largest_amplitude(self, tmp_path):
+        alpha = math.sqrt(np.finfo(float).max) / 2.0
+        while math.isfinite(4.0 * alpha * alpha):
+            alpha = math.nextafter(alpha, math.inf)
+        alpha = math.nextafter(alpha, 0.0)
+        spec = tmp_path / "state.json"
+        spec.write_text(json.dumps({"alpha": alpha, "c0": [0.3, 0.1], "c1": [0.0, 1.0]}))
+        out = tmp_path / "out"
+        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        assert w.size == 121 * 121 and np.isfinite(w).all()
 
     def test_roundtrip_check(self, tmp_path):
         spec = tmp_path / "rt.json"
@@ -353,7 +408,6 @@ class TestExitCodes:
             ("analytic", '{"alpha": 5.0}'),
             ("simulate-counts", '{"alpha": 5.0}'),
             ("tomography", '{"alpha": 5.0, "n_quad_shots": 6000}'),
-            ("wigner", '{"dim": 1}'),
             ("wigner", '{"grid": {"step": 0.6}}'),
             ("analytic", '{"alpha": 1e160}'),
             ("analytic", '{"alpha": 1.3e154}'),
@@ -373,6 +427,21 @@ class TestExitCodes:
         assert next(iter(json.loads(document))) in err, err
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("document", ['{"alpha": 1e160}', '{"alpha": 5.0}'])
+    def test_tomography_rejects_amplitude_before_sampling(
+        self, tmp_path, capsys, monkeypatch, document
+    ):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the amplitude was accepted and records were sampled")
+
+        monkeypatch.setattr(sampling, "sample_quadrature_schedule", sampled)
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert run_cli("tomography", "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "alpha" in err, err
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize(
         "command,target,document",
         [
@@ -383,7 +452,7 @@ class TestExitCodes:
     def test_out_of_memory_is_numerical_error(
         self, tmp_path, capsys, monkeypatch, command, target, document
     ):
-        # a spec too large to allocate (say "dim": 100000) ends in numpy's
+        # a spec too large to allocate (say a roundtrip "dim" of 100000) ends in numpy's
         # MemoryError; raise it directly instead of allocating
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 TiB for an array")
@@ -648,7 +717,9 @@ _COEFFS = st.one_of(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_siz
 _WIGNER_SPECS = st.fixed_dictionaries(
     {},
     optional={
-        "alpha": _field(st.floats(-2.0, 2.0)),
+        "alpha": _field(st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([1.05e4, 1e150, 1e200])
+        )),
         "c0": _field(_COEFFS),
         "c1": _field(_COEFFS),
         "dim": _field(st.integers(1, 12), _NON_INTEGERS),

@@ -6,6 +6,7 @@ loss models for channels; trapezoid integration for densities.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestLossChannel:
         assert np.abs(out.data - rho.data).max() == 0.0
 
     def test_single_photon_bernoulli(self):
-        rho = fock.DensityMatrix.from_pure(np.array([0.0, 1.0]), 2, 1)
+        rho = oracles.pure_state(np.array([0.0, 1.0]), 2, 1)
         out = oracles.apply_loss(rho, 0.49, 0)
         assert np.allclose(np.diag(out.data).real, [0.51, 0.49], atol=1e-14)
 
@@ -142,7 +143,7 @@ class TestLossChannel:
         # equal loss on both arms: eta |psi><psi| + (1-eta)|00><00|
         dim = 4
         psi = fock.delocalized_photon_state(0.4, dim)
-        rho = fock.DensityMatrix.from_pure(psi, dim, 2)
+        rho = oracles.pure_state(psi, dim, 2)
         out = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         expected = eta * np.outer(psi, psi.conj())
         expected[0, 0] += 1.0 - eta
@@ -178,7 +179,7 @@ class TestLossChannel:
 def macro_rho(alpha, phi, dim):
     """Density matrix of the amplitude matrix under test."""
     psi = fock.macro_state_amplitudes(alpha, phi, dim)
-    return fock.DensityMatrix.from_pure(psi.ravel(), dim, 2)
+    return oracles.pure_state(psi.ravel(), dim, 2)
 
 
 class TestMacroState:
@@ -242,7 +243,7 @@ class TestPhotonMoments:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_vacuum(self, alpha):
         vec = fock.displacement_matrix(alpha, 64)[:, 0]
-        mean, var = oracles.photon_moments(fock.DensityMatrix.from_pure(vec, 64, 1))
+        mean, var = oracles.photon_moments(oracles.pure_state(vec, 64, 1))
         assert mean == pytest.approx(alpha**2, abs=1e-6)
         assert var == pytest.approx(alpha**2, abs=1e-6)
 
@@ -250,7 +251,7 @@ class TestPhotonMoments:
     def test_displaced_single_photon(self, alpha):
         # mean alpha^2 + 1, variance three shot-noise units
         vec = fock.displacement_matrix(alpha, 64)[:, 1]
-        mean, var = oracles.photon_moments(fock.DensityMatrix.from_pure(vec, 64, 1))
+        mean, var = oracles.photon_moments(oracles.pure_state(vec, 64, 1))
         assert mean == pytest.approx(alpha**2 + 1.0, abs=1e-6)
         assert var == pytest.approx(3.0 * alpha**2, abs=1e-6)
 
@@ -264,13 +265,13 @@ class TestQuadratureMarginal:
         assert var == pytest.approx(0.5, abs=1e-6)
 
     def test_single_photon_node_at_origin(self):
-        rho = fock.DensityMatrix.from_pure(np.array([0.0, 1.0, 0.0]), 3, 1)
+        rho = oracles.pure_state(np.array([0.0, 1.0, 0.0]), 3, 1)
         grid = np.linspace(-8, 8, 1601)
         dens = oracles.quadrature_marginal(rho, 0.0, grid)
         assert dens[800] < 1e-12  # grid point exactly at x = 0
 
     def test_balanced_superposition_mean(self):
-        rho = fock.DensityMatrix.from_pure(np.array([1.0, 1.0]) / np.sqrt(2), 2, 1)
+        rho = oracles.pure_state(np.array([1.0, 1.0]) / np.sqrt(2), 2, 1)
         grid = np.linspace(-8, 8, 3201)
         dens = oracles.quadrature_marginal(rho, 0.0, grid)
         mean = np.trapezoid(dens * grid, grid)
@@ -295,36 +296,74 @@ class TestQuadratureMarginal:
 class TestWigner:
     def test_vacuum_at_origin(self):
         grid = np.array([0.0])
-        w = fock.wigner(oracles.vacuum(4), grid, grid)
+        w = fock.wigner(0.0, 1.0, 0.0, grid, grid)
         assert w[0, 0] == pytest.approx(1.0 / np.pi, abs=1e-12)
 
     def test_single_photon_negativity_at_origin(self):
-        rho = fock.DensityMatrix.from_pure(np.array([0.0, 1.0]), 2, 1)
-        w = fock.wigner(rho, np.array([0.0]), np.array([0.0]))
+        w = fock.wigner(0.0, 0.0, 1.0, np.array([0.0]), np.array([0.0]))
         assert w[0, 0] == pytest.approx(-1.0 / np.pi, abs=1e-12)
 
     def test_normalization(self):
-        rho = fock.DensityMatrix.from_pure(np.array([1.0, 0.0, 1.0]) / np.sqrt(2), 3, 1)
         grid = np.linspace(-6, 6, 241)
-        w = fock.wigner(rho, grid, grid)
+        w = fock.wigner(0.5, 1.0, 1.0 - 1.0j, grid, grid)
         total = np.trapezoid(np.trapezoid(w, grid, axis=1), grid)
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_marginal_matches_quadrature_marginal(self):
         alpha, dim = 1.0, 16
         D = fock.displacement_matrix(alpha, dim)
-        vec = (D[:, 0] + D[:, 1]) / np.sqrt(2.0)
-        rho = fock.DensityMatrix.from_pure(vec, dim, 1)
+        rho = oracles.pure_state(D[:, 0] + D[:, 1], dim, 1)
         xs = np.linspace(-7, 9, 161)
         ps = np.linspace(-8, 8, 641)
-        w = fock.wigner(rho, xs, ps)
+        w = fock.wigner(alpha, 1.0, 1.0, xs, ps)
         marg = np.trapezoid(w, ps, axis=1)
         direct = oracles.quadrature_marginal(rho, 0.0, xs)
         assert np.abs(marg - direct).max() < 1e-4
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
-            fock.wigner(oracles.vacuum(4), np.linspace(-6, 6, 10), np.array([0.0]))
+            fock.wigner(0.0, 1.0, 0.0, np.linspace(-6, 6, 10), np.array([0.0]))
+
+    # dims at which the state's top Fock level holds less than 1e-30
+    @pytest.mark.parametrize("alpha,dim", [(0.0, 4), (-0.8, 28), (2.0, 48)])
+    def test_matches_fock_oracle(self, alpha, dim):
+        c0, c1 = 0.6 + 0.3j, -0.4 + 0.7j
+        vec = c0 * fock.displacement_matrix(alpha, dim)[:, 0]
+        vec = vec + c1 * fock.displacement_matrix(alpha, dim)[:, 1]
+        assert abs(vec[-1]) ** 2 / np.vdot(vec, vec).real < 1e-30
+        xs = np.sqrt(2.0) * alpha + np.linspace(-5, 5, 41)
+        ps = np.linspace(-5, 5, 41)
+        expected = oracles.wigner_fock(oracles.pure_state(vec, dim, 1), xs, ps)
+        assert np.abs(fock.wigner(alpha, c0, c1, xs, ps) - expected).max() <= 1e-14
+
+    def test_fock_oracle_normalization(self):
+        # a state outside the displaced {|0>, |1>} family, for the oracle alone
+        rho = oracles.pure_state(np.array([1.0, 0.0, 1.0]) / np.sqrt(2), 3, 1)
+        grid = np.linspace(-6, 6, 241)
+        w = oracles.wigner_fock(rho, grid, grid)
+        total = np.trapezoid(np.trapezoid(w, grid, axis=1), grid)
+        assert total == pytest.approx(1.0, abs=1e-4)
+
+    def test_paper_scale_displaced_photon(self):
+        # D(alpha)|1> at the experiment's amplitude, ~1e8 photons; no Fock
+        # truncation could hold it
+        alpha, step = 1.05e4, 0.05
+        offsets = np.arange(-120, 121) * step
+        w = fock.wigner(alpha, 0.0, 1.0, np.sqrt(2.0) * alpha + offsets, offsets)
+        assert w.min() == pytest.approx(-1.0 / np.pi, abs=1e-12)
+        assert w.sum() * step * step == pytest.approx(1.0, abs=1e-9)
+
+    def test_amplitude_bound_is_the_count_model_bound(self):
+        # the largest alpha with 4 alpha^2 finite is accepted, the next is not
+        alpha = math.sqrt(np.finfo(float).max) / 2.0
+        while math.isfinite(4.0 * alpha * alpha):
+            alpha = math.nextafter(alpha, math.inf)
+        grid = np.arange(-60, 61) * 0.1
+        for sign in (1.0, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                fock.wigner(sign * alpha, 0.3, 1.0j, grid, grid)
+            w = fock.wigner(sign * math.nextafter(alpha, 0.0), 0.3, 1.0j, grid, grid)
+            assert np.isfinite(w).all()
 
 
 class TestSerialization:

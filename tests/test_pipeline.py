@@ -171,7 +171,7 @@ class TestCountsScenario:
 def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     """The round trip with dense ``D (x) D`` products and the loss channel
     applied to the undisplaced photon as the reference."""
-    rho0 = fock.DensityMatrix.from_pure(fock.delocalized_photon_state(phi, dim), dim, 2)
+    rho0 = oracles.pure_state(fock.delocalized_photon_state(phi, dim), dim, 2)
     d_fwd = np.kron(*[fock.displacement_matrix(alpha_small, dim)] * 2)
     displaced = fock.DensityMatrix(dim, 2, d_fwd @ rho0.data @ d_fwd.conj().T)
     lossy = oracles.apply_loss(oracles.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)

@@ -67,7 +67,7 @@ class TestDeterminism:
         # the split at 803 is not a multiple of the 4 settings, so the last
         # part must pick its settings by absolute shot index
         psi = fock.delocalized_photon_state(0.4, 4)
-        rho = oracles.apply_loss(fock.DensityMatrix.from_pure(psi, 4, 2), 0.6, 0)
+        rho = oracles.apply_loss(oracles.pure_state(psi, 4, 2), 0.6, 0)
         sched = sampling.phase_schedule(4)
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
@@ -372,7 +372,7 @@ class TestQuadratureSampler:
 
     def test_delocalized_photon_correlation(self):
         psi = fock.delocalized_photon_state(0.0, 4)
-        rho = fock.DensityMatrix.from_pure(psi, 4, 2)
+        rho = oracles.pure_state(psi, 4, 2)
         rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=42)
         prod = rec.x_a * rec.x_b
         se = prod.std() / math.sqrt(len(rec))
@@ -381,7 +381,7 @@ class TestQuadratureSampler:
     def test_single_photon_node(self):
         vec = np.zeros(16)
         vec[1 * 4 + 0] = 1.0  # |1>_A |0>_B
-        rho = fock.DensityMatrix.from_pure(vec, 4, 2)
+        rho = oracles.pure_state(vec, 4, 2)
         rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 1_000_000, seed=43)
         h, edges = np.histogram(rec.x_a, bins=np.arange(-4.0, 4.01, 0.05))
         center = h[np.searchsorted(edges, -0.025)]
@@ -392,7 +392,7 @@ class TestQuadratureSampler:
     )
     def test_moments_match_marginal_integrals(self, theta_a, theta_b):
         psi = fock.delocalized_photon_state(0.8, 4)
-        rho = fock.DensityMatrix.from_pure(psi, 4, 2)
+        rho = oracles.pure_state(psi, 4, 2)
         rho = oracles.apply_loss(rho, 0.6, 0)
         rec = sampling.sample_quadrature_schedule(rho, [(theta_a, theta_b)], 200_000, seed=44)
         for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, theta_b)):
@@ -407,7 +407,7 @@ class TestQuadratureSampler:
             coh = fock.displacement_matrix(4.5, 32)[:, 0]
         vac = np.zeros(32)
         vac[0] = 1.0
-        rho = fock.DensityMatrix.from_pure(np.kron(coh, vac), 32, 2)
+        rho = oracles.pure_state(np.kron(coh, vac), 32, 2)
         with pytest.raises(NumericError, match="grid"):
             sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 10, seed=45)
 

@@ -9,15 +9,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrocat import fock, sampling, tomography
 from macrocat.pipeline import model_microscopic_state
-from oracles import embed_two_level, vacuum
+from oracles import embed_two_level, pure_state, vacuum
 
 
 def _bell_pair(phi=0.0, dim=4):
     psi = fock.delocalized_photon_state(phi, dim)
-    return fock.DensityMatrix.from_pure(psi, dim, 2)
+    return pure_state(psi, dim, 2)
 
 
 def _simulate(rho, n_shots, seed, n_settings=12):
@@ -181,6 +183,34 @@ class TestMleReconstruct:
         assert stalled >= 1
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(
+    eta=st.floats(0.05, 1.0),
+    phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    sigma=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    n_shots=st.integers(1000, 2000),
+    tol=st.sampled_from([1e-8, 1e-10, 1e-12, 1e-15]),
+)
+def test_mle_stop_property(eta, phi, sigma, seed, n_shots, tol):
+    """On small datasets from the loss + dephasing model, the stop reason,
+    ``converged`` and ``gap`` agree, a stall happens only where ``tol`` lies
+    below what float64 resolves, and ``loglik`` never falls by more than the
+    rounding of its mean."""
+    records = _simulate(model_microscopic_state(eta, phi, sigma), n_shots, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        result = tomography.mle_reconstruct(records, tol=tol)
+    assert result.converged == (result.stop_reason == "certified")
+    if result.converged:
+        assert result.gap <= tol
+    if result.stop_reason == "stalled":
+        assert tol <= 1e-10
+    loglik = np.asarray(result.loglik)
+    scale = np.maximum(np.abs(loglik[:-1]), np.abs(loglik[1:]))
+    assert np.all(np.diff(loglik) >= -4.0 * np.spacing(scale)), np.diff(loglik)
+
+
 def _rrr_oracle_loglik(records, support, n_iter=2000):
     """Mean log-likelihood after ``n_iter`` passes of the fixed point
     ``rho <- R rho R / Tr[R rho R]`` from the maximally mixed state: the
@@ -331,7 +361,7 @@ class TestFidelity:
         a = vacuum(4, 2)
         vec = np.zeros(16)
         vec[1] = 1.0
-        b = fock.DensityMatrix.from_pure(vec, 4, 2)
+        b = pure_state(vec, 4, 2)
         assert tomography.fidelity(a, b) < 1e-12
 
     def test_pure_state_overlap_formula(self):
@@ -366,7 +396,7 @@ class TestFidelity:
         # a rank-deficient sigma costs no square root of its zero eigenvalue
         rho = _random_full_rank_state(np.random.default_rng(5), 4)
         psi = fock.delocalized_photon_state(phi, 4)
-        sigma = fock.DensityMatrix.from_pure(psi, 4, 2)
+        sigma = pure_state(psi, 4, 2)
         overlap = float((psi.conj() @ rho.data @ psi).real)
         assert tomography.fidelity(rho, sigma) == pytest.approx(overlap, abs=1e-15)
 
