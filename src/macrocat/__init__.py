@@ -3,7 +3,8 @@ macroscopically displaced photon states.
 
 Subpackages:
 
-* :mod:`macrocat.fock` - truncated Fock-space states and operators
+* :mod:`macrocat.fock` - the two-mode, two-level state type and the
+  Fock-space operators of the round trip
 * :mod:`macrocat.counting` - closed-form photon-counting statistics
 * :mod:`macrocat.sampling` - seeded Monte Carlo record generators
 * :mod:`macrocat.tomography` - maximum-likelihood state reconstruction

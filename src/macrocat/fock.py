@@ -1,4 +1,10 @@
-"""Truncated Fock-space states and operators for one and two optical modes.
+"""The two-mode state type and the Fock-space algebra of the experiment.
+
+The one state type, :class:`DensityMatrix`, is the 4 x 4 matrix on
+``|00>, |01>, |10>, |11>``: two modes with two levels each, which hold the
+post-undisplacement state the tomography reconstructs.  The round trip's
+operators (displacement, loss Kraus coefficients, the displaced amplitudes)
+act at a per-mode truncation ``dim``.
 
 Conventions used throughout the package:
 
@@ -9,7 +15,8 @@ Conventions used throughout the package:
   psi_n(x) * exp(i*n*theta)`` with ``psi_n`` the real harmonic-oscillator
   eigenfunctions.
 * Two-mode kets are ordered ``|m>_A |k>_B -> index m*dim + k`` (mode A is
-  the slow index), matching ``numpy.kron``.
+  the slow index), matching ``numpy.kron``; at two levels per mode,
+  ``|00>, |01>, |10>, |11>``.
 * The Wigner function is normalized to ``integral W dx dp = 1`` so the
   vacuum takes the value ``1/pi`` at the origin.
 
@@ -39,26 +46,15 @@ _TRACE_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian state operator on a truncated Fock space.
+    """Two-mode state on ``|00>, |01>, |10>, |11>``: the complex 4 x 4
+    ``data``, frozen (read-only) on construction."""
 
-    ``dim`` is the per-mode truncation, ``modes`` is 1 or 2 and ``data``
-    is the complex matrix of size ``dim**modes`` squared.  The array is
-    frozen (read-only) on construction.
-    """
-
-    dim: int
-    modes: int
     data: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.modes not in (1, 2):
-            raise ValueError(f"modes must be 1 or 2, got {self.modes}")
-        d = self.dim**self.modes
         arr = np.ascontiguousarray(self.data, dtype=complex)
-        if arr.shape != (d, d):
-            raise ValueError(f"expected shape {(d, d)}, got {arr.shape}")
+        if arr.shape != (4, 4):
+            raise ValueError(f"expected shape (4, 4), got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -80,8 +76,8 @@ class DensityMatrix:
 
     def to_json_dict(self) -> dict:
         return {
-            "dim": self.dim,
-            "modes": self.modes,
+            "dim": 2,
+            "modes": 2,
             "re": self.data.real.ravel().tolist(),
             "im": self.data.imag.ravel().tolist(),
         }
@@ -165,20 +161,6 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     return coeffs
 
 
-def delocalized_photon_state(phi: float, dim: int) -> np.ndarray:
-    """Ket of the single photon shared between two modes.
-
-    ``(|0>_A |1>_B + e^{i phi} |1>_A |0>_B) / sqrt(2)``
-    """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    ket01 = np.zeros(dim * dim, dtype=complex)
-    ket10 = np.zeros(dim * dim, dtype=complex)
-    ket01[1] = 1.0  # |0>_A |1>_B
-    ket10[dim] = 1.0  # |1>_A |0>_B
-    return (ket01 + np.exp(1j * phi) * ket10) / np.sqrt(2.0)
-
-
 def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
     """Two-mode pure state with both arms displaced by ``alpha``.
 
@@ -198,27 +180,22 @@ def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
     return psi
 
 
-def hermite_functions(x: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal oscillator eigenfunctions ``psi_n(x)`` for n < dim.
+def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
+    """Overlap ``<n|x, theta> = psi_n(x) exp(i n theta)`` for n < dim, shape
+    ``(len(x), dim)``.
 
-    Stable three-term recurrence on the normalized functions
-    ``psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}``;
-    raw Hermite polynomials overflow near n ~ 30, this does not.
-    Returns shape ``(len(x), dim)``.
+    The oscillator eigenfunctions come from the stable three-term recurrence
+    ``psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}`` on the
+    normalized functions; raw Hermite polynomials overflow near n ~ 30, this
+    does not.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, dim))
-    out[:, 0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
+    psi = np.empty((x.size, dim))
+    psi[:, 0] = np.pi**-0.25 * np.exp(-0.5 * x * x)
     if dim > 1:
-        out[:, 1] = np.sqrt(2.0) * x * out[:, 0]
+        psi[:, 1] = np.sqrt(2.0) * x * psi[:, 0]
     for n in range(2, dim):
-        out[:, n] = np.sqrt(2.0 / n) * x * out[:, n - 1] - np.sqrt((n - 1) / n) * out[:, n - 2]
-    return out
-
-
-def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
-    """Overlap ``<n|x, theta> = psi_n(x) exp(i n theta)``, shape (len(x), dim)."""
-    psi = hermite_functions(np.asarray(x, dtype=float), dim)
+        psi[:, n] = np.sqrt(2.0 / n) * x * psi[:, n - 1] - np.sqrt((n - 1) / n) * psi[:, n - 2]
     phases = np.exp(1j * theta * np.arange(dim))
     return psi * phases[None, :]
 

@@ -10,9 +10,12 @@ empirical single-shot discrimination error.  A tomography scenario builds
 the microscopic post-undisplacement model state, samples homodyne records
 over a phase schedule, and reconstructs it.
 
-The macroscopic counting path uses the Gaussian-regime law while the
-tomography path uses truncated Fock states; their mutual consistency is
-validated at moderate amplitude where both apply (see the test suite).
+The macroscopic counting path uses the Gaussian-regime law.  The
+tomography path works on the two-mode, two-level state
+:class:`~macrocat.fock.DensityMatrix`; the round trip computes at a per-mode
+Fock truncation ``dim`` and hands its block on ``|00>, |01>, |10>, |11>`` to
+the same fidelity and concurrence.  The test suite checks the counting law
+against the exact Fock-basis law at moderate amplitude, where both apply.
 """
 
 from __future__ import annotations
@@ -49,6 +52,18 @@ _DEFAULT_ETA_BUDGET = {
     "detector": 0.86,
     "undisplacement": 0.95,
 }
+
+
+# beyond sigma = 40 the dephasing factor exp(-sigma^2/2) is 0 in float64, so
+# clamping sigma there changes no value and keeps sigma^2 finite
+_SIGMA_FAR = 40.0
+
+
+def dephasing_factor(sigma: float) -> float:
+    """``exp(-sigma^2/2)``, the damping of the single-photon coherence by
+    Gaussian phase noise of standard deviation ``sigma``; 0.0 at any sigma
+    too large to square."""
+    return math.exp(-min(abs(sigma), _SIGMA_FAR) ** 2 / 2.0)
 
 
 def json_number(name: str, value):
@@ -135,7 +150,7 @@ class ExperimentConfig:
 
     def model_concurrence(self) -> float:
         """Concurrence of the loss + dephasing model state."""
-        return self.eta_total * math.exp(-self.phase_noise_sigma**2 / 2.0)
+        return self.eta_total * dephasing_factor(self.phase_noise_sigma)
 
     def model_discrimination_error(self) -> float:
         """Closed-form discrimination error at the default Alice offset."""
@@ -270,20 +285,20 @@ def model_microscopic_state(
 ) -> fock.DensityMatrix:
     """Post-undisplacement model: lossy delocalized photon plus dephasing.
 
-    ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` with the single-photon
-    coherence damped by ``exp(-sigma^2/2)``, on ``|00>, |01>, |10>, |11>``
-    (two levels per mode, which hold all of it).  The dephasing factor is a
-    one-parameter surrogate for the quadrature noise of the displacement/
+    ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` with ``psi_0 = (|01> +
+    e^{i phi}|10>)/sqrt(2)`` and the single-photon coherence damped by
+    :func:`dephasing_factor`, on ``|00>, |01>, |10>, |11>``.  The dephasing
+    factor is a one-parameter surrogate for the quadrature noise of the displacement/
     undisplacement round trip; it is a modeling knob, not a calibrated
     physical mechanism.
     """
-    psi = fock.delocalized_photon_state(phi, 2)
+    psi = np.array([0.0, 1.0, np.exp(1j * phi), 0.0]) / np.sqrt(2.0)
     data = eta * np.outer(psi, psi.conj())
     data[0, 0] += 1.0 - eta
-    kappa = math.exp(-dephasing_sigma**2 / 2.0)
+    kappa = dephasing_factor(dephasing_sigma)
     data[1, 2] *= kappa
     data[2, 1] *= kappa
-    return fock.DensityMatrix(2, 2, data)
+    return fock.DensityMatrix(data)
 
 
 @dataclass(frozen=True)
@@ -382,9 +397,9 @@ def displacement_roundtrip_check(
 
     with ``H`` built from shifted diagonal blocks of ``U^dagger U``: O(dim^3)
     in all.  The trace falls short of 1 by the truncation leakage; the
-    block over the trace is the dim-2 two-mode state the fidelity and the
-    concurrence read, and the concurrence's leakage warning sees
-    ``1 - tr(block) / trace``.
+    block over the trace is the :class:`~macrocat.fock.DensityMatrix` the
+    fidelity and the concurrence read, and the concurrence's leakage
+    warning sees ``1 - tr(block) / trace``.
     """
     a2 = alpha_small * alpha_small
     if not math.isfinite(a2):
@@ -398,14 +413,13 @@ def displacement_roundtrip_check(
     block, trace = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericError(f"round-trip state has trace {trace}")
-    roundtrip = fock.DensityMatrix(2, 2, block / trace)
-    roundtrip.check_hermitian()
+    roundtrip = fock.DensityMatrix(block / trace)
     return RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
             roundtrip, model_microscopic_state(mismatch_eta, phi)
         ),
-        concurrence_roundtrip=tomography._qubit_block_concurrence(roundtrip.data),
+        concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi)),
     )
 

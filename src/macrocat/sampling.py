@@ -142,14 +142,12 @@ def joint_quadrature_density(
     rho: fock.DensityMatrix, theta_a: float, theta_b: float, grid: np.ndarray
 ) -> np.ndarray:
     """Two-mode homodyne outcome density ``p(x_A, x_B)`` on a square grid."""
-    if rho.modes != 2:
-        raise ValueError("expected a two-mode state")
-    d = rho.dim
-    fa = fock.quadrature_basis(grid, theta_a, d)
-    fb = fock.quadrature_basis(grid, theta_b, d)
-    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(grid.size, d * d)
-    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(grid.size, d * d)
-    r2 = rho.data.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    fa = fock.quadrature_basis(grid, theta_a, 2)
+    fb = fock.quadrature_basis(grid, theta_b, 2)
+    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(grid.size, 4)
+    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(grid.size, 4)
+    # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
+    r2 = rho.data.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     dens = (ta @ r2 @ tb.T).real
     return np.clip(dens, 0.0, None)
 
@@ -177,10 +175,12 @@ class _GridSampler:
         self.step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
         mass = joint_quadrature_density(rho, theta_a, theta_b, _QUAD_GRID) * self.step**2
         total = mass.sum()
+        # a unit-trace positive state's density sums to 1 here up to rounding,
+        # so a miss means rho is not a density matrix
         if abs(total - 1.0) > 1e-3:
             raise NumericError(
-                f"the grid [-8, 8] captures only {total:.6f} of the quadrature "
-                "density; the state reaches too far out in phase space"
+                f"the outcome grid [-8, 8] holds {total:.6f} of the quadrature "
+                "density, not 1; the state is not a positive unit-trace matrix"
             )
         self.mass = mass / total
         self.cum_a = np.cumsum(self.mass.sum(axis=1))
@@ -213,8 +213,8 @@ def sample_quadrature_schedule(
     uniforms from row ``s`` of the stream, so any partitioning of a shot
     range reproduces bit-identical records.  A one-setting schedule samples
     at fixed LO phases.  Outcomes are drawn on ``[-8, 8]`` in cells of 0.02;
-    a state with more than 1e-3 of its density outside raises
-    :class:`NumericError`.
+    a tabulated density whose mass is off 1 by more than 1e-3 (``rho`` not
+    positive, or not of unit trace) raises :class:`NumericError`.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")

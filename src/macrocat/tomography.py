@@ -296,7 +296,8 @@ def mle_reconstruct(
 
     rho = np.zeros((4, 4), dtype=complex)
     rho[np.ix_(support, support)] = lik.unpack(x)
-    result_rho = DensityMatrix(2, 2, rho)
+    result_rho = DensityMatrix(rho)
+    result_rho.validate()
     return TomographyResult(
         rho=result_rho,
         loglik=np.asarray(loglik),
@@ -312,33 +313,22 @@ def concurrence(rho: DensityMatrix) -> float:
     """Entanglement of the one-photon subspace:
     ``2 (|rho_{01,10}| - sqrt(rho_{00} rho_{11}))``, clamped at 0.
 
-    Indices refer to the two-mode Fock basis; the formula is meaningful
-    when the state is confined to the {|00>,|01>,|10>,|11>} block, so a
-    warning is emitted if more than 5% of the population leaks outside it.
     The unclamped expression goes negative on separable states; the clamp
-    maps those to zero entanglement.
+    maps those to zero entanglement.  The population missing from the
+    trace is the leakage out of ``|00>, |01>, |10>, |11>`` (the round trip
+    hands in its block of a larger state); a warning is emitted if it
+    exceeds 5%.  Raises if ``rho`` is not Hermitian.
     """
-    if rho.modes != 2 or rho.dim < 2:
-        raise ValueError("concurrence expects a two-mode state with dim >= 2")
-    rho.validate()
-    d = rho.dim
-    qubit = [0, 1, d, d + 1]
-    return _qubit_block_concurrence(rho.data[np.ix_(qubit, qubit)])
-
-
-def _qubit_block_concurrence(block: np.ndarray) -> float:
-    """:func:`concurrence` from the 4 x 4 block on ``|00>, |01>, |10>, |11>``
-    of a unit-trace state; the population missing from the block is the
-    leakage the warning reports.  The caller checks the state."""
-    pops = np.clip(np.diag(block).real, 0.0, None)
+    rho.check_hermitian()
+    pops = np.clip(np.diag(rho.data).real, 0.0, None)
     leak = 1.0 - pops.sum()
     if leak > 0.05:
         warnings.warn(
             f"{leak:.3f} of the population lies outside the "
             "one-photon subspace; concurrence may be unreliable",
-            stacklevel=3,
+            stacklevel=2,
         )
-    coherence = abs(block[1, 2])  # <01| rho |10>
+    coherence = abs(rho.data[1, 2])  # <01| rho |10>
     value = 2.0 * (coherence - math.sqrt(pops[0] * pops[3]))
     return max(0.0, value)
 
@@ -349,16 +339,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     ``sigma`` must be a density matrix (positive semidefinite): then a zero
     diagonal entry means a zero row and column, so the fidelity is exactly
     that of ``rho[s, s]`` with ``sigma[s, s]`` on the basis kets ``s`` where
-    ``diag(sigma)`` is nonzero, and only that block is decomposed (a model
-    state as ``sigma`` costs a few-by-few eigenproblem at any ``dim``).  The
+    ``diag(sigma)`` is nonzero, and only that block is decomposed.  The
     product is formed in sigma's eigenbasis on its positive eigenvalues, so
     no square root is taken of a rounding-level eigenvalue of ``sigma`` or
     of ``rho`` outside sigma's range.  Reduces to ``|<psi|phi>|**2`` for
     pure inputs.  Returns a value in [0, 1] (tiny numerical overshoot is
     clipped).
     """
-    if (rho.dim, rho.modes) != (sigma.dim, sigma.modes):
-        raise ValueError("states live on different spaces")
     s = np.flatnonzero(np.diag(sigma.data))
     w, v = np.linalg.eigh(sigma.data[np.ix_(s, s)])
     root, v = np.sqrt(w[w > 0.0]), v[:, w > 0.0]

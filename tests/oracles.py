@@ -11,6 +11,11 @@ trustworthy as an oracle:
 * the Gaussian-regime joint and marginal count densities (counterparts of
   the closed-form conditional moments and discrimination error in
   :mod:`macrocat.counting`);
+* ``FockState``, a density matrix at any per-mode truncation ``dim`` on one
+  or two modes: the package's one state type,
+  :class:`macrocat.fock.DensityMatrix`, holds two modes at two levels each;
+* the delocalized photon's ket at any ``dim``, ``delocalized_photon``
+  (counterpart of the ket in :func:`macrocat.pipeline.model_microscopic_state`);
 * the delocalized photon with both arms displaced, as a dense two-mode
   density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`),
   and the bosonic loss channel on a density matrix (with the two, the dense
@@ -28,17 +33,13 @@ trustworthy as an oracle:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, ndtr
 
 from macrocat.counting import CountModelParams
-from macrocat.fock import (
-    DensityMatrix,
-    displacement_matrix,
-    loss_kraus_coefficients,
-    quadrature_basis,
-)
+from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
 from macrocat.sampling import CountSample, shot_uniforms
 
 # ---------------------------------------------------------------------------
@@ -191,20 +192,38 @@ def alice_marginal_ref_cdf(n_a, params: CountModelParams):
 
 
 # ---------------------------------------------------------------------------
-# Fock-space reductions
+# Fock-space states and reductions
 
 
-def pure_state(vec: np.ndarray, dim: int, modes: int) -> DensityMatrix:
+class FockState(NamedTuple):
+    """Operator on ``modes`` modes truncated at ``dim`` levels each: ``data``
+    is ``dim**modes`` square, two-mode kets ordered as in :mod:`macrocat.fock`."""
+
+    dim: int
+    modes: int
+    data: np.ndarray
+
+
+def delocalized_photon(phi: float, dim: int) -> np.ndarray:
+    """Ket ``(|0>_A |1>_B + e^{i phi} |1>_A |0>_B) / sqrt(2)`` at ``dim`` levels
+    per mode."""
+    ket = np.zeros(dim * dim, dtype=complex)
+    ket[1] = 1.0  # |0>_A |1>_B
+    ket[dim] = np.exp(1j * phi)  # |1>_A |0>_B
+    return ket / np.sqrt(2.0)
+
+
+def pure_state(vec: np.ndarray, dim: int, modes: int) -> FockState:
     """Rank-1 density matrix |v><v| / <v|v> from a ket."""
     v = np.asarray(vec, dtype=complex).ravel()
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("cannot build a state from the zero vector")
     v = v / norm
-    return DensityMatrix(dim=dim, modes=modes, data=np.outer(v, v.conj()))
+    return FockState(dim, modes, np.outer(v, v.conj()))
 
 
-def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
+def build_macro_state(alpha: float, phi: float, dim: int) -> FockState:
     """Two-mode pure state with both arms displaced by ``alpha``.
 
     ``(D(a)|0>_A D(a)|1>_B + e^{i phi} D(a)|1>_A D(a)|0>_B)/sqrt(2)``
@@ -218,7 +237,7 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> DensityMatrix:
     return pure_state(vec, dim, 2)
 
 
-def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
+def apply_loss(rho: FockState, eta: float, mode: int = 0) -> FockState:
     """Bosonic loss channel of transmissivity ``eta`` on one mode of a
     density matrix.
 
@@ -246,18 +265,10 @@ def apply_loss(rho: DensityMatrix, eta: float, mode: int = 0) -> DensityMatrix:
         out[: d - j, : d - j] += ket * t[j:, j:] * bra
     if rho.modes == 2:
         out = np.moveaxis(out, (0, 1), (mode, mode + 2)).reshape(d * d, d * d)
-    return DensityMatrix(d, rho.modes, out)
+    return FockState(d, rho.modes, out)
 
 
-def embed_two_level(rho: DensityMatrix, dim: int) -> DensityMatrix:
-    """A two-mode state on two levels per mode, zero-padded to ``dim`` levels."""
-    qubit = [0, 1, dim, dim + 1]  # |00>, |01>, |10>, |11>
-    data = np.zeros((dim * dim, dim * dim), dtype=complex)
-    data[np.ix_(qubit, qubit)] = rho.data
-    return DensityMatrix(dim, 2, data)
-
-
-def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
+def photon_number_pmf(rho: FockState, mode: int = 0) -> np.ndarray:
     """Photon-number distribution of one mode (real, clipped at 0)."""
     if rho.modes == 1:
         if mode != 0:
@@ -270,14 +281,14 @@ def photon_number_pmf(rho: DensityMatrix, mode: int = 0) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def vacuum(dim: int, modes: int = 1) -> DensityMatrix:
+def vacuum(dim: int, modes: int = 1) -> FockState:
     """The vacuum ``|0...0><0...0|`` on ``modes`` modes truncated at ``dim``."""
     vec = np.zeros(dim**modes)
     vec[0] = 1.0
     return pure_state(vec, dim, modes)
 
 
-def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
+def partial_trace(rho: FockState, keep: int) -> FockState:
     """Reduce a two-mode state to the given mode (0 = A, 1 = B)."""
     if rho.modes != 2:
         raise ValueError("partial_trace expects a two-mode state")
@@ -286,10 +297,10 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     d = rho.dim
     t = rho.data.reshape(d, d, d, d)
     out = np.einsum("mknk->mn", t) if keep == 0 else np.einsum("kmkn->mn", t)
-    return DensityMatrix(d, 1, out)
+    return FockState(d, 1, out)
 
 
-def photon_moments(rho: DensityMatrix, mode: int = 0) -> tuple[float, float]:
+def photon_moments(rho: FockState, mode: int = 0) -> tuple[float, float]:
     """Mean and variance of the photon number in the selected mode."""
     p = photon_number_pmf(rho, mode)
     n = np.arange(rho.dim)
@@ -298,7 +309,7 @@ def photon_moments(rho: DensityMatrix, mode: int = 0) -> tuple[float, float]:
     return mean, var
 
 
-def quadrature_marginal(rho: DensityMatrix, theta: float, grid: np.ndarray) -> np.ndarray:
+def quadrature_marginal(rho: FockState, theta: float, grid: np.ndarray) -> np.ndarray:
     """Probability density ``pr(x | theta)`` of a single-mode state on ``grid``.
 
     The grid must extend at least six units beyond the quadrature mean so
@@ -306,7 +317,6 @@ def quadrature_marginal(rho: DensityMatrix, theta: float, grid: np.ndarray) -> n
     """
     if rho.modes != 1:
         raise ValueError("quadrature_marginal expects a single-mode state")
-    rho.validate()
     grid = np.asarray(grid, dtype=float)
     d = rho.dim
     a_op = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
@@ -322,7 +332,7 @@ def quadrature_marginal(rho: DensityMatrix, theta: float, grid: np.ndarray) -> n
     return np.clip(dens, 0.0, None)
 
 
-def wigner_fock(rho: DensityMatrix, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def wigner_fock(rho: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Wigner function of a single-mode state on a phase-space grid.
 
     Evaluated through the displaced-parity identity

@@ -189,7 +189,7 @@ class TestCriterion6OracleEquivalences:
 
     def test_kraus_loss_vs_closed_form(self):
         dim, eta = 4, 0.49
-        psi = fock.delocalized_photon_state(0.0, dim)
+        psi = oracles.delocalized_photon(0.0, dim)
         rho = oracles.pure_state(psi, dim, 2)
         lossy = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         closed = eta * np.outer(psi, psi.conj())

@@ -96,6 +96,19 @@ class TestSmoke:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["discrimination_error"] == pytest.approx(0.36, abs=0.03)
 
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 3.0, 40.0, 1e155, 1e300])
+    def test_analytic_dephasing_at_any_sigma(self, tmp_path, sigma):
+        # sigma**2 overflowed from ~1.3e154 on, and the run exited 2
+        try:
+            factor = math.exp(-sigma**2 / 2.0)
+        except OverflowError:
+            factor = 0.0
+        cfg = write_config(tmp_path, phase_noise_sigma=sigma)
+        out = tmp_path / "out"
+        assert run_cli("analytic", "--config", cfg, "--out", out, "--quiet") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["concurrence"] == 0.49 * factor
+
     def test_simulate_counts(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -117,7 +130,7 @@ class TestSmoke:
         doc = result["rho"]
         assert (doc["dim"], doc["modes"]) == (2, 2)
         data = np.reshape(doc["re"], (4, 4)) + 1j * np.reshape(doc["im"], (4, 4))
-        fock.DensityMatrix(2, 2, data).validate()
+        fock.DensityMatrix(data).validate()
         assert (out / "records.csv").read_text().startswith("shot,thetaA,xA,thetaB,xB")
 
     def test_wigner_marginal_matches_direct_computation(self, tmp_path):
@@ -128,10 +141,10 @@ class TestSmoke:
         }))
         out = tmp_path / "out"
         assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
-        data = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)
-        xs = np.unique(data["x"])
-        ps = np.unique(data["p"])
-        w = data["w"].reshape(xs.size, ps.size)
+        x, p, w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, unpack=True)
+        xs = np.unique(x)
+        ps = np.unique(p)
+        w = w.reshape(xs.size, ps.size)
         marginal = np.trapezoid(w, ps, axis=1)
         D = fock.displacement_matrix(1.0, 16)
         rho = oracles.pure_state(D[:, 0] + D[:, 1], 16, 1)
@@ -142,13 +155,24 @@ class TestSmoke:
         assert np.abs(marginal - direct).max() < 1e-3
 
     def test_wigner_at_the_paper_amplitude(self, tmp_path):
-        # D(alpha)|1> lies ~14849 units from the default grid: every value is 0
+        # D(alpha)|1> lies ~14849 units from the default grid: every value is
+        # 0, and the run warns that the table holds none of the state
         spec = tmp_path / "state.json"
         spec.write_text(json.dumps({"alpha": 1.05e4, "c0": 0, "c1": 1}))
         out = tmp_path / "out"
-        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
-        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        with pytest.warns(UserWarning, match="captures 0.000000 of the Wigner"):
+            assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, usecols=2)
         assert w.size == 121 * 121 and np.isfinite(w).all()
+
+    # captured masses 1 - 7e-15 and 1 - 5.8e-5
+    @pytest.mark.parametrize("doc", [{}, {"alpha": 2, "c0": 0, "c1": 1}])
+    def test_wigner_on_grid_does_not_warn(self, tmp_path, doc):
+        spec = tmp_path / "state.json"
+        spec.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("wigner", "--config", spec, "--out", tmp_path / "out", "--quiet") == 0
 
     def test_wigner_single_photon_minimum_is_exact(self, tmp_path):
         # the square grid passes through the displaced centre x = 2 sqrt(2), p = 0
@@ -160,7 +184,7 @@ class TestSmoke:
         }))
         out = tmp_path / "out"
         assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
-        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, usecols=2)
         assert w.min() == pytest.approx(-1.0 / math.pi, abs=1e-12)
 
     def test_wigner_far_single_point_grid_is_zero(self, tmp_path):
@@ -168,7 +192,8 @@ class TestSmoke:
         spec = tmp_path / "state.json"
         spec.write_text(json.dumps({"grid": {"min": 1e300, "max": 1.5e300, "step": 1e300}}))
         out = tmp_path / "out"
-        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        with pytest.warns(UserWarning, match="captures 0.000000"):
+            assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
         assert (out / "wigner.csv").read_text().splitlines()[1].endswith(",0")
 
     def test_wigner_ignores_dim(self, tmp_path):
@@ -192,8 +217,9 @@ class TestSmoke:
         spec = tmp_path / "state.json"
         spec.write_text(json.dumps({"alpha": alpha, "c0": [0.3, 0.1], "c1": [0.0, 1.0]}))
         out = tmp_path / "out"
-        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
-        w = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)["w"]
+        with pytest.warns(UserWarning, match="captures 0.000000"):
+            assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+        w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, usecols=2)
         assert w.size == 121 * 121 and np.isfinite(w).all()
 
     def test_roundtrip_check(self, tmp_path):
@@ -630,7 +656,10 @@ def _experiment_specs(field=_field, **required):
         )),
         "n_count_shots": field(st.integers(-5, 10**7)),
         "n_quad_shots": field(st.integers(-5, 10**7)),
-        "phase_noise_sigma": field(st.floats(-0.5, 3.0)),
+        # and values whose square overflows
+        "phase_noise_sigma": field(st.one_of(
+            st.floats(-0.5, 3.0), st.sampled_from([40.0, 1e155, 1e300])
+        )),
         "seed": field(st.integers(-5, 2**64 + 5)),
     }
     for name in required:
@@ -746,9 +775,9 @@ def test_wigner_spec_property(spec):
     :func:`_run_spec`."""
 
     def check(out):
-        data = np.genfromtxt(out / "wigner.csv", delimiter=",", names=True)
-        assert np.isfinite(data["w"]).all()
-        assert np.abs(data["w"]).max() <= 1.0 / math.pi + 1e-9
+        w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, usecols=2, ndmin=1)
+        assert np.isfinite(w).all()
+        assert np.abs(w).max() <= 1.0 / math.pi + 1e-9
 
     _run_spec("wigner", spec, check)
 

@@ -77,7 +77,7 @@ def random_state(dim, modes, seed):
     d = dim**modes
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     data = a @ a.conj().T
-    return fock.DensityMatrix(dim, modes, data / np.trace(data))
+    return oracles.FockState(dim, modes, data / np.trace(data))
 
 
 class TestDisplacementMatrix:
@@ -136,13 +136,13 @@ class TestLossChannel:
     def test_trace_preserved(self, eta):
         rho = oracles.build_macro_state(1.2, 0.7, 24)
         out = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("eta", [0.25, 0.49, 0.9])
     def test_matches_closed_form_on_delocalized_photon(self, eta):
         # equal loss on both arms: eta |psi><psi| + (1-eta)|00><00|
         dim = 4
-        psi = fock.delocalized_photon_state(0.4, dim)
+        psi = oracles.delocalized_photon(0.4, dim)
         rho = oracles.pure_state(psi, dim, 2)
         out = oracles.apply_loss(oracles.apply_loss(rho, eta, 0), eta, 1)
         expected = eta * np.outer(psi, psi.conj())
@@ -185,7 +185,7 @@ def macro_rho(alpha, phi, dim):
 class TestMacroState:
     def test_alpha_zero_is_delocalized_photon(self):
         psi = fock.macro_state_amplitudes(0.0, 0.0, 4)
-        expected = fock.delocalized_photon_state(0.0, 4)
+        expected = oracles.delocalized_photon(0.0, 4)
         assert np.abs(psi.ravel() - expected).max() < 1e-15
 
     @pytest.mark.parametrize("alpha,phi", [(0.0, 0.0), (1.0, 0.5), (1.5, np.pi / 2)])
@@ -218,7 +218,7 @@ class TestMacroState:
         psi = fock.macro_state_amplitudes(alpha, 0.3, dim)
         D = fock.displacement_matrix(-alpha, dim)
         back = D @ psi @ D.T  # D (x) D on the ket
-        expected = fock.delocalized_photon_state(0.3, dim)
+        expected = oracles.delocalized_photon(0.3, dim)
         fidelity = abs(np.vdot(expected, back.ravel())) ** 2
         assert fidelity > 1.0 - 1e-6
 
@@ -283,14 +283,6 @@ class TestQuadratureMarginal:
             oracles.quadrature_marginal(
                 oracles.vacuum(4), 0.0, np.linspace(-3, 3, 100)
             )
-
-    def test_non_hermitian_rejected(self):
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 1] = 1.0
-        bad[0, 0] = 1.0
-        rho = fock.DensityMatrix(4, 1, bad)
-        with pytest.raises(ValueError):
-            oracles.quadrature_marginal(rho, 0.0, np.linspace(-8, 8, 100))
 
 
 class TestWigner:
@@ -368,21 +360,29 @@ class TestWigner:
 
 class TestSerialization:
     def test_round_trip(self):
-        rho = oracles.build_macro_state(0.7, 1.2, 12)
+        rho = fock.DensityMatrix(random_state(2, 2, seed=12).data)
         doc = json.loads(json.dumps(rho.to_json_dict()))
-        d = doc["dim"] ** doc["modes"]
-        data = np.reshape(doc["re"], (d, d)) + 1j * np.reshape(doc["im"], (d, d))
-        back = fock.DensityMatrix(doc["dim"], doc["modes"], data)
-        assert back.dim == rho.dim and back.modes == rho.modes
+        # result.json keeps the keys it had when the state type was general
+        assert list(doc) == ["dim", "modes", "re", "im"]
+        assert (doc["dim"], doc["modes"]) == (2, 2)
+        data = np.reshape(doc["re"], (4, 4)) + 1j * np.reshape(doc["im"], (4, 4))
+        back = fock.DensityMatrix(data)
         assert np.abs(back.data - rho.data).max() < 1e-15
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (16, 16), (4,), (4, 5), (1, 4, 4)])
+    def test_rejects_shapes_other_than_4x4(self, shape):
+        with pytest.raises(ValueError, match="4, 4"):
+            fock.DensityMatrix(np.zeros(shape))
+
     def test_rejects_non_hermitian_payload(self):
-        with pytest.raises(ValueError):
-            fock.DensityMatrix(2, 1, [[1.0, 0.5], [0.0, 0.0]]).validate()
+        bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        bad[0, 1] = 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            fock.DensityMatrix(bad).validate()
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            fock.DensityMatrix(2, 1, [[0.7, 0.0], [0.0, 0.7]]).validate()
+        with pytest.raises(ValueError, match="trace"):
+            fock.DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0])).validate()
 
 
 class TestInvariantSweeps:
@@ -394,9 +394,10 @@ class TestInvariantSweeps:
         dim = 6
         raw = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
         herm = raw @ raw.conj().T
-        rho = fock.DensityMatrix(dim, 2, herm / np.trace(herm).real)
+        rho = oracles.FockState(dim, 2, herm / np.trace(herm).real)
         out = oracles.apply_loss(rho, rng.uniform(0.1, 0.9), int(rng.integers(2)))
-        out.validate()
+        assert np.abs(out.data - out.data.conj().T).max() <= 1e-10
+        assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-8)
         assert np.linalg.eigvalsh(out.data)[0] >= -1e-8
 
     @pytest.mark.parametrize("seed", range(4))
@@ -405,7 +406,7 @@ class TestInvariantSweeps:
         dim = 8
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = raw @ raw.conj().T
-        rho = fock.DensityMatrix(dim, 1, herm / np.trace(herm).real)
+        rho = oracles.FockState(dim, 1, herm / np.trace(herm).real)
         grid = np.linspace(-10, 10, 2001)
         dens = oracles.quadrature_marginal(rho, rng.uniform(0, 2 * np.pi), grid)
         assert dens.min() >= -1e-10

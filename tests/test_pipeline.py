@@ -78,6 +78,21 @@ class TestMicroscopicModel:
         assert np.linalg.eigvalsh(rho.data)[0] >= -1e-8
         assert tomography.concurrence(rho) == pytest.approx(0.49, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5, 3.0, 38.0, 38.6, 40.0, 40.5, 1e155, 1e300])
+    def test_dephasing_factor_is_the_gaussian_factor_or_zero(self, sigma):
+        # bit-equal to exp(-sigma^2/2) wherever sigma^2 is finite, 0 beyond
+        try:
+            expected = math.exp(-sigma**2 / 2.0)
+        except OverflowError:
+            expected = 0.0
+        assert pipeline.dephasing_factor(sigma) == expected
+        cfg = ExperimentConfig(phase_noise_sigma=sigma)
+        assert cfg.model_concurrence() == 0.49 * expected
+        rho = pipeline.model_microscopic_state(0.49, 1.0, dephasing_sigma=sigma)
+        rho.validate()
+        # subnormal factors keep only a few digits
+        assert abs(rho.data[1, 2]) == pytest.approx(0.245 * expected, rel=1e-12, abs=1e-320)
+
     def test_dephasing_damps_concurrence(self):
         sigma = math.sqrt(-2.0 * math.log(0.32 / 0.49))
         rho = pipeline.model_microscopic_state(0.49, 0.0, dephasing_sigma=sigma)
@@ -168,24 +183,30 @@ class TestCountsScenario:
         ]
 
 
+def _qubit_block(data, dim):
+    """The block of a dense two-mode matrix on ``|00>, |01>, |10>, |11>``."""
+    qubit = [0, 1, dim, dim + 1]
+    return fock.DensityMatrix(data[np.ix_(qubit, qubit)])
+
+
 def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     """The round trip with dense ``D (x) D`` products and the loss channel
     applied to the undisplaced photon as the reference."""
-    rho0 = oracles.pure_state(fock.delocalized_photon_state(phi, dim), dim, 2)
+    rho0 = oracles.pure_state(oracles.delocalized_photon(phi, dim), dim, 2)
     d_fwd = np.kron(*[fock.displacement_matrix(alpha_small, dim)] * 2)
-    displaced = fock.DensityMatrix(dim, 2, d_fwd @ rho0.data @ d_fwd.conj().T)
+    displaced = oracles.FockState(dim, 2, d_fwd @ rho0.data @ d_fwd.conj().T)
     lossy = oracles.apply_loss(oracles.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
     d_rev = np.kron(*[fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)] * 2)
     data = d_rev @ lossy.data @ d_rev.conj().T
-    roundtrip = fock.DensityMatrix(dim, 2, data / np.trace(data))
+    roundtrip = _qubit_block(data / np.trace(data), dim)
     reference = oracles.apply_loss(oracles.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
     return pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
-        # the round-trip state as sigma has full diagonal support, so this
-        # decomposes the whole dense state
-        fidelity_to_loss_model=tomography.fidelity(reference, roundtrip),
+        # the reference lies in the block, so the fidelity reads only the
+        # round-trip state's block
+        fidelity_to_loss_model=tomography.fidelity(roundtrip, _qubit_block(reference.data, dim)),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
-        concurrence_initial=tomography.concurrence(rho0),
+        concurrence_initial=tomography.concurrence(_qubit_block(rho0.data, dim)),
     )
 
 
@@ -204,20 +225,16 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
         optimize=True,
     )
     data = t.reshape(dim * dim, dim * dim)
-    qubit = [0, 1, dim, dim + 1]
-    roundtrip = fock.DensityMatrix(dim, 2, data / np.trace(data))
+    roundtrip = _qubit_block(data / np.trace(data), dim)
     result = pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
-            roundtrip,
-            oracles.embed_two_level(pipeline.model_microscopic_state(mismatch_eta, phi), dim),
+            roundtrip, pipeline.model_microscopic_state(mismatch_eta, phi)
         ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
-        concurrence_initial=tomography.concurrence(
-            oracles.embed_two_level(pipeline.model_microscopic_state(1.0, phi), dim)
-        ),
+        concurrence_initial=tomography.concurrence(pipeline.model_microscopic_state(1.0, phi)),
     )
-    return data[np.ix_(qubit, qubit)], float(np.trace(data).real), result
+    return _qubit_block(data, dim).data, float(np.trace(data).real), result
 
 
 _EINSUM_CASES = [
@@ -233,9 +250,7 @@ class TestRoundtripCheck:
     @pytest.mark.parametrize("eta", [1.0, 0.99, 0.95])
     def test_matches_dense_oracle(self, eta, phi):
         # at alpha 1 the truncated round trip leaks ~3e-12 outside the
-        # one-photon block; the oracle's dense square root cannot resolve
-        # leaks near 1e-8 (it returns 1.0 where the exact value is 1 - 2.5e-8
-        # at alpha 1.4)
+        # one-photon block
         res = pipeline.displacement_roundtrip_check(1.0, eta, dim=16, phi=phi)
         ref = _dense_roundtrip_oracle(1.0, eta, 16, phi)
         for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_roundtrip",

@@ -7,7 +7,6 @@ against enumerated histograms, quadrature-marginal moment integrals.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +15,15 @@ from scipy.special import ndtri
 
 from macrocat import cli, counting, fock, pipeline, sampling
 from macrocat.counting import CountModelParams
-from macrocat.errors import NumericError, TruncationWarning
+from macrocat.errors import NumericError
 import oracles
+
+_VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def _lossy_photon(phi):
+    """The delocalized photon with loss 0.4 on mode A, as an oracle state."""
+    return oracles.apply_loss(oracles.pure_state(oracles.delocalized_photon(phi, 2), 2, 2), 0.6, 0)
 
 
 class TestDeterminism:
@@ -53,7 +59,7 @@ class TestDeterminism:
         assert np.array_equal(whole.dn_a, np.concatenate([q.dn_a for q in parts]))
 
     def test_quadratures_partition_equivalence(self):
-        rho = oracles.vacuum(4, 2)
+        rho = _VACUUM
         sched = [(0.3, 0.0)]
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
@@ -66,8 +72,7 @@ class TestDeterminism:
     def test_schedule_partition_equivalence(self):
         # the split at 803 is not a multiple of the 4 settings, so the last
         # part must pick its settings by absolute shot index
-        psi = fock.delocalized_photon_state(0.4, 4)
-        rho = oracles.apply_loss(oracles.pure_state(psi, 4, 2), 0.6, 0)
+        rho = fock.DensityMatrix(_lossy_photon(0.4).data)
         sched = sampling.phase_schedule(4)
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
@@ -81,7 +86,7 @@ class TestDeterminism:
             assert np.array_equal(getattr(whole, col), joined), col
 
     def test_schedule_reproducible(self):
-        rho = oracles.vacuum(4, 2)
+        rho = _VACUUM
         sched = sampling.phase_schedule(4)
         a = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
         b = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
@@ -364,24 +369,20 @@ def _marginal_moment_oracle(rho, theta, power, mode):
 
 class TestQuadratureSampler:
     def test_vacuum_variance(self):
-        rho = oracles.vacuum(4, 2)
-        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=41)
+        rec = sampling.sample_quadrature_schedule(_VACUUM, [(0.0, 0.0)], 200_000, seed=41)
         se = math.sqrt(2.0 / len(rec)) * 0.5
         assert rec.x_a.var() == pytest.approx(0.5, abs=4 * se)
         assert rec.x_b.var() == pytest.approx(0.5, abs=4 * se)
 
     def test_delocalized_photon_correlation(self):
-        psi = fock.delocalized_photon_state(0.0, 4)
-        rho = oracles.pure_state(psi, 4, 2)
+        rho = pipeline.model_microscopic_state(1.0, 0.0)
         rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=42)
         prod = rec.x_a * rec.x_b
         se = prod.std() / math.sqrt(len(rec))
         assert prod.mean() == pytest.approx(0.5, abs=4 * se)
 
     def test_single_photon_node(self):
-        vec = np.zeros(16)
-        vec[1 * 4 + 0] = 1.0  # |1>_A |0>_B
-        rho = oracles.pure_state(vec, 4, 2)
+        rho = fock.DensityMatrix(np.diag([0.0, 0.0, 1.0, 0.0]))  # |1>_A |0>_B
         rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 1_000_000, seed=43)
         h, edges = np.histogram(rec.x_a, bins=np.arange(-4.0, 4.01, 0.05))
         center = h[np.searchsorted(edges, -0.025)]
@@ -391,10 +392,10 @@ class TestQuadratureSampler:
         "theta_a,theta_b", [(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]
     )
     def test_moments_match_marginal_integrals(self, theta_a, theta_b):
-        psi = fock.delocalized_photon_state(0.8, 4)
-        rho = oracles.pure_state(psi, 4, 2)
-        rho = oracles.apply_loss(rho, 0.6, 0)
-        rec = sampling.sample_quadrature_schedule(rho, [(theta_a, theta_b)], 200_000, seed=44)
+        rho = _lossy_photon(0.8)
+        rec = sampling.sample_quadrature_schedule(
+            fock.DensityMatrix(rho.data), [(theta_a, theta_b)], 200_000, seed=44
+        )
         for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, theta_b)):
             for power in (1, 2):
                 target = _marginal_moment_oracle(rho, theta, power, mode)
@@ -402,12 +403,9 @@ class TestQuadratureSampler:
                 assert np.mean(arr**power) == pytest.approx(target, abs=5 * se)
 
     def test_underresolved_grid_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            coh = fock.displacement_matrix(4.5, 32)[:, 0]
-        vac = np.zeros(32)
-        vac[0] = 1.0
-        rho = oracles.pure_state(np.kron(coh, vac), 32, 2)
+        # Hermitian and of unit trace but not positive: its clipped density
+        # sums to about 1.07 on the grid
+        rho = fock.DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
         with pytest.raises(NumericError, match="grid"):
             sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 10, seed=45)
 

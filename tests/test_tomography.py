@@ -14,12 +14,9 @@ from hypothesis import strategies as st
 
 from macrocat import fock, sampling, tomography
 from macrocat.pipeline import model_microscopic_state
-from oracles import embed_two_level, pure_state, vacuum
+from oracles import delocalized_photon
 
-
-def _bell_pair(phi=0.0, dim=4):
-    psi = fock.delocalized_photon_state(phi, dim)
-    return pure_state(psi, dim, 2)
+_VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def _simulate(rho, n_shots, seed, n_settings=12):
@@ -49,10 +46,10 @@ def _dense_fidelity_oracle(rho, sigma):
     return min(max(float(np.sqrt(lam).sum() ** 2), 0.0), 1.0)
 
 
-def _random_full_rank_state(rng, dim):
-    g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
+def _random_full_rank_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     data = g @ g.conj().T
-    return fock.DensityMatrix(dim, 2, data / np.trace(data))
+    return fock.DensityMatrix(data / np.trace(data))
 
 
 class TestPovmCompleteness:
@@ -65,7 +62,7 @@ class TestPovmCompleteness:
 
 class TestMleReconstruct:
     def test_vacuum_self_consistency(self):
-        rho = vacuum(2, 2)
+        rho = _VACUUM
         records = _simulate(rho, 50_000, seed=61)
         result = tomography.mle_reconstruct(records)
         assert tomography.fidelity(result.rho, rho) > 0.99
@@ -76,9 +73,8 @@ class TestMleReconstruct:
         model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 100_000, seed=62)
         result = tomography.mle_reconstruct(records)
-        d = result.rho.dim
         assert result.rho.data[0, 0].real == pytest.approx(0.51, abs=0.02)
-        assert abs(result.rho.data[1, d]) == pytest.approx(0.245, abs=0.02)
+        assert abs(result.rho.data[1, 2]) == pytest.approx(0.245, abs=0.02)
         assert result.concurrence == pytest.approx(0.49, abs=0.05)
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
@@ -101,9 +97,8 @@ class TestMleReconstruct:
         )
         base = tomography.mle_reconstruct(records)
         rot = tomography.mle_reconstruct(shifted)
-        d = base.rho.dim
-        c0 = base.rho.data[1, d]
-        c1 = rot.rho.data[1, d]
+        c0 = base.rho.data[1, 2]
+        c1 = rot.rho.data[1, 2]
         assert abs(abs(c1) - abs(c0)) < 0.02
         assert abs(np.exp(1j * (np.angle(c1) - np.angle(c0) - offset)) - 1.0) < 0.05
 
@@ -119,20 +114,17 @@ class TestMleReconstruct:
         assert np.mean(fids[200_000]) >= np.mean(fids[10_000])
 
     def test_too_few_records_rejected(self):
-        rho = vacuum(2, 2)
-        records = _simulate(rho, 999, seed=65)
+        records = _simulate(_VACUUM, 999, seed=65)
         with pytest.raises(ValueError, match="records"):
             tomography.mle_reconstruct(records)
 
     def test_single_phase_rejected(self):
-        rho = vacuum(2, 2)
-        records = sampling.sample_quadrature_schedule(rho, [(0.7, 0.0)], 2000, seed=66)
+        records = sampling.sample_quadrature_schedule(_VACUUM, [(0.7, 0.0)], 2000, seed=66)
         with pytest.raises(ValueError, match="phases"):
             tomography.mle_reconstruct(records)
 
     def test_result_json_shape(self):
-        rho = vacuum(2, 2)
-        records = _simulate(rho, 2000, seed=67, n_settings=4)
+        records = _simulate(_VACUUM, 2000, seed=67, n_settings=4)
         result = tomography.mle_reconstruct(records, max_iter=50)
         doc = result.to_json_dict()
         assert set(doc) == {
@@ -148,6 +140,19 @@ class TestMleReconstruct:
         back = np.reshape(doc["rho"]["re"], shape) + 1j * np.reshape(doc["rho"]["im"], shape)
         assert np.abs(back - result.rho.data).max() < 1e-12
         assert len(doc["loglik"]) == doc["iterations"] + 1
+
+    def test_output_failing_validation_raises(self, monkeypatch):
+        # the returned state is checked: coordinates of trace 2 do not pass
+        records = _simulate(_VACUUM, 2000, seed=67, n_settings=4)
+        maximize = tomography._maximize
+
+        def doubled(lik, tol, max_iter):
+            x, loglik, gap, stop_reason = maximize(lik, tol, max_iter)
+            return 2.0 * x, loglik, gap, stop_reason
+
+        monkeypatch.setattr(tomography, "_maximize", doubled)
+        with pytest.raises(ValueError, match="trace"):
+            tomography.mle_reconstruct(records)
 
     def test_uncertified_stop_warns(self):
         model = model_microscopic_state(0.49, 0.0)
@@ -302,7 +307,8 @@ class TestSupportRestriction:
 
 class TestConcurrence:
     def test_maximally_entangled_single_photon(self):
-        assert tomography.concurrence(_bell_pair()) == pytest.approx(1.0, abs=1e-12)
+        rho = model_microscopic_state(1.0, 0.0)
+        assert tomography.concurrence(rho) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eta", [0.25, 0.49, 0.8])
     def test_loss_model_equals_efficiency(self, eta):
@@ -311,26 +317,19 @@ class TestConcurrence:
 
     def test_separable_state_clamped_to_zero(self):
         # populations without coherence make the bare formula negative
-        d = 3
-        data = np.zeros((9, 9), dtype=complex)
-        data[0, 0] = 0.25
-        data[1, 1] = 0.25
-        data[d, d] = 0.25
-        data[d + 1, d + 1] = 0.25
-        rho = fock.DensityMatrix(d, 2, data)
+        rho = fock.DensityMatrix(np.diag([0.25, 0.25, 0.25, 0.25]))
         assert tomography.concurrence(rho) == 0.0
 
     @pytest.mark.parametrize("scale", [0.5, 0.9, 1.0])
     def test_zero_on_separability_boundary(self, scale):
         # coherence at or below sqrt(rho00 rho11) yields zero
-        d = 2
         data = np.zeros((4, 4), dtype=complex)
         data[0, 0] = 0.4
         data[3, 3] = 0.1
         data[1, 1] = data[2, 2] = 0.25
         coh = scale * math.sqrt(0.4 * 0.1)
         data[1, 2] = data[2, 1] = coh
-        rho = fock.DensityMatrix(d, 2, data)
+        rho = fock.DensityMatrix(data)
         assert tomography.concurrence(rho) == 0.0
 
     def test_bounds(self):
@@ -338,18 +337,21 @@ class TestConcurrence:
         for _ in range(10):
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             herm = raw @ raw.conj().T
-            rho = fock.DensityMatrix(2, 2, herm / np.trace(herm).real)
+            rho = fock.DensityMatrix(herm / np.trace(herm).real)
             c = tomography.concurrence(rho)
             assert 0.0 <= c <= 1.0
 
     def test_leaky_population_warns(self):
-        d = 3
-        data = np.zeros((9, 9), dtype=complex)
-        data[0, 0] = 0.5
-        data[8, 8] = 0.5  # |22> population far outside the qubit block
-        rho = fock.DensityMatrix(d, 2, data)
-        with pytest.warns(UserWarning, match="outside"):
+        # trace 0.5: the block of a state with half its population elsewhere
+        rho = fock.DensityMatrix(np.diag([0.25, 0.125, 0.125, 0.0]))
+        with pytest.warns(UserWarning, match="0.500 of the population lies outside"):
             tomography.concurrence(rho)
+
+    def test_non_hermitian_rejected(self):
+        data = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+        data[1, 2] = 0.25
+        with pytest.raises(ValueError, match="Hermitian"):
+            tomography.concurrence(fock.DensityMatrix(data))
 
 
 class TestFidelity:
@@ -358,15 +360,12 @@ class TestFidelity:
         assert tomography.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        a = vacuum(4, 2)
-        vec = np.zeros(16)
-        vec[1] = 1.0
-        b = pure_state(vec, 4, 2)
-        assert tomography.fidelity(a, b) < 1e-12
+        b = fock.DensityMatrix(np.diag([0.0, 1.0, 0.0, 0.0]))
+        assert tomography.fidelity(_VACUUM, b) < 1e-12
 
     def test_pure_state_overlap_formula(self):
-        bell = _bell_pair(0.0)
-        lossy = embed_two_level(model_microscopic_state(0.49, 0.0), 4)
+        bell = model_microscopic_state(1.0, 0.0)
+        lossy = model_microscopic_state(0.49, 0.0)
         # <psi| rho |psi> for pure second argument: 0.49 (the |00> branch
         # is orthogonal to the delocalized photon)
         assert tomography.fidelity(lossy, bell) == pytest.approx(0.49, abs=1e-12)
@@ -374,34 +373,26 @@ class TestFidelity:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_oracle_on_full_rank_pairs(self, seed):
         rng = np.random.default_rng(seed)
-        rho, sigma = _random_full_rank_state(rng, 3), _random_full_rank_state(rng, 3)
+        rho, sigma = _random_full_rank_state(rng), _random_full_rank_state(rng)
         assert tomography.fidelity(rho, sigma) == pytest.approx(
             _dense_fidelity_oracle(rho, sigma), abs=1e-12
         )
 
-    @pytest.mark.parametrize("dim", [4, 32])
     @pytest.mark.parametrize("phi", [0.0, 1.3])
     @pytest.mark.parametrize("eta1,eta2", [(0.49, 0.6), (0.95, 0.99), (0.3, 0.3)])
-    def test_loss_models_closed_form(self, eta1, eta2, phi, dim):
+    def test_loss_models_closed_form(self, eta1, eta2, phi):
         # both states mix the same two orthogonal pure states
         expected = (math.sqrt(eta1 * eta2) + math.sqrt((1.0 - eta1) * (1.0 - eta2))) ** 2
         value = tomography.fidelity(
-            embed_two_level(model_microscopic_state(eta1, phi), dim),
-            embed_two_level(model_microscopic_state(eta2, phi), dim),
+            model_microscopic_state(eta1, phi), model_microscopic_state(eta2, phi)
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 1.3])
     def test_pure_reference_gives_overlap(self, phi):
         # a rank-deficient sigma costs no square root of its zero eigenvalue
-        rho = _random_full_rank_state(np.random.default_rng(5), 4)
-        psi = fock.delocalized_photon_state(phi, 4)
-        sigma = pure_state(psi, 4, 2)
+        rho = _random_full_rank_state(np.random.default_rng(5))
+        psi = delocalized_photon(phi, 2)
+        sigma = model_microscopic_state(1.0, phi)
         overlap = float((psi.conj() @ rho.data @ psi).real)
         assert tomography.fidelity(rho, sigma) == pytest.approx(overlap, abs=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            tomography.fidelity(
-                vacuum(4, 2), vacuum(3, 2)
-            )
