@@ -255,10 +255,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.WARNING if args.quiet else logging.INFO,
-            format="%(levelname)s %(message)s",
-        )
+        # basicConfig does nothing once the root logger has a handler, so the
+        # level is set on every call: a --quiet (or its absence) must not
+        # carry over from an earlier call in this process
+        logging.basicConfig(format="%(levelname)s %(message)s")
+        log.setLevel(logging.WARNING if args.quiet else logging.INFO)
         args.out.mkdir(parents=True, exist_ok=True)
         config, documents = _COMMANDS[args.command](args)
         outputs = sorted(documents)

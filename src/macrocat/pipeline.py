@@ -6,7 +6,9 @@ A counting scenario draws balanced-detection records for both phase
 settings (0 and pi/2), bins Alice's outcomes, and produces the
 conditional mean/variance curves, the two conditional histograms of
 Bob's counts at macroscopically separated Alice outcomes, and the
-empirical single-shot discrimination error.  A tomography scenario builds
+empirical single-shot discrimination error.  It reduces each block of
+shots as the sampler draws it and keeps no per-shot array, so its memory
+does not grow with the shot count.  A tomography scenario builds
 the microscopic post-undisplacement model state, samples homodyne records
 over a phase schedule, and reconstructs it.
 
@@ -20,6 +22,7 @@ against the exact Fock-basis law at moderate amplitude, where both apply.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, asdict
@@ -189,45 +192,140 @@ class CountScenarioResult:
     histogram_centers: np.ndarray
     histogram_above: np.ndarray
     histogram_below: np.ndarray
+    # shots in the conditioning windows (above, below), and how many of them
+    # the sign test misassigns
+    window_shots: np.ndarray
+    window_errors: np.ndarray
     discrimination_error: float
     variance_ratio: float
     model_discrimination_error: float
     model_variance_ratio: float
 
 
-def bin_count_records(records: sampling.CountSample, params: CountModelParams) -> BinnedCurve:
-    """Conditional mean/variance of dn_B binned over Alice's outcome.
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Index of the bin of ``edges`` that holds each ``x``, outliers clipped
+    into the edge bins: ``np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)``.
 
-    Bins are those of :func:`count_bin_edges`; outliers are clipped into
-    the edge bins so counts always total the number of shots.
+    The edges are uniform, so the index is arithmetic; rounding can put a
+    value within a few ulps of an edge one bin off, and one comparison
+    against ``edges`` on each side moves it back.
     """
-    edges = count_bin_edges(params)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    idx = np.clip(np.digitize(records.dn_a, edges) - 1, 0, _N_COUNT_BINS - 1)
-    counts = np.bincount(idx, minlength=_N_COUNT_BINS).astype(np.int64)
-    # Bob's counts scaled by a power of two near 1/alpha, which is exact, so
-    # their squares stay finite at any alpha the config accepts; squared in
-    # place, so one full-length temporary serves both sums
-    scale = 2.0 ** -math.frexp(params.alpha)[1]
-    dn_b = records.dn_b * scale
-    sums = np.bincount(idx, weights=dn_b, minlength=_N_COUNT_BINS)
-    sq = np.bincount(idx, weights=np.square(dn_b, out=dn_b), minlength=_N_COUNT_BINS)
-    # a few shots spread over ~10 alpha can have a variance beyond the float64
-    # range once unscaled; the infinity is rejected when the curve is written
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        mean = sums / counts
-        var = sq / counts - mean**2
-        # unbiased correction
-        var = np.where(counts > 1, var * counts / (counts - 1), np.nan)
-        mean /= scale
-        var /= scale**2
-    return BinnedCurve(
-        centers=centers,
-        mean=mean,
-        variance=var,
-        counts=counts,
-        model_mean=counting.conditional_mean(centers, params),
-        model_variance=counting.conditional_variance(centers, params),
+    last = edges.size - 2
+    t = (x - edges[0]) * ((last + 1) / (edges[-1] - edges[0]))
+    # truncation is floor on [0, last]
+    k = np.clip(t, 0, last, out=t).astype(np.intp)
+    k -= x < edges[k]
+    k += x >= edges[k + 1]
+    # an outlier's step to -1 or last + 1 is clipped back
+    return np.clip(k, 0, last, out=k)
+
+
+def _count_scale(alpha: float) -> float:
+    """A power of two near ``1/alpha``: scaling Bob's counts by it is exact and
+    keeps their squares finite at any alpha the config accepts."""
+    return 2.0 ** -math.frexp(alpha)[1]
+
+
+@dataclass(frozen=True)
+class _BinMoments:
+    """Per-bin shot count, mean and sum of squared deviations (M2) of Bob's
+    scaled counts."""
+
+    n: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, idx: np.ndarray, y: np.ndarray) -> "_BinMoments":
+        n = np.bincount(idx, minlength=_N_COUNT_BINS)
+        # an empty bin gets mean 0, which the merge weights by its 0 shots
+        mean = np.bincount(idx, weights=y, minlength=_N_COUNT_BINS) / np.maximum(n, 1)
+        dev = y - mean[idx]
+        return cls(n, mean, np.bincount(idx, weights=dev * dev, minlength=_N_COUNT_BINS))
+
+    def merge(self, other: "_BinMoments") -> "_BinMoments":
+        """The pairwise update of Chan, Golub & LeVeque (1983)."""
+        n = self.n + other.n
+        frac = np.divide(other.n, n, out=np.zeros(n.size), where=n > 0)
+        delta = other.mean - self.mean
+        return _BinMoments(
+            n, self.mean + delta * frac, self.m2 + other.m2 + delta * delta * self.n * frac
+        )
+
+    def curve(self, edges: np.ndarray, params: CountModelParams, scale: float) -> BinnedCurve:
+        """Unscaled conditional mean and unbiased variance of each bin: NaN
+        mean in an empty bin, NaN variance in a bin with fewer than 2 shots."""
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        # a few shots spread over ~10 alpha can have a variance beyond the
+        # float64 range once unscaled; the infinity is rejected when the
+        # curve is written
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            mean = np.where(self.n > 0, self.mean / scale, np.nan)
+            var = np.where(self.n > 1, self.m2 / (self.n - 1), np.nan) / scale**2
+        return BinnedCurve(
+            centers=centers,
+            mean=mean,
+            variance=var,
+            counts=self.n.astype(np.int64),
+            model_mean=counting.conditional_mean(centers, params),
+            model_variance=counting.conditional_variance(centers, params),
+        )
+
+
+@dataclass(frozen=True)
+class _CountPartial:
+    """What a run of consecutive count shots reduces to: the per-bin moments
+    of each phase setting (0, pi/2) and, for phi = 0, the shots and errors in
+    the two conditioning windows (above, below) and Bob's histogram in each."""
+
+    moments: tuple[_BinMoments, _BinMoments]
+    window_shots: np.ndarray
+    window_errors: np.ndarray
+    histograms: np.ndarray
+
+    def merge(self, other: "_CountPartial") -> "_CountPartial":
+        return _CountPartial(
+            tuple(a.merge(b) for a, b in zip(self.moments, other.moments)),
+            self.window_shots + other.window_shots,
+            self.window_errors + other.window_errors,
+            self.histograms + other.histograms,
+        )
+
+
+def _count_block(
+    config: ExperimentConfig, params: tuple, edges: tuple, lo: int
+) -> _CountPartial:
+    """Draw shots ``[lo, lo + block)`` of both phase settings and reduce them.
+
+    ``params`` and ``edges`` hold the count parameters and bin edges of phi
+    = 0 and phi = pi/2.  The draw is a function of ``lo`` alone (the Philox
+    stream is counter-based), so the blocks can be reduced in any order.
+    """
+    n = min(sampling._COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
+    scale = _count_scale(config.alpha)
+    records = [
+        sampling.sample_counts(p, n, config.seed, stream, start_shot=lo)
+        for p, stream in zip(params, (STREAM_COUNTS_PHI0, STREAM_COUNTS_PHI90))
+    ]
+    moments = tuple(
+        _BinMoments.of(_bin_index(rec.dn_a, e), rec.dn_b * scale)
+        for rec, e in zip(records, edges)
+    )
+    rec0 = records[0]
+    delta_a = default_delta_a(config.alpha)
+    window = _WINDOW_FRAC * counting.count_marginal_std(params[0])
+    bob = [
+        rec0.dn_b[np.abs(rec0.dn_a - delta_a) <= window],
+        rec0.dn_b[np.abs(rec0.dn_a + delta_a) <= window],
+    ]
+    # the likelihood-ratio test for the two conditional laws reduces to the
+    # sign of Bob's count: it errs above on a negative count, below on a
+    # positive one
+    return _CountPartial(
+        moments=moments,
+        window_shots=np.array([b.size for b in bob]),
+        window_errors=np.array([np.count_nonzero(bob[0] < 0.0), np.count_nonzero(bob[1] > 0.0)]),
+        histograms=np.array([np.histogram(b, bins=edges[0])[0] for b in bob]),
     )
 
 
@@ -244,37 +342,39 @@ def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
 
 
 def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
-    """Counting run for both phase settings with analytic overlays."""
-    delta_a = default_delta_a(config.alpha)
-    params0 = config.count_params(phi=0.0)
-    params90 = config.count_params(phi=math.pi / 2.0)
-    rec0 = sampling.sample_counts(
-        params0, config.n_count_shots, config.seed, stream=STREAM_COUNTS_PHI0
+    """Counting run for both phase settings with analytic overlays.
+
+    The shots are drawn and reduced one sampler block
+    (``sampling._COUNT_BLOCK_SHOTS``) at a time, by :func:`_count_block`,
+    and the partials are merged in block order: no per-shot array outlives
+    its block, so the working memory is O(block) for any ``n_count_shots``,
+    and the result does not depend on the order in which blocks are drawn.
+    """
+    params = (config.count_params(phi=0.0), config.count_params(phi=math.pi / 2.0))
+    edges = tuple(count_bin_edges(p) for p in params)
+    partials = map(
+        functools.partial(_count_block, config, params, edges),
+        range(0, config.n_count_shots, sampling._COUNT_BLOCK_SHOTS),
     )
-    rec90 = sampling.sample_counts(
-        params90, config.n_count_shots, config.seed, stream=STREAM_COUNTS_PHI90
-    )
-    curves = {
-        0.0: bin_count_records(rec0, params0),
-        math.pi / 2.0: bin_count_records(rec90, params90),
-    }
-    window = _WINDOW_FRAC * counting.count_marginal_std(params0)
-    hist_edges = count_bin_edges(params0)
-    above = np.abs(rec0.dn_a - delta_a) <= window
-    below = np.abs(rec0.dn_a + delta_a) <= window
-    if above.sum() == 0 or below.sum() == 0:
+    total = functools.reduce(_CountPartial.merge, partials)
+    if not total.window_shots.all():
         raise ValueError("no shots fall in the conditioning windows")
-    # the likelihood-ratio test for the two conditional laws reduces to the
-    # sign of Bob's count, so its error rate here is the empirical Bayes error
-    err_above = float(np.mean(rec0.dn_b[above] < 0.0))
-    err_below = float(np.mean(rec0.dn_b[below] > 0.0))
+    error_rates = total.window_errors / total.window_shots
+    scale = _count_scale(config.alpha)
+    curves = {
+        phi: m.curve(e, p, scale)
+        for phi, m, e, p in zip((0.0, math.pi / 2.0), total.moments, edges, params)
+    }
     return CountScenarioResult(
         curves=curves,
         histogram_centers=curves[0.0].centers,
-        histogram_above=np.histogram(rec0.dn_b[above], bins=hist_edges)[0],
-        histogram_below=np.histogram(rec0.dn_b[below], bins=hist_edges)[0],
-        discrimination_error=0.5 * (err_above + err_below),
-        variance_ratio=peak_variance_ratio(curves[0.0], params0),
+        histogram_above=total.histograms[0],
+        histogram_below=total.histograms[1],
+        window_shots=total.window_shots,
+        window_errors=total.window_errors,
+        # the empirical Bayes error of the sign test
+        discrimination_error=0.5 * float(error_rates[0] + error_rates[1]),
+        variance_ratio=peak_variance_ratio(curves[0.0], params[0]),
         model_discrimination_error=config.model_discrimination_error(),
         model_variance_ratio=counting.variance_peak_ratio(config.eta_total),
     )

@@ -11,6 +11,9 @@ trustworthy as an oracle:
 * the Gaussian-regime joint and marginal count densities (counterparts of
   the closed-form conditional moments and discrimination error in
   :mod:`macrocat.counting`);
+* the whole-array binning of count records, ``bin_count_records``
+  (counterpart of the block-by-block reduction in
+  :func:`macrocat.pipeline.run_counts_scenario`);
 * ``FockState``, a density matrix at any per-mode truncation ``dim`` on one
   or two modes: the package's one state type,
   :class:`macrocat.fock.DensityMatrix`, holds two modes at two levels each;
@@ -38,8 +41,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, ndtr
 
+from macrocat import counting
 from macrocat.counting import CountModelParams
 from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
+from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
 from macrocat.sampling import CountSample, shot_uniforms
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,42 @@ def alice_marginal_ref_cdf(n_a, params: CountModelParams):
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     out = ndtr(z) - 0.25 * params.eta * z * pdf
     return out if out.shape else float(out)
+
+
+def bin_count_records(records: CountSample, params: CountModelParams) -> BinnedCurve:
+    """Conditional mean/variance of dn_B binned over Alice's outcome.
+
+    Bins are those of :func:`count_bin_edges`; outliers are clipped into
+    the edge bins so counts always total the number of shots.
+    """
+    edges = count_bin_edges(params)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    idx = np.clip(np.digitize(records.dn_a, edges) - 1, 0, _N_COUNT_BINS - 1)
+    counts = np.bincount(idx, minlength=_N_COUNT_BINS).astype(np.int64)
+    # Bob's counts scaled by a power of two near 1/alpha, which is exact, so
+    # their squares stay finite at any alpha the config accepts; squared in
+    # place, so one full-length temporary serves both sums
+    scale = 2.0 ** -math.frexp(params.alpha)[1]
+    dn_b = records.dn_b * scale
+    sums = np.bincount(idx, weights=dn_b, minlength=_N_COUNT_BINS)
+    sq = np.bincount(idx, weights=np.square(dn_b, out=dn_b), minlength=_N_COUNT_BINS)
+    # a few shots spread over ~10 alpha can have a variance beyond the float64
+    # range once unscaled; the infinity is rejected when the curve is written
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        mean = sums / counts
+        var = sq / counts - mean**2
+        # unbiased correction
+        var = np.where(counts > 1, var * counts / (counts - 1), np.nan)
+        mean /= scale
+        var /= scale**2
+    return BinnedCurve(
+        centers=centers,
+        mean=mean,
+        variance=var,
+        counts=counts,
+        model_mean=counting.conditional_mean(centers, params),
+        model_variance=counting.conditional_variance(centers, params),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,28 @@ class TestExitCodes:
         run_cli("analytic", "--config", cfg, "--out", tmp_path / "o", "--quiet")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("modes", [("loud", "quiet"), ("quiet", "loud")])
+    def test_quiet_holds_per_call_in_one_process(self, tmp_path, modes):
+        # a child process: pytest's own root handler would hide the leak,
+        # which came from logging.basicConfig acting only on the first call
+        code = (
+            "import sys\n"
+            "from macrocat import cli\n"
+            "cfg, out, *modes = sys.argv[1:]\n"
+            "for k, mode in enumerate(modes):\n"
+            "    argv = ['simulate-counts', '--config', cfg, '--out', f'{out}/o{k}']\n"
+            "    assert cli.main(argv + ['--quiet'] * (mode == 'quiet')) == 0\n"
+            "    print('--', file=sys.stderr, flush=True)\n"
+        )
+        cfg = write_config(tmp_path, n_count_shots=20_000)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg), str(tmp_path), *modes],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = proc.stderr.split("--\n")[:-1]
+        assert [run.count("INFO ") for run in runs] == [2 if m == "loud" else 0 for m in modes]
+
 
 def test_import_loads_no_numerical_integration_or_optimization():
     proc = subprocess.run(

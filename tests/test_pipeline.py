@@ -4,11 +4,13 @@ analytic overlays, the undisplacement locality check, and output files.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from macrocat import counting, fock, output, pipeline, tomography
+from macrocat import counting, fock, output, pipeline, sampling, tomography
+from macrocat.counting import CountModelParams
 from macrocat.errors import ConfigError, TruncationWarning
 from macrocat.pipeline import ExperimentConfig
 import oracles
@@ -181,6 +183,94 @@ class TestCountsScenario:
         assert list(curves.dtype.names) == [
             "nA", "mean_nB", "var_nB", "count", "model_mean_nB", "model_var_nB",
         ]
+
+
+def _whole_array_windows(cfg):
+    """Window shot counts, error counts and histograms of the phi = 0
+    stream, computed on its whole record arrays."""
+    params = cfg.count_params(phi=0.0)
+    rec = sampling.sample_counts(params, cfg.n_count_shots, cfg.seed, pipeline.STREAM_COUNTS_PHI0)
+    delta_a = pipeline.default_delta_a(cfg.alpha)
+    window = pipeline._WINDOW_FRAC * counting.count_marginal_std(params)
+    above = np.abs(rec.dn_a - delta_a) <= window
+    below = np.abs(rec.dn_a + delta_a) <= window
+    edges = pipeline.count_bin_edges(params)
+    return (
+        [above.sum(), below.sum()],
+        [(rec.dn_b[above] < 0.0).sum(), (rec.dn_b[below] > 0.0).sum()],
+        [np.histogram(rec.dn_b[w], bins=edges)[0] for w in (above, below)],
+    )
+
+
+class TestStreamedCounts:
+    """The block-by-block reduction of a counting run against whole-array
+    oracles: the binning with ``digitize``, ``np.histogram`` and
+    :func:`oracles.bin_count_records`."""
+
+    @pytest.mark.parametrize("alpha", [10.0, 1.05e4, 5e153])
+    def test_bin_index_equals_clipped_digitize(self, alpha):
+        edges = pipeline.count_bin_edges(CountModelParams(alpha, 0.49))
+        span = edges[-1]
+        x = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            0.5 * (edges[:-1] + edges[1:]),
+            [0.0, -0.0, 1e3 * span, -1e3 * span, 1e6 * span, -1e6 * span],
+            np.random.default_rng(5).uniform(-1.5 * span, 1.5 * span, 10_000),
+        ])
+        expected = np.clip(np.digitize(x, edges) - 1, 0, edges.size - 2)
+        assert np.array_equal(pipeline._bin_index(x, edges), expected)
+
+    @pytest.mark.parametrize("block", [sampling._COUNT_BLOCK_SHOTS, 1000, 7])
+    @pytest.mark.parametrize("alpha,seed", [(1.05e4, 71), (5e153, 3)])
+    def test_matches_whole_array_oracles(self, monkeypatch, block, alpha, seed):
+        monkeypatch.setattr(sampling, "_COUNT_BLOCK_SHOTS", block)
+        # at alpha = 5e153 seed 3 has an edge bin whose variance overflows
+        cfg = ExperimentConfig(alpha=alpha, n_count_shots=20_000, seed=seed)
+        result = pipeline.run_counts_scenario(cfg)
+        shots, errors, (hist_above, hist_below) = _whole_array_windows(cfg)
+        assert result.window_shots.tolist() == shots
+        assert result.window_errors.tolist() == errors
+        assert np.array_equal(result.histogram_above, hist_above)
+        assert np.array_equal(result.histogram_below, hist_below)
+        assert result.discrimination_error == 0.5 * (errors[0] / shots[0] + errors[1] / shots[1])
+        streams = {0.0: pipeline.STREAM_COUNTS_PHI0, math.pi / 2.0: pipeline.STREAM_COUNTS_PHI90}
+        for phi, stream in streams.items():
+            params = cfg.count_params(phi=phi)
+            rec = sampling.sample_counts(params, cfg.n_count_shots, cfg.seed, stream)
+            ref = oracles.bin_count_records(rec, params)
+            got = result.curves[phi]
+            assert np.array_equal(got.counts, ref.counts)
+            assert np.array_equal(got.centers, ref.centers)
+            # NaN and infinity in the same bins; the finite values agree to
+            # 1e-12 of the bin's scale, its spread where the mean is near 0
+            for name in ("mean", "variance"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert np.array_equal(np.isnan(a), np.isnan(b))
+                assert np.array_equal(np.isinf(a), np.isinf(b))
+            filled = ref.counts > 0
+            spread = np.isfinite(ref.variance)
+            scale = np.abs(ref.mean)
+            scale[spread] = np.maximum(scale[spread], np.sqrt(ref.variance[spread]))
+            assert np.all(np.abs(got.mean[filled] - ref.mean[filled]) <= 1e-12 * scale[filled])
+            var, ref_var = got.variance[spread], ref.variance[spread]
+            assert np.all(np.abs(var - ref_var) <= 1e-12 * ref_var)
+
+    def test_working_memory_does_not_grow_with_shots(self):
+        def peak(n_shots):
+            cfg = ExperimentConfig(n_count_shots=n_shots, seed=2)
+            tracemalloc.start()
+            try:
+                pipeline.run_counts_scenario(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(1_000_000)
+        # whole-array records of 1,000,000 shots alone take 32 MB
+        assert large < 8 * 2**20
+        assert abs(large - small) < 2**20
 
 
 def _qubit_block(data, dim):

@@ -201,10 +201,8 @@ class TestGaussianCountSampler:
         # repeats it at 5e6 shots
         p = CountModelParams(1e4, 0.49, 0.0)
         rec = sampling.sample_counts(p, 2_000_000, seed=24)
-        from macrocat.pipeline import bin_count_records, peak_variance_ratio
-
-        curve = bin_count_records(rec, p)
-        assert peak_variance_ratio(curve, p) == pytest.approx(1.28, abs=0.02)
+        curve = oracles.bin_count_records(rec, p)
+        assert pipeline.peak_variance_ratio(curve, p) == pytest.approx(1.28, abs=0.02)
 
     def test_against_rejection_sampler_oracle(self):
         # independent route: accept/reject under a wider Gaussian envelope
@@ -255,9 +253,7 @@ class TestGaussianCountSampler:
     def test_conditional_mean_curve_chi_square(self, eta, phi):
         p = CountModelParams(1e4, eta, phi)
         rec = sampling.sample_counts(p, 1_000_000, seed=int(100 * eta + 7 * phi))
-        from macrocat.pipeline import bin_count_records
-
-        curve = bin_count_records(rec, p)
+        curve = oracles.bin_count_records(rec, p)
         use = curve.counts >= 200
         assert use.sum() >= 20
         se = np.sqrt(curve.variance[use] / curve.counts[use])
