@@ -189,8 +189,6 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         pipeline.json_integer("dim", doc["dim"])
     if hi <= lo or step <= 0:
         raise ConfigError("grid must satisfy min < max and step > 0")
-    if c0 == 0 and c1 == 0:
-        raise ConfigError("c0 and c1 cannot both vanish")
     axis = np.arange(lo, hi + step / 2.0, step)
     grid_w = fock.wigner(alpha, c0, c1, axis, axis)
     mass = float(grid_w.sum()) * step * step

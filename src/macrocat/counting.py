@@ -6,7 +6,7 @@ reference pulse of the same mean energy, and all counts are expressed
 relative to that reference.  In the large-amplitude regime
 (``alpha >= GAUSSIAN_ALPHA_MIN``) the Poissonian photon statistics are
 replaced by their Gaussian limit, which is what every function below
-evaluates; the ones that rely on that limit raise ``ValueError`` below
+evaluates; the ones that rely on that limit raise ``ConfigError`` below
 ``GAUSSIAN_ALPHA_MIN``.  Every result here is a closed form, including the single-shot discrimination error;
 nothing is integrated numerically and nothing is written to files.
 """
@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 # Below this amplitude the Gaussian limit of the Poissonian is too crude.
 GAUSSIAN_ALPHA_MIN = 10.0
@@ -34,15 +36,15 @@ class CountModelParams:
         # the largest value below, the conditional-variance peak, is under
         # 4 alpha^2; a finite alpha can still overflow that
         if not (math.isfinite(4.0 * self.alpha * self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive with 4 alpha^2 finite, got {self.alpha}")
+            raise ConfigError(f"alpha must be positive with 4 alpha^2 finite, got {self.alpha}")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+            raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+            raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
     def require_gaussian_regime(self) -> None:
         if self.alpha < GAUSSIAN_ALPHA_MIN:
-            raise ValueError(
+            raise ConfigError(
                 f"alpha={self.alpha} is below {GAUSSIAN_ALPHA_MIN}; the Gaussian "
                 "count model does not apply"
             )
@@ -95,7 +97,7 @@ def conditional_variance(n_a, params: CountModelParams):
 def variance_peak_ratio(eta: float) -> float:
     """Peak-to-asymptote ratio of the conditional variance, ``(4+eta)/(4-eta)``."""
     if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        raise ConfigError(f"eta must lie in [0, 1], got {eta}")
     return (4.0 + eta) / (4.0 - eta)
 
 
@@ -114,7 +116,7 @@ def distinguishability_error(params: CountModelParams, delta_a: float) -> float:
     """
     params.require_gaussian_regime()
     if delta_a <= 0:
-        raise ValueError(f"delta_a must be positive, got {delta_a}")
+        raise ConfigError(f"delta_a must be positive, got {delta_a}")
     eta = params.eta
     r = delta_a / params.alpha
     c = 4.0 * (2.0 - eta)

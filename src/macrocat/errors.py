@@ -1,16 +1,17 @@
 """Exception and warning taxonomy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit 1,
-numerical/domain failures exit 2, I/O failures exit 3.
+The CLI maps these onto exit codes: a value outside the documented domain
+of a config field or of a kernel's argument exits 1 (:class:`ConfigError`),
+a computation that fails on a valid input exits 2, an I/O failure exits 3.
 """
 
 
-class ConfigError(Exception):
-    """Invalid configuration document or parameter set."""
+class ConfigError(ValueError):
+    """Invalid configuration, or an argument outside a kernel's documented domain."""
 
 
 class NumericError(Exception):
-    """A computation failed or was requested outside its domain of validity."""
+    """A computation failed on a valid input."""
 
 
 class InternalConsistencyError(NumericError):

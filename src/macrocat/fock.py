@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, xlogy
 
-from .errors import TruncationWarning
+from .errors import ConfigError, TruncationWarning
 
 # Population allowed on the trailing diagonal of any mode before a
 # truncation warning is emitted.  Silent truncation error is the dominant
@@ -108,14 +108,14 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     ``exp(-|alpha|^2/2) alpha^m / sqrt(m!)``.
     """
     if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
+        raise ConfigError(f"dim must be at least 2, got {dim}")
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
     a = abs(alpha)
     x = a * a
     if not math.isfinite(x):
-        raise ValueError(f"alpha = {alpha} has no finite square")
+        raise ConfigError(f"alpha = {alpha} has no finite square")
     if x > dim / 4:
         warnings.warn(
             f"|alpha|^2 = {x:.3g} exceeds dim/4 = {dim/4:.3g}; "
@@ -149,7 +149,7 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     it alone.  The family is complete on the truncated space.
     """
     if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+        raise ConfigError(f"efficiency must lie in [0, 1], got {eta}")
     if eta == 1.0:
         return [np.ones(dim)]
     n = np.arange(dim)
@@ -219,16 +219,16 @@ def wigner(alpha: float, c0: complex, c1: complex, xs: np.ndarray, ps: np.ndarra
     """
     alpha = float(alpha)
     if not math.isfinite(4.0 * alpha * alpha):
-        raise ValueError(f"alpha = {alpha} has no finite 4 alpha^2")
+        raise ConfigError(f"alpha = {alpha} has no finite 4 alpha^2")
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     for g, name in ((xs, "x"), (ps, "p")):
         if g.size > 1 and np.diff(g).max() > 0.5:
-            raise ValueError(f"{name}-grid spacing exceeds 0.5; refine the grid")
+            raise ConfigError(f"{name}-grid spacing exceeds 0.5; refine the grid")
     c0, c1 = complex(c0), complex(c1)
     norm = math.hypot(c0.real, c0.imag, c1.real, c1.imag)
     if norm == 0.0:
-        raise ValueError("c0 and c1 cannot both vanish")
+        raise ConfigError("c0 and c1 cannot both vanish")
     c0, c1 = c0 / norm, c1 / norm
     cross = 2.0 * math.sqrt(2.0) * c0.conjugate() * c1
     u = np.clip(xs - math.sqrt(2.0) * alpha, -_FAR, _FAR)[:, None]

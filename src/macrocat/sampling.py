@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from . import fock
 from .counting import CountModelParams
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 _PHILOX_WORDS_PER_TICK = 4
 _WORDS_COUNTS = 8  # component, 3 primary normals, sign, partner normal, 2 pad
@@ -77,7 +77,7 @@ def shot_uniforms(
     safe inverse-CDF transforms.
     """
     if words_per_shot % _PHILOX_WORDS_PER_TICK:
-        raise ValueError("words_per_shot must be a multiple of 4")
+        raise ConfigError("words_per_shot must be a multiple of 4")
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     bg.advance(start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK)
     u = np.random.Generator(bg).random((n_shots, words_per_shot))
@@ -106,7 +106,7 @@ def sample_counts(
     """
     params.require_gaussian_regime()
     if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+        raise ConfigError(f"n_shots must be positive, got {n_shots}")
     sigma = math.sqrt(2.0) * params.alpha
     cph = math.cos(params.phi)
     w_u = params.eta * (1.0 + cph) / 4.0
@@ -217,9 +217,9 @@ def sample_quadrature_schedule(
     positive, or not of unit trace) raises :class:`NumericError`.
     """
     if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+        raise ConfigError(f"n_shots must be positive, got {n_shots}")
     if not schedule:
-        raise ValueError("schedule must contain at least one setting")
+        raise ConfigError("schedule must contain at least one setting")
     tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
     theta_a = np.empty(n_shots)
     x_a = np.empty(n_shots)
@@ -249,5 +249,5 @@ def phase_schedule(n_settings: int) -> list[tuple[float, float]]:
     one-photon subspace.
     """
     if n_settings < 4:
-        raise ValueError(f"need at least 4 settings, got {n_settings}")
+        raise ConfigError(f"need at least 4 settings, got {n_settings}")
     return [(2.0 * math.pi * j / n_settings, 0.0) for j in range(n_settings)]

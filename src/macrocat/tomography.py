@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import ConfigError, InternalConsistencyError
 from .fock import DensityMatrix, quadrature_basis
 from .sampling import QuadratureSample
 
@@ -278,10 +278,10 @@ def mle_reconstruct(
     """
     n = len(records)
     if n < 1000:
-        raise ValueError(f"need at least 1000 records, got {n}")
+        raise ConfigError(f"need at least 1000 records (n_quad_shots), got {n}")
     distinct = np.unique(np.round(records.theta_a, 12))
     if distinct.size < 4:
-        raise ValueError(
+        raise ConfigError(
             f"only {distinct.size} distinct Alice phases; tomography needs >= 4"
         )
     support = total_photon_support(2, 1)

@@ -33,10 +33,12 @@ def counts_run_alpha_1e4():
     return result, time.time() - t0
 
 
+_DEFAULT_RUN = ExperimentConfig(seed=103)  # alpha 1.05e4, eta 0.49
+
+
 @pytest.fixture(scope="module")
 def counts_run_default():
-    cfg = ExperimentConfig(seed=103)  # alpha 1.05e4, eta 0.49
-    return pipeline.run_counts_scenario(cfg)
+    return pipeline.run_counts_scenario(_DEFAULT_RUN)
 
 
 class TestCriterion1VarianceRatio:
@@ -114,7 +116,7 @@ class TestCriterion3PhaseDependence:
 
 class TestCriterion4Distinguishability:
     def test_analytic_and_empirical_error(self, counts_run_default):
-        analytic = counts_run_default.model_discrimination_error
+        analytic = _DEFAULT_RUN.model_discrimination_error()
         empirical = counts_run_default.discrimination_error
         passed = abs(analytic - 0.36) <= 0.03 and abs(empirical - analytic) <= 0.01
         report(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macrocat import cli, fock, output, pipeline, sampling
@@ -322,11 +322,6 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert run_cli("analytic", "--out", tmp_path / "o", "--frobnicate") == 1
 
-    def test_numeric_error_exit(self, tmp_path):
-        spec = tmp_path / "rt.json"
-        spec.write_text(json.dumps({"alpha_small": 3.0, "mismatch_etas": [1.0], "dim": 16}))
-        assert run_cli("roundtrip-check", "--config", spec, "--out", tmp_path / "o") == 2
-
     def test_io_error_exit(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -441,14 +436,27 @@ class TestExitCodes:
             ("tomography", '{"alpha": 1e160, "n_quad_shots": 6000}'),
             ("wigner", '{"alpha": 1e200}'),
             ("roundtrip-check", '{"alpha_small": 1e200}'),
+            ("roundtrip-check", '{"alpha_small": 3.0, "mismatch_etas": [1.0], "dim": 16}'),
+            ("roundtrip-check", '{"mismatch_etas": [1.5]}'),
+            ("roundtrip-check", '{"mismatch_etas": [0]}'),
+            ("roundtrip-check", '{"dim": 0}'),
+            # alpha_small 0 keeps the truncation budget at dim 1: dim is the offender
+            ("roundtrip-check", '{"dim": 1, "alpha_small": 0}'),
+            ("roundtrip-check", '{"alpha_small": 3, "dim": 8}'),
+            ("wigner", '{"c0": 0, "c1": 0}'),
+            ("analytic", '{"alpha": -1}'),
+            # the record count is checked after sampling; nothing is written
+            ("tomography", '{"n_quad_shots": 999}'),
         ],
     )
     def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):
+        """A value outside a kernel's domain is a config error: the kernel's
+        own check raises ConfigError, so the run exits 1 and names the field."""
         bad = tmp_path / "bad.json"
         bad.write_text(document)
-        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
+        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
         # the message names the offending field
         assert next(iter(json.loads(document))) in err, err
         assert list((tmp_path / "o").iterdir()) == []
@@ -463,9 +471,9 @@ class TestExitCodes:
         monkeypatch.setattr(sampling, "sample_quadrature_schedule", sampled)
         bad = tmp_path / "bad.json"
         bad.write_text(document)
-        assert run_cli("tomography", "--config", bad, "--out", tmp_path / "o", "--quiet") == 2
+        assert run_cli("tomography", "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
         err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and "alpha" in err, err
+        assert err.startswith("config error:") and "alpha" in err, err
         assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -601,8 +609,30 @@ def _field(plausible, other=_JSON_VALUES):
     return st.integers(0, 3).flatmap(lambda k: plausible if k else other)
 
 
+# the top-level fields each command reads
+_SPEC_FIELDS = {
+    "roundtrip-check": {"alpha_small", "mismatch_etas", "dim", "phi"},
+    "wigner": {"alpha", "c0", "c1", "dim", "grid"},
+    **dict.fromkeys(
+        ("analytic", "simulate-counts", "tomography"),
+        set(pipeline.ExperimentConfig.__dataclass_fields__),
+    ),
+}
+# the commands whose every failure is a config error: they compute nothing a
+# valid spec can push out of range
+_NEVER_NUMERICAL = {"analytic", "wigner", "roundtrip-check"}
+
+
+def _with_unknown_key(specs, command):
+    """``specs``, plus one top-level key ``command`` does not read in one
+    draw of four."""
+    unknown = st.text(max_size=6).filter(lambda k: k not in _SPEC_FIELDS[command])
+    extra = _field(st.just({}), st.dictionaries(unknown, _JSON_VALUES, min_size=1, max_size=1))
+    return st.tuples(specs, extra).map(lambda pair: {**pair[0], **pair[1]})
+
+
 _NON_INTEGERS = _JSON_VALUES.filter(lambda v: type(v) is not int)
-_ROUNDTRIP_SPECS = st.fixed_dictionaries(
+_ROUNDTRIP_SPECS = _with_unknown_key(st.fixed_dictionaries(
     {},
     optional={
         "alpha_small": _field(st.floats(-1.5, 1.5)),
@@ -611,14 +641,16 @@ _ROUNDTRIP_SPECS = st.fixed_dictionaries(
         # integers are kept in [2, 12] so every run is small
         "dim": _field(st.integers(2, 12), _NON_INTEGERS),
     },
-)
+), "roundtrip-check")
 
 
 def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
     """Run ``command`` on the document ``spec``; return the exit code and
     stderr.  On exit 0, --out must hold exactly ``manifest.json`` and the
     files it lists, and ``check_outputs`` reads them; otherwise stderr must
-    hold one line and no traceback, and --out must be empty."""
+    hold one line and no traceback, and --out must be empty.  A spec with a
+    field the command does not read exits 1; only ``simulate-counts`` and
+    ``tomography`` may exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(spec))
@@ -635,10 +667,12 @@ def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
             )
             check_outputs(out)
         else:
-            assert code in (1, 2)
+            assert code == 1 or (code == 2 and command not in _NEVER_NUMERICAL), err.getvalue()
             text = err.getvalue()
             assert text.count("\n") == 1 and "Traceback" not in text, text
             assert list(out.iterdir()) == []
+    if set(spec) - _SPEC_FIELDS[command]:
+        assert code == 1, err.getvalue()
     return code, err.getvalue()
 
 
@@ -646,7 +680,7 @@ def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
 @given(spec=_ROUNDTRIP_SPECS)
 def test_roundtrip_spec_property(spec):
     """Any roundtrip spec ends in finite, bounded results (exit 0) or in one
-    stderr line, no traceback and an empty --out (exit 1 or 2)."""
+    stderr line, no traceback and an empty --out (exit 1)."""
 
     def check(out):
         doc = json.loads((out / "roundtrip.json").read_text())
@@ -661,8 +695,9 @@ def test_roundtrip_spec_property(spec):
 
 
 def _experiment_specs(field=_field, **required):
-    """experiment.json documents whose fields are drawn with ``field``; each
-    keyword names a field that is always drawn, from the strategy given."""
+    """experiment.json documents whose fields are drawn with ``field``, and
+    in one draw of four an unknown field; each keyword names a field that is
+    always drawn, from the strategy given."""
     optional = {
         "alpha": field(st.floats(1.0, 1e5)),
         "phi": field(st.floats(-1.0, 7.0)),
@@ -686,11 +721,14 @@ def _experiment_specs(field=_field, **required):
     }
     for name in required:
         del optional[name]
-    return st.fixed_dictionaries(required, optional=optional)
+    return _with_unknown_key(st.fixed_dictionaries(required, optional=optional), "analytic")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(spec=_experiment_specs())
+# amplitudes the count model rejects: below the Gaussian regime, 4 alpha^2 overflowing
+@example(spec={"alpha": 5.0})
+@example(spec={"alpha": 1e160})
 def test_experiment_config_property(spec):
     """Any experiment.json, read by ``analytic`` (every command reads it the
     same way), ends in bounded results and a manifest that records each field
@@ -765,7 +803,7 @@ def _is_number(v) -> bool:
 # run tabulates a large grid
 _NON_NUMBERS = _JSON_VALUES.filter(lambda v: not _is_number(v))
 _COEFFS = st.one_of(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
-_WIGNER_SPECS = st.fixed_dictionaries(
+_WIGNER_SPECS = _with_unknown_key(st.fixed_dictionaries(
     {},
     optional={
         "alpha": _field(st.one_of(
@@ -786,7 +824,7 @@ _WIGNER_SPECS = st.fixed_dictionaries(
             _NON_NUMBERS.filter(lambda v: not isinstance(v, dict)),
         ),
     },
-)
+), "wigner")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

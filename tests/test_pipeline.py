@@ -73,6 +73,38 @@ class TestExperimentConfig:
         assert cfg.model_concurrence() == pytest.approx(0.49 * math.exp(-0.125), rel=1e-12)
 
 
+
+_MODEL = CountModelParams(alpha=1e4, eta=0.5)
+_THREE_PHASES = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CountModelParams(alpha=1e4, eta=1.5),
+        lambda: CountModelParams(alpha=1e4, eta=0.5, phi=7.0),
+        lambda: counting.variance_peak_ratio(-0.1),
+        lambda: counting.distinguishability_error(_MODEL, 0.0),
+        lambda: fock.loss_kraus_coefficients(1.5, 4),
+        lambda: sampling.shot_uniforms(1, 0, 0, 10, 6),
+        lambda: sampling.sample_counts(_MODEL, 0, 1),
+        lambda: sampling.sample_quadrature_schedule(
+            pipeline.model_microscopic_state(0.5, 0.0), [], 10, 1
+        ),
+        lambda: sampling.phase_schedule(3),
+        lambda: tomography.mle_reconstruct(sampling.sample_quadrature_schedule(
+            pipeline.model_microscopic_state(0.5, 0.0), _THREE_PHASES, 1000, 1
+        )),
+    ],
+    ids=["eta", "phi", "peak-ratio-eta", "delta_a", "kraus-eta", "words-per-shot",
+         "n_shots", "empty-schedule", "settings", "mle-phases"],
+)
+def test_kernel_domain_check_is_config_error(call):
+    """A kernel argument outside its documented domain raises ConfigError
+    (exit 1 at the CLI), also where no command reaches the check today."""
+    with pytest.raises(ConfigError):
+        call()
+
 class TestMicroscopicModel:
     def test_plain_loss_model(self):
         rho = pipeline.model_microscopic_state(0.49, 0.0)
@@ -147,9 +179,11 @@ class TestCountsScenario:
 
     def test_variance_ratio_and_error_tracking(self, small_run):
         cfg, result = small_run
-        assert result.variance_ratio == pytest.approx(result.model_variance_ratio, abs=0.05)
+        assert result.variance_ratio == pytest.approx(
+            counting.variance_peak_ratio(cfg.eta_total), abs=0.05
+        )
         assert result.discrimination_error == pytest.approx(
-            result.model_discrimination_error, abs=0.02
+            cfg.model_discrimination_error(), abs=0.02
         )
 
     def test_histograms_are_windowed_subsets(self, small_run):
