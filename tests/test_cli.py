@@ -322,6 +322,20 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert run_cli("analytic", "--out", tmp_path / "o", "--frobnicate") == 1
 
+    def test_numeric_error_exit(self, tmp_path, capsys, monkeypatch):
+        # a valid spec whose computation fails exits 2; the spec the round
+        # trip cannot truncate (alpha_small 3, dim 16) is a config error now
+        def failed(*args, **kwargs):
+            raise NumericError("round trip lost its trace")
+
+        monkeypatch.setattr(pipeline, "displacement_roundtrip_check", failed)
+        spec = tmp_path / "rt.json"
+        spec.write_text(json.dumps({"alpha_small": 0.5, "mismatch_etas": [1.0], "dim": 16}))
+        assert run_cli("roundtrip-check", "--config", spec, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_io_error_exit(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
