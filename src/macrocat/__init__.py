@@ -1,7 +1,7 @@
 """macrocat: simulation and estimation toolkit for entangled
 macroscopically displaced photon states.
 
-Subpackages:
+Modules:
 
 * :mod:`macrocat.fock` - the two-mode, two-level state type and the
   Fock-space operators of the round trip

@@ -142,7 +142,8 @@ def cmd_tomography(args) -> tuple[dict, dict]:
     return config.to_json_dict(), {
         "records.csv": {
             "shot": records.shots, "thetaA": records.theta_a, "xA": records.x_a,
-            "thetaB": records.theta_b, "xB": records.x_b,
+            # Bob's LO is locked at 0; the column keeps the file's format
+            "thetaB": np.zeros(len(records)), "xB": records.x_b,
         },
         "result.json": {**result.to_json_dict(), "fidelity_to_model": scenario.fidelity_to_model},
         "summary.json": pipeline.summary(

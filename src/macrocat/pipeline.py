@@ -111,8 +111,6 @@ class ExperimentConfig:
             json_integer(name, getattr(self, name))
         for name in ("alpha", "phi", "eta_total", "phase_noise_sigma"):
             json_number(name, getattr(self, name))
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
         if not 0.0 < self.eta_total <= 1.0:
             raise ConfigError(f"eta_total must lie in (0, 1], got {self.eta_total}")
         if not isinstance(self.eta_budget, dict):
@@ -133,10 +131,10 @@ class ExperimentConfig:
             raise ConfigError(f"phase_noise_sigma must be nonnegative, got {self.phase_noise_sigma}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        # the count model's amplitude rules (4 alpha^2 finite, the Gaussian
-        # regime) hold for every command, so an amplitude they reject fails
-        # here, before any sampling
-        self.count_params(phi=0.0).require_gaussian_regime()
+        # the count model's rules (phi in [0, 2 pi), 4 alpha^2 finite, the
+        # Gaussian regime) hold for every command, so a value they reject
+        # fails here, before any sampling
+        self.count_params(phi=self.phi).require_gaussian_regime()
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -288,13 +286,14 @@ class _CountPartial:
 
 
 def _count_block(
-    config: ExperimentConfig, params: tuple, edges: tuple, lo: int
+    config: ExperimentConfig, params: tuple, edges: np.ndarray, lo: int
 ) -> _CountPartial:
     """Draw shots ``[lo, lo + block)`` of both phase settings and reduce them.
 
-    ``params`` and ``edges`` hold the count parameters and bin edges of phi
-    = 0 and phi = pi/2.  The draw is a function of ``lo`` alone (the Philox
-    stream is counter-based), so the blocks can be reduced in any order.
+    ``params`` holds the count parameters of phi = 0 and phi = pi/2; both
+    settings share the bin ``edges``.  The draw is a function of ``lo`` alone
+    (the Philox stream is counter-based), so the blocks can be reduced in any
+    order.
     """
     n = min(sampling._COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
     scale = _count_scale(config.alpha)
@@ -303,8 +302,7 @@ def _count_block(
         for p, stream in zip(params, (STREAM_COUNTS_PHI0, STREAM_COUNTS_PHI90))
     ]
     moments = tuple(
-        _BinMoments.of(_bin_index(rec.dn_a, e), rec.dn_b * scale)
-        for rec, e in zip(records, edges)
+        _BinMoments.of(_bin_index(rec.dn_a, edges), rec.dn_b * scale) for rec in records
     )
     rec0 = records[0]
     delta_a = default_delta_a(config.alpha)
@@ -320,7 +318,7 @@ def _count_block(
         moments=moments,
         window_shots=np.array([b.size for b in bob]),
         window_errors=np.array([np.count_nonzero(bob[0] < 0.0), np.count_nonzero(bob[1] > 0.0)]),
-        histograms=np.array([np.histogram(b, bins=edges[0])[0] for b in bob]),
+        histograms=np.array([np.histogram(b, bins=edges)[0] for b in bob]),
     )
 
 
@@ -346,7 +344,8 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     and the result does not depend on the order in which blocks are drawn.
     """
     params = (config.count_params(phi=0.0), config.count_params(phi=math.pi / 2.0))
-    edges = tuple(count_bin_edges(p) for p in params)
+    # the marginal spread alpha sqrt(2 + eta) does not depend on phi
+    edges = count_bin_edges(params[0])
     partials = map(
         functools.partial(_count_block, config, params, edges),
         range(0, config.n_count_shots, sampling._COUNT_BLOCK_SHOTS),
@@ -357,8 +356,8 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     error_rates = total.window_errors / total.window_shots
     scale = _count_scale(config.alpha)
     curves = {
-        phi: m.curve(e, p, scale)
-        for phi, m, e, p in zip((0.0, math.pi / 2.0), total.moments, edges, params)
+        phi: m.curve(edges, p, scale)
+        for phi, m, p in zip((0.0, math.pi / 2.0), total.moments, params)
     }
     return CountScenarioResult(
         curves=curves,

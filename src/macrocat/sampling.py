@@ -51,11 +51,11 @@ class CountSample:
 
 @dataclass(frozen=True)
 class QuadratureSample:
-    """Homodyne outcomes (theta_A, x_A, theta_B, x_B) for a block of shots."""
+    """Homodyne outcomes (theta_A, x_A, x_B) for a block of shots; Bob's LO
+    phase is locked at 0."""
 
     theta_a: np.ndarray
     x_a: np.ndarray
-    theta_b: np.ndarray
     x_b: np.ndarray
     start_shot: int = 0
 
@@ -139,11 +139,12 @@ def sample_counts(
 
 
 def joint_quadrature_density(
-    rho: fock.DensityMatrix, theta_a: float, theta_b: float, grid: np.ndarray
+    rho: fock.DensityMatrix, theta_a: float, grid: np.ndarray
 ) -> np.ndarray:
-    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on a square grid."""
+    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on a square grid, at
+    Alice's LO phase ``theta_a`` and Bob's locked at 0."""
     fa = fock.quadrature_basis(grid, theta_a, 2)
-    fb = fock.quadrature_basis(grid, theta_b, 2)
+    fb = fock.quadrature_basis(grid, 0.0, 2)
     ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(grid.size, 4)
     tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(grid.size, 4)
     # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
@@ -171,9 +172,9 @@ class _GridSampler:
     inverse transform exact for that discretization.
     """
 
-    def __init__(self, rho, theta_a, theta_b):
+    def __init__(self, rho, theta_a):
         self.step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
-        mass = joint_quadrature_density(rho, theta_a, theta_b, _QUAD_GRID) * self.step**2
+        mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * self.step**2
         total = mass.sum()
         # a unit-trace positive state's density sums to 1 here up to rounding,
         # so a miss means rho is not a density matrix
@@ -200,7 +201,7 @@ class _GridSampler:
 
 def sample_quadrature_schedule(
     rho: fock.DensityMatrix,
-    schedule: list[tuple[float, float]],
+    schedule: list[float],
     n_shots: int,
     seed: int,
     stream: int = 0,
@@ -209,12 +210,13 @@ def sample_quadrature_schedule(
     """Joint homodyne samples of a two-mode state over a phase schedule.
 
     Absolute shot ``s`` (``start_shot <= s < start_shot + n_shots``) is
-    measured at the LO phases ``schedule[s % len(schedule)]`` and draws its
-    uniforms from row ``s`` of the stream, so any partitioning of a shot
-    range reproduces bit-identical records.  A one-setting schedule samples
-    at fixed LO phases.  Outcomes are drawn on ``[-8, 8]`` in cells of 0.02;
-    a tabulated density whose mass is off 1 by more than 1e-3 (``rho`` not
-    positive, or not of unit trace) raises :class:`NumericError`.
+    measured at Alice's LO phase ``schedule[s % len(schedule)]``, with Bob's
+    locked at 0, and draws its uniforms from row ``s`` of the stream, so any
+    partitioning of a shot range reproduces bit-identical records.  A
+    one-setting schedule samples at a fixed phase.  Outcomes are drawn on
+    ``[-8, 8]`` in cells of 0.02; a tabulated density whose mass is off 1 by
+    more than 1e-3 (``rho`` not positive, or not of unit trace) raises
+    :class:`NumericError`.
     """
     if n_shots < 1:
         raise ConfigError(f"n_shots must be positive, got {n_shots}")
@@ -223,25 +225,21 @@ def sample_quadrature_schedule(
     tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
     theta_a = np.empty(n_shots)
     x_a = np.empty(n_shots)
-    theta_b = np.empty(n_shots)
     x_b = np.empty(n_shots)
-    for k, (ta, tb) in enumerate(schedule):
+    for k, ta in enumerate(schedule):
         idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
         if idx.size == 0:
             continue
-        sampler = _GridSampler(rho, ta, tb)
+        sampler = _GridSampler(rho, ta)
         xa, xb = sampler.draw(tab[idx, 0], tab[idx, 1])
         theta_a[idx] = ta
         x_a[idx] = xa
-        theta_b[idx] = tb
         x_b[idx] = xb
-    return QuadratureSample(
-        theta_a=theta_a, x_a=x_a, theta_b=theta_b, x_b=x_b, start_shot=start_shot
-    )
+    return QuadratureSample(theta_a=theta_a, x_a=x_a, x_b=x_b, start_shot=start_shot)
 
 
-def phase_schedule(n_settings: int) -> list[tuple[float, float]]:
-    """LO phase settings for two-mode tomography.
+def phase_schedule(n_settings: int) -> list[float]:
+    """Alice's LO phase settings for two-mode tomography.
 
     Alice's phase steps uniformly over [0, 2*pi) while Bob's LO stays
     locked at 0 (the measurement protocol this package models).  At least
@@ -250,4 +248,4 @@ def phase_schedule(n_settings: int) -> list[tuple[float, float]]:
     """
     if n_settings < 4:
         raise ConfigError(f"need at least 4 settings, got {n_settings}")
-    return [(2.0 * math.pi * j / n_settings, 0.0) for j in range(n_settings)]
+    return [2.0 * math.pi * j / n_settings for j in range(n_settings)]

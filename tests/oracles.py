@@ -30,7 +30,11 @@ trustworthy as an oracle:
   Wigner function);
 * the Wigner function of a truncated single-mode state by the
   displaced-parity Laguerre sum, ``wigner_fock`` (counterpart of the closed
-  form :func:`macrocat.fock.wigner`).
+  form :func:`macrocat.fock.wigner`);
+* the tomography projector rows built setting by setting from
+  :func:`macrocat.fock.quadrature_basis` at Alice's phase and Bob's locked
+  0, ``projector_rows_per_setting`` (counterpart of the closed-form
+  ``macrocat.tomography._projector_rows``).
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from macrocat import counting
 from macrocat.counting import CountModelParams
 from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
 from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
-from macrocat.sampling import CountSample, shot_uniforms
+from macrocat.sampling import CountSample, QuadratureSample, shot_uniforms
+from macrocat.tomography import total_photon_support
 
 # ---------------------------------------------------------------------------
 # coherent amplitudes and the exact discrete count law
@@ -409,3 +414,22 @@ def wigner_fock(rho: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
                 # conjugate pair (m, n) and (n, m)
                 W += 2.0 * term.real
     return W / np.pi
+
+
+# ---------------------------------------------------------------------------
+# tomography projector rows
+
+
+def projector_rows_per_setting(records: QuadratureSample) -> np.ndarray:
+    """Row j holds ``<(n,l)|x_j, theta_j>`` on the kets with at most one photon
+    in total, each distinct Alice phase's records built together from the
+    products of :func:`quadrature_basis` at that phase and at Bob's locked 0."""
+    support = total_photon_support(2, 1)
+    mode_a, mode_b = np.divmod(support, 2)
+    rows = np.empty((len(records), support.size), dtype=complex)
+    for theta in np.unique(records.theta_a):
+        idx = np.flatnonzero(records.theta_a == theta)
+        fa = quadrature_basis(records.x_a[idx], theta, 2)
+        fb = quadrature_basis(records.x_b[idx], 0.0, 2)
+        rows[idx] = fa[:, mode_a] * fb[:, mode_b]
+    return rows

@@ -75,7 +75,7 @@ class TestExperimentConfig:
 
 
 _MODEL = CountModelParams(alpha=1e4, eta=0.5)
-_THREE_PHASES = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+_THREE_PHASES = [0.0, 1.0, 2.0]
 
 
 @pytest.mark.parametrize(

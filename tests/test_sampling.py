@@ -60,7 +60,7 @@ class TestDeterminism:
 
     def test_quadratures_partition_equivalence(self):
         rho = _VACUUM
-        sched = [(0.3, 0.0)]
+        sched = [0.3]
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
             sampling.sample_quadrature_schedule(rho, sched, 500, seed=8),
@@ -81,7 +81,7 @@ class TestDeterminism:
             sampling.sample_quadrature_schedule(rho, sched, 397, seed=8, start_shot=803),
         ]
         assert [q.start_shot for q in parts] == [0, 500, 803]
-        for col in ("theta_a", "x_a", "theta_b", "x_b"):
+        for col in ("theta_a", "x_a", "x_b"):
             joined = np.concatenate([getattr(q, col) for q in parts])
             assert np.array_equal(getattr(whole, col), joined), col
 
@@ -365,34 +365,33 @@ def _marginal_moment_oracle(rho, theta, power, mode):
 
 class TestQuadratureSampler:
     def test_vacuum_variance(self):
-        rec = sampling.sample_quadrature_schedule(_VACUUM, [(0.0, 0.0)], 200_000, seed=41)
+        rec = sampling.sample_quadrature_schedule(_VACUUM, [0.0], 200_000, seed=41)
         se = math.sqrt(2.0 / len(rec)) * 0.5
         assert rec.x_a.var() == pytest.approx(0.5, abs=4 * se)
         assert rec.x_b.var() == pytest.approx(0.5, abs=4 * se)
 
     def test_delocalized_photon_correlation(self):
         rho = pipeline.model_microscopic_state(1.0, 0.0)
-        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 200_000, seed=42)
+        rec = sampling.sample_quadrature_schedule(rho, [0.0], 200_000, seed=42)
         prod = rec.x_a * rec.x_b
         se = prod.std() / math.sqrt(len(rec))
         assert prod.mean() == pytest.approx(0.5, abs=4 * se)
 
     def test_single_photon_node(self):
         rho = fock.DensityMatrix(np.diag([0.0, 0.0, 1.0, 0.0]))  # |1>_A |0>_B
-        rec = sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 1_000_000, seed=43)
+        rec = sampling.sample_quadrature_schedule(rho, [0.0], 1_000_000, seed=43)
         h, edges = np.histogram(rec.x_a, bins=np.arange(-4.0, 4.01, 0.05))
         center = h[np.searchsorted(edges, -0.025)]
         assert center < 0.01 * h.max()
 
-    @pytest.mark.parametrize(
-        "theta_a,theta_b", [(0.0, 0.0), (1.0, 0.0), (2.5, 0.0)]
-    )
-    def test_moments_match_marginal_integrals(self, theta_a, theta_b):
+    @pytest.mark.parametrize("theta_a", [0.0, 1.0, 2.5])
+    def test_moments_match_marginal_integrals(self, theta_a):
         rho = _lossy_photon(0.8)
         rec = sampling.sample_quadrature_schedule(
-            fock.DensityMatrix(rho.data), [(theta_a, theta_b)], 200_000, seed=44
+            fock.DensityMatrix(rho.data), [theta_a], 200_000, seed=44
         )
-        for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, theta_b)):
+        # Bob's LO is locked at 0
+        for arr, mode, theta in ((rec.x_a, 0, theta_a), (rec.x_b, 1, 0.0)):
             for power in (1, 2):
                 target = _marginal_moment_oracle(rho, theta, power, mode)
                 se = np.std(arr**power) / math.sqrt(len(arr))
@@ -403,19 +402,20 @@ class TestQuadratureSampler:
         # sums to about 1.07 on the grid
         rho = fock.DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
         with pytest.raises(NumericError, match="grid"):
-            sampling.sample_quadrature_schedule(rho, [(0.0, 0.0)], 10, seed=45)
+            sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
 
 
 class TestPhaseSchedule:
     def test_four_settings(self):
         sched = sampling.phase_schedule(4)
-        assert sched == [(0.0, 0.0), (math.pi / 2, 0.0), (math.pi, 0.0), (3 * math.pi / 2, 0.0)]
+        assert sched == [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
     def test_twelve_settings_bob_locked(self):
         sched = sampling.phase_schedule(12)
         assert len(sched) == 12
-        assert all(tb == 0.0 for _, tb in sched)
-        assert np.allclose(np.diff([ta for ta, _ in sched]), math.pi / 6.0)
+        # a setting is Alice's phase alone: Bob's LO has no setting
+        assert all(type(ta) is float for ta in sched)
+        assert np.allclose(np.diff(sched), math.pi / 6.0)
 
     def test_determinism(self):
         assert sampling.phase_schedule(8) == sampling.phase_schedule(8)
@@ -442,5 +442,6 @@ class TestCsvSerialization:
         assert np.array_equal(shot, rec.shots)
         assert np.array_equal(x_a, rec.x_a)
         assert np.array_equal(theta_a, rec.theta_a)
-        assert np.array_equal(theta_b, rec.theta_b)
+        # Bob's LO is locked at 0
+        assert np.array_equal(theta_b, np.zeros(len(rec)))
         assert np.array_equal(x_b, rec.x_b)

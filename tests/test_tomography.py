@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from macrocat import fock, sampling, tomography
 from macrocat.pipeline import model_microscopic_state
-from oracles import delocalized_photon
+from oracles import delocalized_photon, projector_rows_per_setting
 
 _VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 
@@ -92,7 +92,6 @@ class TestMleReconstruct:
         shifted = sampling.QuadratureSample(
             theta_a=records.theta_a + offset,
             x_a=records.x_a,
-            theta_b=records.theta_b,
             x_b=records.x_b,
         )
         base = tomography.mle_reconstruct(records)
@@ -119,7 +118,7 @@ class TestMleReconstruct:
             tomography.mle_reconstruct(records)
 
     def test_single_phase_rejected(self):
-        records = sampling.sample_quadrature_schedule(_VACUUM, [(0.7, 0.0)], 2000, seed=66)
+        records = sampling.sample_quadrature_schedule(_VACUUM, [0.7], 2000, seed=66)
         with pytest.raises(ValueError, match="phases"):
             tomography.mle_reconstruct(records)
 
@@ -216,11 +215,11 @@ def test_mle_stop_property(eta, phi, sigma, seed, n_shots, tol):
     assert np.all(np.diff(loglik) >= -4.0 * np.spacing(scale)), np.diff(loglik)
 
 
-def _rrr_oracle_loglik(records, support, n_iter=2000):
+def _rrr_oracle_loglik(records, n_iter=2000):
     """Mean log-likelihood after ``n_iter`` passes of the fixed point
     ``rho <- R rho R / Tr[R rho R]`` from the maximally mixed state: the
     estimator the certified solver replaced."""
-    W = tomography._projector_rows(records, support)
+    W = tomography._projector_rows(records)
     Wc = W.conj()
     n, d = W.shape
     rho = np.eye(d, dtype=complex) / d
@@ -265,7 +264,7 @@ class TestCertifiedSolverOracle:
         assert result.stop_reason == "certified" and result.converged
         support = tomography.total_photon_support(2, 1)
         block = result.rho.data[np.ix_(support, support)]
-        W = tomography._projector_rows(records, support)
+        W = tomography._projector_rows(records)
         eig = np.linalg.eigvalsh(block)
         if kind == "boundary":
             assert eig[0] < 1e-12
@@ -283,9 +282,28 @@ class TestCertifiedSolverOracle:
         assert gap == pytest.approx(result.gap, abs=1e-12)
         assert float(np.log(pr).mean()) == pytest.approx(result.loglik[-1], abs=1e-12)
 
-        oracle = _rrr_oracle_loglik(records, support)
+        oracle = _rrr_oracle_loglik(records)
         assert result.loglik[-1] >= oracle - 1e-12
         assert np.all(np.diff(result.loglik) >= -1e-9)
+
+
+class TestProjectorRows:
+    """The closed-form projector rows against the per-setting construction."""
+
+    @pytest.mark.parametrize(
+        "schedule,start_shot",
+        [(sampling.phase_schedule(12), 0), ([0.7], 0), (sampling.phase_schedule(5), 803)],
+        ids=["twelve-settings", "one-setting", "start-shot"],
+    )
+    def test_matches_per_setting_oracle_bitwise(self, schedule, start_shot):
+        model = model_microscopic_state(0.49, 1.3)
+        records = sampling.sample_quadrature_schedule(
+            model, schedule, 3000, seed=69, start_shot=start_shot
+        )
+        rows = tomography._projector_rows(records)
+        oracle = projector_rows_per_setting(records)
+        assert rows.shape == oracle.shape == (3000, 3)
+        assert rows.tobytes() == oracle.tobytes()
 
 
 class TestSupportRestriction:
