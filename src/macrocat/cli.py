@@ -73,12 +73,16 @@ def _load_json(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(doc).__name__}")
     return doc

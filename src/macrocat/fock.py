@@ -22,6 +22,11 @@ Conventions used throughout the package:
 
 All state objects are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
+
+Only the round trip's kernels, :func:`displacement_matrix` and
+:func:`loss_kraus_coefficients`, need ``scipy.special``; each imports it when
+called.  Of the CLI commands, only ``roundtrip-check`` loads scipy through
+this module.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from .errors import ConfigError, TruncationWarning
 
@@ -105,10 +109,16 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     the result is the truncation of the infinite-dimensional operator
     (approximately unitary only while ``|alpha|**2`` is well below dim).
     Column 0 holds the coherent-state amplitudes
-    ``exp(-|alpha|^2/2) alpha^m / sqrt(m!)``.
+    ``exp(-|alpha|^2/2) alpha^m / sqrt(m!)``.  ``dim`` lies in [2, 1024].
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     if dim < 2:
         raise ConfigError(f"dim must be at least 2, got {dim}")
+    # past ~1030 levels the Laguerre factor overflows while its prefactor
+    # underflows to 0, and the product is NaN
+    if dim > 1024:
+        raise ConfigError(f"dim must be at most 1024, got {dim}")
     alpha = complex(alpha)
     if alpha == 0:
         return np.eye(dim, dtype=complex)
@@ -148,6 +158,8 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     ``eta = 1`` only ``K_0`` (the identity) is nonzero, and the list holds
     it alone.  The family is complete on the truncated space.
     """
+    from scipy.special import gammaln, xlogy
+
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"efficiency must lie in [0, 1], got {eta}")
     if eta == 1.0:

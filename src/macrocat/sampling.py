@@ -12,6 +12,9 @@ records.  The generator identity is fixed per release: numpy's Philox-4x64
 counter-based generator keyed by ``(seed, stream)``.
 
 Record containers hold one numpy array per column.
+
+Only :func:`sample_counts` needs ``scipy.special`` (``ndtri``), and imports
+it when called: ``simulate-counts`` loads scipy, ``tomography`` does not.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import fock
 from .counting import CountModelParams
@@ -28,7 +30,7 @@ from .errors import ConfigError, NumericError
 
 _PHILOX_WORDS_PER_TICK = 4
 _WORDS_COUNTS = 8  # component, 3 primary normals, sign, partner normal, 2 pad
-_WORDS_QUAD = 4  # x_A cell+fraction, x_B cell+fraction, 2 pad
+_WORDS_QUAD = 4  # x_A uniform, x_B uniform, 2 pad
 
 _U_LO = 2.0**-53
 
@@ -104,6 +106,8 @@ def sample_counts(
     Shots are drawn in blocks of ``_COUNT_BLOCK_SHOTS``, so the working
     memory beyond the two output arrays is O(block).
     """
+    from scipy.special import ndtri
+
     params.require_gaussian_regime()
     if n_shots < 1:
         raise ConfigError(f"n_shots must be positive, got {n_shots}")

@@ -457,13 +457,15 @@ class TestExitCodes:
             # alpha_small 0 keeps the truncation budget at dim 1: dim is the offender
             ("roundtrip-check", '{"dim": 1, "alpha_small": 0}'),
             ("roundtrip-check", '{"alpha_small": 3, "dim": 8}'),
+            # past 1024 levels the displacement matrix turns NaN
+            ("roundtrip-check", '{"dim": 1025}'),
             ("wigner", '{"c0": 0, "c1": 0}'),
             ("analytic", '{"alpha": -1}'),
             # the record count is checked after sampling; nothing is written
             ("tomography", '{"n_quad_shots": 999}'),
         ],
     )
-    def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):
+    def test_out_of_domain_spec_is_config_error(self, tmp_path, capsys, command, document):
         """A value outside a kernel's domain is a config error: the kernel's
         own check raises ConfigError, so the run exits 1 and names the field."""
         bad = tmp_path / "bad.json"
@@ -473,6 +475,26 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         # the message names the offending field
         assert next(iter(json.loads(document))) in err, err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # json.load recurses once per level
+            b"[" * 100_000 + b"]" * 100_000,
+            # a Latin-1 byte is not UTF-8
+            b'{"alpha": 1e4, "note": "\xe9"}',
+        ],
+        ids=["deep-nesting", "latin-1"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert str(bad) in err, err
         assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("document", ['{"alpha": 1e160}', '{"alpha": 5.0}'])
@@ -500,8 +522,8 @@ class TestExitCodes:
     def test_out_of_memory_is_numerical_error(
         self, tmp_path, capsys, monkeypatch, command, target, document
     ):
-        # a spec too large to allocate (say a roundtrip "dim" of 100000) ends in numpy's
-        # MemoryError; raise it directly instead of allocating
+        # a spec too large to allocate ends in numpy's MemoryError; raise it
+        # directly instead of allocating
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 74.5 TiB for an array")
 
@@ -596,6 +618,35 @@ def test_import_loads_no_numerical_integration_or_optimization():
     )
     loaded = set(ast.literal_eval(proc.stdout))
     assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import macrocat.cli") == []
+
+
+@pytest.mark.parametrize(
+    "command,document",
+    [("analytic", "{}"), ("wigner", "{}"), ("tomography", '{"n_quad_shots": 6000}')],
+)
+def test_command_without_scipy_kernels_loads_no_scipy(tmp_path, command, document):
+    # only sample_counts and the round trip's kernels call scipy.special
+    spec = tmp_path / "spec.json"
+    spec.write_text(document)
+    argv = [command, "--config", str(spec), "--out", str(tmp_path / "o"), "--quiet"]
+    code = f"from macrocat import cli\nassert cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == []
 
 
 # Any JSON value a roundtrip spec field can hold: NaN and +-Infinity tokens,

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from macrocat import fock
-from macrocat.errors import TruncationWarning
+from macrocat.errors import ConfigError, TruncationWarning
 import oracles
 
 
@@ -115,6 +115,14 @@ class TestDisplacementMatrix:
     def test_rejects_tiny_dim(self):
         with pytest.raises(ValueError):
             fock.displacement_matrix(1.0, 1)
+
+    def test_rejects_dim_past_1024(self):
+        # raised before any element is computed: past ~1030 levels they are NaN
+        with pytest.raises(ConfigError, match="1024"):
+            fock.displacement_matrix(0.5, 1025)
+
+    def test_finite_at_dim_1024(self):
+        assert np.isfinite(fock.displacement_matrix(3.0, 1024)).all()
 
     def test_warns_when_truncation_dominated(self):
         with pytest.warns(TruncationWarning):
