@@ -443,12 +443,10 @@ class TestExitCodes:
             ("analytic", '{"alpha": 5.0}'),
             ("simulate-counts", '{"alpha": 5.0}'),
             ("tomography", '{"alpha": 5.0, "n_quad_shots": 6000}'),
-            ("wigner", '{"grid": {"step": 0.6}}'),
             ("analytic", '{"alpha": 1e160}'),
             ("analytic", '{"alpha": 1.3e154}'),
             ("simulate-counts", '{"alpha": 1e160, "n_count_shots": 1000}'),
             ("tomography", '{"alpha": 1e160, "n_quad_shots": 6000}'),
-            ("wigner", '{"alpha": 1e200}'),
             ("roundtrip-check", '{"alpha_small": 1e200}'),
             ("roundtrip-check", '{"alpha_small": 3.0, "mismatch_etas": [1.0], "dim": 16}'),
             ("roundtrip-check", '{"mismatch_etas": [1.5]}'),
@@ -459,7 +457,6 @@ class TestExitCodes:
             ("roundtrip-check", '{"alpha_small": 3, "dim": 8}'),
             # past 1024 levels the displacement matrix turns NaN
             ("roundtrip-check", '{"dim": 1025}'),
-            ("wigner", '{"c0": 0, "c1": 0}'),
             ("analytic", '{"alpha": -1}'),
             # the record count is checked after sampling; nothing is written
             ("tomography", '{"n_quad_shots": 999}'),
@@ -468,14 +465,20 @@ class TestExitCodes:
     def test_out_of_domain_spec_is_config_error(self, tmp_path, capsys, command, document):
         """A value outside a kernel's domain is a config error: the kernel's
         own check raises ConfigError, so the run exits 1 and names the field."""
-        bad = tmp_path / "bad.json"
-        bad.write_text(document)
-        assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1, err
-        # the message names the offending field
-        assert next(iter(json.loads(document))) in err, err
-        assert list((tmp_path / "o").iterdir()) == []
+        _assert_out_of_domain_config_error(tmp_path, capsys, command, document)
+
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            ("wigner", '{"grid": {"step": 0.6}}'),
+            ("wigner", '{"alpha": 1e200}'),
+            ("wigner", '{"c0": 0, "c1": 0}'),
+        ],
+    )
+    def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):
+        """The wigner cases of test_out_of_domain_spec_is_config_error, which
+        they join in a later change (ROADMAP item 3): they exit 1 too."""
+        _assert_out_of_domain_config_error(tmp_path, capsys, command, document)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     @pytest.mark.parametrize(
@@ -618,6 +621,17 @@ def test_import_loads_no_numerical_integration_or_optimization():
     )
     loaded = set(ast.literal_eval(proc.stdout))
     assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
+def _assert_out_of_domain_config_error(tmp_path, capsys, command, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    assert run_cli(command, "--config", bad, "--out", tmp_path / "o", "--quiet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    # the message names the offending field
+    assert next(iter(json.loads(document))) in err, err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def _scipy_modules_after(code: str) -> list[str]:
