@@ -79,7 +79,8 @@ def _load_json(path: Path | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError, or an integer literal past int's digit limit
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} nests too deeply to parse") from exc

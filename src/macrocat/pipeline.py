@@ -46,6 +46,9 @@ _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
 _N_COUNT_BINS = 41
 _BIN_SPAN_SIGMAS = 4.0
 _WINDOW_FRAC = 0.04
+# count shots drawn and reduced at a time: a 1 MiB uniform table that stays
+# in cache
+_COUNT_BLOCK_SHOTS = 1 << 14
 # tomography: Alice's LO sweeps 12 phases
 _TOMO_SETTINGS = 12
 
@@ -295,7 +298,7 @@ def _count_block(
     (the Philox stream is counter-based), so the blocks can be reduced in any
     order.
     """
-    n = min(sampling._COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
+    n = min(_COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
     scale = _count_scale(config.alpha)
     records = [
         sampling.sample_counts(p, n, config.seed, stream, start_shot=lo)
@@ -337,18 +340,18 @@ def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
 def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     """Counting run for both phase settings with analytic overlays.
 
-    The shots are drawn and reduced one sampler block
-    (``sampling._COUNT_BLOCK_SHOTS``) at a time, by :func:`_count_block`,
-    and the partials are merged in block order: no per-shot array outlives
-    its block, so the working memory is O(block) for any ``n_count_shots``,
-    and the result does not depend on the order in which blocks are drawn.
+    The shots are drawn and reduced one block of ``_COUNT_BLOCK_SHOTS`` at
+    a time, by :func:`_count_block`, and the partials are merged in block
+    order: no per-shot array outlives its block, so the working memory is
+    O(block) for any ``n_count_shots``, and the result does not depend on
+    the order in which blocks are drawn.
     """
     params = (config.count_params(phi=0.0), config.count_params(phi=math.pi / 2.0))
     # the marginal spread alpha sqrt(2 + eta) does not depend on phi
     edges = count_bin_edges(params[0])
     partials = map(
         functools.partial(_count_block, config, params, edges),
-        range(0, config.n_count_shots, sampling._COUNT_BLOCK_SHOTS),
+        range(0, config.n_count_shots, _COUNT_BLOCK_SHOTS),
     )
     total = functools.reduce(_CountPartial.merge, partials)
     if not total.window_shots.all():

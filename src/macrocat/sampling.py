@@ -11,6 +11,11 @@ shots ``[0, N)`` in one call, in chunks, or per shot yields bit-identical
 records.  The generator identity is fixed per release: numpy's Philox-4x64
 counter-based generator keyed by ``(seed, stream)``.
 
+Each sampler draws its ``n_shots`` from one :func:`shot_uniforms` table per
+call, so its working memory grows with ``n_shots``; a caller that must bound
+it asks for a range of shots at a time, as the count scenario of
+:mod:`macrocat.pipeline` does.
+
 Record containers hold one numpy array per column.
 
 Only :func:`sample_counts` needs ``scipy.special`` (``ndtri``), and imports
@@ -34,8 +39,6 @@ _WORDS_QUAD = 4  # x_A uniform, x_B uniform, 2 pad
 
 _U_LO = 2.0**-53
 
-# count shots per block: a 1 MiB uniform table that stays in cache
-_COUNT_BLOCK_SHOTS = 1 << 14
 # homodyne outcomes are tabulated on [-8, 8] in steps of 0.02
 _QUAD_GRID = np.linspace(-8.0, 8.0, 801)
 
@@ -102,9 +105,6 @@ def sample_counts(
     Gaussian) with weights ``eta(1+cos phi)/4``, ``eta(1-cos phi)/4`` and
     ``1 - eta/2``; the quadratic components are signed chi(3)-distributed
     radii.  Cost per shot is constant in alpha.
-
-    Shots are drawn in blocks of ``_COUNT_BLOCK_SHOTS``, so the working
-    memory beyond the two output arrays is O(block).
     """
     from scipy.special import ndtri
 
@@ -115,31 +115,25 @@ def sample_counts(
     cph = math.cos(params.phi)
     w_u = params.eta * (1.0 + cph) / 4.0
     w_v = params.eta * (1.0 - cph) / 4.0
-    dn_a = np.empty(n_shots)
-    dn_b = np.empty(n_shots)
-    for lo in range(0, n_shots, _COUNT_BLOCK_SHOTS):
-        hi = min(lo + _COUNT_BLOCK_SHOTS, n_shots)
-        tab = shot_uniforms(seed, stream, start_shot + lo, hi - lo, _WORDS_COUNTS)
-        # plain component: u is the first primary normal, v the partner
-        z1 = ndtri(tab[:, 1])
-        u = sigma * z1
-        v = sigma * ndtri(tab[:, 5])
-        # quadratic components: a signed chi(3) radius replaces u (or v,
-        # whose partner normal then moves to u)
-        quad = np.flatnonzero(tab[:, 0] < w_u + w_v)
-        q = tab[quad]
-        z1 = z1[quad]
-        z2, z3 = ndtri(q[:, 2]), ndtri(q[:, 3])
-        radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
-        np.negative(radius, out=radius, where=q[:, 4] < 0.5)
-        in_u = q[:, 0] < w_u
-        iu, iv = quad[in_u], quad[~in_u]
-        u[iv] = v[iv]
-        v[iv] = radius[~in_u]
-        u[iu] = radius[in_u]
-        dn_a[lo:hi] = (u + v) / math.sqrt(2.0)
-        dn_b[lo:hi] = (u - v) / math.sqrt(2.0)
-    return CountSample(dn_a=dn_a, dn_b=dn_b)
+    tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_COUNTS)
+    # plain component: u is the first primary normal, v the partner
+    z1 = ndtri(tab[:, 1])
+    u = sigma * z1
+    v = sigma * ndtri(tab[:, 5])
+    # quadratic components: a signed chi(3) radius replaces u (or v, whose
+    # partner normal then moves to u)
+    quad = np.flatnonzero(tab[:, 0] < w_u + w_v)
+    q = tab[quad]
+    z1 = z1[quad]
+    z2, z3 = ndtri(q[:, 2]), ndtri(q[:, 3])
+    radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+    np.negative(radius, out=radius, where=q[:, 4] < 0.5)
+    in_u = q[:, 0] < w_u
+    iu, iv = quad[in_u], quad[~in_u]
+    u[iv] = v[iv]
+    v[iv] = radius[~in_u]
+    u[iu] = radius[in_u]
+    return CountSample(dn_a=(u + v) / math.sqrt(2.0), dn_b=(u - v) / math.sqrt(2.0))
 
 
 def joint_quadrature_density(
@@ -167,40 +161,36 @@ def _inverse_cell_draw(cum: np.ndarray, step: float, u: np.ndarray) -> tuple[np.
     return _QUAD_GRID[j] + (frac - 0.5) * step, j
 
 
-class _GridSampler:
-    """Conditional inverse-CDF sampler over the joint density tabulated on
-    ``_QUAD_GRID`` in both coordinates.
+def _draw_setting(
+    rho: fock.DensityMatrix, theta_a: float, u_a: np.ndarray, u_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``(x_A, x_B)`` at one LO setting by conditional inverse CDF over
+    the joint density tabulated on ``_QUAD_GRID`` in both coordinates.
 
     The density is treated as piecewise constant on cells centered at the
     grid points, making the per-coordinate CDF piecewise linear and the
     inverse transform exact for that discretization.
     """
-
-    def __init__(self, rho, theta_a):
-        self.step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
-        mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * self.step**2
-        total = mass.sum()
-        # a unit-trace positive state's density sums to 1 here up to rounding,
-        # so a miss means rho is not a density matrix
-        if abs(total - 1.0) > 1e-3:
-            raise NumericError(
-                f"the outcome grid [-8, 8] holds {total:.6f} of the quadrature "
-                "density, not 1; the state is not a positive unit-trace matrix"
-            )
-        self.mass = mass / total
-        self.cum_a = np.cumsum(self.mass.sum(axis=1))
-        self.cum_b_rows = np.cumsum(self.mass, axis=1)
-
-    def draw(self, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x_a, ja = _inverse_cell_draw(self.cum_a, self.step, u_a)
-        # group shots sharing an x_A cell so each conditional row is scanned once
-        x_b = np.empty_like(x_a)
-        order = np.argsort(ja, kind="stable")
-        bounds = np.flatnonzero(np.diff(ja[order])) + 1
-        for seg in np.split(order, bounds):
-            row = self.cum_b_rows[ja[seg[0]]]
-            x_b[seg] = _inverse_cell_draw(row, self.step, u_b[seg])[0]
-        return x_a, x_b
+    step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
+    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * step**2
+    total = mass.sum()
+    # a unit-trace positive state's density sums to 1 here up to rounding,
+    # so a miss means rho is not a density matrix
+    if abs(total - 1.0) > 1e-3:
+        raise NumericError(
+            f"the outcome grid [-8, 8] holds {total:.6f} of the quadrature "
+            "density, not 1; the state is not a positive unit-trace matrix"
+        )
+    mass /= total
+    x_a, ja = _inverse_cell_draw(np.cumsum(mass.sum(axis=1)), step, u_a)
+    cum_b_rows = np.cumsum(mass, axis=1)
+    # group shots sharing an x_A cell so each conditional row is scanned once
+    x_b = np.empty_like(x_a)
+    order = np.argsort(ja, kind="stable")
+    bounds = np.flatnonzero(np.diff(ja[order])) + 1
+    for seg in np.split(order, bounds):
+        x_b[seg] = _inverse_cell_draw(cum_b_rows[ja[seg[0]]], step, u_b[seg])[0]
+    return x_a, x_b
 
 
 def sample_quadrature_schedule(
@@ -234,8 +224,7 @@ def sample_quadrature_schedule(
         idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
         if idx.size == 0:
             continue
-        sampler = _GridSampler(rho, ta)
-        xa, xb = sampler.draw(tab[idx, 0], tab[idx, 1])
+        xa, xb = _draw_setting(rho, ta, tab[idx, 0], tab[idx, 1])
         theta_a[idx] = ta
         x_a[idx] = xa
         x_b[idx] = xb

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macrocat import cli, fock, output, pipeline, sampling
@@ -305,6 +305,15 @@ class TestDeterminism:
         assert reparsed == ExperimentConfig.from_json_dict(json.loads(cfg.read_text()))
 
 
+# Python 3.10.7 and later refuse to convert an integer string of more than
+# 4300 digits, json's integer literals included
+_NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+)
+# an experiment.json that only the digit limit makes unreadable
+_LONG_INTEGER_CONFIG = b'{"alpha": 1' + b"0" * 5000 + b"}"
+
+
 class TestExitCodes:
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -460,24 +469,14 @@ class TestExitCodes:
             ("analytic", '{"alpha": -1}'),
             # the record count is checked after sampling; nothing is written
             ("tomography", '{"n_quad_shots": 999}'),
-        ],
-    )
-    def test_out_of_domain_spec_is_config_error(self, tmp_path, capsys, command, document):
-        """A value outside a kernel's domain is a config error: the kernel's
-        own check raises ConfigError, so the run exits 1 and names the field."""
-        _assert_out_of_domain_config_error(tmp_path, capsys, command, document)
-
-    @pytest.mark.parametrize(
-        "command,document",
-        [
             ("wigner", '{"grid": {"step": 0.6}}'),
             ("wigner", '{"alpha": 1e200}'),
             ("wigner", '{"c0": 0, "c1": 0}'),
         ],
     )
-    def test_out_of_domain_spec_is_numerical_error(self, tmp_path, capsys, command, document):
-        """The wigner cases of test_out_of_domain_spec_is_config_error, which
-        they join in a later change (ROADMAP item 3): they exit 1 too."""
+    def test_out_of_domain_spec_is_config_error(self, tmp_path, capsys, command, document):
+        """A value outside a kernel's domain is a config error: the kernel's
+        own check raises ConfigError, so the run exits 1 and names the field."""
         _assert_out_of_domain_config_error(tmp_path, capsys, command, document)
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -488,8 +487,10 @@ class TestExitCodes:
             b"[" * 100_000 + b"]" * 100_000,
             # a Latin-1 byte is not UTF-8
             b'{"alpha": 1e4, "note": "\xe9"}',
+            # int() refuses a literal past its digit limit
+            pytest.param(_LONG_INTEGER_CONFIG, marks=_NEEDS_INT_DIGIT_LIMIT),
         ],
-        ids=["deep-nesting", "latin-1"],
+        ids=["deep-nesting", "latin-1", "long-integer"],
     )
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, command, content):
         bad = tmp_path / "bad.json"
@@ -961,3 +962,53 @@ def test_bool_or_string_in_number_field_exits_1(data):
     target[path[-1]] = value
     code, err = _run_spec(command, spec)
     assert code == 1 and err.startswith("config error:") and path[0] in err, err
+
+
+def _json_object(content: bytes) -> bool:
+    """Whether ``content`` is UTF-8 text that parses as a JSON object."""
+    try:
+        return isinstance(json.loads(content.decode("utf-8")), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+_JSON_TEXTS = _JSON_VALUES.map(json.dumps)
+_CONFIG_BYTES = st.one_of(
+    # bytes that never occur in UTF-8
+    st.tuples(
+        st.binary(max_size=20), st.sampled_from([b"\xc0", b"\xf8", b"\xfe", b"\xff"]),
+        st.binary(max_size=20),
+    ).map(b"".join),
+    # Python's utf-16 codec writes a byte-order mark
+    _JSON_TEXTS.map(lambda text: text.encode("utf-16")),
+    _JSON_TEXTS.map(lambda text: b"\xef\xbb\xbf" + text.encode()),
+    st.integers(1_000, 20_000).flatmap(lambda depth: st.sampled_from([
+        b"[" * depth + b"]" * depth, b'{"a": ' * depth + b"1" + b"}" * depth,
+    ])),
+    _JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+    st.binary(),
+)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(content=_CONFIG_BYTES)
+@example(content=_LONG_INTEGER_CONFIG)
+@example(content='{"alpha": 1e4, "note": "\xe9"}'.encode("latin-1"))
+def test_config_bytes_property(command, content):
+    """Any bytes that are not a JSON object in UTF-8, given as --config,
+    exit 1 with one ``config error:`` line, no traceback and an empty --out."""
+    # a JSON object is read as a spec: the spec properties above cover those
+    assume(not _json_object(content))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_bytes(content)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", path, "--out", out, "--quiet")
+        text = err.getvalue()
+        assert code == 1, text
+        assert text.startswith("config error:") and text.count("\n") == 1, text
+        assert "Traceback" not in text, text
+        assert list(out.iterdir()) == []

@@ -256,10 +256,10 @@ class TestStreamedCounts:
         expected = np.clip(np.digitize(x, edges) - 1, 0, edges.size - 2)
         assert np.array_equal(pipeline._bin_index(x, edges), expected)
 
-    @pytest.mark.parametrize("block", [sampling._COUNT_BLOCK_SHOTS, 1000, 7])
+    @pytest.mark.parametrize("block", [pipeline._COUNT_BLOCK_SHOTS, 1000, 7])
     @pytest.mark.parametrize("alpha,seed", [(1.05e4, 71), (5e153, 3)])
     def test_matches_whole_array_oracles(self, monkeypatch, block, alpha, seed):
-        monkeypatch.setattr(sampling, "_COUNT_BLOCK_SHOTS", block)
+        monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", block)
         # at alpha = 5e153 seed 3 has an edge bin whose variance overflows
         cfg = ExperimentConfig(alpha=alpha, n_count_shots=20_000, seed=seed)
         result = pipeline.run_counts_scenario(cfg)

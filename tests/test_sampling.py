@@ -125,12 +125,12 @@ def _bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-_BLOCK = sampling._COUNT_BLOCK_SHOTS
+_BLOCK = pipeline._COUNT_BLOCK_SHOTS
 
 
 class TestCountKernelOracle:
-    """The blocked count kernel reproduces the unblocked one bit for bit, in
-    one call and split into calls of ``part_shots`` shots."""
+    """The one-table count kernel reproduces the oracle bit for bit, in one
+    call and split into calls of ``part_shots`` shots."""
 
     @pytest.mark.parametrize(
         "eta,phi,n_shots,start_shot,part_shots",
