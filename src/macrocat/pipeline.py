@@ -8,7 +8,10 @@ conditional mean/variance curves, the two conditional histograms of
 Bob's counts at macroscopically separated Alice outcomes, and the
 empirical single-shot discrimination error.  It reduces each block of
 shots as the sampler draws it and keeps no per-shot array, so its memory
-does not grow with the shot count.  A tomography scenario builds
+does not grow with the shot count.  The blocks run on a thread pool with
+one thread per CPU the process may run on, a bounded number of them
+ahead of the merge, and their partials merge in block order, so the
+output does not depend on the pool size.  A tomography scenario builds
 the microscopic post-undisplacement model state, samples homodyne records
 over a phase schedule, and reconstructs it.
 
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -325,6 +330,24 @@ def _count_block(
     )
 
 
+def _in_order(pool, fn, items, depth: int):
+    """Yield ``fn(item)`` for each of ``items``, in order, computed on
+    ``pool``: at most ``depth`` calls are submitted ahead of the one whose
+    result is being waited for.  A call's exception is raised as it is, and
+    the calls not yet started are then cancelled."""
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
     """Center-bin conditional variance over the large-offset asymptote.
 
@@ -340,20 +363,35 @@ def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
 def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     """Counting run for both phase settings with analytic overlays.
 
-    The shots are drawn and reduced one block of ``_COUNT_BLOCK_SHOTS`` at
-    a time, by :func:`_count_block`, and the partials are merged in block
+    The shots are drawn and reduced in blocks of ``_COUNT_BLOCK_SHOTS``
+    by :func:`_count_block`, on a thread pool with one thread per CPU in
+    the process's affinity mask; at most two blocks per thread run or wait
+    ahead of the one being merged.  The partials are merged in block
     order: no per-shot array outlives its block, so the working memory is
-    O(block) for any ``n_count_shots``, and the result does not depend on
-    the order in which blocks are drawn.
+    O(threads x block) for any ``n_count_shots``, and the result does not
+    depend on the pool size or on the order in which blocks are drawn.
     """
+    # imported here, like scipy: only this scenario uses it, and every
+    # command pays for what `import macrocat.cli` loads
+    from concurrent.futures import ThreadPoolExecutor
+
     params = (config.count_params(phi=0.0), config.count_params(phi=math.pi / 2.0))
     # the marginal spread alpha sqrt(2 + eta) does not depend on phi
     edges = count_bin_edges(params[0])
-    partials = map(
-        functools.partial(_count_block, config, params, edges),
-        range(0, config.n_count_shots, _COUNT_BLOCK_SHOTS),
-    )
-    total = functools.reduce(_CountPartial.merge, partials)
+    # the CPUs this process may run on; a platform without affinity masks
+    # (macOS) falls back to the CPU count
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        partials = _in_order(
+            pool,
+            functools.partial(_count_block, config, params, edges),
+            range(0, config.n_count_shots, _COUNT_BLOCK_SHOTS),
+            2 * workers,
+        )
+        total = functools.reduce(_CountPartial.merge, partials)
     if not total.window_shots.all():
         raise ValueError("no shots fall in the conditioning windows")
     error_rates = total.window_errors / total.window_shots

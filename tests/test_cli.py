@@ -345,6 +345,24 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_failing_count_block_exit(self, tmp_path, capsys, monkeypatch):
+        # a block that fails on a pool thread exits 2 as it would in-line
+        count_block = pipeline._count_block
+
+        def block(config, params, edges, lo):
+            if lo > 0:
+                raise NumericError("block failed")
+            return count_block(config, params, edges, lo)
+
+        monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", 1000)
+        monkeypatch.setattr(pipeline, "_count_block", block)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_count_shots": 20000}')
+        out = tmp_path / "o"
+        assert run_cli("simulate-counts", "--config", cfg, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == "numerical error: block failed\n"
+        assert list(out.iterdir()) == []
+
     def test_io_error_exit(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -635,8 +653,8 @@ def _assert_out_of_domain_config_error(tmp_path, capsys, command, document):
     assert list((tmp_path / "o").iterdir()) == []
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The ``scipy`` modules a fresh interpreter holds after running ``code``."""
+def _modules_after(code: str, package: str) -> list[str]:
+    """The modules of ``package`` a fresh interpreter holds after running ``code``."""
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted(sys.modules))"],
         capture_output=True,
@@ -644,11 +662,16 @@ def _scipy_modules_after(code: str) -> list[str]:
         check=True,
     )
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
-    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    return [m for m in loaded if m == package or m.startswith(package + ".")]
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import macrocat.cli") == []
+    assert _modules_after("import macrocat.cli", "scipy") == []
+
+
+def test_import_loads_no_thread_pool():
+    # only the count scenario runs a pool, and imports it itself
+    assert _modules_after("import macrocat.cli", "concurrent") == []
 
 
 @pytest.mark.parametrize(
@@ -661,7 +684,7 @@ def test_command_without_scipy_kernels_loads_no_scipy(tmp_path, command, documen
     spec.write_text(document)
     argv = [command, "--config", str(spec), "--out", str(tmp_path / "o"), "--quiet"]
     code = f"from macrocat import cli\nassert cli.main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code, "scipy") == []
 
 
 # Any JSON value a roundtrip spec field can hold: NaN and +-Infinity tokens,

@@ -4,14 +4,17 @@ analytic overlays, the undisplacement locality check, and output files.
 
 import json
 import math
+import os
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from macrocat import counting, fock, output, pipeline, sampling, tomography
 from macrocat.counting import CountModelParams
-from macrocat.errors import ConfigError, TruncationWarning
+from macrocat.errors import ConfigError, NumericError, TruncationWarning
 from macrocat.pipeline import ExperimentConfig
 import oracles
 
@@ -305,6 +308,82 @@ class TestStreamedCounts:
         # whole-array records of 1,000,000 shots alone take 32 MB
         assert large < 8 * 2**20
         assert abs(large - small) < 2**20
+
+
+def _use_cpus(monkeypatch, n):
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestThreadedCounts:
+    """The count blocks run on a thread pool sized from the CPU affinity
+    mask; the partials merge in block order."""
+
+    @pytest.mark.parametrize("block", [pipeline._COUNT_BLOCK_SHOTS, 1000])
+    def test_same_bytes_at_every_pool_size(self, monkeypatch, tmp_path, block):
+        monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", block)
+        cfg = ExperimentConfig(alpha=37.5, n_count_shots=100_000, seed=3)
+        files = {}
+        for cpus in (1, 2, 4):
+            _use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            out.mkdir()
+            output.write_documents(
+                out, pipeline.count_documents(pipeline.run_counts_scenario(cfg), cfg)
+            )
+            files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(files[1]) == ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv",
+                                    "summary.json"]
+        assert files[1] == files[2] == files[4]
+
+    def test_in_order_bounds_look_ahead(self):
+        depth = 3
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(40):
+                pulled += 1
+                yield i
+
+        def square(i):
+            # the first call ends last, so the later results wait for it
+            if i == 0:
+                time.sleep(0.05)
+            return i * i
+
+        ahead = []
+        with ThreadPoolExecutor(2) as pool:
+            results = []
+            for value in pipeline._in_order(pool, square, items(), depth):
+                results.append(value)
+                ahead.append(pulled - len(results))
+        assert results == [i * i for i in range(40)]
+        # the consumer holds item j while items up to j + depth are pulled
+        assert max(ahead) == depth
+
+    def test_failing_block_raises_its_exception(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        depth = 4  # two blocks per thread
+        monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", 1000)
+        failing = 5
+        error = NumericError("block 5 failed")
+        started = []
+        count_block = pipeline._count_block
+
+        def block(config, params, edges, lo):
+            started.append(lo)
+            if lo == failing * 1000:
+                raise error
+            return count_block(config, params, edges, lo)
+
+        monkeypatch.setattr(pipeline, "_count_block", block)
+        cfg = ExperimentConfig(alpha=37.5, n_count_shots=100_000, seed=3)
+        with pytest.raises(NumericError) as caught:
+            pipeline.run_counts_scenario(cfg)
+        assert caught.value is error
+        # the blocks past the look-ahead never start
+        assert len(started) < failing + 2 + depth
 
 
 def _qubit_block(data, dim):
