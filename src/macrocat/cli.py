@@ -14,7 +14,9 @@ command, that configuration, the package version and the output list, and
 hands everything to :func:`macrocat.output.write_documents`.  Re-running the
 command with the manifest's config regenerates the output directory byte for
 byte (no timestamps or machine state enter any output file).  A run that
-exits 1 or 2 writes no file.
+exits 1 or 2 writes no file.  Unless ``--quiet``, ``simulate-counts`` and
+``tomography`` print ``progress:`` lines on stderr, and every command that
+succeeds prints a ``wrote`` line on stdout.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error, 3 I/O
 error.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 import warnings
@@ -35,8 +36,6 @@ import numpy as np
 
 from . import __version__, counting, fock, output, pipeline
 from .errors import ConfigError, NumericError
-
-log = logging.getLogger("macrocat")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +88,12 @@ def _load_json(path: Path | None) -> dict:
     return doc
 
 
+def _progress(args, message: str) -> None:
+    """A ``progress:`` line on stderr, unless ``--quiet``."""
+    if not args.quiet:
+        print(f"progress: {message}", file=sys.stderr)
+
+
 def _experiment_config(args) -> pipeline.ExperimentConfig:
     doc = _load_json(args.config)
     if args.seed is not None:
@@ -118,31 +123,28 @@ def cmd_analytic(args) -> tuple[dict, dict]:
 
 def cmd_simulate_counts(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
-    log.info(
-        "sampling %d count shots per setting at alpha=%g", config.n_count_shots, config.alpha
+    _progress(
+        args, f"sampling {config.n_count_shots} count shots per setting at alpha={config.alpha:g}"
     )
     result = pipeline.run_counts_scenario(config)
-    log.info(
-        "variance ratio %.4f, discrimination error %.4f",
-        result.variance_ratio,
-        result.discrimination_error,
+    _progress(
+        args,
+        f"variance ratio {result.variance_ratio:.4f}, "
+        f"discrimination error {result.discrimination_error:.4f}",
     )
     return config.to_json_dict(), pipeline.count_documents(result, config)
 
 
 def cmd_tomography(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
-    log.info("sampling %d quadrature records", config.n_quad_shots)
+    _progress(args, f"sampling {config.n_quad_shots} quadrature records")
     scenario = pipeline.run_tomography_scenario(config)
     result, records = scenario.result, scenario.records
-    log.info(
-        "reconstruction: %d iterations, stop %s at likelihood gap %.3e, "
-        "concurrence %.4f, fidelity to model %.4f",
-        result.iterations,
-        result.stop_reason,
-        result.gap,
-        result.concurrence,
-        scenario.fidelity_to_model,
+    _progress(
+        args,
+        f"reconstruction: {result.iterations} iterations, stop {result.stop_reason} "
+        f"at likelihood gap {result.gap:.3e}, concurrence {result.concurrence:.4f}, "
+        f"fidelity to model {scenario.fidelity_to_model:.4f}",
     )
     return config.to_json_dict(), {
         "records.csv": {
@@ -259,11 +261,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # basicConfig does nothing once the root logger has a handler, so the
-        # level is set on every call: a --quiet (or its absence) must not
-        # carry over from an earlier call in this process
-        logging.basicConfig(format="%(levelname)s %(message)s")
-        log.setLevel(logging.WARNING if args.quiet else logging.INFO)
         args.out.mkdir(parents=True, exist_ok=True)
         config, documents = _COMMANDS[args.command](args)
         outputs = sorted(documents)

@@ -6,9 +6,11 @@ reference pulse of the same mean energy, and all counts are expressed
 relative to that reference.  In the large-amplitude regime
 (``alpha >= GAUSSIAN_ALPHA_MIN``) the Poissonian photon statistics are
 replaced by their Gaussian limit, which is what every function below
-evaluates; the ones that rely on that limit raise ``ConfigError`` below
-``GAUSSIAN_ALPHA_MIN``.  Every result here is a closed form, including the single-shot discrimination error;
-nothing is integrated numerically and nothing is written to files.
+evaluates; a :class:`CountModelParams` below ``GAUSSIAN_ALPHA_MIN`` raises
+``ConfigError`` when it is built, so every instance lies in that regime.
+Every result here is a closed form, including the single-shot
+discrimination error; nothing is integrated numerically and nothing is
+written to files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ GAUSSIAN_ALPHA_MIN = 10.0
 
 @dataclass(frozen=True)
 class CountModelParams:
-    """Displacement amplitude, total efficiency and interferometer phase."""
+    """Displacement amplitude, total efficiency and interferometer phase, in
+    the Gaussian regime ``alpha >= GAUSSIAN_ALPHA_MIN``."""
 
     alpha: float
     eta: float
@@ -41,8 +44,6 @@ class CountModelParams:
             raise ConfigError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ConfigError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-    def require_gaussian_regime(self) -> None:
         if self.alpha < GAUSSIAN_ALPHA_MIN:
             raise ConfigError(
                 f"alpha={self.alpha} is below {GAUSSIAN_ALPHA_MIN}; the Gaussian "
@@ -61,7 +62,6 @@ def _reduced_mean(n_a, params: CountModelParams):
     denominator ``den = 2 (4-eta) + t^2 eta`` and Bob's conditional mean in
     units of alpha, ``4 t eta cos(phi) / den``.  With ``alpha^2`` factored
     out, no intermediate grows with alpha."""
-    params.require_gaussian_regime()
     t = np.asarray(n_a, dtype=float) / params.alpha
     den = 2.0 * (4.0 - params.eta) + t * t * params.eta
     return t, den, 4.0 * t * params.eta * math.cos(params.phi) / den
@@ -114,7 +114,6 @@ def distinguishability_error(params: CountModelParams, delta_a: float) -> float:
     ``[eta (r^2 + 2 - 4 r / sqrt(pi)) + 4 (2-eta)] / (2 [eta (r^2 + 2) + 4 (2-eta)])``,
     so no intermediate grows with alpha; exactly 0.5 at ``eta = 0``.
     """
-    params.require_gaussian_regime()
     if delta_a <= 0:
         raise ConfigError(f"delta_a must be positive, got {delta_a}")
     eta = params.eta

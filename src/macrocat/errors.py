@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: a value outside the documented domain
 of a config field or of a kernel's argument exits 1 (:class:`ConfigError`),
-a computation that fails on a valid input exits 2, an I/O failure exits 3.
+a computation that fails on a valid input exits 2 (:class:`NumericError`,
+also raised when an invariant the code relies on breaks, such as the MLE's
+likelihood falling), an I/O failure exits 3.
 """
 
 
@@ -11,11 +13,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(Exception):
-    """A computation failed on a valid input."""
-
-
-class InternalConsistencyError(NumericError):
-    """A mathematical invariant the implementation relies on was violated."""
+    """A computation failed on a valid input, or broke an invariant it relies on."""
 
 
 class TruncationWarning(UserWarning):

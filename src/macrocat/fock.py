@@ -4,7 +4,9 @@ The one state type, :class:`DensityMatrix`, is the 4 x 4 matrix on
 ``|00>, |01>, |10>, |11>``: two modes with two levels each, which hold the
 post-undisplacement state the tomography reconstructs.  The round trip's
 operators (displacement, loss Kraus coefficients, the displaced amplitudes)
-act at a per-mode truncation ``dim``.
+act at a per-mode truncation ``dim``.  Every displacement of the experiment
+is real, so :func:`displacement_matrix` takes a real amplitude and returns
+a real matrix whose phase factors are exact signs.
 
 Conventions used throughout the package:
 
@@ -101,15 +103,16 @@ def _check_trailing_population(psi: np.ndarray) -> None:
         )
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Matrix elements ``<m|D(alpha)|n>`` for m, n < dim.
+def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
+    """Matrix elements ``<m|D(alpha)|n>`` for a real ``alpha`` and m, n < dim.
 
     Uses the closed-form associated-Laguerre expression with log-space
     factorial prefactors; each element is exact up to float rounding, so
     the result is the truncation of the infinite-dimensional operator
-    (approximately unitary only while ``|alpha|**2`` is well below dim).
+    (approximately unitary only while ``alpha**2`` is well below dim).
     Column 0 holds the coherent-state amplitudes
-    ``exp(-|alpha|^2/2) alpha^m / sqrt(m!)``.  ``dim`` lies in [2, 1024].
+    ``exp(-alpha^2/2) alpha^m / sqrt(m!)``.  ``dim`` lies in [2, 1024].
+    The result is a real (float64) array.
     """
     from scipy.special import eval_genlaguerre, gammaln
 
@@ -119,9 +122,9 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     # underflows to 0, and the product is NaN
     if dim > 1024:
         raise ConfigError(f"dim must be at most 1024, got {dim}")
-    alpha = complex(alpha)
+    alpha = float(alpha)
     if alpha == 0:
-        return np.eye(dim, dtype=complex)
+        return np.eye(dim)
     a = abs(alpha)
     x = a * a
     if not math.isfinite(x):
@@ -133,20 +136,16 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    theta = np.angle(alpha)
     n = np.arange(dim)
     row, col = np.meshgrid(n, n, indexing="ij")
     p = np.minimum(row, col)
     k = np.abs(row - col)
     logmag = 0.5 * (gammaln(p + 1) - gammaln(p + k + 1)) + k * np.log(a) - x / 2.0
     mag = np.exp(logmag) * eval_genlaguerre(p, k, x)
-    # row >= col carries alpha^k, row < col carries (-conj(alpha))^k
-    phase = np.where(
-        row >= col,
-        np.exp(1j * k * theta),
-        (-1.0) ** k * np.exp(-1j * k * theta),
-    )
-    return mag * phase
+    # row >= col carries alpha^k, row < col carries (-alpha)^k: |alpha|^k
+    # times an exact sign
+    sign = math.copysign(1.0, alpha)
+    return mag * np.where(row >= col, sign, -sign) ** k
 
 
 def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:

@@ -108,7 +108,6 @@ def sample_counts(
     """
     from scipy.special import ndtri
 
-    params.require_gaussian_regime()
     if n_shots < 1:
         raise ConfigError(f"n_shots must be positive, got {n_shots}")
     sigma = math.sqrt(2.0) * params.alpha
@@ -229,16 +228,3 @@ def sample_quadrature_schedule(
         x_a[idx] = xa
         x_b[idx] = xb
     return QuadratureSample(theta_a=theta_a, x_a=x_a, x_b=x_b, start_shot=start_shot)
-
-
-def phase_schedule(n_settings: int) -> list[float]:
-    """Alice's LO phase settings for two-mode tomography.
-
-    Alice's phase steps uniformly over [0, 2*pi) while Bob's LO stays
-    locked at 0 (the measurement protocol this package models).  At least
-    4 settings are required for an informationally complete scan of the
-    one-photon subspace.
-    """
-    if n_settings < 4:
-        raise ConfigError(f"need at least 4 settings, got {n_settings}")
-    return [2.0 * math.pi * j / n_settings for j in range(n_settings)]

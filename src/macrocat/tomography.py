@@ -11,7 +11,7 @@ state ``sigma`` obeys
 (Jensen's inequality; Glancy, Knill and Girard, NJP 14, 095017 (2012)).
 So ``gap = log lambda_max(R(rho))`` bounds how far the likelihood of
 ``rho`` lies below the maximum, and :func:`mle_reconstruct` stops as soon
-as the gap is at most ``tol``: the stop is certified, not an iteration cap.
+as the gap is at most ``_TOL``: the stop is certified, not an iteration cap.
 
 The maximiser works on the ``d**2`` real coordinates ``x`` of a Hermitian
 ``d x d`` matrix on the support, the ``d = 3`` kets with at most one photon
@@ -33,7 +33,7 @@ A step is accepted only if the likelihood rises.  That test uses
 the exact increment ``mean(log1p(F d / pr))`` of the trace-normalised
 likelihood, which stays resolvable after ``l`` itself has stopped changing
 in float64.  The recorded trace must still never drop by more than
-``_LL_DECREASE_TOL``; an internal-consistency error aborts the run if it does.
+``_LL_DECREASE_TOL``; a :class:`NumericError` aborts the run if it does.
 
 Reconstruction targets the measured (lossy) state directly with
 unit-efficiency projectors; no detector-efficiency deconvolution is
@@ -49,10 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InternalConsistencyError
+from .errors import ConfigError, NumericError
 from .fock import DensityMatrix, quadrature_basis
 from .sampling import QuadratureSample
 
+# the certificate: a stop with likelihood gap at most this many nats
+_TOL = 1e-8
+# accepted Newton steps before a run stops uncertified ("max_iter")
+_MAX_STEPS = 2000
 _LL_DECREASE_TOL = 1e-9
 # accelerated gradient iterations spent maximising one Newton model
 _MAX_MODEL_ITER = 2000
@@ -169,7 +173,7 @@ class _LogLikelihood:
         return self.pack((v * lam) @ v.conj().T)
 
 
-def _newton_step(lik: _LogLikelihood, x, pr, grad, tol: float):
+def _newton_step(lik: _LogLikelihood, x, pr, grad):
     """Proximal Newton step: maximise the quadratic model of the likelihood over
     the density matrices, then halve back along the segment from ``x`` until the
     likelihood rises.  None when it does not."""
@@ -201,7 +205,7 @@ def _newton_step(lik: _LogLikelihood, x, pr, grad, tol: float):
             # the model's own gap certificate; the likelihood gap after the
             # step is about this plus the model error
             g = grad - curvature @ (z - x)
-            if lik.top_eigenvalue(g) - g @ z <= 0.25 * tol:
+            if lik.top_eigenvalue(g) - g @ z <= 0.25 * _TOL:
                 break
     d = z - x
     fd = lik.F @ d
@@ -212,26 +216,26 @@ def _newton_step(lik: _LogLikelihood, x, pr, grad, tol: float):
     return None
 
 
-def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
+def _maximize(lik: _LogLikelihood):
     """Raise the likelihood from the maximally mixed state until the gap is at
-    most ``tol``.  Returns the coordinates, the log-likelihood trace, the final
+    most ``_TOL``.  Returns the coordinates, the log-likelihood trace, the final
     gap and the stop reason."""
     x = lik.pack(np.eye(lik.m) / lik.m)
     pr = lik.F @ x
     grad = lik.gradient(pr)
     gap = lik.gap(grad)
     loglik = [float(np.log(pr).mean())]
-    while gap > tol:
-        if len(loglik) > max_iter:
+    while gap > _TOL:
+        if len(loglik) > _MAX_STEPS:
             return x, loglik, gap, "max_iter"
-        step = _newton_step(lik, x, pr, grad, tol)
+        step = _newton_step(lik, x, pr, grad)
         if step is None:
             return x, loglik, gap, "stalled"
         x = step
         pr = lik.F @ x
         ll = float(np.log(pr).mean())
         if ll < loglik[-1] - _LL_DECREASE_TOL:
-            raise InternalConsistencyError(
+            raise NumericError(
                 f"likelihood decreased from {loglik[-1]:.12f} to {ll:.12f} "
                 f"at iteration {len(loglik)}"
             )
@@ -241,23 +245,19 @@ def _maximize(lik: _LogLikelihood, tol: float, max_iter: int):
     return x, loglik, gap, "certified"
 
 
-def mle_reconstruct(
-    records: QuadratureSample,
-    max_iter: int = 2000,
-    tol: float = 1e-8,
-) -> TomographyResult:
+def mle_reconstruct(records: QuadratureSample) -> TomographyResult:
     """Maximum-likelihood estimate of the two-mode density matrix, with two
     levels per mode, from quadrature records.  Requires at least 1000 records spread over at least
     4 distinct Alice phases.
 
     Stops, with ``stop_reason == "certified"`` and ``converged`` true, once the
-    likelihood gap ``log lambda_max(R(rho))`` is at most ``tol``: the mean
-    log-likelihood per record is then within ``tol`` nats of its maximum.
-    Each step is a proximal Newton step from the maximally mixed state on
-    (see the module docstring).  ``max_iter`` is only a safety cap on
-    accepted steps (``"max_iter"``); a run also ends early (``"stalled"``)
-    if no Newton step raises the likelihood at float64 resolution before
-    the gap reaches ``tol``.  Either uncertified stop emits a
+    likelihood gap ``log lambda_max(R(rho))`` is at most ``_TOL`` (1e-8): the
+    mean log-likelihood per record is then within that many nats of its
+    maximum.  Each step is a proximal Newton step from the maximally mixed
+    state on (see the module docstring).  ``_MAX_STEPS`` (2000) accepted
+    steps is only a safety cap (``"max_iter"``); a run also ends early
+    (``"stalled"``) if no Newton step raises the likelihood at float64
+    resolution before the gap reaches ``_TOL``.  Either uncertified stop emits a
     ``UserWarning``.  ``loglik`` holds the start state and one entry per
     accepted step, so ``len(loglik) == iterations + 1``; ``gap`` is the
     final certificate.
@@ -284,11 +284,11 @@ def mle_reconstruct(
             f"only {distinct.size} distinct Alice phases; tomography needs >= 4"
         )
     lik = _LogLikelihood(_projector_rows(records))
-    x, loglik, gap, stop_reason = _maximize(lik, tol, max_iter)
+    x, loglik, gap, stop_reason = _maximize(lik)
     if stop_reason != "certified":
         warnings.warn(
             f"MLE stopped uncertified ({stop_reason}) after {len(loglik) - 1} "
-            f"steps: likelihood gap {gap:.3e} > tol {tol:g}",
+            f"steps: likelihood gap {gap:.3e} above the tolerance {_TOL:g}",
             stacklevel=2,
         )
 

@@ -149,7 +149,6 @@ def joint_prob(dn_a, dn_b, params: CountModelParams):
     [eta/2 (u^2 + v^2 + 2 cos(phi) u v) + (1-eta) a^2]``
     where ``u, v`` are photon numbers relative to ``alpha^2``.
     """
-    params.require_gaussian_regime()
     u = np.asarray(dn_a, dtype=float)
     v = np.asarray(dn_b, dtype=float)
     a2 = params.alpha**2
@@ -169,7 +168,6 @@ def joint_prob_ref(n_a, n_b, params: CountModelParams):
     [eta (nA^2 + nB^2 + 2 cos(phi) nA nB) + 4 (2-eta) a^2]``.
     Arguments are centered: zero means the arm matched its reference pulse.
     """
-    params.require_gaussian_regime()
     u = np.asarray(n_a, dtype=float)
     v = np.asarray(n_b, dtype=float)
     a2 = params.alpha**2
@@ -182,7 +180,6 @@ def joint_prob_ref(n_a, n_b, params: CountModelParams):
 
 def alice_marginal_ref(n_a, params: CountModelParams):
     """Single-arm density of the reference-subtracted count (nB integrated out)."""
-    params.require_gaussian_regime()
     u = np.asarray(n_a, dtype=float)
     a2 = params.alpha**2
     s2 = 2.0 * a2
@@ -194,7 +191,6 @@ def alice_marginal_ref(n_a, params: CountModelParams):
 def alice_marginal_ref_cdf(n_a, params: CountModelParams):
     """CDF of :func:`alice_marginal_ref`: ``Phi(z) - (eta/4) z phi(z)``
     with ``z = n_a / (sqrt(2) alpha)``."""
-    params.require_gaussian_regime()
     z = np.asarray(n_a, dtype=float) / (math.sqrt(2.0) * params.alpha)
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     out = ndtr(z) - 0.25 * params.eta * z * pdf

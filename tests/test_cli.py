@@ -610,8 +610,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("modes", [("loud", "quiet"), ("quiet", "loud")])
     def test_quiet_holds_per_call_in_one_process(self, tmp_path, modes):
-        # a child process: pytest's own root handler would hide the leak,
-        # which came from logging.basicConfig acting only on the first call
+        # a child process, so the stderr of consecutive calls is read as the
+        # process writes it
         code = (
             "import sys\n"
             "from macrocat import cli\n"
@@ -628,7 +628,8 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         runs = proc.stderr.split("--\n")[:-1]
-        assert [run.count("INFO ") for run in runs] == [2 if m == "loud" else 0 for m in modes]
+        progress = [sum(line.startswith("progress: ") for line in run.splitlines()) for run in runs]
+        assert progress == [2 if m == "loud" else 0 for m in modes]
 
 
 def test_import_loads_no_numerical_integration_or_optimization():
@@ -672,6 +673,11 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_thread_pool():
     # only the count scenario runs a pool, and imports it itself
     assert _modules_after("import macrocat.cli", "concurrent") == []
+
+
+def test_import_loads_no_logging():
+    # progress lines are plain prints to stderr
+    assert _modules_after("import macrocat.cli", "logging") == []
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from scipy.special import gammaln
 
 from macrocat import counting, output
 from macrocat.counting import CountModelParams
+from macrocat.errors import ConfigError
 import oracles
 
 
@@ -73,9 +74,9 @@ class TestJointProb:
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_small_alpha_rejected(self):
-        p = CountModelParams(5.0, 0.5, 0.0)
-        with pytest.raises(ValueError, match="Gaussian"):
-            oracles.joint_prob(0.0, 0.0, p)
+        # below the Gaussian regime no parameter set exists to evaluate
+        with pytest.raises(ConfigError, match="Gaussian"):
+            CountModelParams(5.0, 0.5, 0.0)
 
     def test_swap_symmetry(self):
         p = CountModelParams(25.0, 0.7, 0.0)

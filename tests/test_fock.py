@@ -90,11 +90,18 @@ class TestDisplacementMatrix:
         assert D[0, 0].real == pytest.approx(np.exp(-0.5), abs=1e-12)
         assert D[0, 0].imag == 0.0
 
-    @pytest.mark.parametrize("alpha", [1.3, 2.0, 0.5 + 0.7j, -1.1 + 0.2j])
+    @pytest.mark.parametrize("alpha", [1.3, 2.0, -1.1, -2.0])
     def test_matches_matrix_exponential(self, alpha):
         D = fock.displacement_matrix(alpha, 64)
         oracle = displacement_expm_oracle(alpha, 64)
         assert np.abs(D - oracle).max() < 1e-8
+
+    def test_negative_alpha_is_exact_adjoint(self):
+        # the round trip's undisplacement: its phase factors are exact signs,
+        # so D(-a) is real and bit for bit the adjoint D(a)^T
+        D = fock.displacement_matrix(-1.1, 16)
+        assert np.array_equal(D.imag, np.zeros((16, 16)))
+        assert np.array_equal(D, fock.displacement_matrix(1.1, 16).T)
 
     def test_column_zero_is_coherent_state(self):
         alpha, dim = 1.7, 48

@@ -57,6 +57,7 @@ class TestExperimentConfig:
         "bad",
         [
             {"alpha": -1.0},
+            {"alpha": 5.0},
             {"phi": 7.0},
             {"eta_total": 0.0},
             {"n_count_shots": 0},
@@ -94,13 +95,12 @@ _THREE_PHASES = [0.0, 1.0, 2.0]
         lambda: sampling.sample_quadrature_schedule(
             pipeline.model_microscopic_state(0.5, 0.0), [], 10, 1
         ),
-        lambda: sampling.phase_schedule(3),
         lambda: tomography.mle_reconstruct(sampling.sample_quadrature_schedule(
             pipeline.model_microscopic_state(0.5, 0.0), _THREE_PHASES, 1000, 1
         )),
     ],
     ids=["eta", "phi", "peak-ratio-eta", "delta_a", "kraus-eta", "words-per-shot",
-         "n_shots", "empty-schedule", "settings", "mle-phases"],
+         "n_shots", "empty-schedule", "mle-phases"],
 )
 def test_kernel_domain_check_is_config_error(call):
     """A kernel argument outside its documented domain raises ConfigError

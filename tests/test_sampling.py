@@ -19,6 +19,7 @@ from macrocat.errors import NumericError
 import oracles
 
 _VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+_FOUR_PHASES = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
 def _lossy_photon(phi):
@@ -73,7 +74,7 @@ class TestDeterminism:
         # the split at 803 is not a multiple of the 4 settings, so the last
         # part must pick its settings by absolute shot index
         rho = fock.DensityMatrix(_lossy_photon(0.4).data)
-        sched = sampling.phase_schedule(4)
+        sched = _FOUR_PHASES
         whole = sampling.sample_quadrature_schedule(rho, sched, 1200, seed=8)
         parts = [
             sampling.sample_quadrature_schedule(rho, sched, 500, seed=8),
@@ -87,7 +88,7 @@ class TestDeterminism:
 
     def test_schedule_reproducible(self):
         rho = _VACUUM
-        sched = sampling.phase_schedule(4)
+        sched = _FOUR_PHASES
         a = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
         b = sampling.sample_quadrature_schedule(rho, sched, 1000, seed=6)
         assert np.array_equal(a.x_a, b.x_a) and np.array_equal(a.theta_a, b.theta_a)
@@ -406,23 +407,18 @@ class TestQuadratureSampler:
 
 
 class TestPhaseSchedule:
+    """The tomography run's schedule, ``pipeline.TOMO_PHASES``."""
+
     def test_four_settings(self):
-        sched = sampling.phase_schedule(4)
-        assert sched == [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+        # every third phase: the informationally complete 4-phase scan, exactly
+        assert pipeline.TOMO_PHASES[::3] == _FOUR_PHASES
 
     def test_twelve_settings_bob_locked(self):
-        sched = sampling.phase_schedule(12)
+        sched = pipeline.TOMO_PHASES
         assert len(sched) == 12
         # a setting is Alice's phase alone: Bob's LO has no setting
         assert all(type(ta) is float for ta in sched)
         assert np.allclose(np.diff(sched), math.pi / 6.0)
-
-    def test_determinism(self):
-        assert sampling.phase_schedule(8) == sampling.phase_schedule(8)
-
-    def test_too_few_settings_rejected(self):
-        with pytest.raises(ValueError):
-            sampling.phase_schedule(3)
 
 
 class TestCsvSerialization:

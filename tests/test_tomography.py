@@ -6,6 +6,7 @@ source; closed-form loss-model states provide exact targets.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macrocat import fock, sampling, tomography
-from macrocat.pipeline import model_microscopic_state
+from macrocat.errors import NumericError
+from macrocat.pipeline import TOMO_PHASES, model_microscopic_state
 from oracles import delocalized_photon, projector_rows_per_setting
 
 _VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+_FOUR_PHASES = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
 
 
-def _simulate(rho, n_shots, seed, n_settings=12):
-    schedule = sampling.phase_schedule(n_settings)
+def _simulate(rho, n_shots, seed, schedule=TOMO_PHASES):
     return sampling.sample_quadrature_schedule(rho, schedule, n_shots, seed)
 
 
@@ -81,7 +83,7 @@ class TestMleReconstruct:
     def test_likelihood_trace_nondecreasing(self):
         model = model_microscopic_state(0.8, 0.4)
         records = _simulate(model, 20_000, seed=63)
-        result = tomography.mle_reconstruct(records, max_iter=500)
+        result = tomography.mle_reconstruct(records)
         assert np.all(np.diff(result.loglik) >= -1e-9)
 
     def test_phase_covariance(self):
@@ -108,7 +110,7 @@ class TestMleReconstruct:
         for seed in range(10):
             for n in fids:
                 records = _simulate(model, n, seed=1000 + seed)
-                result = tomography.mle_reconstruct(records, max_iter=300)
+                result = tomography.mle_reconstruct(records)
                 fids[n].append(tomography.fidelity(result.rho, model))
         assert np.mean(fids[200_000]) >= np.mean(fids[10_000])
 
@@ -123,8 +125,8 @@ class TestMleReconstruct:
             tomography.mle_reconstruct(records)
 
     def test_result_json_shape(self):
-        records = _simulate(_VACUUM, 2000, seed=67, n_settings=4)
-        result = tomography.mle_reconstruct(records, max_iter=50)
+        records = _simulate(_VACUUM, 2000, seed=67, schedule=_FOUR_PHASES)
+        result = tomography.mle_reconstruct(records)
         doc = result.to_json_dict()
         assert set(doc) == {
             "rho",
@@ -142,39 +144,48 @@ class TestMleReconstruct:
 
     def test_output_failing_validation_raises(self, monkeypatch):
         # the returned state is checked: coordinates of trace 2 do not pass
-        records = _simulate(_VACUUM, 2000, seed=67, n_settings=4)
+        records = _simulate(_VACUUM, 2000, seed=67, schedule=_FOUR_PHASES)
         maximize = tomography._maximize
 
-        def doubled(lik, tol, max_iter):
-            x, loglik, gap, stop_reason = maximize(lik, tol, max_iter)
+        def doubled(lik):
+            x, loglik, gap, stop_reason = maximize(lik)
             return 2.0 * x, loglik, gap, stop_reason
 
         monkeypatch.setattr(tomography, "_maximize", doubled)
         with pytest.raises(ValueError, match="trace"):
             tomography.mle_reconstruct(records)
 
-    def test_uncertified_stop_warns(self):
+    def test_falling_likelihood_is_numeric_error(self, monkeypatch):
+        # with a negative allowance every accepted step counts as a fall
+        records = _simulate(_VACUUM, 2000, seed=67, schedule=_FOUR_PHASES)
+        monkeypatch.setattr(tomography, "_LL_DECREASE_TOL", -1.0)
+        with pytest.raises(NumericError, match="likelihood decreased"):
+            tomography.mle_reconstruct(records)
+
+    def test_uncertified_stop_warns(self, monkeypatch):
         model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 2_000, seed=69)
+        monkeypatch.setattr(tomography, "_MAX_STEPS", 1)
         with pytest.warns(UserWarning, match="uncertified"):
-            result = tomography.mle_reconstruct(records, max_iter=1)
+            result = tomography.mle_reconstruct(records)
         assert result.stop_reason == "max_iter"
         assert result.converged is False
         assert result.iterations == 1
         assert result.gap > 1e-8
         assert np.all(np.diff(result.loglik) >= 0.0)
 
-    def test_stalled_stop_below_float64_resolution(self):
+    def test_stalled_stop_below_float64_resolution(self, monkeypatch):
         # tol = 1e-15 lies below what the eigenvalue projection resolves, so a
         # run either certifies or stalls; which seeds stall depends on BLAS
         # rounding, so the test counts stalls over seeds instead of pinning one
         model = model_microscopic_state(0.49, 0.0)
+        monkeypatch.setattr(tomography, "_TOL", 1e-15)
         stalled = 0
         for seed in range(3000, 3010):
             records = _simulate(model, 20_000, seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = tomography.mle_reconstruct(records, tol=1e-15)
+                result = tomography.mle_reconstruct(records)
             assert result.stop_reason in ("certified", "stalled"), seed
             if result.stop_reason == "stalled":
                 stalled += 1
@@ -202,9 +213,9 @@ def test_mle_stop_property(eta, phi, sigma, seed, n_shots, tol):
     below what float64 resolves, and ``loglik`` never falls by more than the
     rounding of its mean."""
     records = _simulate(model_microscopic_state(eta, phi, sigma), n_shots, seed)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(tomography, "_TOL", tol):
         warnings.simplefilter("ignore", UserWarning)
-        result = tomography.mle_reconstruct(records, tol=tol)
+        result = tomography.mle_reconstruct(records)
     assert result.converged == (result.stop_reason == "certified")
     if result.converged:
         assert result.gap <= tol
@@ -259,8 +270,8 @@ class TestCertifiedSolverOracle:
     def test_matches_or_beats_fixed_point(self, case):
         kind, model, seed = case
         records = _simulate(model, 20_000, seed=seed)
-        tol = 1e-8
-        result = tomography.mle_reconstruct(records, tol=tol)
+        tol = tomography._TOL
+        result = tomography.mle_reconstruct(records)
         assert result.stop_reason == "certified" and result.converged
         support = tomography.total_photon_support(2, 1)
         block = result.rho.data[np.ix_(support, support)]
@@ -292,7 +303,7 @@ class TestProjectorRows:
 
     @pytest.mark.parametrize(
         "schedule,start_shot",
-        [(sampling.phase_schedule(12), 0), ([0.7], 0), (sampling.phase_schedule(5), 803)],
+        [(TOMO_PHASES, 0), ([0.7], 0), ([2.0 * math.pi * j / 5 for j in range(5)], 803)],
         ids=["twelve-settings", "one-setting", "start-shot"],
     )
     def test_matches_per_setting_oracle_bitwise(self, schedule, start_shot):
@@ -316,7 +327,7 @@ class TestSupportRestriction:
     def test_restricted_result_lives_on_support(self):
         model = model_microscopic_state(0.49, 0.0)
         records = _simulate(model, 5_000, seed=68)
-        result = tomography.mle_reconstruct(records, max_iter=100)
+        result = tomography.mle_reconstruct(records)
         # |11>, index 3, lies outside the support
         assert np.abs(result.rho.data[3]).max() == 0.0
         assert np.abs(result.rho.data[:, 3]).max() == 0.0
