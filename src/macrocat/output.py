@@ -3,13 +3,21 @@
 A run produces documents: a ``.csv`` document is a ``{column: array}`` dict,
 written as column CSV; any other is a JSON object.  CSV floats carry 17
 significant digits, so every value round-trips exactly; integer columns are
-written as plain integers.  JSON documents are indented with sorted keys.
-Both formats are deterministic, so a fixed seed gives byte-identical files.
+written as plain integers and bool columns as ``True``/``False``.  JSON
+documents are indented with sorted keys.  Both formats are deterministic,
+so a fixed seed gives byte-identical files.
 
 A CSV column may hold NaN (a curve bin with too few shots has no mean or
 variance) but no infinity, and a JSON document neither, which is not valid
 JSON.  :func:`write_documents` checks every document before it opens any
 file, so a run that fails the check leaves its output directory as it was.
+
+A CSV document is written 4096 rows at a time, each block as one ``%``
+format call over its cells in row order.  A column whose block repeats a
+value formats each distinct value once (values told apart by bit pattern,
+so ``-0.0`` keeps its sign) and passes the texts as ``%s``; a column without
+repeats passes its numbers, as ``%.17g`` for floats and ``%s`` (``str``) for
+the rest.
 """
 
 from __future__ import annotations
@@ -21,30 +29,34 @@ import numpy as np
 
 from .errors import NumericError
 
-# rows formatted per write: bounds the memory of the per-cell strings
+# rows formatted per write: bounds the memory of one block's text
 _ROWS_PER_WRITE = 4096
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """The column's cells as text; each distinct value is formatted once.
-
-    Values are told apart by bit pattern, so ``-0.0`` keeps its sign.
-    """
+def _block_cells(column: np.ndarray) -> tuple[str, list]:
+    """The format spec and the arguments of one column's cells in a block."""
     bits = np.ascontiguousarray(column).view(f"u{column.itemsize}")
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    spec = ".17g" if column.dtype.kind == "f" else ""
-    text = [format(v, spec) for v in column[first].tolist()]
-    return [text[i] for i in inverse.tolist()]
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    spec = "%.17g" if column.dtype.kind == "f" else "%s"
+    if distinct.size == column.size:
+        return spec, column.tolist()
+    text = np.array([spec % v for v in distinct.view(column.dtype).tolist()], dtype=object)
+    return "%s", text[inverse].tolist()
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
     """Write equal-length columns under a header of the dict's keys."""
     arrays = [np.asarray(c) for c in columns.values()]
+    width = len(arrays)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, len(arrays[0]), _ROWS_PER_WRITE):
-            cells = [_cells(a[lo : lo + _ROWS_PER_WRITE]) for a in arrays]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            blocks = [a[lo : lo + _ROWS_PER_WRITE] for a in arrays]
+            specs, cells = [], [None] * (len(blocks[0]) * width)
+            for k, block in enumerate(blocks):
+                spec, cells[k::width] = _block_cells(block)
+                specs.append(spec)
+            fh.write((",".join(specs) + "\n") * len(blocks[0]) % tuple(cells))
 
 
 def write_documents(outdir: Path, documents: dict[str, dict]) -> None:

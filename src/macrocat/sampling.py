@@ -41,6 +41,7 @@ _U_LO = 2.0**-53
 
 # homodyne outcomes are tabulated on [-8, 8] in steps of 0.02
 _QUAD_GRID = np.linspace(-8.0, 8.0, 801)
+_QUAD_STEP = float(_QUAD_GRID[1] - _QUAD_GRID[0])
 
 
 @dataclass(frozen=True)
@@ -150,28 +151,53 @@ def joint_quadrature_density(
     return np.clip(dens, 0.0, None)
 
 
-def _inverse_cell_draw(cum: np.ndarray, step: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms through the piecewise-linear CDF of tabulated cell masses;
-    returns the draws and their cell indices."""
-    target = u * cum[-1]
-    j = np.searchsorted(cum, target, side="left")
-    lo = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
-    frac = (target - lo) / np.maximum(cum[j] - lo, 1e-300)
-    return _QUAD_GRID[j] + (frac - 0.5) * step, j
+def _inverse_cdf(
+    cum: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms through piecewise-linear CDFs of tabulated cell masses on
+    ``_QUAD_GRID``; returns the draws and their cell indices.
+
+    ``cum`` holds cumulative cell masses: one CDF (1-D), or one per row
+    (2-D), draw ``i`` then reading row ``rows[i]``.  Draw ``i`` lands in the
+    first cell whose cumulative mass reaches ``u[i]`` times its CDF's total
+    (``side="left"``).  One ``np.searchsorted`` finds the cells on a 1-D CDF;
+    on rows, a binary search runs over all draws at once, and since the
+    target never exceeds the row's last entry, probes past it are clamped
+    to it.  The mass is taken as constant on each cell, so the draw is exact
+    for that discretization.
+    """
+    flat = cum.ravel()
+    if rows is None:
+        target = u * cum[-1]
+        pos = j = np.searchsorted(cum, target, side="left")
+    else:
+        width = cum.shape[1]
+        base = rows * width
+        last = base + (width - 1)
+        target = u * flat[last]
+        # pos - base counts the row's entries below target, built bit by bit
+        pos = base.copy()
+        stride = 1 << (width - 1).bit_length()
+        while stride > 1:
+            stride >>= 1
+            probe = np.minimum(pos + (stride - 1), last)
+            np.add(pos, stride, out=pos, where=flat[probe] < target)
+        j = pos - base
+    lo = np.where(j > 0, flat[np.maximum(pos - 1, 0)], 0.0)
+    frac = (target - lo) / np.maximum(flat[pos] - lo, 1e-300)
+    return _QUAD_GRID[j] + (frac - 0.5) * _QUAD_STEP, j
 
 
 def _draw_setting(
     rho: fock.DensityMatrix, theta_a: float, u_a: np.ndarray, u_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``(x_A, x_B)`` at one LO setting by conditional inverse CDF over
-    the joint density tabulated on ``_QUAD_GRID`` in both coordinates.
-
-    The density is treated as piecewise constant on cells centered at the
-    grid points, making the per-coordinate CDF piecewise linear and the
-    inverse transform exact for that discretization.
+    the joint density tabulated on ``_QUAD_GRID`` in both coordinates: x_A
+    from the marginal CDF, then each x_B from the CDF of its x_A cell's row.
+    Only the rows some draw landed in are accumulated.
     """
-    step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
-    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * step**2
+    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID)
+    mass *= _QUAD_STEP**2
     total = mass.sum()
     # a unit-trace positive state's density sums to 1 here up to rounding,
     # so a miss means rho is not a density matrix
@@ -181,14 +207,11 @@ def _draw_setting(
             "density, not 1; the state is not a positive unit-trace matrix"
         )
     mass /= total
-    x_a, ja = _inverse_cell_draw(np.cumsum(mass.sum(axis=1)), step, u_a)
-    cum_b_rows = np.cumsum(mass, axis=1)
-    # group shots sharing an x_A cell so each conditional row is scanned once
-    x_b = np.empty_like(x_a)
-    order = np.argsort(ja, kind="stable")
-    bounds = np.flatnonzero(np.diff(ja[order])) + 1
-    for seg in np.split(order, bounds):
-        x_b[seg] = _inverse_cell_draw(cum_b_rows[ja[seg[0]]], step, u_b[seg])[0]
+    x_a, ja = _inverse_cdf(np.cumsum(mass.sum(axis=1)), u_a)
+    drawn = np.zeros(_QUAD_GRID.size, dtype=bool)
+    drawn[ja] = True
+    rows = (np.cumsum(drawn) - 1)[ja]
+    x_b, _ = _inverse_cdf(np.cumsum(mass[drawn], axis=1), u_b, rows)
     return x_a, x_b
 
 
@@ -220,11 +243,10 @@ def sample_quadrature_schedule(
     x_a = np.empty(n_shots)
     x_b = np.empty(n_shots)
     for k, ta in enumerate(schedule):
-        idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
-        if idx.size == 0:
+        first = (k - start_shot) % len(schedule)
+        if first >= n_shots:
             continue
-        xa, xb = _draw_setting(rho, ta, tab[idx, 0], tab[idx, 1])
+        idx = slice(first, n_shots, len(schedule))
         theta_a[idx] = ta
-        x_a[idx] = xa
-        x_b[idx] = xb
+        x_a[idx], x_b[idx] = _draw_setting(rho, ta, tab[idx, 0], tab[idx, 1])
     return QuadratureSample(theta_a=theta_a, x_a=x_a, x_b=x_b, start_shot=start_shot)

@@ -31,6 +31,13 @@ trustworthy as an oracle:
 * the Wigner function of a truncated single-mode state by the
   displaced-parity Laguerre sum, ``wigner_fock`` (counterpart of the closed
   form :func:`macrocat.fock.wigner`);
+* the homodyne sampler's grouped draw, ``sample_quadrature_grouped``: shots
+  sorted by their x_A cell and one ``searchsorted`` per occupied cell over
+  the full conditional CDF table (counterpart of the batched draw in
+  :func:`macrocat.sampling.sample_quadrature_schedule`);
+* the CSV text of a ``{column: array}`` document formatted cell by cell,
+  ``csv_lines_per_cell`` (counterpart of the block-at-a-time
+  :func:`macrocat.output.write_csv`);
 * the tomography projector rows built setting by setting from
   :func:`macrocat.fock.quadrature_basis` at Alice's phase and Bob's locked
   0, ``projector_rows_per_setting`` (counterpart of the closed-form
@@ -49,7 +56,13 @@ from macrocat import counting
 from macrocat.counting import CountModelParams
 from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
 from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
-from macrocat.sampling import CountSample, QuadratureSample, shot_uniforms
+from macrocat.sampling import (
+    _QUAD_GRID,
+    CountSample,
+    QuadratureSample,
+    joint_quadrature_density,
+    shot_uniforms,
+)
 from macrocat.tomography import total_photon_support
 
 # ---------------------------------------------------------------------------
@@ -410,6 +423,67 @@ def wigner_fock(rho: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
                 # conjugate pair (m, n) and (n, m)
                 W += 2.0 * term.real
     return W / np.pi
+
+
+# ---------------------------------------------------------------------------
+# homodyne sampler: grouped per-cell draw
+
+
+def inverse_cell_draw(cum: np.ndarray, step: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms through the piecewise-linear CDF of tabulated cell masses;
+    returns the draws and their cell indices."""
+    target = u * cum[-1]
+    j = np.searchsorted(cum, target, side="left")
+    lo = np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
+    frac = (target - lo) / np.maximum(cum[j] - lo, 1e-300)
+    return _QUAD_GRID[j] + (frac - 0.5) * step, j
+
+
+def _draw_setting_grouped(rho, theta_a: float, u_a: np.ndarray, u_b: np.ndarray):
+    """``(x_A, x_B)`` at one setting: x_A from the marginal CDF, then the shots
+    grouped by x_A cell, each group's x_B drawn from its row of the full
+    conditional CDF table."""
+    step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
+    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * step**2
+    mass /= mass.sum()
+    x_a, ja = inverse_cell_draw(np.cumsum(mass.sum(axis=1)), step, u_a)
+    cum_b_rows = np.cumsum(mass, axis=1)
+    x_b = np.empty_like(x_a)
+    order = np.argsort(ja, kind="stable")
+    bounds = np.flatnonzero(np.diff(ja[order])) + 1
+    for seg in np.split(order, bounds):
+        x_b[seg] = inverse_cell_draw(cum_b_rows[ja[seg[0]]], step, u_b[seg])[0]
+    return x_a, x_b
+
+
+def sample_quadrature_grouped(
+    rho, schedule: list[float], n_shots: int, seed: int, stream: int = 0, start_shot: int = 0
+) -> QuadratureSample:
+    """The schedule sampler with the grouped draw: absolute shot ``s`` at
+    Alice's phase ``schedule[s % len(schedule)]``, uniforms from row ``s``."""
+    tab = shot_uniforms(seed, stream, start_shot, n_shots, 4)
+    theta_a, x_a, x_b = np.empty(n_shots), np.empty(n_shots), np.empty(n_shots)
+    for k, ta in enumerate(schedule):
+        idx = np.arange((k - start_shot) % len(schedule), n_shots, len(schedule))
+        if idx.size:
+            theta_a[idx] = ta
+            x_a[idx], x_b[idx] = _draw_setting_grouped(rho, ta, tab[idx, 0], tab[idx, 1])
+    return QuadratureSample(theta_a=theta_a, x_a=x_a, x_b=x_b, start_shot=start_shot)
+
+
+# ---------------------------------------------------------------------------
+# CSV text, cell by cell
+
+
+def csv_lines_per_cell(columns: dict[str, np.ndarray]) -> list[str]:
+    """The lines of a column CSV: floats with ``.17g``, other values with
+    ``format(v, "")``, each cell formatted on its own."""
+
+    def cell(v):
+        return f"{v:.17g}" if isinstance(v, float) else f"{v}"
+
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    return [",".join(columns) + "\n"] + [",".join(cell(v) for v in row) + "\n" for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,15 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert list((tmp_path / "o").iterdir()) == []
 
+    @staticmethod
+    def _assert_csv_matches_per_cell(path, columns):
+        # compare line lists: a string diff of ~9,000 lines is too slow to read
+        wrote = path.read_text().splitlines(keepends=True)
+        expected = oracles.csv_lines_per_cell(columns)
+        first = next((i for i, pair in enumerate(zip(wrote, expected)) if pair[0] != pair[1]), None)
+        assert first is None, f"line {first + 1}: wrote {wrote[first]!r}, expected {expected[first]!r}"
+        assert len(wrote) == len(expected), f"wrote {len(wrote)} lines, expected {len(expected)}"
+
     def test_csv_writer_matches_per_cell_formatting(self, tmp_path):
         # mixed columns over three 4096-row blocks: repeated values, signed
         # zeros, NaN, infinities, ints and bools
@@ -573,15 +582,33 @@ class TestExitCodes:
         }
         path = tmp_path / "t.csv"
         output.write_csv(path, columns)
+        self._assert_csv_matches_per_cell(path, columns)
 
-        def cell(v):
-            return f"{v:.17g}" if isinstance(v, float) else f"{v}"
-
-        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
-        expected = ",".join(columns) + "\n" + "".join(
-            ",".join(cell(v) for v in row) + "\n" for row in rows
-        )
-        assert path.read_text() == expected
+    @pytest.mark.parametrize("case", ["no-rows", "one-row", "distinct-then-repeated", "uint64"])
+    def test_csv_writer_edge_blocks_match_per_cell_formatting(self, tmp_path, case):
+        rng = np.random.default_rng(6)
+        if case == "no-rows":
+            # the header only
+            columns = {"x": np.empty(0), "n": np.empty(0, dtype=np.int64)}
+        elif case == "one-row":
+            columns = {"x": np.array([-0.0]), "n": np.array([7]), "b": np.array([True])}
+        elif case == "distinct-then-repeated":
+            # block one repeats no value in any column, block two one per column
+            columns = {
+                "x": np.concatenate([rng.normal(size=4096), np.full(4096, -0.0)]),
+                "n": np.concatenate([rng.permutation(4096) - 2048, np.full(4096, 5)]),
+            }
+        else:
+            # distinct values up to 2**64 - 1 in block one, repeats in block two
+            top = np.iinfo(np.uint64).max
+            distinct = np.arange(top - 4095, top + 1, dtype=np.uint64)
+            columns = {
+                "u": np.concatenate([distinct, np.full(100, top, dtype=np.uint64)]),
+                "v": rng.integers(0, 3, 4196, dtype=np.uint64),
+            }
+        path = tmp_path / "t.csv"
+        output.write_csv(path, columns)
+        self._assert_csv_matches_per_cell(path, columns)
 
     def test_json_writer_rejects_non_finite(self, tmp_path):
         # checked before any file is opened, the valid CSV document included

@@ -406,6 +406,67 @@ class TestQuadratureSampler:
             sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
 
 
+def _pure(index):
+    """The pure two-mode basis state ``index`` of ``|00>, |01>, |10>, |11>``."""
+    data = np.zeros((4, 4), dtype=complex)
+    data[index, index] = 1.0
+    return fock.DensityMatrix(data)
+
+
+class TestQuadratureDrawOracle:
+    """The batched draw reproduces the grouped per-cell draw bit for bit."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [pipeline.model_microscopic_state(eta, phi) for eta in (0.49, 1.0) for phi in (0, 1, 2)]
+        + [
+            pipeline.model_microscopic_state(0.9, 1.0, dephasing_sigma=0.5),
+            _pure(1),  # |01>: every conditional row has a zero-mass cell at x_B = 0
+            _pure(2),  # |10>: the x_A row at 0 has no mass
+        ],
+        ids=[f"eta{eta}-phi{phi}" for eta in (0.49, 1.0) for phi in (0, 1, 2)]
+        + ["dephased", "pure01", "pure10"],
+    )
+    @pytest.mark.parametrize(
+        "seed,start_shot,n_shots", [(3, 0, 1), (11, 5, 13), (29, 17, 6000)]
+    )
+    def test_matches_grouped_draw(self, rho, seed, start_shot, n_shots):
+        rec = sampling.sample_quadrature_schedule(
+            rho, pipeline.TOMO_PHASES, n_shots, seed, stream=2, start_shot=start_shot
+        )
+        ref = oracles.sample_quadrature_grouped(
+            rho, pipeline.TOMO_PHASES, n_shots, seed, stream=2, start_shot=start_shot
+        )
+        assert np.array_equal(rec.theta_a, ref.theta_a)
+        assert np.array_equal(rec.x_a.view(np.uint64), ref.x_a.view(np.uint64))
+        assert np.array_equal(rec.x_b.view(np.uint64), ref.x_b.view(np.uint64))
+
+    def test_ties_and_empty_cells_match_per_row_search(self):
+        # dyadic cell masses with runs of empty cells, and targets on or next
+        # to CDF entries: a target equal to an entry lands in the first cell
+        # reaching it, as searchsorted's side="left" does
+        rng = np.random.default_rng(7)
+        mass = rng.integers(0, 3, (5, sampling._QUAD_GRID.size)) * 2.0**-12
+        mass[:, :40] = 0.0
+        mass[2, 300:700] = 0.0
+        cum = np.cumsum(mass, axis=1)
+        rows = np.repeat(np.arange(5), 60)
+        u = np.concatenate([cum[r, rng.integers(0, cum.shape[1], 60)] / cum[r, -1] for r in range(5)])
+        u[::7] = rng.random(u[::7].size)
+        u[::11] = 2.0**-53
+        shuffle = rng.permutation(u.size)
+        rows, u = rows[shuffle], u[shuffle]
+        x_rows, j_rows = sampling._inverse_cdf(cum, u, rows)
+        step = float(sampling._QUAD_GRID[1] - sampling._QUAD_GRID[0])
+        for r in range(5):
+            mine = rows == r
+            ref_x, ref_j = oracles.inverse_cell_draw(cum[r], step, u[mine])
+            x, j = sampling._inverse_cdf(cum[r], u[mine])
+            assert np.array_equal(j, ref_j) and np.array_equal(j_rows[mine], ref_j)
+            assert np.array_equal(x.view(np.uint64), ref_x.view(np.uint64))
+            assert np.array_equal(x_rows[mine].view(np.uint64), ref_x.view(np.uint64))
+
+
 class TestPhaseSchedule:
     """The tomography run's schedule, ``pipeline.TOMO_PHASES``."""
 
