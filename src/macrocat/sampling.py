@@ -200,8 +200,8 @@ def _draw_setting(
     mass *= _QUAD_STEP**2
     total = mass.sum()
     # a unit-trace positive state's density sums to 1 here up to rounding,
-    # so a miss means rho is not a density matrix
-    if abs(total - 1.0) > 1e-3:
+    # so a miss means rho is not a density matrix; written so NaN misses too
+    if not abs(total - 1.0) <= 1e-3:
         raise NumericError(
             f"the outcome grid [-8, 8] holds {total:.6f} of the quadrature "
             "density, not 1; the state is not a positive unit-trace matrix"

@@ -567,8 +567,8 @@ class TestExitCodes:
         assert len(wrote) == len(expected), f"wrote {len(wrote)} lines, expected {len(expected)}"
 
     def test_csv_writer_matches_per_cell_formatting(self, tmp_path):
-        # mixed columns over three 4096-row blocks: repeated values, signed
-        # zeros, NaN, infinities, ints and bools
+        # mixed columns over several blocks: repeated values, signed zeros,
+        # NaN, infinities, ints and bools
         rng = np.random.default_rng(5)
         n = 9000
         floats = rng.choice([0.0, -0.0, 1.5, -2.25e-300, np.nan, np.inf, -np.inf, 0.1], n)
@@ -584,7 +584,23 @@ class TestExitCodes:
         output.write_csv(path, columns)
         self._assert_csv_matches_per_cell(path, columns)
 
-    @pytest.mark.parametrize("case", ["no-rows", "one-row", "distinct-then-repeated", "uint64"])
+    @staticmethod
+    def _ulp_neighbours(values, steps=6):
+        """Each value and its ``steps`` nearest doubles on either side."""
+        values = np.asarray(values, dtype=float)
+        out, up, down = [values], values, values
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no-rows", "one-row", "distinct-then-repeated", "uint64", "int64-extremes",
+            "powers-of-ten", "range-edges", "decimal-ties", "random-bits",
+        ],
+    )
     def test_csv_writer_edge_blocks_match_per_cell_formatting(self, tmp_path, case):
         rng = np.random.default_rng(6)
         if case == "no-rows":
@@ -593,19 +609,58 @@ class TestExitCodes:
         elif case == "one-row":
             columns = {"x": np.array([-0.0]), "n": np.array([7]), "b": np.array([True])}
         elif case == "distinct-then-repeated":
-            # block one repeats no value in any column, block two one per column
+            # the first blocks repeat no value in any column, the last one per column
             columns = {
                 "x": np.concatenate([rng.normal(size=4096), np.full(4096, -0.0)]),
                 "n": np.concatenate([rng.permutation(4096) - 2048, np.full(4096, 5)]),
             }
-        else:
-            # distinct values up to 2**64 - 1 in block one, repeats in block two
+        elif case == "uint64":
+            # distinct values up to 2**64 - 1 in the first blocks, repeats in the last
             top = np.iinfo(np.uint64).max
             distinct = np.arange(top - 4095, top + 1, dtype=np.uint64)
             columns = {
                 "u": np.concatenate([distinct, np.full(100, top, dtype=np.uint64)]),
                 "v": rng.integers(0, 3, 4196, dtype=np.uint64),
             }
+        elif case == "int64-extremes":
+            # 19-digit magnitudes next to -2**63 and 2**63 - 1, and small ones
+            low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+            near = np.concatenate([low + np.arange(300), high - np.arange(300), np.arange(-9, 9)])
+            columns = {"n": rng.permutation(near), "m": rng.choice(near, near.size)}
+        elif case == "powers-of-ten":
+            # 1e-5 .. 1e17 and 1 to 6 ulps either side, both signs: log10 can
+            # miss the exponent here, and 1e-5 and 1e17 are in exponent form
+            powers = self._ulp_neighbours([float(f"1e{e}") for e in range(-5, 18)])
+            signed = np.concatenate([powers, -powers])
+            columns = {"x": signed, "y": -signed}
+        elif case == "range-edges":
+            # fixed-point form is 1e-4 <= |x| < 1e17 after rounding: 1e-4 itself
+            # (1.0000000000000000479e-4, which rounds down onto 0.0001; no
+            # double rounds up onto it), 2**53, and the edges 1e16 and 1e17
+            edges = self._ulp_neighbours([1e-4, 2.0**53, 1e16, 1e17, 0.1, 1.0])
+            values = np.concatenate([edges, -edges, [0.0, -0.0]])
+            columns = {"x": values, "n": np.arange(values.size)}
+        elif case == "decimal-ties":
+            # exact ties at the 17th digit, rounded half to even: integers in
+            # [1e15, 2**51) plus 0.25 or 0.75 (1234567890123456.75 is written
+            # ...456.8), and in [1e14, 2**47) plus an odd multiple of 0.125
+            whole15 = rng.integers(10**15, 2**51, 2000).astype(float)
+            whole14 = rng.integers(10**14, 2**47, 2000).astype(float)
+            ties = np.concatenate([
+                whole15 + rng.choice([0.25, 0.75], whole15.size),
+                whole14 + rng.choice([0.125, 0.375, 0.625, 0.875], whole14.size),
+                [1234567890123456.75],
+            ])
+            signed = np.concatenate([ties, -ties])
+            columns = {"x": signed, "y": -signed}
+        else:
+            # random bit patterns: mostly exponent form, some subnormals and
+            # NaNs with payloads; then the infinities, signed NaNs and the
+            # smallest subnormal and normal numbers
+            bits = rng.integers(0, 2**64, 12000, dtype=np.uint64, endpoint=False)
+            special = np.array([np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2**-1022])
+            values = np.concatenate([bits.view(np.float64), special])
+            columns = {"x": values, "y": values[::-1].copy()}
         path = tmp_path / "t.csv"
         output.write_csv(path, columns)
         self._assert_csv_matches_per_cell(path, columns)

@@ -400,10 +400,11 @@ class TestQuadratureSampler:
 
     def test_underresolved_grid_rejected(self):
         # Hermitian and of unit trace but not positive: its clipped density
-        # sums to about 1.07 on the grid
-        rho = fock.DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
-        with pytest.raises(NumericError, match="grid"):
-            sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
+        # sums to about 1.07 on the grid; a NaN entry makes the sum NaN
+        for diagonal in ([1.5, -0.5, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+            rho = fock.DensityMatrix(np.diag(diagonal))
+            with pytest.raises(NumericError, match="grid"):
+                sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
 
 
 def _pure(index):
