@@ -74,8 +74,7 @@ def conditional_mean(n_a, params: CountModelParams):
     ``a * 4 t eta cos(phi) / (2 (4-eta) + t^2 eta)`` with ``t = nA / a``.
     """
     _, _, mean = _reduced_mean(n_a, params)
-    out = params.alpha * mean
-    return out if out.shape else float(out)
+    return params.alpha * mean
 
 
 def conditional_variance(n_a, params: CountModelParams):
@@ -90,8 +89,7 @@ def conditional_variance(n_a, params: CountModelParams):
     """
     t, den, mean = _reduced_mean(n_a, params)
     second = 2.0 * (2.0 * (params.eta + 4.0) + t * t * params.eta) / den
-    out = params.alpha**2 * (second - mean * mean)
-    return out if out.shape else float(out)
+    return params.alpha**2 * (second - mean * mean)
 
 
 def variance_peak_ratio(eta: float) -> float:

@@ -129,13 +129,6 @@ def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
     x = a * a
     if not math.isfinite(x):
         raise ConfigError(f"alpha = {alpha} has no finite square")
-    if x > dim / 4:
-        warnings.warn(
-            f"|alpha|^2 = {x:.3g} exceeds dim/4 = {dim/4:.3g}; "
-            "displacement is truncation-dominated",
-            TruncationWarning,
-            stacklevel=2,
-        )
     n = np.arange(dim)
     row, col = np.meshgrid(n, n, indexing="ij")
     p = np.minimum(row, col)

@@ -3,9 +3,9 @@
 A run produces documents: a ``.csv`` document is a ``{column: array}`` dict,
 written as column CSV; any other is a JSON object.  CSV floats carry 17
 significant digits (``%.17g``), so every value round-trips exactly; integer
-columns are written as plain integers and bool columns as ``True``/``False``.
-JSON documents are indented with sorted keys.  Both formats are
-deterministic, so a fixed seed gives byte-identical files.
+columns are written as plain integers.  JSON documents are indented with
+sorted keys.  Both formats are deterministic, so a fixed seed gives
+byte-identical files.
 
 A CSV column may hold NaN (a curve bin with too few shots has no mean or
 variance) but no infinity, and a JSON document neither, which is not valid
@@ -53,7 +53,6 @@ _SEARCH_ROWS = 256
 # the 4-digit texts "0000" to "9999", built from the 2-digit "00" to "99"
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype=np.uint16)
 _QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
-_BOOL_TEXTS = np.frombuffer(b"True\0False", dtype=np.uint8).reshape(2, 5)
 _MINUS, _DOT, _ZERO, _COMMA, _NEWLINE = b"-.0,\n"
 # an exponent-form text is at most 24 bytes: "-2.2250738585072014e-308"
 _EXP_WIDTH = 24
@@ -67,7 +66,7 @@ _TEN_LO = _TEN - _TEN_HI
 # 10, 100, ..., 10**19: an unsigned integer has 1 + (its insertion point) digits
 _DECADES = 10 ** np.arange(1, 20, dtype=np.uint64)
 # the 8-byte type each column kind is read as
-_WORDS = {"f": np.float64, "i": np.int64, "u": np.uint64, "b": np.uint64}
+_WORDS = {"f": np.float64, "i": np.int64}
 
 
 def _digits(v: np.ndarray) -> np.ndarray:
@@ -229,8 +228,7 @@ def _int_cells(digits: np.ndarray, u: np.ndarray, negative: np.ndarray) -> np.nd
 
 def _block_text(blocks: list) -> bytes:
     """The CSV bytes of one block of rows."""
-    # each column as 8-byte words: floats as float64, integers as int64 or
-    # uint64, bools as 0 or 1
+    # each column as 8-byte words: floats as float64, integers as int64
     values = [b.astype(_WORDS[b.dtype.kind], copy=False).view(np.uint64) for b in blocks]
     inverse = [None] * len(blocks)
     if blocks[0].size >= _SEARCH_ROWS:
@@ -243,7 +241,7 @@ def _block_text(blocks: list) -> bytes:
             values[j] = distinct
     kinds = [block.dtype.kind for block in blocks]
     floats = [j for j, kind in enumerate(kinds) if kind == "f"]
-    ints = [j for j, kind in enumerate(kinds) if kind in "iu"]
+    ints = [j for j, kind in enumerate(kinds) if kind == "i"]
 
     # all float columns in one kernel call, over their fixed-point cells
     x = np.concatenate([values[j] for j in floats]).view(np.float64) if floats else _TEN[:0]
@@ -255,7 +253,7 @@ def _block_text(blocks: list) -> bytes:
     magnitudes, negatives = [], []
     for j in ints:
         v = values[j]
-        negative = v.view(np.int64) < 0 if kinds[j] == "i" else np.zeros(v.size, bool)
+        negative = v.view(np.int64) < 0
         magnitudes.append(np.negative(v, where=negative, out=v.copy()))
         negatives.append(negative)
     digits = _digits(np.concatenate([n.view(np.uint64)] + magnitudes))
@@ -271,13 +269,11 @@ def _block_text(blocks: list) -> bytes:
     for j, magnitude, negative in zip(ints, magnitudes, negatives):
         cells[j] = _int_cells(digits[start : start + magnitude.size], magnitude, negative)
         start += magnitude.size
-    for j, kind in enumerate(kinds):
-        if kind == "b":
-            cells[j] = _BOOL_TEXTS.take((values[j] == 0).view(np.uint8), axis=0)
-        if inverse[j] is not None:
+    for j, inv in enumerate(inverse):
+        if inv is not None:
             # the distinct texts, without the bytes that are pad in all of them
             used = cells[j].any(axis=0).nonzero()[0]
-            cells[j] = cells[j][:, used[0] : used[-1] + 1].take(inverse[j], axis=0)
+            cells[j] = cells[j][:, used[0] : used[-1] + 1].take(inv, axis=0)
 
     width = sum(c.shape[1] + 1 for c in cells)
     text = bytearray(blocks[0].size * width)
@@ -292,8 +288,8 @@ def _block_text(blocks: list) -> bytes:
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write equal-length float, integer or bool columns under a header of
-    the dict's keys."""
+    """Write equal-length float or integer columns under a header of the
+    dict's keys."""
     arrays = [np.asarray(c) for c in columns.values()]
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())

@@ -500,10 +500,7 @@ def _roundtrip_block(
 
 
 def displacement_roundtrip_check(
-    alpha_small: float,
-    mismatch_eta: float,
-    dim: int = 32,
-    phi: float = 0.0,
+    alpha_small: float, mismatch_eta: float, dim: int, phi: float
 ) -> RoundtripResult:
     """Displace, lose a fraction of the light, undisplace; compare.
 

@@ -51,9 +51,6 @@ class CountSample:
     dn_a: np.ndarray
     dn_b: np.ndarray
 
-    def __len__(self) -> int:
-        return self.dn_a.size
-
 
 @dataclass(frozen=True)
 class QuadratureSample:
@@ -136,53 +133,44 @@ def sample_counts(
     return CountSample(dn_a=(u + v) / math.sqrt(2.0), dn_b=(u - v) / math.sqrt(2.0))
 
 
-def joint_quadrature_density(
-    rho: fock.DensityMatrix, theta_a: float, grid: np.ndarray
-) -> np.ndarray:
-    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on a square grid, at
-    Alice's LO phase ``theta_a`` and Bob's locked at 0."""
-    fa = fock.quadrature_basis(grid, theta_a, 2)
-    fb = fock.quadrature_basis(grid, 0.0, 2)
-    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(grid.size, 4)
-    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(grid.size, 4)
+def joint_quadrature_density(rho: fock.DensityMatrix, theta_a: float) -> np.ndarray:
+    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on ``_QUAD_GRID`` in
+    both coordinates, at Alice's LO phase ``theta_a`` and Bob's locked at 0."""
+    fa = fock.quadrature_basis(_QUAD_GRID, theta_a, 2)
+    fb = fock.quadrature_basis(_QUAD_GRID, 0.0, 2)
+    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(_QUAD_GRID.size, 4)
+    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(_QUAD_GRID.size, 4)
     # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
     r2 = rho.data.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     dens = (ta @ r2 @ tb.T).real
     return np.clip(dens, 0.0, None)
 
 
-def _inverse_cdf(
-    cum: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map uniforms through piecewise-linear CDFs of tabulated cell masses on
     ``_QUAD_GRID``; returns the draws and their cell indices.
 
-    ``cum`` holds cumulative cell masses: one CDF (1-D), or one per row
-    (2-D), draw ``i`` then reading row ``rows[i]``.  Draw ``i`` lands in the
-    first cell whose cumulative mass reaches ``u[i]`` times its CDF's total
-    (``side="left"``).  One ``np.searchsorted`` finds the cells on a 1-D CDF;
-    on rows, a binary search runs over all draws at once, and since the
-    target never exceeds the row's last entry, probes past it are clamped
-    to it.  The mass is taken as constant on each cell, so the draw is exact
-    for that discretization.
+    Each row of ``cum`` holds one CDF's cumulative cell masses, and draw
+    ``i`` reads row ``rows[i]``.  Draw ``i`` lands in the first cell whose
+    cumulative mass reaches ``u[i]`` times its CDF's total (``side="left"``).
+    A binary search runs over all draws at once, and since the target never
+    exceeds the row's last entry, probes past it are clamped to it.  The
+    mass is taken as constant on each cell, so the draw is exact for that
+    discretization.
     """
     flat = cum.ravel()
-    if rows is None:
-        target = u * cum[-1]
-        pos = j = np.searchsorted(cum, target, side="left")
-    else:
-        width = cum.shape[1]
-        base = rows * width
-        last = base + (width - 1)
-        target = u * flat[last]
-        # pos - base counts the row's entries below target, built bit by bit
-        pos = base.copy()
-        stride = 1 << (width - 1).bit_length()
-        while stride > 1:
-            stride >>= 1
-            probe = np.minimum(pos + (stride - 1), last)
-            np.add(pos, stride, out=pos, where=flat[probe] < target)
-        j = pos - base
+    width = cum.shape[1]
+    base = rows * width
+    last = base + (width - 1)
+    target = u * flat[last]
+    # pos - base counts the row's entries below target, built bit by bit
+    pos = base.copy()
+    stride = 1 << (width - 1).bit_length()
+    while stride > 1:
+        stride >>= 1
+        probe = np.minimum(pos + (stride - 1), last)
+        np.add(pos, stride, out=pos, where=flat[probe] < target)
+    j = pos - base
     lo = np.where(j > 0, flat[np.maximum(pos - 1, 0)], 0.0)
     frac = (target - lo) / np.maximum(flat[pos] - lo, 1e-300)
     return _QUAD_GRID[j] + (frac - 0.5) * _QUAD_STEP, j
@@ -196,7 +184,7 @@ def _draw_setting(
     from the marginal CDF, then each x_B from the CDF of its x_A cell's row.
     Only the rows some draw landed in are accumulated.
     """
-    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID)
+    mass = joint_quadrature_density(rho, theta_a)
     mass *= _QUAD_STEP**2
     total = mass.sum()
     # a unit-trace positive state's density sums to 1 here up to rounding,
@@ -207,7 +195,8 @@ def _draw_setting(
             "density, not 1; the state is not a positive unit-trace matrix"
         )
     mass /= total
-    x_a, ja = _inverse_cdf(np.cumsum(mass.sum(axis=1)), u_a)
+    # the marginal CDF as a one-row table
+    x_a, ja = _inverse_cdf(np.cumsum(mass.sum(axis=1))[None], u_a, np.zeros(u_a.size, np.intp))
     drawn = np.zeros(_QUAD_GRID.size, dtype=bool)
     drawn[ja] = True
     rows = (np.cumsum(drawn) - 1)[ja]

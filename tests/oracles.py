@@ -444,7 +444,7 @@ def _draw_setting_grouped(rho, theta_a: float, u_a: np.ndarray, u_b: np.ndarray)
     grouped by x_A cell, each group's x_B drawn from its row of the full
     conditional CDF table."""
     step = float(_QUAD_GRID[1] - _QUAD_GRID[0])
-    mass = joint_quadrature_density(rho, theta_a, _QUAD_GRID) * step**2
+    mass = joint_quadrature_density(rho, theta_a) * step**2
     mass /= mass.sum()
     x_a, ja = inverse_cell_draw(np.cumsum(mass.sum(axis=1)), step, u_a)
     cum_b_rows = np.cumsum(mass, axis=1)

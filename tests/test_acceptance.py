@@ -212,7 +212,7 @@ class TestCriterion6OracleEquivalences:
 class TestCriterion7UndisplacementLocality:
     def test_concurrence_never_increases(self):
         results = [
-            pipeline.displacement_roundtrip_check(2.0, eta)
+            pipeline.displacement_roundtrip_check(2.0, eta, dim=32, phi=0.0)
             for eta in (1.0, 0.99, 0.95)
         ]
         c_values = [r.concurrence_roundtrip for r in results]

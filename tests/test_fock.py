@@ -131,10 +131,6 @@ class TestDisplacementMatrix:
     def test_finite_at_dim_1024(self):
         assert np.isfinite(fock.displacement_matrix(3.0, 1024)).all()
 
-    def test_warns_when_truncation_dominated(self):
-        with pytest.warns(TruncationWarning):
-            fock.displacement_matrix(3.0, 16)
-
 
 class TestLossChannel:
     def test_eta_one_is_identity(self):
@@ -247,7 +243,10 @@ class TestMacroState:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fock.macro_state_amplitudes(alpha, 0.4, dim)
-        warned = any(issubclass(w.category, TruncationWarning) for w in caught)
+        warned = any(
+            issubclass(w.category, TruncationWarning) and "trailing Fock level" in str(w.message)
+            for w in caught
+        )
         assert warned == (worst > fock.TRAILING_POPULATION_BUDGET)
 
 
@@ -430,5 +429,5 @@ class TestInvariantSweeps:
     def test_trailing_population_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            with pytest.raises(TruncationWarning):
+            with pytest.raises(TruncationWarning, match="trailing Fock level"):
                 fock.macro_state_amplitudes(1.4, 0.0, 6)

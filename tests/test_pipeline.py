@@ -482,22 +482,22 @@ class TestRoundtripCheck:
 
     def test_truncation_dominated_round_trip_warns(self):
         with pytest.warns(TruncationWarning):
-            pipeline.displacement_roundtrip_check(1.0, 0.95, dim=8)
+            pipeline.displacement_roundtrip_check(1.0, 0.95, dim=8, phi=0.0)
 
     def test_perfect_undisplacement(self):
-        res = pipeline.displacement_roundtrip_check(2.0, 1.0)
+        res = pipeline.displacement_roundtrip_check(2.0, 1.0, dim=32, phi=0.0)
         assert res.fidelity_to_loss_model == pytest.approx(1.0, abs=1e-6)
         assert res.concurrence_roundtrip == pytest.approx(1.0, abs=1e-6)
 
     def test_small_mismatch(self):
-        res = pipeline.displacement_roundtrip_check(2.0, 0.95)
+        res = pipeline.displacement_roundtrip_check(2.0, 0.95, dim=32, phi=0.0)
         assert res.fidelity_to_loss_model > 0.99
         assert res.concurrence_roundtrip <= res.concurrence_initial + 1e-6
         assert res.concurrence_roundtrip == pytest.approx(0.95, abs=1e-6)
 
     def test_concurrence_monotone_in_mismatch(self):
         values = [
-            pipeline.displacement_roundtrip_check(2.0, eta).concurrence_roundtrip
+            pipeline.displacement_roundtrip_check(2.0, eta, dim=32, phi=0.0).concurrence_roundtrip
             for eta in (1.0, 0.99, 0.95)
         ]
         assert values[0] >= values[1] - 1e-6 >= values[2] - 2e-6
@@ -505,7 +505,7 @@ class TestRoundtripCheck:
 
     def test_truncation_budget_enforced(self):
         with pytest.raises(ValueError, match="truncation"):
-            pipeline.displacement_roundtrip_check(3.0, 1.0, dim=32)
+            pipeline.displacement_roundtrip_check(3.0, 1.0, dim=32, phi=0.0)
 
 
 class TestTomographyScenarioSmall:
