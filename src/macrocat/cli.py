@@ -25,6 +25,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 _EXPERIMENT_COMMANDS = ("analytic", "simulate-counts", "tomography")
 
 
+# built on the first call and reused: main parses every argv with one parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="macrocat", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

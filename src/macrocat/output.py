@@ -20,24 +20,28 @@ In a block of 256 rows or more, a column that repeats a value formats each
 distinct value once (values told apart by bit pattern, so ``-0.0`` keeps
 its sign).
 
-Most floats need no Python formatting.  Inside its fixed-point range
-(``1e-4 <= |x| < 1e17`` after rounding, and ``±0``) ``%.17g`` writes the
-digits of the integer nearest ``|x| * 10**(16 - k)``, ``k`` the decimal
-exponent, with the point after digit ``k``, trailing fraction zeros
-dropped.  That integer is computed exactly in float64: every ``10**t``
-with ``t <= 22`` is an exact double, and Dekker's (1971) error-free product
-gives ``|x| * 10**t`` as an exact pair of doubles, which is then rounded
-half to even.  The other floats, whose ``%.17g`` text has an exponent
-(``|x| < 1e-4``, subnormals included, ``|x| >= 1e17``), NaN and infinities,
-keep CPython's ``%.17g``: scaling them would need powers of ten that are
-not exact doubles.  They are formatted with one ``%`` call per block over
-just those cells.  Integers and the float digits are turned into text
-through one table of 4-digit texts.
+Most floats need no Python formatting.  For ``1e-284 <= |x| < 1e17`` and
+``±0``, ``%.17g`` writes the digits of the integer ``n`` nearest
+``|x| * 10**(16 - k)``, ``k`` the decimal exponent after rounding: in
+fixed-point form, the point after digit ``k``, when ``k >= -4``; else as
+``d.ddd`` followed by ``e-XX``, with at least two exponent digits.  Either
+form drops trailing fraction zeros, and the point with them.
+:func:`_significand` computes ``k`` and ``n`` in float64, exactly: Dekker's
+(1971) error-free product with ``10**(16 - k)``, held as a double-double
+where it is not an exact double.  Where rounding that product could go
+either way it does not guess: as in Loitsch's Grisu3 (PLDI 2010), those
+cells are left to an exact formatter.  The cells ``%.17g`` formats itself
+are NaN, infinities, ``|x| >= 1e17``, ``|x| < 1e-284`` (subnormals
+included) and those near-tie cells, with one ``%`` call per block over just
+those cells.  Integers and the float digits are turned into text through
+one table of 4-digit texts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +61,62 @@ _MINUS, _DOT, _ZERO, _COMMA, _NEWLINE = b"-.0,\n"
 # an exponent-form text is at most 24 bytes: "-2.2250738585072014e-308"
 _EXP_WIDTH = 24
 
-# 10**t, t = 0..22, each an exact double, and its Veltkamp split into two
-# halves of at most 26 significant bits
-_TEN = 10.0 ** np.arange(23)
+# the smallest magnitude the kernel formats.  Its decimal exponents k >= -284
+# keep t = 16 - k <= 300, so the split of 10**t stays finite (10**301 times
+# 2**27 + 1 overflows); the double 1e-284 is above 10**-284
+_LOW = 1e-284
+_KMIN = -284
+# the distance from a half within which an exponent-form cell's rounding is
+# left to %: far above the kernel's error bound of 5e-15
+_TIE_MARGIN = 1e-9
 _SPLIT = 134217729.0  # 2**27 + 1
-_TEN_HI = _SPLIT * _TEN - (_SPLIT * _TEN - _TEN)
-_TEN_LO = _TEN - _TEN_HI
 # 10, 100, ..., 10**19: an unsigned integer has 1 + (its insertion point) digits
 _DECADES = 10 ** np.arange(1, 20, dtype=np.uint64)
 # the 8-byte type each column kind is read as
 _WORDS = {"f": np.float64, "i": np.int64}
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The kernel's and the exponent form's tables, built on first use.
+
+    By biased binary exponent ``E`` of ``a`` (``0 < E <= 1079``, ``2**56 <
+    1e17 < 2**57``): ``k0``, the decimal exponent of the binade's first
+    double, and ``above``, the least double at or above ``10**(k0 + 1)``, so
+    ``k = k0 + (a >= above)``; ``E = 0``, the zero, has ``k`` 0.  By
+    ``t = 0..300``: ``10**t`` as ``hi + lo``, each rounded to a double from
+    the exact integer, and ``hi``'s Veltkamp split.  The exponent form's
+    layout, row ``2 * q + negative``: its sign, digit 0, the point if
+    ``q > 0`` and digits 1 to ``q``, to be ANDed over a field that holds
+    0xFF outside the digits.  By ``-k - 5``: its exponent texts ``e-05`` ..
+    ``e-284``, zero-padded to 5 bytes.
+    """
+    # ceil[k - _KMIN], k = _KMIN..17: 1 / 10**j is rounded once, so it is off
+    # 10**-j by less than an ulp
+    ceil = []
+    for j in range(-_KMIN, 0, -1):
+        d = 1 / 10**j
+        num, den = d.as_integer_ratio()
+        ceil.append(d if num * 10**j >= den else math.nextafter(d, math.inf))
+    ceil = np.array(ceil + [10.0**k for k in range(18)])
+    first = np.ldexp(1.0, np.arange(1, 1080) - 1023)
+    k0 = np.zeros(1080, np.intp)
+    k0[1:] = ceil.searchsorted(first, side="right") - 1 + _KMIN
+    above = np.full(1080, np.inf)
+    above[1:] = ceil[k0[1:] + 1 - _KMIN]
+    exact = [10**t for t in range(1 - _KMIN + 16)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - int(h)) for v, h in zip(exact, hi)])
+    hi_hi = _SPLIT * hi - (_SPLIT * hi - hi)
+    mantissa = np.zeros((17, 2, 19), np.uint8)
+    mantissa[:, 1, 0] = _MINUS
+    mantissa[:, :, 1] = 0xFF
+    mantissa[1:, :, 2] = _DOT
+    for q in range(1, 17):
+        mantissa[q, :, 3 : 3 + q] = 0xFF
+    texts = b"".join(f"e-{j:02d}".encode().ljust(5, b"\0") for j in range(5, 1 - _KMIN))
+    exponents = np.frombuffer(texts, np.uint8).reshape(-1, 5)
+    return k0, above, hi, lo, hi_hi, hi - hi_hi, mantissa.reshape(34, 19), exponents
 
 
 def _digits(v: np.ndarray) -> np.ndarray:
@@ -85,45 +135,64 @@ def _digits(v: np.ndarray) -> np.ndarray:
     return _QUADS.take(quads).view(np.uint8).reshape(-1, 24)
 
 
-def _two_product(a: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(p, e)`` with ``p + e == a * 10**t`` exactly and ``p`` the rounded
-    product: Dekker's product of two Veltkamp-split doubles."""
-    p = a * _TEN[t]
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(k, n, tie)``: ``n`` is the 17-digit integer nearest
+    ``X = a * 10**(16 - k)``, ties to even, so ``%.17g`` writes the digits of
+    ``n`` at decimal exponent ``k``, for ``1e-284 <= a < 1e17`` and ``a == 0``
+    (``k`` 0, ``n`` 0).  At the indices ``tie`` ``n`` is not certain, and
+    ``%`` formats those cells.
+
+    ``k`` is exact: ``a``'s binary exponent leaves two candidates, and one
+    comparison with the least double at or above a power of ten picks one.
+    ``t = 16 - k`` runs from 0 to 300, and ``10**t = hi + lo + d``: ``hi``
+    the rounded double, ``lo`` the rounded remainder, ``d`` what is left.
+    Dekker's product of Veltkamp-split doubles gives ``a * hi = p + e``
+    exactly; ``f`` is ``e + a * lo``, two roundings.  ``p >= 1e16 - 12 >
+    2**53`` is an even integer, so ``n = p + rint(f)`` wherever ``p + f`` is
+    too close to ``X`` for a half to lie between them.  With ``u = 2**-53``:
+
+    * ``|lo| <= u hi`` and ``|d| <= u |lo|``, so ``|a d| <= u**2 a hi``;
+    * ``a * lo`` rounds within ``u |a lo| <= u**2 a hi``;
+    * ``|e| <= 8`` (``p < 2**57``) and ``|a lo| <= u a hi < 11.2``, so
+      their sum is under 32 and rounds within ``2**-49``.
+
+    As ``a hi < 1.00000000000000012e17``, ``u**2 a hi < 1.24e-15``, and
+    ``|X - (p + f)| < 2 * 1.24e-15 + 1.78e-15 < 5e-15``: under 1e-14 of a
+    unit in the 17th digit.  For ``t <= 22`` (``k >= -6``) ``hi`` is
+    ``10**t`` exactly and ``lo`` is 0, so ``f = e`` and ``p + f = X``, exact
+    ties included.  ``tie`` marks the exponent-form cells (``k <= -5``) whose
+    ``f`` lies within ``_TIE_MARGIN`` of a half, where ``%`` decides.  That
+    includes their exact ties: ``2**-25`` is ``2.98023223876953125e-08``.
+
+    Rounding can carry ``n`` to ``10**17``, which is ``10**16`` at ``k + 1``.
+    That takes a double within half a unit below a power of ten: none lies
+    so close below ``10**-4 .. 10**17``, but one below each of nine decades
+    from ``10**-14`` to ``10**-243`` does.
+    """
+    k0, above, hi, lo, hi_hi, hi_lo, _, _ = _tables()
+    binade = a.view(np.int64) >> 52  # a >= 0: the sign bit is clear
+    k = k0.take(binade)
+    k += a >= above.take(binade)
+    t = 16 - k
+    p = a * hi.take(t)
     a_hi = _SPLIT * a
     a_hi -= a_hi - a
     a_lo = a - a_hi
-    b_hi, b_lo = _TEN_HI[t], _TEN_LO[t]
+    b_hi, b_lo = hi_hi.take(t), hi_lo.take(t)
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
-
-
-def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(k, n)``: ``n`` is the 17-digit integer nearest ``a * 10**(16 - k)``,
-    ties to even, so ``%.17g`` writes the digits of ``n`` at decimal exponent
-    ``k``.  For ``1e-4 <= a < 1e17``, and ``a == 0`` (``k`` 0, ``n`` 0)."""
-    zero = (a == 0).nonzero()[0]
-    if zero.size:
-        a = a.copy()
-        a[zero] = 2.0  # any value off the edges checked below
-    k = np.minimum(np.floor(np.log10(a)), 16).astype(np.intp)
-    p, e = _two_product(a, 16 - k)
-    # log10 can miss k by one next to a power of ten: the exact product
-    # p + e must lie in [10**16, 10**17)
-    edge = ((p <= 1e16) | (p >= 1e17)).nonzero()[0]
-    if edge.size:
-        pe, ee = p[edge], e[edge]
-        k[edge] += (pe > 1e17) | ((pe == 1e17) & (ee >= 0))
-        k[edge] -= (pe < 1e16) | ((pe == 1e16) & (ee < 0))
-        p[edge], e[edge] = _two_product(a[edge], 16 - k[edge])
-    # p >= 1e16 > 2**53 is an even integer, so rounding e half to even
-    # rounds p + e half to even.  n never reaches 10**17: that would take a
-    # double within 5e-18 (relative) below a power of ten, and the nearest
-    # one below each is at least 8e-17 below it
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    if zero.size:
-        n[zero] = 0
-        k[zero] = 0
-    return k, n
+    n = p.astype(np.int64)
+    # only the exponent-form cells can have lo != 0, a near tie or a carry
+    tie = small = (k < -4).nonzero()[0]
+    if small.size:
+        f = e[small] + a[small] * lo.take(t[small])
+        e[small] = f
+        tie = small[np.abs(f - np.rint(f)) >= 0.5 - _TIE_MARGIN]
+    n += np.rint(e).astype(np.int64)
+    if small.size:
+        carry = small[n[small] == 10**17]
+        n[carry] = 10**16
+        k[carry] += 1
+    return k, n, tie
 
 
 # memo of _layout: its tables depend only on the exponent range
@@ -166,19 +235,25 @@ def _layout(lo: int, hi: int) -> tuple[list, np.ndarray]:
     return got
 
 
-def _fixed_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The fixed-point texts of the 17 digits ``digits[:, 7:]`` at decimal
-    exponents ``k``, at least 24 bytes wide."""
-    if not k.size:
-        return np.zeros((0, _EXP_WIDTH), np.uint8)
-    # the last nonzero digit; the table keeps the integer part's digits too
-    last = np.empty(k.size, np.intp)
+def _last_digits(digits: np.ndarray) -> np.ndarray:
+    """The index, 0 to 16, of the last nonzero digit of ``digits[:, 7:]``;
+    0 for the value 0."""
+    last = np.empty(len(digits), np.intp)
     last.fill(16)
     tail = (digits[:, 23] == _ZERO).nonzero()[0]
     if tail.size:
         nonzero = digits[tail, :6:-1] != _ZERO
-        nonzero[:, -1] = True  # digit 0: only the value 0 has none, and its k = 0 keeps it
+        nonzero[:, -1] = True
         last[tail] = 16 - nonzero.argmax(axis=1)
+    return last
+
+
+def _fixed_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The fixed-point texts of the 17 digits ``digits[:, 7:]`` at decimal
+    exponents ``k``, at least 24 bytes wide."""
+    # the table keeps the integer part's digits too, and the value 0's k = 0
+    # keeps its one digit
+    last = _last_digits(digits)
     lo = int(k.min())
     runs, table = _layout(lo, int(k.max()))
     cells = np.empty((k.size, table.shape[1]), np.uint8)
@@ -189,17 +264,44 @@ def _fixed_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.
     return cells
 
 
-def _float_cells(x: np.ndarray, k: np.ndarray, digits: np.ndarray, fixed, rest) -> np.ndarray:
-    """The ``%.17g`` texts of ``x``: the ``fixed`` cells from ``k`` and
-    ``digits``, the ``rest`` from one ``%`` call."""
-    cells = _fixed_cells(k, digits, np.signbit(x[fixed]))
-    if rest.size:
-        cells, part = np.zeros((x.size, cells.shape[1]), np.uint8), cells
-        cells[fixed] = part
-        values = x[rest].tolist()
-        text = ("%-24.17g" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
-        cells[rest, :_EXP_WIDTH] = np.frombuffer(text, np.uint8).reshape(-1, _EXP_WIDTH)
+def _exp_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The exponent-form texts ``d.ddde-XX`` of the 17 digits
+    ``digits[:, 7:]`` at decimal exponents ``k <= -5``, 24 bytes wide."""
+    *_, mantissa, exponents = _tables()
+    cells = np.empty((k.size, _EXP_WIDTH), np.uint8)
+    cells[:, :3] = 0xFF
+    cells[:, 1] = digits[:, 7]
+    cells[:, 3:19] = digits[:, 8:]
+    cells[:, :19] &= mantissa.take(_last_digits(digits) * 2 + negative, axis=0)
+    cells[:, 19:] = exponents.take(-5 - k, axis=0)
     return cells
+
+
+def _float_cells(x: np.ndarray, k: np.ndarray, digits: np.ndarray, slow) -> np.ndarray:
+    """The ``%.17g`` texts of ``x``, from ``k`` and ``digits`` in fixed-point
+    or exponent form, but for the ``slow`` cells: one ``%`` call formats
+    those."""
+    negative = np.signbit(x)
+    # every cell through the fixed-point layout, in its range of exponents;
+    # the exponent-form and slow cells are written over it
+    cells = _fixed_cells(np.maximum(k, -4), digits, negative)
+    wide = k < -4
+    wide[slow] = False
+    wide = wide.nonzero()[0]
+    if wide.size:
+        cells[wide] = 0
+        cells[wide, :_EXP_WIDTH] = _exp_cells(k[wide], digits[wide], negative[wide])
+    if slow.size:
+        cells[slow] = 0
+        cells[slow, :_EXP_WIDTH] = _percent_cells(x[slow])
+    return cells
+
+
+def _percent_cells(x: np.ndarray) -> np.ndarray:
+    """CPython's ``%.17g`` texts of ``x``, in one ``%`` call, 24 bytes wide."""
+    values = x.tolist()
+    text = ("%-24.17g" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+    return np.frombuffer(text, np.uint8).reshape(-1, _EXP_WIDTH)
 
 
 # memo of _int_cells' tables, one per digit count
@@ -243,12 +345,16 @@ def _block_text(blocks: list) -> bytes:
     floats = [j for j, kind in enumerate(kinds) if kind == "f"]
     ints = [j for j, kind in enumerate(kinds) if kind == "i"]
 
-    # all float columns in one kernel call, over their fixed-point cells
-    x = np.concatenate([values[j] for j in floats]).view(np.float64) if floats else _TEN[:0]
+    # all float columns in one kernel call.  % formats NaN, infinities,
+    # |x| >= 1e17, the nonzero |x| below the kernel's range (the kernel runs
+    # on 1 in their place) and the near ties the kernel finds
+    x = np.concatenate([values[j] for j in floats]).view(np.float64) if floats else np.zeros(0)
     a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17) | (a == 0)
-    rest = (~fixed).nonzero()[0]
-    k, n = _significand(a[fixed])
+    slow = (~((a < 1e17) & ((a >= _LOW) | (a == 0)))).nonzero()[0]
+    a[slow] = 1.0
+    k, n, tie = _significand(a)
+    if tie.size:
+        slow = np.concatenate([slow, tie])
     # the integers' magnitudes and signs; one digits call for floats and integers
     magnitudes, negatives = [], []
     for j in ints:
@@ -260,7 +366,7 @@ def _block_text(blocks: list) -> bytes:
 
     cells = [None] * len(blocks)
     if floats:
-        float_cells = _float_cells(x, k, digits[: k.size], fixed, rest)
+        float_cells = _float_cells(x, k, digits[: k.size], slow)
         start = 0
         for j in floats:
             cells[j] = float_cells[start : start + len(values[j])]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from macrocat import cli, fock, output, pipeline, sampling
 from macrocat.errors import NumericError
@@ -598,6 +599,7 @@ class TestExitCodes:
         [
             "no-rows", "one-row", "distinct-then-repeated", "int64-extremes",
             "powers-of-ten", "range-edges", "decimal-ties", "random-bits",
+            "exponent-decades", "exponent-range-edges", "wigner-default", "wigner-fock-workload",
         ],
     )
     def test_csv_writer_edge_blocks_match_per_cell_formatting(self, tmp_path, case):
@@ -644,6 +646,29 @@ class TestExitCodes:
             ])
             signed = np.concatenate([ties, -ties])
             columns = {"x": signed, "y": -signed}
+        elif case == "exponent-decades":
+            # every decade from 1e-5 down past the kernel's lower end, 1e-284,
+            # to the smallest subnormal, 6 ulps either side, both signs: the
+            # double just below nine of these powers of ten rounds up to it
+            powers = [float(f"1e{e}") for e in range(-5, -324, -1)] + [5e-324]
+            decades = self._ulp_neighbours(powers)
+            signed = np.concatenate([decades, -decades])
+            columns = {"x": signed, "y": -signed}
+        elif case == "exponent-range-edges":
+            # the ends of the kernel's exponent-form range, 1e-284 and 1e-4,
+            # and one and three times each power of two below 1e-4: some are
+            # exact ties at the 17th digit (2**-25 is 2.98023223876953125e-08)
+            twos = 2.0 ** np.arange(-14, -1075, -1)
+            edges = self._ulp_neighbours(np.concatenate([[output._LOW, 1e-4], twos, 3 * twos]))
+            columns = {"x": np.concatenate([edges, -edges])}
+        elif case.startswith("wigner"):
+            # the w column of the default wigner run, and of the fock benchmark
+            # workload's wigner run at seed 1: mostly Gaussian tails below 1e-4
+            alpha, c1 = 0.0, 0j
+            if case == "wigner-fock-workload":
+                alpha, c1 = 0.8474337369372327, complex(0.5275492379532281, -0.4898619485211566)
+            axis = np.arange(-6.0, 6.05, 0.1)
+            columns = {"w": fock.wigner(alpha, 1 + 0j, c1, axis, axis).ravel()}
         else:
             # random bit patterns: mostly exponent form, some subnormals and
             # NaNs with payloads; then the infinities, signed NaNs and the
@@ -655,6 +680,51 @@ class TestExitCodes:
         path = tmp_path / "t.csv"
         output.write_csv(path, columns)
         self._assert_csv_matches_per_cell(path, columns)
+
+    @staticmethod
+    def _record_percent_cells(monkeypatch):
+        """The values ``output`` formats with ``%`` from now on, one array per
+        call."""
+        sent, percent_cells = [], output._percent_cells
+        monkeypatch.setattr(output, "_percent_cells", lambda x: sent.append(x) or percent_cells(x))
+        return sent
+
+    def test_csv_writer_near_tie_fallback_gives_the_same_bytes(self, tmp_path, monkeypatch):
+        # with the margin at a half every exponent-form cell in the kernel's
+        # range counts as a near tie, so % formats it: the bytes stay the same
+        rng = np.random.default_rng(7)
+        x = 10.0 ** rng.uniform(-300.0, 17.5, 6000) * rng.choice([-1.0, 1.0], 6000)
+        columns = {"x": x, "y": x[::-1].copy()}
+        output.write_csv(tmp_path / "kernel.csv", columns)
+        monkeypatch.setattr(output, "_TIE_MARGIN", 0.5)
+        sent = self._record_percent_cells(monkeypatch)
+        output.write_csv(tmp_path / "percent.csv", columns)
+        assert (tmp_path / "percent.csv").read_bytes() == (tmp_path / "kernel.csv").read_bytes()
+        sent = np.concatenate(sent)
+        wide = x[(np.abs(x) >= output._LOW) & (np.abs(x) < 1e-4)]
+        assert wide.size > 4000 and np.isin(wide, sent).all()
+        # and no fixed-point cell
+        assert not ((np.abs(sent) >= 1e-4) & (np.abs(sent) < 1e17)).any()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {},
+            {"alpha": 0.8474337369372327, "c0": 1.0,
+             "c1": [0.5275492379532281, -0.4898619485211566], "dim": 16,
+             "grid": {"min": -6.0, "max": 6.0, "step": 0.1}},
+        ],
+        ids=["default", "fock-workload"],
+    )
+    def test_wigner_csv_formats_no_cell_with_percent(self, tmp_path, monkeypatch, spec):
+        # most of the table's cells are exponent-form tails, and the kernel
+        # formats every one of them
+        config = tmp_path / "state.json"
+        config.write_text(json.dumps(spec))
+        sent = self._record_percent_cells(monkeypatch)
+        assert run_cli("wigner", "--config", config, "--out", tmp_path / "o", "--quiet") == 0
+        assert sent == []
+        assert (tmp_path / "o" / "wigner.csv").read_text().count("e-") > 10_000
 
     def test_json_writer_rejects_non_finite(self, tmp_path):
         # checked before any file is opened, the valid CSV document included
@@ -703,6 +773,37 @@ class TestExitCodes:
         runs = proc.stderr.split("--\n")[:-1]
         progress = [sum(line.startswith("progress: ") for line in run.splitlines()) for run in runs]
         assert progress == [2 if m == "loud" else 0 for m in modes]
+
+    def test_one_parser_serves_every_call_as_a_fresh_process_would(self, tmp_path, capsys):
+        # main parses with the parser its first call built; each call in this
+        # process, a bad flag among them, gives the exit code, stdout, stderr
+        # and files of the same run in a fresh process
+        assert cli.build_parser() is cli.build_parser()
+        cfg = str(write_config(tmp_path))
+        runs = [
+            ["analytic", "--config", cfg],
+            ["wigner", "--quiet"],
+            ["analytic", "--config", cfg, "--quiet", "--bogus"],
+            ["analytic", "--config", cfg],
+        ]
+        results = []
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"out{k}"
+            argv = argv + ["--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "macrocat.cli", *argv], capture_output=True, text=True
+            )
+            fresh = read_dir(out) if out.exists() else None
+            if out.exists():
+                out.rename(tmp_path / f"fresh{k}")
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+            assert (read_dir(out) if out.exists() else None) == fresh
+            results.append((code, captured.err))
+        assert [code for code, _ in results] == [0, 0, 1, 0]
+        err = results[2][1]
+        assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def test_import_loads_no_numerical_integration_or_optimization():
@@ -1114,3 +1215,24 @@ def test_config_bytes_property(command, content):
         assert text.startswith("config error:") and text.count("\n") == 1, text
         assert "Traceback" not in text, text
         assert list(out.iterdir()) == []
+
+
+_CSV_COLUMNS = st.tuples(st.integers(1, 3), st.integers(0, 600)).flatmap(
+    lambda shape: st.lists(
+        hnp.arrays(np.float64, shape[1], elements=st.floats(allow_infinity=False), fill=st.nothing()),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(arrays=_CSV_COLUMNS)
+def test_csv_writer_property(arrays):
+    """Any 1-3 float64 columns of 0-600 rows, NaN, signed zeros, subnormals and
+    every exponent included, are written as per-cell ``%.17g`` formatting
+    writes them; blocks of 256 rows or more are searched for repeats."""
+    columns = {f"c{j}": values for j, values in enumerate(arrays)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        output.write_csv(path, columns)
+        assert path.read_text().splitlines(keepends=True) == oracles.csv_lines_per_cell(columns)
