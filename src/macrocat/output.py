@@ -23,18 +23,19 @@ its sign).
 Most floats need no Python formatting.  For ``1e-284 <= |x| < 1e17`` and
 ``±0``, ``%.17g`` writes the digits of the integer ``n`` nearest
 ``|x| * 10**(16 - k)``, ``k`` the decimal exponent after rounding: in
-fixed-point form, the point after digit ``k``, when ``k >= -4``; else as
-``d.ddd`` followed by ``e-XX``, with at least two exponent digits.  Either
-form drops trailing fraction zeros, and the point with them.
-:func:`_significand` computes ``k`` and ``n`` in float64, exactly: Dekker's
-(1971) error-free product with ``10**(16 - k)``, held as a double-double
-where it is not an exact double.  Where rounding that product could go
-either way it does not guess: as in Loitsch's Grisu3 (PLDI 2010), those
-cells are left to an exact formatter.  The cells ``%.17g`` formats itself
-are NaN, infinities, ``|x| >= 1e17``, ``|x| < 1e-284`` (subnormals
-included) and those near-tie cells, with one ``%`` call per block over just
-those cells.  Integers and the float digits are turned into text through
-one table of 4-digit texts.
+fixed-point form, the point after digit ``k``, when ``k >= -4``; else in
+exponent form, which is the fixed-point text of the same digits at exponent
+0 followed by ``e-XX``, with at least two exponent digits.  Either way
+trailing fraction zeros are dropped, and the point with them, so one layout
+writes both forms.  :func:`_significand` computes ``k`` and ``n`` in
+float64, exactly: Dekker's (1971) error-free product with ``10**(16 - k)``,
+held as a double-double where it is not an exact double.  Where rounding
+that product could go either way it does not guess: as in Loitsch's Grisu3
+(PLDI 2010), those cells are left to an exact formatter.  The cells
+``%.17g`` formats itself are NaN, infinities, ``|x| >= 1e17``, ``|x| <
+1e-284`` (subnormals included) and those near-tie cells, with one ``%``
+call per block over just those cells.  Integers and the float digits are
+turned into text through one table of 4-digit texts.
 """
 
 from __future__ import annotations
@@ -78,18 +79,15 @@ _WORDS = {"f": np.float64, "i": np.int64}
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """The kernel's and the exponent form's tables, built on first use.
+    """The kernel's tables and the exponent texts, built on first use.
 
     By biased binary exponent ``E`` of ``a`` (``0 < E <= 1079``, ``2**56 <
     1e17 < 2**57``): ``k0``, the decimal exponent of the binade's first
     double, and ``above``, the least double at or above ``10**(k0 + 1)``, so
     ``k = k0 + (a >= above)``; ``E = 0``, the zero, has ``k`` 0.  By
     ``t = 0..300``: ``10**t`` as ``hi + lo``, each rounded to a double from
-    the exact integer, and ``hi``'s Veltkamp split.  The exponent form's
-    layout, row ``2 * q + negative``: its sign, digit 0, the point if
-    ``q > 0`` and digits 1 to ``q``, to be ANDed over a field that holds
-    0xFF outside the digits.  By ``-k - 5``: its exponent texts ``e-05`` ..
-    ``e-284``, zero-padded to 5 bytes.
+    the exact integer, and ``hi``'s Veltkamp split.  By ``-k - 5``: the
+    exponent form's suffixes ``e-05`` .. ``e-284``, zero-padded to 5 bytes.
     """
     # ceil[k - _KMIN], k = _KMIN..17: 1 / 10**j is rounded once, so it is off
     # 10**-j by less than an ulp
@@ -108,15 +106,9 @@ def _tables() -> tuple[np.ndarray, ...]:
     hi = np.array([float(v) for v in exact])
     lo = np.array([float(v - int(h)) for v, h in zip(exact, hi)])
     hi_hi = _SPLIT * hi - (_SPLIT * hi - hi)
-    mantissa = np.zeros((17, 2, 19), np.uint8)
-    mantissa[:, 1, 0] = _MINUS
-    mantissa[:, :, 1] = 0xFF
-    mantissa[1:, :, 2] = _DOT
-    for q in range(1, 17):
-        mantissa[q, :, 3 : 3 + q] = 0xFF
     texts = b"".join(f"e-{j:02d}".encode().ljust(5, b"\0") for j in range(5, 1 - _KMIN))
     exponents = np.frombuffer(texts, np.uint8).reshape(-1, 5)
-    return k0, above, hi, lo, hi_hi, hi - hi_hi, mantissa.reshape(34, 19), exponents
+    return k0, above, hi, lo, hi_hi, hi - hi_hi, exponents
 
 
 def _digits(v: np.ndarray) -> np.ndarray:
@@ -169,7 +161,7 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so close below ``10**-4 .. 10**17``, but one below each of nine decades
     from ``10**-14`` to ``10**-243`` does.
     """
-    k0, above, hi, lo, hi_hi, hi_lo, _, _ = _tables()
+    k0, above, hi, lo, hi_hi, hi_lo, _ = _tables()
     binade = a.view(np.int64) >> 52  # a >= 0: the sign bit is clear
     k = k0.take(binade)
     k += a >= above.take(binade)
@@ -195,44 +187,40 @@ def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, n, tie
 
 
-# memo of _layout: its tables depend only on the exponent range
-_layouts: dict = {}
-
-
+@functools.cache
 def _layout(lo: int, hi: int) -> tuple[list, np.ndarray]:
-    """The fixed-point field of decimal exponents ``lo..hi``.
+    """The field of decimal exponents ``lo..hi``.
 
     The field is a sign byte, the ``"0.000"`` lead of exponent ``lo`` if it
-    is negative, and the 17 digits, each digit that ends the integer part of
-    some exponent followed by a byte for the point.  Returns the runs of
-    digit columns as ``(field columns, digit columns)``, and a table whose
-    row ``((k - lo) * 17 + q) * 2 + negative``, ANDed over a field that
-    holds 0xFF outside the digits, keeps digits ``0..max(k, q)`` and writes
-    the sign, the lead and (if ``q > k``) the point of exponent ``k``; every
-    other byte becomes the pad, 0.
+    is negative, the 17 digits, each digit that ends the integer part of
+    some exponent followed by a byte for the point, and 5 bytes for an
+    exponent text.  Returns the runs of digit columns as ``(field columns,
+    digit columns)``, the last run ending where the exponent text starts,
+    and a table whose row ``((k - lo) * 17 + q) * 2 + negative``, ANDed over
+    a field that holds 0xFF outside the digits, keeps digits ``0..max(k,
+    q)`` and writes the sign, the lead and (if ``q > k``) the point of
+    exponent ``k``; every other byte becomes the pad, 0.  The table is at
+    least 24 bytes wide, room for any ``%.17g`` text.
     """
-    got = _layouts.get((lo, hi))
-    if got is None:
-        first, last = max(lo, 0), min(hi, 15)  # the digits followed by a point byte
-        cols, column = [], 1 + max(0, 1 - lo)
-        for i in range(17):
-            cols.append(column)
-            column += 2 if first <= i <= last else 1
-        table = np.zeros((hi - lo + 1, 17, 2, max(column, _EXP_WIDTH)), np.uint8)
-        table[:, :, 1, 0] = _MINUS
-        for k in range(lo, hi + 1):
-            if k < 0:
-                table[k - lo, :, :, 1 : 2 - k] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
-            for q in range(17):
-                table[k - lo, q, :, cols[: max(k, q) + 1]] = 0xFF
-                if q > k >= 0:
-                    table[k - lo, q, :, cols[k] + 1] = _DOT
-        runs = []
-        for i, j, step in ((0, first, 1), (first, last + 1, 2), (max(first, last + 1), 17, 1)):
-            if j > i:
-                runs.append((slice(cols[i], cols[j - 1] + 1, step), slice(7 + i, 7 + j)))
-        got = _layouts[lo, hi] = runs, table.reshape(-1, table.shape[-1])
-    return got
+    first, last = max(lo, 0), min(hi, 15)  # the digits followed by a point byte
+    cols, column = [], 2 - lo if lo < 0 else 1
+    for i in range(17):
+        cols.append(column)
+        column += 2 if first <= i <= last else 1
+    table = np.zeros((hi - lo + 1, 17, 2, max(column + 5, _EXP_WIDTH)), np.uint8)
+    table[:, :, 1, 0] = _MINUS
+    for k in range(lo, hi + 1):
+        if k < 0:
+            table[k - lo, :, :, 1 : 2 - k] = np.frombuffer(b"0." + b"0" * (-k - 1), np.uint8)
+        for q in range(17):
+            table[k - lo, q, :, cols[: max(k, q) + 1]] = 0xFF
+            if q > k >= 0:
+                table[k - lo, q, :, cols[k] + 1] = _DOT
+    runs = []
+    for i, j, step in ((0, first, 1), (first, last + 1, 2), (max(first, last + 1), 17, 1)):
+        if j > i:
+            runs.append((slice(cols[i], cols[j - 1] + 1, step), slice(7 + i, 7 + j)))
+    return runs, table.reshape(-1, table.shape[-1])
 
 
 def _last_digits(digits: np.ndarray) -> np.ndarray:
@@ -248,49 +236,32 @@ def _last_digits(digits: np.ndarray) -> np.ndarray:
     return last
 
 
-def _fixed_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The fixed-point texts of the 17 digits ``digits[:, 7:]`` at decimal
-    exponents ``k``, at least 24 bytes wide."""
+def _float_cells(x: np.ndarray, k: np.ndarray, digits: np.ndarray, slow) -> np.ndarray:
+    """The ``%.17g`` texts of ``x``, from ``k`` and ``digits``, but for the
+    ``slow`` cells: one ``%`` call formats those."""
+    negative = np.signbit(x)
+    # an exponent-form cell is laid out at exponent 0, then given its suffix;
     # the table keeps the integer part's digits too, and the value 0's k = 0
     # keeps its one digit
-    last = _last_digits(digits)
-    lo = int(k.min())
-    runs, table = _layout(lo, int(k.max()))
+    wide = k < -4
+    fixed = np.where(wide, 0, k)
+    lo = int(fixed.min())
+    runs, table = _layout(lo, int(fixed.max()))
     cells = np.empty((k.size, table.shape[1]), np.uint8)
     cells.fill(0xFF)
     for columns, i in runs:
         cells[:, columns] = digits[:, i]
-    cells &= table.take(((k - lo) * 17 + last) * 2 + negative, axis=0)
-    return cells
-
-
-def _exp_cells(k: np.ndarray, digits: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The exponent-form texts ``d.ddde-XX`` of the 17 digits
-    ``digits[:, 7:]`` at decimal exponents ``k <= -5``, 24 bytes wide."""
-    *_, mantissa, exponents = _tables()
-    cells = np.empty((k.size, _EXP_WIDTH), np.uint8)
-    cells[:, :3] = 0xFF
-    cells[:, 1] = digits[:, 7]
-    cells[:, 3:19] = digits[:, 8:]
-    cells[:, :19] &= mantissa.take(_last_digits(digits) * 2 + negative, axis=0)
-    cells[:, 19:] = exponents.take(-5 - k, axis=0)
-    return cells
-
-
-def _float_cells(x: np.ndarray, k: np.ndarray, digits: np.ndarray, slow) -> np.ndarray:
-    """The ``%.17g`` texts of ``x``, from ``k`` and ``digits`` in fixed-point
-    or exponent form, but for the ``slow`` cells: one ``%`` call formats
-    those."""
-    negative = np.signbit(x)
-    # every cell through the fixed-point layout, in its range of exponents;
-    # the exponent-form and slow cells are written over it
-    cells = _fixed_cells(np.maximum(k, -4), digits, negative)
-    wide = k < -4
+    cells &= table.take(((fixed - lo) * 17 + _last_digits(digits)) * 2 + negative, axis=0)
     wide[slow] = False
     wide = wide.nonzero()[0]
+    end = runs[-1][0].stop
     if wide.size:
-        cells[wide] = 0
-        cells[wide, :_EXP_WIDTH] = _exp_cells(k[wide], digits[wide], negative[wide])
+        *_, exponents = _tables()
+        cells[wide, end : end + 5] = exponents.take(-5 - k[wide], axis=0)
+    else:
+        # the exponent columns are pad in every cell: keep them out of the
+        # row, whose compaction costs per byte
+        cells = cells[:, : max(end, _EXP_WIDTH)]
     if slow.size:
         cells[slow] = 0
         cells[slow, :_EXP_WIDTH] = _percent_cells(x[slow])
@@ -304,8 +275,15 @@ def _percent_cells(x: np.ndarray) -> np.ndarray:
     return np.frombuffer(text, np.uint8).reshape(-1, _EXP_WIDTH)
 
 
-# memo of _int_cells' tables, one per digit count
-_int_tables: dict = {}
+@functools.cache
+def _int_table(width: int) -> np.ndarray:
+    """Row ``2 * d + negative``: the sign, then the last ``d`` of ``width``
+    digits, to be ANDed over a 0xFF byte and the ``width`` digits."""
+    table = np.zeros((width + 1, 2, 1 + width), np.uint8)
+    table[:, 1, 0] = _MINUS
+    for d in range(1, width + 1):
+        table[d, :, 1 + width - d :] = 0xFF
+    return table.reshape(-1, 1 + width)
 
 
 def _int_cells(digits: np.ndarray, u: np.ndarray, negative: np.ndarray) -> np.ndarray:
@@ -313,18 +291,10 @@ def _int_cells(digits: np.ndarray, u: np.ndarray, negative: np.ndarray) -> np.nd
     ``digits``."""
     ndigits = _DECADES.searchsorted(u, side="right") + 1
     width = int(ndigits.max())
-    table = _int_tables.get(width)
-    if table is None:
-        # row 2 * d + negative: the sign, then the last d of the width digits
-        table = np.zeros((width + 1, 2, 1 + width), np.uint8)
-        table[:, 1, 0] = _MINUS
-        for d in range(1, width + 1):
-            table[d, :, 1 + width - d :] = 0xFF
-        table = _int_tables[width] = table.reshape(-1, 1 + width)
     cells = np.empty((u.size, 1 + width), np.uint8)
     cells[:, 0] = 0xFF
     cells[:, 1:] = digits[:, 24 - width :]
-    cells &= table.take(ndigits * 2 + negative, axis=0)
+    cells &= _int_table(width).take(ndigits * 2 + negative, axis=0)
     return cells
 
 

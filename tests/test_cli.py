@@ -594,12 +594,33 @@ class TestExitCodes:
             out += [up, down]
         return np.concatenate(out)
 
+    @staticmethod
+    def _values_of_every_length(exponents, rng):
+        """For each decimal exponent and each length 1 to 17, a positive
+        double read from a decimal string whose ``%.17g`` text has that many
+        significant digits."""
+        values = []
+        for e in exponents:
+            for q in range(1, 18):
+                for _ in range(200):
+                    d = rng.integers(0, 10, q)
+                    d[[0, -1]] = rng.integers(1, 10, 2)
+                    v = float(f"{d[0]}.{''.join(map(str, d[1:]))}e{e}")
+                    text = ("%.17g" % v).split("e")[0].replace(".", "")
+                    if len(text.strip("0")) == q:
+                        values.append(v)
+                        break
+                else:
+                    raise AssertionError(f"no {q}-digit double found at exponent {e}")
+        return values
+
     @pytest.mark.parametrize(
         "case",
         [
             "no-rows", "one-row", "distinct-then-repeated", "int64-extremes",
             "powers-of-ten", "range-edges", "decimal-ties", "random-bits",
-            "exponent-decades", "exponent-range-edges", "wigner-default", "wigner-fock-workload",
+            "exponent-decades", "exponent-range-edges", "mantissa-lengths",
+            "wigner-default", "wigner-fock-workload",
         ],
     )
     def test_csv_writer_edge_blocks_match_per_cell_formatting(self, tmp_path, case):
@@ -661,6 +682,18 @@ class TestExitCodes:
             twos = 2.0 ** np.arange(-14, -1075, -1)
             edges = self._ulp_neighbours(np.concatenate([[output._LOW, 1e-4], twos, 3 * twos]))
             columns = {"x": np.concatenate([edges, -edges])}
+        elif case == "mantissa-lengths":
+            # one block: exponent-form texts with mantissas of 1 to 17
+            # digits, down to e-283, next to fixed-point texts of every
+            # length at every exponent from -4 to 16, NaN, 1e17 and a
+            # subnormal; the second column repeats values, so the repeat
+            # search trims these cells too
+            wide = self._values_of_every_length([-8, -9, -10, -16, -99, -100, -283], rng)
+            fixed = self._values_of_every_length(range(-4, 17), rng)
+            values = np.concatenate([wide, fixed, np.negative(wide), np.negative(fixed)])
+            values = rng.permutation(np.concatenate([values, [np.nan, 1e17, 5e-320]]))
+            assert 256 <= values.size <= 2048
+            columns = {"x": values, "y": rng.choice(values, values.size)}
         elif case.startswith("wigner"):
             # the w column of the default wigner run, and of the fock benchmark
             # workload's wigner run at seed 1: mostly Gaussian tails below 1e-4
@@ -705,6 +738,16 @@ class TestExitCodes:
         assert wide.size > 4000 and np.isin(wide, sent).all()
         # and no fixed-point cell
         assert not ((np.abs(sent) >= 1e-4) & (np.abs(sent) < 1e17)).any()
+
+    def test_csv_field_has_no_column_that_every_text_leaves_pad(self):
+        # before its 5 exponent columns, each column of a field holds the
+        # sign, the lead, a digit or a point in some text
+        for lo in range(-4, 17):
+            for hi in range(lo, 17):
+                runs, table = output._layout(lo, hi)
+                end = runs[-1][0].stop
+                assert table[:, :end].any(axis=0).all(), (lo, hi)
+                assert table.shape[1] >= end + 5 and not table[:, end:].any(), (lo, hi)
 
     @pytest.mark.parametrize(
         "spec",
