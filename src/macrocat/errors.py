@@ -1,7 +1,9 @@
-"""Exception and warning taxonomy shared across the package.
+"""Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: a value outside the documented domain
-of a config field or of a kernel's argument exits 1 (:class:`ConfigError`),
+of a config field or of a kernel's argument exits 1 (:class:`ConfigError`,
+also raised when a Fock truncation is too tight for the amplitude asked of
+it),
 a computation that fails on a valid input exits 2 (:class:`NumericError`,
 also raised when an invariant the code relies on breaks, such as the MLE's
 likelihood falling), an I/O failure exits 3.
@@ -14,11 +16,3 @@ class ConfigError(ValueError):
 
 class NumericError(Exception):
     """A computation failed on a valid input, or broke an invariant it relies on."""
-
-
-class TruncationWarning(UserWarning):
-    """Fock-space truncation is too tight for the requested operation.
-
-    Recoverable: results are still returned, but trailing-diagonal
-    population exceeds the accepted budget and accuracy degrades.
-    """

@@ -34,17 +34,11 @@ this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TruncationWarning
-
-# Population allowed on the trailing diagonal of any mode before a
-# truncation warning is emitted.  Silent truncation error is the dominant
-# failure mode of Fock-basis numerics, hence the aggressive default.
-TRAILING_POPULATION_BUDGET = 1e-6
+from .errors import ConfigError
 
 _HERMITIAN_ATOL = 1e-10
 _TRACE_ATOL = 1e-8
@@ -89,20 +83,6 @@ class DensityMatrix:
         }
 
 
-def _check_trailing_population(psi: np.ndarray) -> None:
-    """Warn if either mode's top Fock level of the two-mode amplitude matrix
-    ``psi`` (rows: mode A, columns: mode B) holds too much population."""
-    pops = psi.real**2 + psi.imag**2
-    worst = max(pops.sum(axis=1)[-1], pops.sum(axis=0)[-1])
-    if worst > TRAILING_POPULATION_BUDGET:
-        warnings.warn(
-            f"trailing Fock level holds population {worst:.2e}; "
-            "increase dim to avoid truncation error",
-            TruncationWarning,
-            stacklevel=3,
-        )
-
-
 def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
     """Matrix elements ``<m|D(alpha)|n>`` for a real ``alpha`` and m, n < dim.
 
@@ -134,7 +114,10 @@ def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
     p = np.minimum(row, col)
     k = np.abs(row - col)
     logmag = 0.5 * (gammaln(p + 1) - gammaln(p + k + 1)) + k * np.log(a) - x / 2.0
-    mag = np.exp(logmag) * eval_genlaguerre(p, k, x)
+    # at large alpha a Laguerre factor overflows where its prefactor
+    # underflows to 0: that element is NaN, left for the caller to reject
+    with np.errstate(invalid="ignore"):
+        mag = np.exp(logmag) * eval_genlaguerre(p, k, x)
     # row >= col carries alpha^k, row < col carries (-alpha)^k: |alpha|^k
     # times an exact sign
     sign = math.copysign(1.0, alpha)
@@ -172,15 +155,20 @@ def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
     normalized, as the ``dim x dim`` amplitude matrix ``psi[m, k] =
     <m|_A <k|_B |psi>``; ``psi.ravel()`` is the ket in the package's
     two-mode ordering.  ``alpha = 0`` gives the delocalized single photon.
-    Warns (:class:`TruncationWarning`) when either mode's top level holds
-    more than ``TRAILING_POPULATION_BUDGET``.
+    Normalized inside ``dim``: the population pushed past ``dim`` is what
+    the round trip's leakage measures.  Raises :class:`ConfigError` when
+    the truncated norm is 0 or not finite.
     """
     D = displacement_matrix(alpha, dim)
     d0 = D[:, 0]
     d1 = D[:, 1]
     psi = np.outer(d0, d1) + np.exp(1j * phi) * np.outer(d1, d0)
-    psi /= np.linalg.norm(psi)
-    _check_trailing_population(psi)
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(
+            f"alpha = {alpha} leaves the displaced state norm {norm} below dim = {dim}"
+        )
+    psi /= norm
     return psi
 
 

@@ -465,12 +465,18 @@ def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResul
     )
 
 
+# The round trip's one truncation rule: the population its 4 x 4 block
+# loses to the truncation, at most this
+_LEAKAGE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class RoundtripResult:
     mismatch_eta: float
     fidelity_to_loss_model: float
     concurrence_roundtrip: float
     concurrence_initial: float
+    leakage: float
 
 
 def _roundtrip_block(
@@ -527,20 +533,32 @@ def displacement_roundtrip_check(
         trace = Tr(Psi conj(H) Psi^dagger H),  H = sum_j K_j^dagger U^dagger U K_j,
 
     with ``H`` built from shifted diagonal blocks of ``U^dagger U``: O(dim^3)
-    in all.  The trace falls short of 1 by the truncation leakage; the
-    block over the trace is the :class:`~macrocat.fock.DensityMatrix` the
-    fidelity and the concurrence read, and the concurrence's leakage
-    warning sees ``1 - tr(block) / trace``.
+    in all.  The block over the trace is the
+    :class:`~macrocat.fock.DensityMatrix` the fidelity and the concurrence
+    read.
+
+    In exact arithmetic the round trip is the loss model itself, so the
+    fidelity is 1 at every eta and the check measures the Fock truncation
+    error alone.  The exact result lies wholly in the block, with unit
+    trace, and ``Psi`` is normalized inside ``dim``, so ``leakage = 1 -
+    tr(block)`` counts all the population the truncation loses: what the
+    displacement pushed past ``dim`` and what the undisplacement leaves
+    outside the block.  Raises :class:`ConfigError` unless the leakage is
+    at most 1e-10 (a NaN fails too); the result records it.
     """
-    a2 = alpha_small * alpha_small
-    # an overflowing square (inf) or a NaN fails the budget
-    if not a2 <= dim / 8.0:
-        raise ConfigError(
-            f"alpha_small^2 = {a2} violates the dim/8 = {dim/8} truncation budget"
-        )
     if not 0.0 < mismatch_eta <= 1.0:
         raise ConfigError(f"mismatch_etas entry must lie in (0, 1], got {mismatch_eta}")
-    block, trace = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
+    spec = f"alpha_small = {alpha_small} at dim = {dim}"
+    try:
+        block, trace = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
+    except ConfigError as exc:  # a kernel's own check: name the spec's fields
+        raise ConfigError(f"{spec}: {exc}") from None
+    leakage = 1.0 - float(np.trace(block).real)
+    if not leakage <= _LEAKAGE_TOL:
+        raise ConfigError(
+            f"{spec}: the round trip loses {leakage:.3e} of its population "
+            f"to the truncation, above {_LEAKAGE_TOL:g}"
+        )
     if not (math.isfinite(trace) and trace > 0.0):
         raise NumericError(f"round-trip state has trace {trace}")
     roundtrip = fock.DensityMatrix(block / trace)
@@ -551,6 +569,7 @@ def displacement_roundtrip_check(
         ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(model_microscopic_state(1.0, phi)),
+        leakage=leakage,
     )
 
 

@@ -312,20 +312,10 @@ def concurrence(rho: DensityMatrix) -> float:
     ``2 (|rho_{01,10}| - sqrt(rho_{00} rho_{11}))``, clamped at 0.
 
     The unclamped expression goes negative on separable states; the clamp
-    maps those to zero entanglement.  The population missing from the
-    trace is the leakage out of ``|00>, |01>, |10>, |11>`` (the round trip
-    hands in its block of a larger state); a warning is emitted if it
-    exceeds 5%.  Raises if ``rho`` is not Hermitian.
+    maps those to zero entanglement.  Raises if ``rho`` is not Hermitian.
     """
     rho.check_hermitian()
     pops = np.clip(np.diag(rho.data).real, 0.0, None)
-    leak = 1.0 - pops.sum()
-    if leak > 0.05:
-        warnings.warn(
-            f"{leak:.3f} of the population lies outside the "
-            "one-photon subspace; concurrence may be unreliable",
-            stacklevel=2,
-        )
     coherence = abs(rho.data[1, 2])  # <01| rho |10>
     value = 2.0 * (coherence - math.sqrt(pops[0] * pops[3]))
     return max(0.0, value)

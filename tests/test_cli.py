@@ -465,6 +465,8 @@ class TestExitCodes:
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
         assert list(out.iterdir()) == []
 
+    # no floating-point warning on the way to the config error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "command,document",
         [
@@ -480,9 +482,16 @@ class TestExitCodes:
             ("roundtrip-check", '{"mismatch_etas": [1.5]}'),
             ("roundtrip-check", '{"mismatch_etas": [0]}'),
             ("roundtrip-check", '{"dim": 0}'),
-            # alpha_small 0 keeps the truncation budget at dim 1: dim is the offender
+            # alpha_small 0 loses nothing to the truncation: dim is the offender
             ("roundtrip-check", '{"dim": 1, "alpha_small": 0}'),
             ("roundtrip-check", '{"alpha_small": 3, "dim": 8}'),
+            # alpha_small^2 = dim/8 in both, yet the round trip loses 0.14 and
+            # 0.33 of its population to the truncation
+            ("roundtrip-check", '{"alpha_small": 0.6123724356957945, "dim": 3, '
+                                '"phi": 3.141592653589793, "mismatch_etas": [1.0]}'),
+            ("roundtrip-check", '{"alpha_small": 0.5, "dim": 2}'),
+            # the displaced state's norm underflows to 0 below dim
+            ("roundtrip-check", '{"alpha_small": 30, "dim": 32}'),
             # past 1024 levels the displacement matrix turns NaN
             ("roundtrip-check", '{"dim": 1025}'),
             ("analytic", '{"alpha": -1}'),
@@ -1013,6 +1022,7 @@ def test_roundtrip_spec_property(spec):
         assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
         for row in doc["results"]:
             assert all(math.isfinite(v) for v in row.values()), row
+            assert row["leakage"] <= pipeline._LEAKAGE_TOL, row
             for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
                          "concurrence_initial"):
                 assert 0.0 <= row[name] <= 1.0 + 1e-9, row
@@ -1183,7 +1193,7 @@ _NUMBER_FIELDS = {
          ("grid", "max"), ("grid", "step")],
     ),
     "roundtrip-check": (
-        {"alpha_small": 1.0, "mismatch_etas": [1.0, 0.97], "dim": 8, "phi": 0.5},
+        {"alpha_small": 1.0, "mismatch_etas": [1.0, 0.97], "dim": 16, "phi": 0.5},
         [("alpha_small",), ("mismatch_etas", 1), ("dim",), ("phi",)],
     ),
 }

@@ -14,7 +14,7 @@ import pytest
 
 from macrocat import counting, fock, output, pipeline, sampling, tomography
 from macrocat.counting import CountModelParams
-from macrocat.errors import ConfigError, NumericError, TruncationWarning
+from macrocat.errors import ConfigError, NumericError
 from macrocat.pipeline import ExperimentConfig
 import oracles
 
@@ -402,6 +402,9 @@ def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     d_rev = np.kron(*[fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)] * 2)
     data = d_rev @ lossy.data @ d_rev.conj().T
     roundtrip = _qubit_block(data / np.trace(data), dim)
+    # the displaced state is not renormalized here, so the block's share of
+    # its trace is what the normalized round trip keeps
+    kept = _qubit_block(data, dim).trace() / np.trace(displaced.data).real
     reference = oracles.apply_loss(oracles.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
     return pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
@@ -410,6 +413,7 @@ def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
         fidelity_to_loss_model=tomography.fidelity(roundtrip, _qubit_block(reference.data, dim)),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(_qubit_block(rho0.data, dim)),
+        leakage=1.0 - kept,
     )
 
 
@@ -418,7 +422,7 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     with :func:`oracles.apply_loss`, then ``D (x) D`` undisplacement as
     one five-operand ``einsum``.  Returns the unnormalized block on
     ``|00>, |01>, |10>, |11>``, the trace, and the result fields read from
-    the normalized dense state."""
+    the normalized dense state; the leakage is ``1 - tr(block)``."""
     displaced = oracles.build_macro_state(alpha_small, phi, dim)
     lossy = oracles.apply_loss(oracles.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
     u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
@@ -429,6 +433,7 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     )
     data = t.reshape(dim * dim, dim * dim)
     roundtrip = _qubit_block(data / np.trace(data), dim)
+    block = _qubit_block(data, dim)
     result = pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(
@@ -436,8 +441,9 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
         ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(pipeline.model_microscopic_state(1.0, phi)),
+        leakage=1.0 - block.trace(),
     )
-    return _qubit_block(data, dim).data, float(np.trace(data).real), result
+    return block.data, float(np.trace(data).real), result
 
 
 _EINSUM_CASES = [
@@ -452,23 +458,30 @@ class TestRoundtripCheck:
     @pytest.mark.parametrize("phi", [0.0, 1.3])
     @pytest.mark.parametrize("eta", [1.0, 0.99, 0.95])
     def test_matches_dense_oracle(self, eta, phi):
-        # at alpha 1 the truncated round trip leaks ~3e-12 outside the
-        # one-photon block
+        # at alpha 1 and dim 16 the round trip loses 4.3e-12 of its
+        # population to the truncation
         res = pipeline.displacement_roundtrip_check(1.0, eta, dim=16, phi=phi)
         ref = _dense_roundtrip_oracle(1.0, eta, 16, phi)
         for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_roundtrip",
                      "concurrence_initial"):
             assert getattr(res, name) == pytest.approx(getattr(ref, name), abs=1e-8), name
+        assert abs(res.leakage - ref.leakage) <= 1e-14
 
-    # dim 8, alpha 1 is truncation-dominated: 3.7e-4 of the state leaks out
-    @pytest.mark.filterwarnings("ignore::macrocat.errors.TruncationWarning")
     @pytest.mark.parametrize("alpha,dim,eta,phi", _EINSUM_CASES)
     def test_matches_einsum_oracle(self, alpha, dim, eta, phi):
         block, trace = pipeline._roundtrip_block(alpha, eta, dim, phi)
         ref_block, ref_trace, ref = _einsum_roundtrip_oracle(alpha, eta, dim, phi)
         assert np.abs(block - ref_block).max() <= 1e-14
         assert abs(trace - ref_trace) <= 1e-14
+        if dim < 32:
+            # alpha 1.4 at dim 16 and alpha 1 at dim 8 lose 2.5e-8 to 5.3e-4
+            # of the population to the truncation
+            assert ref.leakage > 1e-8
+            with pytest.raises(ConfigError, match=f"at dim = {dim}: the round trip loses"):
+                pipeline.displacement_roundtrip_check(alpha, eta, dim=dim, phi=phi)
+            return
         res = pipeline.displacement_roundtrip_check(alpha, eta, dim=dim, phi=phi)
+        assert abs(res.leakage - ref.leakage) <= 1e-14
         for name in ("mismatch_eta", "fidelity_to_loss_model", "concurrence_initial"):
             assert abs(getattr(res, name) - getattr(ref, name)) <= 1e-12, name
         # the concurrence subtracts 2 sqrt(p00 p11); the dense path leaves the
@@ -480,9 +493,19 @@ class TestRoundtripCheck:
         tol = 1e-12 + 2.0 * math.sqrt(p00 * 1e-16)
         assert abs(res.concurrence_roundtrip - ref.concurrence_roundtrip) <= tol
 
-    def test_truncation_dominated_round_trip_warns(self):
-        with pytest.warns(TruncationWarning):
+    def test_truncation_dominated_round_trip_rejected(self):
+        with pytest.raises(ConfigError, match="alpha_small = 1.0 at dim = 8"):
             pipeline.displacement_roundtrip_check(1.0, 0.95, dim=8, phi=0.0)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_whole_space_block_rejected(self, eta):
+        # at dim 2 the block is the whole truncated space: the block over the
+        # trace reads no leakage, while 1 - tr(block) reads 0.33 and 0.10
+        block, trace = pipeline._roundtrip_block(0.5, eta, 2, 0.0)
+        assert abs(1.0 - np.trace(block).real / trace) <= 1e-15
+        assert 1.0 - np.trace(block).real > 0.05
+        with pytest.raises(ConfigError, match="at dim = 2"):
+            pipeline.displacement_roundtrip_check(0.5, eta, dim=2, phi=0.0)
 
     def test_perfect_undisplacement(self):
         res = pipeline.displacement_roundtrip_check(2.0, 1.0, dim=32, phi=0.0)

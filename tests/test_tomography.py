@@ -370,12 +370,6 @@ class TestConcurrence:
             c = tomography.concurrence(rho)
             assert 0.0 <= c <= 1.0
 
-    def test_leaky_population_warns(self):
-        # trace 0.5: the block of a state with half its population elsewhere
-        rho = fock.DensityMatrix(np.diag([0.25, 0.125, 0.125, 0.0]))
-        with pytest.warns(UserWarning, match="0.500 of the population lies outside"):
-            tomography.concurrence(rho)
-
     def test_non_hermitian_rejected(self):
         data = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
         data[1, 2] = 0.25
