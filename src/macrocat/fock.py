@@ -64,14 +64,15 @@ class DensityMatrix:
     def check_hermitian(self) -> None:
         """Raise if the matrix deviates from its adjoint beyond rounding."""
         dev = np.abs(self.data - self.data.conj().T).max()
-        if dev > _HERMITIAN_ATOL:
+        # written so a NaN entry fails too
+        if not dev <= _HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
 
     def validate(self) -> None:
         """Raise if Hermiticity or unit trace is violated."""
         self.check_hermitian()
         tr = self.trace()
-        if abs(tr - 1.0) > _TRACE_ATOL:
+        if not abs(tr - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
 
     def to_json_dict(self) -> dict:

@@ -16,7 +16,9 @@ call, so its working memory grows with ``n_shots``; a caller that must bound
 it asks for a range of shots at a time, as the count scenario of
 :mod:`macrocat.pipeline` does.
 
-Record containers hold one numpy array per column.
+Record containers hold one numpy array per column.  The homodyne sampler
+draws from the two-mode density's rank-4 form, evaluated only on Alice's
+marginal and on the drawn rows, never on the whole outcome grid.
 
 Only :func:`sample_counts` needs ``scipy.special`` (``ndtri``), and imports
 it when called: ``simulate-counts`` loads scipy, ``tomography`` does not.
@@ -133,17 +135,11 @@ def sample_counts(
     return CountSample(dn_a=(u + v) / math.sqrt(2.0), dn_b=(u - v) / math.sqrt(2.0))
 
 
-def joint_quadrature_density(rho: fock.DensityMatrix, theta_a: float) -> np.ndarray:
-    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on ``_QUAD_GRID`` in
-    both coordinates, at Alice's LO phase ``theta_a`` and Bob's locked at 0."""
-    fa = fock.quadrature_basis(_QUAD_GRID, theta_a, 2)
-    fb = fock.quadrature_basis(_QUAD_GRID, 0.0, 2)
-    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(_QUAD_GRID.size, 4)
-    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(_QUAD_GRID.size, 4)
-    # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
-    r2 = rho.data.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    dens = (ta @ r2 @ tb.T).real
-    return np.clip(dens, 0.0, None)
+def _cell_products(theta: float) -> np.ndarray:
+    """Row i holds ``<x_i, theta|m><n|x_i, theta>`` on ``_QUAD_GRID`` for the
+    level pairs ``(m, n)`` = 00, 01, 10, 11."""
+    f = fock.quadrature_basis(_QUAD_GRID, theta, 2)
+    return (f.conj()[:, :, None] * f[:, None, :]).reshape(_QUAD_GRID.size, 4)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,30 +173,23 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> tuple[np.n
 
 
 def _draw_setting(
-    rho: fock.DensityMatrix, theta_a: float, u_a: np.ndarray, u_b: np.ndarray
+    r2: np.ndarray, tb: np.ndarray, theta_a: float, u_a: np.ndarray, u_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``(x_A, x_B)`` at one LO setting by conditional inverse CDF over
-    the joint density tabulated on ``_QUAD_GRID`` in both coordinates: x_A
-    from the marginal CDF, then each x_B from the CDF of its x_A cell's row.
-    Only the rows some draw landed in are accumulated.
+    the joint density ``Re(ta @ r2 @ tb.T)`` on ``_QUAD_GRID`` in both
+    coordinates, ``ta`` the cell products at ``theta_a``: x_A from the
+    marginal CDF, then each x_B from the CDF of its x_A cell's row.  Only
+    the marginal and the rows some draw landed in are evaluated.
     """
-    mass = joint_quadrature_density(rho, theta_a)
-    mass *= _QUAD_STEP**2
-    total = mass.sum()
-    # a unit-trace positive state's density sums to 1 here up to rounding,
-    # so a miss means rho is not a density matrix; written so NaN misses too
-    if not abs(total - 1.0) <= 1e-3:
-        raise NumericError(
-            f"the outcome grid [-8, 8] holds {total:.6f} of the quadrature "
-            "density, not 1; the state is not a positive unit-trace matrix"
-        )
-    mass /= total
+    left = _cell_products(theta_a) @ r2
+    marginal = np.clip((left @ tb.sum(axis=0)).real, 0.0, None)
     # the marginal CDF as a one-row table
-    x_a, ja = _inverse_cdf(np.cumsum(mass.sum(axis=1))[None], u_a, np.zeros(u_a.size, np.intp))
+    x_a, ja = _inverse_cdf(np.cumsum(marginal)[None], u_a, np.zeros(u_a.size, np.intp))
     drawn = np.zeros(_QUAD_GRID.size, dtype=bool)
     drawn[ja] = True
     rows = (np.cumsum(drawn) - 1)[ja]
-    x_b, _ = _inverse_cdf(np.cumsum(mass[drawn], axis=1), u_b, rows)
+    dens = np.clip((left[drawn] @ tb.T).real, 0.0, None)
+    x_b, _ = _inverse_cdf(np.cumsum(dens, axis=1), u_b, rows)
     return x_a, x_b
 
 
@@ -219,23 +208,31 @@ def sample_quadrature_schedule(
     locked at 0, and draws its uniforms from row ``s`` of the stream, so any
     partitioning of a shot range reproduces bit-identical records.  A
     one-setting schedule samples at a fixed phase.  Outcomes are drawn on
-    ``[-8, 8]`` in cells of 0.02; a tabulated density whose mass is off 1 by
-    more than 1e-3 (``rho`` not positive, or not of unit trace) raises
-    :class:`NumericError`.
+    ``[-8, 8]`` in cells of 0.02, which hold all of a state's density, from
+    its rank-4 form (:func:`_draw_setting`).  A ``rho`` with a non-finite
+    entry, an eigenvalue below ``-fock._HERMITIAN_ATOL`` or a trace off 1 by
+    more than ``fock._TRACE_ATOL`` is not a state: :class:`NumericError`.
     """
     if n_shots < 1:
         raise ConfigError(f"n_shots must be positive, got {n_shots}")
     if not schedule:
         raise ConfigError("schedule must contain at least one setting")
+    low = np.linalg.eigvalsh(rho.data)[0] if np.isfinite(rho.data).all() else math.nan
+    # written so a NaN fails too
+    if not (low >= -fock._HERMITIAN_ATOL and abs(rho.trace() - 1.0) <= fock._TRACE_ATOL):
+        raise NumericError(f"rho is not a state: smallest eigenvalue {low:.3e}, trace {rho.trace():.9f}")
+    # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
+    r2 = rho.data.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    tb = _cell_products(0.0)
     tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_QUAD)
     theta_a = np.empty(n_shots)
     x_a = np.empty(n_shots)
     x_b = np.empty(n_shots)
-    for k, ta in enumerate(schedule):
+    for k, phase in enumerate(schedule):
         first = (k - start_shot) % len(schedule)
         if first >= n_shots:
             continue
         idx = slice(first, n_shots, len(schedule))
-        theta_a[idx] = ta
-        x_a[idx], x_b[idx] = _draw_setting(rho, ta, tab[idx, 0], tab[idx, 1])
+        theta_a[idx] = phase
+        x_a[idx], x_b[idx] = _draw_setting(r2, tb, phase, tab[idx, 0], tab[idx, 1])
     return QuadratureSample(theta_a=theta_a, x_a=x_a, x_b=x_b, start_shot=start_shot)

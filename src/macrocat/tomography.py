@@ -143,8 +143,9 @@ class _LogLikelihood:
 
     def gradient(self, pr: np.ndarray) -> np.ndarray:
         """Coordinates of ``R - I`` scaled by ``metric``: the gradient of the
-        trace-normalised mean log-likelihood ``l(x) - log Tr x`` at unit trace."""
-        return self.F.T @ (1.0 / pr) / self.n - self.trace
+        trace-normalised mean log-likelihood ``l(x) - log Tr x`` at unit trace.
+        Summed in record order by numpy: BLAS's rounding varies with threads."""
+        return np.einsum("ij,i->j", self.F, 1.0 / pr) / self.n - self.trace
 
     def top_eigenvalue(self, grad: np.ndarray) -> float:
         """Largest eigenvalue of the matrix whose gradient coordinates are ``grad``."""

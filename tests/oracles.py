@@ -31,9 +31,11 @@ trustworthy as an oracle:
 * the Wigner function of a truncated single-mode state by the
   displaced-parity Laguerre sum, ``wigner_fock`` (counterpart of the closed
   form :func:`macrocat.fock.wigner`);
-* the homodyne sampler's grouped draw, ``sample_quadrature_grouped``: shots
-  sorted by their x_A cell and one ``searchsorted`` per occupied cell over
-  the full conditional CDF table (counterpart of the batched draw in
+* the homodyne sampler's grouped draw, ``sample_quadrature_grouped``: the
+  joint density tabulated on all 801 x 801 cells of the outcome grid
+  (``joint_quadrature_density``), shots sorted by their x_A cell and one
+  ``searchsorted`` per occupied cell over the full conditional CDF table
+  (counterpart of the rank-4, drawn-rows-only draw in
   :func:`macrocat.sampling.sample_quadrature_schedule`);
 * the CSV text of a ``{column: array}`` document formatted cell by cell,
   ``csv_lines_per_cell`` (counterpart of the block-at-a-time
@@ -52,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, ndtr
 
-from macrocat import counting
+from macrocat import counting, fock
 from macrocat.counting import CountModelParams
 from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
 from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
@@ -60,7 +62,6 @@ from macrocat.sampling import (
     _QUAD_GRID,
     CountSample,
     QuadratureSample,
-    joint_quadrature_density,
     shot_uniforms,
 )
 from macrocat.tomography import total_photon_support
@@ -426,7 +427,20 @@ def wigner_fock(rho: FockState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# homodyne sampler: grouped per-cell draw
+# homodyne sampler: the full outcome grid and the grouped per-cell draw
+
+
+def joint_quadrature_density(rho: fock.DensityMatrix, theta_a: float) -> np.ndarray:
+    """Two-mode homodyne outcome density ``p(x_A, x_B)`` on ``_QUAD_GRID`` in
+    both coordinates, at Alice's LO phase ``theta_a`` and Bob's locked at 0."""
+    fa = fock.quadrature_basis(_QUAD_GRID, theta_a, 2)
+    fb = fock.quadrature_basis(_QUAD_GRID, 0.0, 2)
+    ta = (fa.conj()[:, :, None] * fa[:, None, :]).reshape(_QUAD_GRID.size, 4)
+    tb = (fb.conj()[:, :, None] * fb[:, None, :]).reshape(_QUAD_GRID.size, 4)
+    # r2[(m, n), (k, l)] = <mk| rho |nl>: mode A's ket and bra levels index rows
+    r2 = rho.data.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    dens = (ta @ r2 @ tb.T).real
+    return np.clip(dens, 0.0, None)
 
 
 def inverse_cell_draw(cum: np.ndarray, step: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

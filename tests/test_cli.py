@@ -1030,6 +1030,30 @@ def test_roundtrip_spec_property(spec):
     _run_spec("roundtrip-check", spec, check)
 
 
+# the largest accepted alpha_small at each dim, bisected over eta 1 and 0.5
+# at phi 0 to two digits
+_LEAKAGE_EDGES = {8: 0.31, 12: 0.71, 16: 1.12, 24: 1.88}
+
+
+@pytest.mark.parametrize("dim", sorted(_LEAKAGE_EDGES))
+def test_roundtrip_accepts_within_leakage_edge(dim):
+    """Half the leakage edge passes at a drawn dim, with every row's leakage
+    at most the tolerance and the loss model reproduced; twice it exits 1.
+    The property test above reaches the accept side only at the default dim."""
+    edge = _LEAKAGE_EDGES[dim]
+
+    def check(out):
+        rows = json.loads((out / "roundtrip.json").read_text())["results"]
+        assert len(rows) == 3  # the default etas
+        for row in rows:
+            assert row["leakage"] <= pipeline._LEAKAGE_TOL, row
+            assert row["fidelity_to_loss_model"] >= 1.0 - 1e-6, row
+
+    assert _run_spec("roundtrip-check", {"alpha_small": edge / 2, "dim": dim}, check)[0] == 0
+    code, err = _run_spec("roundtrip-check", {"alpha_small": 2 * edge, "dim": dim})
+    assert code == 1 and err.startswith("config error: ") and "loses" in err, err
+
+
 def _experiment_specs(field=_field, **required):
     """experiment.json documents whose fields are drawn with ``field``, and
     in one draw of four an unknown field; each keyword names a field that is

@@ -390,6 +390,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="trace"):
             fock.DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0])).validate()
 
+    @pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+    def test_rejects_nan_entry(self, entry):
+        # a comparison with NaN is false, so each check is written to pass
+        # only a value that compares within its tolerance
+        data = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        data[entry] = np.nan
+        rho = fock.DensityMatrix(data)
+        with pytest.raises(ValueError, match="Hermitian"):
+            rho.check_hermitian()
+        with pytest.raises(ValueError, match="Hermitian"):
+            rho.validate()
+
 
 class TestInvariantSweeps:
     """Randomized spot checks of the structural invariants."""

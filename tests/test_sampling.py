@@ -399,11 +399,15 @@ class TestQuadratureSampler:
                 assert np.mean(arr**power) == pytest.approx(target, abs=5 * se)
 
     def test_underresolved_grid_rejected(self):
-        # Hermitian and of unit trace but not positive: its clipped density
-        # sums to about 1.07 on the grid; a NaN entry makes the sum NaN
-        for diagonal in ([1.5, -0.5, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
-            rho = fock.DensityMatrix(np.diag(diagonal))
-            with pytest.raises(NumericError, match="grid"):
+        # Hermitian and of unit trace but not positive, or with a NaN entry.
+        # The coherence 0.505 between |00> and |01> gives an eigenvalue of
+        # -0.005, which a check on the grid's total mass let through
+        leaky = np.zeros((4, 4))
+        leaky[0, 0] = leaky[1, 1] = 0.5
+        leaky[0, 1] = leaky[1, 0] = 0.505
+        for data in (np.diag([1.5, -0.5, 0.0, 0.0]), np.diag([1.0, np.nan, 0.0, 0.0]), leaky):
+            rho = fock.DensityMatrix(data)
+            with pytest.raises(NumericError, match="not a state"):
                 sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
 
 
@@ -414,33 +418,76 @@ def _pure(index):
     return fock.DensityMatrix(data)
 
 
+def _assert_matches_grid_oracle(rho, seed, start_shot, n_shots):
+    stream = pipeline.STREAM_QUADRATURES
+    rec = sampling.sample_quadrature_schedule(
+        rho, pipeline.TOMO_PHASES, n_shots, seed, stream=stream, start_shot=start_shot
+    )
+    ref = oracles.sample_quadrature_grouped(
+        rho, pipeline.TOMO_PHASES, n_shots, seed, stream=stream, start_shot=start_shot
+    )
+    assert np.array_equal(rec.theta_a, ref.theta_a)
+    assert np.abs(rec.x_a - ref.x_a).max() <= 1e-9
+    assert np.abs(rec.x_b - ref.x_b).max() <= 1e-9
+
+
+_DRAW_ORACLE_STATES = [
+    (pipeline.model_microscopic_state(eta, phi), f"eta{eta}-phi{phi}")
+    for eta in (0.49, 1.0)
+    for phi in (0, 1, 2)
+] + [
+    (pipeline.model_microscopic_state(0.9, 1.0, dephasing_sigma=0.5), "dephased"),
+    (_pure(1), "pure01"),  # |01>: every conditional row has a zero-mass cell at x_B = 0
+    (_pure(2), "pure10"),  # |10>: the x_A row at 0 has no mass
+]
+
+
+def _cli_default_state():
+    """The model state a ``tomography`` run samples at the default config."""
+    cfg = pipeline.ExperimentConfig()
+    return pipeline.model_microscopic_state(cfg.eta_total, cfg.phi, dephasing_sigma=cfg.phase_noise_sigma)
+
+
 class TestQuadratureDrawOracle:
-    """The batched draw reproduces the grouped per-cell draw bit for bit."""
+    """The rank-4, drawn-rows-only draw against the grouped per-cell draw on
+    the full 801 x 801 grid: the same cells up to rounding, so every x within
+    1e-9 of the grid oracle's (a cell is 0.02 wide).  The batched row search
+    reproduces the per-row search bit for bit."""
 
     @pytest.mark.parametrize(
-        "rho",
-        [pipeline.model_microscopic_state(eta, phi) for eta in (0.49, 1.0) for phi in (0, 1, 2)]
+        "rho,seed,start_shot,n_shots",
+        [
+            pytest.param(rho, *case, id="-".join(map(str, case)) + f"-{name}")
+            for case in ((3, 0, 1), (11, 5, 13), (29, 17, 6000))
+            for rho, name in _DRAW_ORACLE_STATES
+        ]
+        # the records of the default tomography run (seed 1), and of seed 7
         + [
-            pipeline.model_microscopic_state(0.9, 1.0, dephasing_sigma=0.5),
-            _pure(1),  # |01>: every conditional row has a zero-mass cell at x_B = 0
-            _pure(2),  # |10>: the x_A row at 0 has no mass
+            pytest.param(_cli_default_state(), seed, 0, 200_000, id=f"{seed}-0-200000-cli-default")
+            for seed in (1, 7)
         ],
-        ids=[f"eta{eta}-phi{phi}" for eta in (0.49, 1.0) for phi in (0, 1, 2)]
-        + ["dephased", "pure01", "pure10"],
-    )
-    @pytest.mark.parametrize(
-        "seed,start_shot,n_shots", [(3, 0, 1), (11, 5, 13), (29, 17, 6000)]
     )
     def test_matches_grouped_draw(self, rho, seed, start_shot, n_shots):
-        rec = sampling.sample_quadrature_schedule(
-            rho, pipeline.TOMO_PHASES, n_shots, seed, stream=2, start_shot=start_shot
-        )
-        ref = oracles.sample_quadrature_grouped(
-            rho, pipeline.TOMO_PHASES, n_shots, seed, stream=2, start_shot=start_shot
-        )
-        assert np.array_equal(rec.theta_a, ref.theta_a)
-        assert np.array_equal(rec.x_a.view(np.uint64), ref.x_a.view(np.uint64))
-        assert np.array_equal(rec.x_b.view(np.uint64), ref.x_b.view(np.uint64))
+        _assert_matches_grid_oracle(rho, seed, start_shot, n_shots)
+
+    def test_drawn_rows_clipped_as_grid_oracle(self, monkeypatch):
+        # diag(1.5, -0.5, 0, 0) is not a state, so let the check pass it: its
+        # density psi_0(x_A)^2 (1.5 psi_0(x_B)^2 - 0.5 psi_1(x_B)^2) is
+        # negative for |x_B| > 1.22 on every row, while clipping leaves the
+        # shape of the x_A marginal as it is
+        monkeypatch.setattr(fock, "_HERMITIAN_ATOL", 1.0)
+        _assert_matches_grid_oracle(fock.DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0])), 29, 17, 6000)
+
+    @pytest.mark.parametrize("theta_a", [0.0, 1.0, 2.5])
+    def test_grid_oracle_sums_to_single_mode_marginals(self, theta_a):
+        rho = _lossy_photon(0.8)
+        dens = oracles.joint_quadrature_density(fock.DensityMatrix(rho.data), theta_a)
+        step = float(sampling._QUAD_GRID[1] - sampling._QUAD_GRID[0])
+        # rows sum to Alice's marginal at theta_a, columns to Bob's at 0
+        for axis, mode, theta in ((1, 0, theta_a), (0, 1, 0.0)):
+            red = oracles.partial_trace(rho, mode)
+            ref = oracles.quadrature_marginal(red, theta, sampling._QUAD_GRID)
+            assert np.abs(dens.sum(axis=axis) * step - ref).max() < 1e-12
 
     def test_ties_and_empty_cells_match_per_row_search(self):
         # dyadic cell masses with runs of empty cells, and targets on or next

@@ -376,6 +376,11 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="Hermitian"):
             tomography.concurrence(fock.DensityMatrix(data))
 
+    def test_nan_entry_rejected(self):
+        # the clamp would map the NaN population to 0 and report 0.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            tomography.concurrence(fock.DensityMatrix(np.diag([1.0, np.nan, 0.0, 0.0])))
+
 
 class TestFidelity:
     def test_self_fidelity(self):
