@@ -175,9 +175,16 @@ def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
 
 def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
     """Overlap ``<n|x, theta> = psi_n(x) exp(i n theta)`` for n < dim, shape
-    ``(len(x), dim)``.
+    ``(len(x), dim)``, with ``psi_n`` from :func:`_oscillator_functions`."""
+    phases = np.exp(1j * theta * np.arange(dim))
+    return _oscillator_functions(x, dim) * phases[None, :]
 
-    The oscillator eigenfunctions come from the stable three-term recurrence
+
+def _oscillator_functions(x: np.ndarray, dim: int) -> np.ndarray:
+    """The real oscillator eigenfunctions ``psi_n(x) = <n|x, 0>`` for n < dim,
+    shape ``(len(x), dim)``.
+
+    They come from the stable three-term recurrence
     ``psi_n = sqrt(2/n) x psi_{n-1} - sqrt((n-1)/n) psi_{n-2}`` on the
     normalized functions; raw Hermite polynomials overflow near n ~ 30, this
     does not.
@@ -189,8 +196,7 @@ def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:
         psi[:, 1] = np.sqrt(2.0) * x * psi[:, 0]
     for n in range(2, dim):
         psi[:, n] = np.sqrt(2.0 / n) * x * psi[:, n - 1] - np.sqrt((n - 1) / n) * psi[:, n - 2]
-    phases = np.exp(1j * theta * np.arange(dim))
-    return psi * phases[None, :]
+    return psi
 
 
 # Beyond |u| = 40 the Gaussian factor exp(-u^2) is exactly 0 in float64, so

@@ -17,13 +17,15 @@ The maximiser works on the ``d**2`` real coordinates ``x`` of a Hermitian
 ``d x d`` matrix on the support, the ``d = 3`` kets with at most one photon
 in total (its diagonal, then the real and the imaginary parts of its upper
 triangle).  The projectors become one real
-``N x d**2`` feature matrix ``F``, built once per call, so that
+``N x d**2`` feature matrix ``F``, built once per call, ``_BLOCK`` records
+at a time, from the two real oscillator functions of each mode, so that
 ``pr = F x`` and ``R`` is unpacked from ``F^T (1/pr) / N``: each
 likelihood-and-gradient evaluation is two real matrix-vector products.
 
 Every step, from the maximally mixed start on, is a proximal Newton step.
 The quadratic model with the weighted Gram ``F^T diag(1/pr**2) F / N`` as
-curvature is maximised over the density matrices of the support by
+curvature (summed over the same blocks, so no weighted copy of ``F`` is
+made) is maximised over the density matrices of the support by
 accelerated projected gradient on the model alone, projecting through the
 eigenvalue simplex, so a step can also rotate the support of a
 rank-deficient state.  The step then halves back along the segment to that
@@ -39,6 +41,11 @@ Reconstruction targets the measured (lossy) state directly with
 unit-efficiency projectors; no detector-efficiency deconvolution is
 attempted, so an inefficient channel shows up as vacuum admixture in the
 result, exactly as it does in the data.
+
+Working memory is ``F`` (72 bytes per record) plus a few length-``N``
+vectors: the traced peak of :func:`mle_reconstruct` is ~105 bytes per
+record, where complex rows, their pair products and a whole ``F / pr`` copy
+per step took ~217.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fock import DensityMatrix, quadrature_basis
+from .fock import DensityMatrix, _oscillator_functions
 from .sampling import QuadratureSample
 
 # the certificate: a stop with likelihood gap at most this many nats
@@ -62,6 +69,8 @@ _LL_DECREASE_TOL = 1e-9
 _MAX_MODEL_ITER = 2000
 # step-size halvings before a line search gives up
 _MAX_HALVINGS = 60
+# records per block of the feature build and of the Newton curvature
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -89,16 +98,40 @@ class TomographyResult:
 
 
 def _projector_rows(records: QuadratureSample) -> np.ndarray:
-    """Row j holds the overlaps ``<k|x_j, theta_j>`` with the support kets
-    ``|00>, |01>, |10>``.  Bob's LO is locked at 0, so only ``|10>`` carries
-    a phase, Alice's ``exp(i theta_A)``."""
-    fa = quadrature_basis(records.x_a, 0.0, 2)
-    fb = quadrature_basis(records.x_b, 0.0, 2)
-    rows = np.empty((len(records), 3), dtype=complex)
-    rows[:, 0] = fa[:, 0] * fb[:, 0]
-    rows[:, 1] = fa[:, 0] * fb[:, 1]
-    rows[:, 2] = fa[:, 1] * np.exp(1j * records.theta_a) * fb[:, 0]
-    return rows
+    """The real ``N x 9`` feature matrix ``F`` with ``pr = F x``, built
+    ``_BLOCK`` records at a time.
+
+    Row j holds, with ``w = (a0 b0, a0 b1, a1 exp(i theta_A) b0)`` the
+    overlaps ``<k|x_j, theta_j>`` with the support kets ``|00>, |01>, |10>``
+    and ``a_n``, ``b_n`` the real oscillator functions of ``x_A`` and ``x_B``
+    (Bob's LO is locked at 0, so only ``|10>`` carries a phase, Alice's):
+    ``|w_a|^2``, then ``2 Re`` and ``2 Im`` of ``conj(w_a) w_b`` for
+    ``a < b`` in ``np.triu_indices`` order.  ``w_0`` and ``w_1`` are real, so
+    ``Im conj(w_0) w_1`` is 0."""
+    n = len(records)
+    F = np.empty((n, 9))
+    for lo in range(0, n, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        a = _oscillator_functions(records.x_a[part], 2)
+        b = _oscillator_functions(records.x_b[part], 2)
+        phase = np.exp(1j * records.theta_a[part])
+        # each product in the order complex rows would round it, so F equals
+        # the complex pair-product build as numbers
+        w0 = a[:, 0] * b[:, 0]
+        w1 = a[:, 0] * b[:, 1]
+        w2_re = a[:, 1] * phase.real * b[:, 0]
+        w2_im = a[:, 1] * phase.imag * b[:, 0]
+        f = F[part]
+        f[:, 0] = w0 * w0
+        f[:, 1] = w1 * w1
+        f[:, 2] = w2_re * w2_re + w2_im * w2_im
+        f[:, 3] = 2.0 * (w0 * w1)
+        f[:, 4] = 2.0 * (w0 * w2_re)
+        f[:, 5] = 2.0 * (w1 * w2_re)
+        f[:, 6] = 0.0
+        f[:, 7] = 2.0 * (w0 * w2_im)
+        f[:, 8] = 2.0 * (w1 * w2_im)
+    return F
 
 
 def total_photon_support(dim: int, max_total: int) -> np.ndarray:
@@ -114,17 +147,12 @@ class _LogLikelihood:
     Hermitian matrix on the support: its diagonal, then the real and the
     imaginary parts of its upper triangle."""
 
-    def __init__(self, rows: np.ndarray):
-        n, m = rows.shape
-        self.n, self.m = n, m
+    def __init__(self, F: np.ndarray):
+        n, k = F.shape
+        m = math.isqrt(k)
+        self.F, self.n, self.m = F, n, m
         self.iu, self.ju = np.triu_indices(m, 1)
         p = self.iu.size
-        # pr_j = sum_a |w_a|^2 rho_aa + sum_{a<b} 2 Re(conj(w_a) w_b conj(rho_ab))
-        pair = rows[:, self.iu].conj() * rows[:, self.ju]
-        self.F = np.empty((n, m + 2 * p))
-        self.F[:, :m] = rows.real**2 + rows.imag**2
-        self.F[:, m : m + p] = 2.0 * pair.real
-        self.F[:, m + p :] = 2.0 * pair.imag
         self.trace = np.concatenate([np.ones(m), np.zeros(2 * p)])  # Tr rho = trace . x
         # Frobenius product <A, B> = x_A . (metric * x_B)
         self.metric = np.concatenate([np.ones(m), np.full(2 * p, 2.0)])
@@ -146,6 +174,16 @@ class _LogLikelihood:
         trace-normalised mean log-likelihood ``l(x) - log Tr x`` at unit trace.
         Summed in record order by numpy: BLAS's rounding varies with threads."""
         return np.einsum("ij,i->j", self.F, 1.0 / pr) / self.n - self.trace
+
+    def curvature(self, pr: np.ndarray) -> np.ndarray:
+        """Minus the Hessian of ``l``, ``(F / pr)^T (F / pr) / N``, summed over
+        blocks of ``_BLOCK`` records in record order rather than copying ``F``."""
+        k = self.F.shape[1]
+        total = np.zeros((k, k))
+        for lo in range(0, self.n, _BLOCK):
+            weighted = self.F[lo : lo + _BLOCK] / pr[lo : lo + _BLOCK, None]
+            total += weighted.T @ weighted
+        return total / self.n
 
     def top_eigenvalue(self, grad: np.ndarray) -> float:
         """Largest eigenvalue of the matrix whose gradient coordinates are ``grad``."""
@@ -178,8 +216,7 @@ def _newton_step(lik: _LogLikelihood, x, pr, grad):
     """Proximal Newton step: maximise the quadratic model of the likelihood over
     the density matrices, then halve back along the segment from ``x`` until the
     likelihood rises.  None when it does not."""
-    weighted = lik.F / pr[:, None]
-    curvature = weighted.T @ weighted / lik.n  # minus the Hessian of l
+    curvature = lik.curvature(pr)
     scale = 1.0 / np.sqrt(lik.metric)
     lipschitz = float(np.linalg.eigvalsh(curvature * np.outer(scale, scale))[-1])
     step = 1.0 / (lipschitz * lik.metric)

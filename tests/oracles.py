@@ -40,10 +40,12 @@ trustworthy as an oracle:
 * the CSV text of a ``{column: array}`` document formatted cell by cell,
   ``csv_lines_per_cell`` (counterpart of the block-at-a-time
   :func:`macrocat.output.write_csv`);
-* the tomography projector rows built setting by setting from
+* the tomography projector rows, complex, built setting by setting from
   :func:`macrocat.fock.quadrature_basis` at Alice's phase and Bob's locked
-  0, ``projector_rows_per_setting`` (counterpart of the closed-form
-  ``macrocat.tomography._projector_rows``).
+  0, ``projector_rows_per_setting``, and the MLE's real feature matrix
+  built from them with whole-array complex pair products,
+  ``pair_product_features`` (together the counterpart of the real,
+  block-by-block ``macrocat.tomography._projector_rows``).
 """
 
 from __future__ import annotations
@@ -501,7 +503,7 @@ def csv_lines_per_cell(columns: dict[str, np.ndarray]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# tomography projector rows
+# tomography projector rows and features
 
 
 def projector_rows_per_setting(records: QuadratureSample) -> np.ndarray:
@@ -517,3 +519,19 @@ def projector_rows_per_setting(records: QuadratureSample) -> np.ndarray:
         fb = quadrature_basis(records.x_b[idx], 0.0, 2)
         rows[idx] = fa[:, mode_a] * fb[:, mode_b]
     return rows
+
+
+def pair_product_features(rows: np.ndarray) -> np.ndarray:
+    """The real feature matrix ``F`` with ``pr = F x`` from complex projector
+    rows ``w``, all records at once: ``|w_a|^2``, then ``2 Re`` and ``2 Im`` of
+    the pair products ``conj(w_a) w_b`` for ``a < b``, since
+    ``pr_j = sum_a |w_a|^2 rho_aa + sum_{a<b} 2 Re(conj(w_a) w_b conj(rho_ab))``."""
+    n, m = rows.shape
+    iu, ju = np.triu_indices(m, 1)
+    p = iu.size
+    pair = rows[:, iu].conj() * rows[:, ju]
+    features = np.empty((n, m + 2 * p))
+    features[:, :m] = rows.real**2 + rows.imag**2
+    features[:, m : m + p] = 2.0 * pair.real
+    features[:, m + p :] = 2.0 * pair.imag
+    return features

@@ -5,6 +5,7 @@ source; closed-form loss-model states provide exact targets.
 """
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,8 +16,13 @@ from hypothesis import strategies as st
 
 from macrocat import fock, sampling, tomography
 from macrocat.errors import NumericError
-from macrocat.pipeline import TOMO_PHASES, model_microscopic_state
-from oracles import delocalized_photon, projector_rows_per_setting
+from macrocat.pipeline import (
+    STREAM_QUADRATURES,
+    TOMO_PHASES,
+    ExperimentConfig,
+    model_microscopic_state,
+)
+from oracles import delocalized_photon, pair_product_features, projector_rows_per_setting
 
 _VACUUM = fock.DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 _FOUR_PHASES = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -230,7 +236,7 @@ def _rrr_oracle_loglik(records, n_iter=2000):
     """Mean log-likelihood after ``n_iter`` passes of the fixed point
     ``rho <- R rho R / Tr[R rho R]`` from the maximally mixed state: the
     estimator the certified solver replaced."""
-    W = tomography._projector_rows(records)
+    W = projector_rows_per_setting(records)
     Wc = W.conj()
     n, d = W.shape
     rho = np.eye(d, dtype=complex) / d
@@ -275,7 +281,7 @@ class TestCertifiedSolverOracle:
         assert result.stop_reason == "certified" and result.converged
         support = tomography.total_photon_support(2, 1)
         block = result.rho.data[np.ix_(support, support)]
-        W = tomography._projector_rows(records)
+        W = projector_rows_per_setting(records)
         eig = np.linalg.eigvalsh(block)
         if kind == "boundary":
             assert eig[0] < 1e-12
@@ -283,7 +289,7 @@ class TestCertifiedSolverOracle:
             assert eig[0] > 1e-3
         # with Bob's LO locked, Im rho_{00,01} leaves no trace in the data, so
         # the Newton curvature is singular
-        features = tomography._LogLikelihood(W).F
+        features = tomography._projector_rows(records)
         assert np.linalg.matrix_rank(features) < support.size**2
 
         pr = np.einsum("ja,ab,jb->j", W, block, W.conj()).real
@@ -299,22 +305,65 @@ class TestCertifiedSolverOracle:
 
 
 class TestProjectorRows:
-    """The closed-form projector rows against the per-setting construction."""
+    """The real, block-by-block feature matrix against the whole-array complex
+    pair products of the per-setting projector rows."""
 
     @pytest.mark.parametrize(
-        "schedule,start_shot",
-        [(TOMO_PHASES, 0), ([0.7], 0), ([2.0 * math.pi * j / 5 for j in range(5)], 803)],
-        ids=["twelve-settings", "one-setting", "start-shot"],
+        "schedule,start_shot,n_shots",
+        [
+            (TOMO_PHASES, 0, 3000),
+            ([0.7], 0, 3000),
+            ([2.0 * math.pi * j / 5 for j in range(5)], 803, 3000),
+            (TOMO_PHASES, 0, tomography._BLOCK + 1),
+            (TOMO_PHASES, 0, 20_000),
+        ],
+        ids=["twelve-settings", "one-setting", "start-shot", "block-plus-one", "partial-last-block"],
     )
-    def test_matches_per_setting_oracle_bitwise(self, schedule, start_shot):
+    def test_matches_per_setting_oracle_bitwise(self, schedule, start_shot, n_shots):
         model = model_microscopic_state(0.49, 1.3)
         records = sampling.sample_quadrature_schedule(
-            model, schedule, 3000, seed=69, start_shot=start_shot
+            model, schedule, n_shots, seed=69, start_shot=start_shot
         )
-        rows = tomography._projector_rows(records)
-        oracle = projector_rows_per_setting(records)
-        assert rows.shape == oracle.shape == (3000, 3)
-        assert rows.tobytes() == oracle.tobytes()
+        features = tomography._projector_rows(records)
+        oracle = pair_product_features(projector_rows_per_setting(records))
+        assert features.shape == oracle.shape == (n_shots, 9)
+        # the same doubles, up to the sign of an exact zero: the complex
+        # products add a signed zero where the real form has none
+        assert np.array_equal(features, oracle)
+
+
+class TestBlockedCurvature:
+    @pytest.mark.parametrize("n_shots", [1000, tomography._BLOCK, tomography._BLOCK + 1, 200_000])
+    def test_matches_whole_array_product(self, n_shots):
+        model = model_microscopic_state(0.49, 1.3)
+        records = _simulate(model, n_shots, seed=70)
+        lik = tomography._LogLikelihood(tomography._projector_rows(records))
+        # a state with full rank on the support, so every pr_j > 0
+        x = lik.pack(np.diag([0.5, 0.3, 0.2]) + 0.05)
+        pr = lik.F @ x
+        weighted = lik.F / pr[:, None]
+        whole = weighted.T @ weighted / n_shots
+        np.testing.assert_allclose(lik.curvature(pr), whole, rtol=1e-14, atol=0.0)
+
+
+class TestWorkingMemory:
+    def test_mle_peak_per_record(self):
+        cfg = ExperimentConfig()
+        model = model_microscopic_state(
+            cfg.eta_total, cfg.phi, dephasing_sigma=cfg.phase_noise_sigma
+        )
+        records = sampling.sample_quadrature_schedule(
+            model, TOMO_PHASES, cfg.n_quad_shots, cfg.seed, stream=STREAM_QUADRATURES
+        )
+        tracemalloc.start()
+        try:
+            tomography.mle_reconstruct(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # F itself is 72 bytes per record; complex rows, pair products and a
+        # whole copy of F / pr took the peak past 200
+        assert peak <= 120 * cfg.n_quad_shots
 
 
 class TestSupportRestriction:
