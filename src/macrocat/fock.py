@@ -25,14 +25,14 @@ Conventions used throughout the package:
 All state objects are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
 
-Only the round trip's kernels, :func:`displacement_matrix` and
-:func:`loss_kraus_coefficients`, need ``scipy.special``; each imports it when
-called.  Of the CLI commands, only ``roundtrip-check`` loads scipy through
-this module.
+The round trip's kernels, :func:`displacement_matrix` and
+:func:`loss_kraus_coefficients`, run on numpy and a once-built table of
+``log k!``; nothing here loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,25 +84,51 @@ class DensityMatrix:
         }
 
 
+# the largest per-mode truncation of the round trip's kernels, and the length
+# of the log-factorial table they slice
+_DIM_MAX = 1024
+
+
+@functools.cache
+def _log_factorials() -> np.ndarray:
+    """``log k!`` for k < ``_DIM_MAX``, built once, read-only."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(_DIM_MAX)])
+    table.setflags(write=False)
+    return table
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise ConfigError(f"dim must be at least 2, got {dim}")
+    if dim > _DIM_MAX:
+        raise ConfigError(f"dim must be at most {_DIM_MAX}, got {dim}")
+
+
 def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
     """Matrix elements ``<m|D(alpha)|n>`` for a real ``alpha`` and m, n < dim.
 
-    Uses the closed-form associated-Laguerre expression with log-space
-    factorial prefactors; each element is exact up to float rounding, so
-    the result is the truncation of the infinite-dimensional operator
+    The closed form (Cahill and Glauber) is, with ``p = min(m, n)``,
+    ``k = |m - n|`` and ``x = alpha^2``,
+    ``sqrt(p!/(p+k)!) |alpha|^k exp(-x/2) L_p^(k)(x)`` times an exact sign.
+    The Laguerre factor is written ``L_p^(k)(x) = C(p+k, p) q_p^(k)(x)``, and
+    the binomial folds into the log-space magnitude,
+    ``sqrt(p!/(p+k)!) C(p+k, p) = sqrt((p+k)!/p!) / k!``.  The normalized
+    values ``q_p^(k)`` come from the forward recurrence in the degree p, run
+    once for all orders k together: dim - 2 vector steps, so the matrix
+    costs O(dim^2).  Each element is exact up to float rounding, so the
+    result is the truncation of the infinite-dimensional operator
     (approximately unitary only while ``alpha**2`` is well below dim).
     Column 0 holds the coherent-state amplitudes
-    ``exp(-alpha^2/2) alpha^m / sqrt(m!)``.  ``dim`` lies in [2, 1024].
-    The result is a real (float64) array.
-    """
-    from scipy.special import eval_genlaguerre, gammaln
+    ``exp(-alpha^2/2) alpha^m / sqrt(m!)``.
 
-    if dim < 2:
-        raise ConfigError(f"dim must be at least 2, got {dim}")
-    # past ~1030 levels the Laguerre factor overflows while its prefactor
-    # underflows to 0, and the product is NaN
-    if dim > 1024:
-        raise ConfigError(f"dim must be at most 1024, got {dim}")
+    ``dim`` lies in [2, 1024]: the cap is the documented domain (the length
+    of the log-factorial table), not an overflow guard.  ``alpha**2`` must be
+    finite.  At very large ``alpha`` the recurrence overflows where its
+    prefactor underflows to 0: those elements are NaN, left for the caller
+    to reject, while columns 0 and 1 stay exactly 0.  The result is a real
+    (float64) array.
+    """
+    _check_dim(dim)
     alpha = float(alpha)
     if alpha == 0:
         return np.eye(dim)
@@ -110,15 +136,29 @@ def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
     x = a * a
     if not math.isfinite(x):
         raise ConfigError(f"alpha = {alpha} has no finite square")
+    # the normalized recurrence scipy's eval_genlaguerre runs for an integer
+    # degree, one step per degree for every order at once, with its
+    # coefficients -x/(p+k+1) and p/(p+k+1) tabulated up front
+    degree = np.arange(dim - 1.0)[:, None]
+    den = degree + np.arange(dim, dtype=float) + 1.0
+    rise = -x / den
+    keep = degree / den
+    q = np.empty((dim, dim))  # q[p, k] = q_p^(k)(x)
+    q[0] = 1.0
+    d = rise[0]
+    q[1] = d + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, dim - 1):
+            d = rise[p] * q[p] + keep[p] * d
+            np.add(d, q[p], out=q[p + 1])
     n = np.arange(dim)
     row, col = np.meshgrid(n, n, indexing="ij")
     p = np.minimum(row, col)
     k = np.abs(row - col)
-    logmag = 0.5 * (gammaln(p + 1) - gammaln(p + k + 1)) + k * np.log(a) - x / 2.0
-    # at large alpha a Laguerre factor overflows where its prefactor
-    # underflows to 0: that element is NaN, left for the caller to reject
+    logfact = _log_factorials()
+    logmag = 0.5 * (logfact[p + k] - logfact[p]) - logfact[k] + k * math.log(a) - x / 2.0
     with np.errstate(invalid="ignore"):
-        mag = np.exp(logmag) * eval_genlaguerre(p, k, x)
+        mag = np.exp(logmag) * q[p, k]
     # row >= col carries alpha^k, row < col carries (-alpha)^k: |alpha|^k
     # times an exact sign
     sign = math.copysign(1.0, alpha)
@@ -132,20 +172,24 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     ``<n-j|K_j|n> = c_j[n-j] = sqrt(C(n, j) (1-eta)^j eta^(n-j))`` for the
     source levels ``j <= n < dim``; entry j of the result is ``c_j``.  At
     ``eta = 1`` only ``K_0`` (the identity) is nonzero, and the list holds
-    it alone.  The family is complete on the truncated space.
+    it alone; at ``eta = 0`` the ``n = j`` terms ``0 log 0`` are exactly 0.
+    The family is complete on the truncated space.  ``dim`` lies in
+    [2, 1024], as for :func:`displacement_matrix`.
     """
-    from scipy.special import gammaln, xlogy
-
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"efficiency must lie in [0, 1], got {eta}")
+    _check_dim(dim)
     if eta == 1.0:
         return [np.ones(dim)]
-    n = np.arange(dim)
+    logfact = _log_factorials()[:dim]
+    # (n - j) log(eta) for n - j = 0, 1, ..., dim - 1
+    kept_log = np.zeros(dim)
+    kept_log[1:] = np.arange(1, dim) * (math.log(eta) if eta > 0.0 else -math.inf)
+    lost_log = math.log1p(-eta)
     coeffs = []
     for j in range(dim):
-        kept = n[j:]  # source levels n >= j
-        log_binom = gammaln(kept + 1) - gammaln(j + 1) - gammaln(kept - j + 1)
-        coeffs.append(np.exp(0.5 * (log_binom + j * np.log1p(-eta) + xlogy(kept - j, eta))))
+        log_binom = logfact[j:] - logfact[j] - logfact[: dim - j]
+        coeffs.append(np.exp(0.5 * (log_binom + j * lost_log + kept_log[: dim - j])))
     return coeffs
 
 

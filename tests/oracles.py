@@ -14,6 +14,12 @@ trustworthy as an oracle:
 * the whole-array binning of count records, ``bin_count_records``
   (counterpart of the block-by-block reduction in
   :func:`macrocat.pipeline.run_counts_scenario`);
+* the round trip's two kernels in scipy's special functions: the
+  displacement matrix element by element from ``eval_genlaguerre`` and
+  ``gammaln``, ``displacement_matrix_scipy``, and the loss channel's Kraus
+  diagonals from ``gammaln`` and ``xlogy``, ``loss_kraus_coefficients_scipy``
+  (counterparts of the numpy-only :func:`macrocat.fock.displacement_matrix`
+  and :func:`macrocat.fock.loss_kraus_coefficients`);
 * ``FockState``, a density matrix at any per-mode truncation ``dim`` on one
   or two modes: the package's one state type,
   :class:`macrocat.fock.DensityMatrix`, holds two modes at two levels each;
@@ -54,7 +60,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, ndtr
+from scipy.special import eval_genlaguerre, gammaln, ndtr, xlogy
 
 from macrocat import counting, fock
 from macrocat.counting import CountModelParams
@@ -247,6 +253,44 @@ def bin_count_records(records: CountSample, params: CountModelParams) -> BinnedC
         model_mean=counting.conditional_mean(centers, params),
         model_variance=counting.conditional_variance(centers, params),
     )
+
+
+# ---------------------------------------------------------------------------
+# the round trip's kernels in scipy's special functions
+
+
+def displacement_matrix_scipy(alpha: float, dim: int) -> np.ndarray:
+    """``<m|D(alpha)|n>`` for a real ``alpha``, element by element: log-space
+    factorial prefactors times ``scipy.special.eval_genlaguerre``, which loops
+    over the degree for each element (O(dim^3) in all)."""
+    alpha = float(alpha)
+    if alpha == 0:
+        return np.eye(dim)
+    a = abs(alpha)
+    x = a * a
+    n = np.arange(dim)
+    row, col = np.meshgrid(n, n, indexing="ij")
+    p = np.minimum(row, col)
+    k = np.abs(row - col)
+    logmag = 0.5 * (gammaln(p + 1) - gammaln(p + k + 1)) + k * np.log(a) - x / 2.0
+    with np.errstate(invalid="ignore"):
+        mag = np.exp(logmag) * eval_genlaguerre(p, k, x)
+    sign = math.copysign(1.0, alpha)
+    return mag * np.where(row >= col, sign, -sign) ** k
+
+
+def loss_kraus_coefficients_scipy(eta: float, dim: int) -> list[np.ndarray]:
+    """The loss channel's Kraus diagonals ``c_j[n-j] = sqrt(C(n, j)
+    (1-eta)^j eta^(n-j))`` from ``gammaln`` and ``xlogy`` (``0 log 0 = 0``)."""
+    if eta == 1.0:
+        return [np.ones(dim)]
+    n = np.arange(dim)
+    coeffs = []
+    for j in range(dim):
+        kept = n[j:]  # source levels n >= j
+        log_binom = gammaln(kept + 1) - gammaln(j + 1) - gammaln(kept - j + 1)
+        coeffs.append(np.exp(0.5 * (log_binom + j * np.log1p(-eta) + xlogy(kept - j, eta))))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -908,10 +908,15 @@ def test_import_loads_no_logging():
 
 @pytest.mark.parametrize(
     "command,document",
-    [("analytic", "{}"), ("wigner", "{}"), ("tomography", '{"n_quad_shots": 6000}')],
+    [
+        ("analytic", "{}"),
+        ("wigner", "{}"),
+        ("tomography", '{"n_quad_shots": 6000}'),
+        ("roundtrip-check", "{}"),
+    ],
 )
 def test_command_without_scipy_kernels_loads_no_scipy(tmp_path, command, document):
-    # only sample_counts and the round trip's kernels call scipy.special
+    # only sample_counts calls scipy.special
     spec = tmp_path / "spec.json"
     spec.write_text(document)
     argv = [command, "--config", str(spec), "--out", str(tmp_path / "o"), "--quiet"]

@@ -1,8 +1,9 @@
 """Fock-space operator and state tests.
 
 Oracles: brute-force matrix exponential (scaling and squaring, padded
-space) for the displacement matrix; direct Kraus sums and closed-form
-loss models for channels; trapezoid integration for densities.
+space) and the scipy special-function forms of ``tests/oracles.py`` for the
+displacement matrix and the Kraus coefficients; direct Kraus sums and
+closed-form loss models for channels; trapezoid integration for densities.
 """
 
 import json
@@ -121,16 +122,32 @@ class TestDisplacementMatrix:
     def test_rejects_tiny_dim(self):
         with pytest.raises(ValueError):
             fock.displacement_matrix(1.0, 1)
+        with pytest.raises(ValueError):
+            fock.loss_kraus_coefficients(0.5, 1)
 
     def test_rejects_dim_past_1024(self):
-        # raised before any element is computed: past ~1030 levels they are NaN
+        # 1024 levels is the round trip kernels' documented domain, the length
+        # of their log-factorial table; a larger dim is rejected up front
         with pytest.raises(ConfigError, match="1024"):
             fock.displacement_matrix(0.5, 1025)
+        with pytest.raises(ConfigError, match="1024"):
+            fock.loss_kraus_coefficients(0.5, 1025)
 
     def test_finite_at_dim_1024(self):
         assert np.isfinite(fock.displacement_matrix(3.0, 1024)).all()
 
+    # the Laguerre recurrence and the log-space binomial against scipy's
+    # per-element eval_genlaguerre and gammaln
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [-2.0, -0.3, 0.5, 1.0, 2.0, 3.0, 10.0, 30.0])
+    @pytest.mark.parametrize("dim", [2, 3, 16, 32, 64, 256, 1024])
+    def test_matches_scipy_oracle(self, dim, alpha):
+        D = fock.displacement_matrix(alpha, dim)
+        assert np.abs(D - oracles.displacement_matrix_scipy(alpha, dim)).max() <= 1e-12
 
+
+# eta = 0 takes 0 log 0 terms, which must give exactly 0 without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLossChannel:
     def test_eta_one_is_identity(self):
         rho = oracles.build_macro_state(0.8, 0.3, 16)
@@ -172,6 +189,14 @@ class TestLossChannel:
         assert len(coeffs) == len(ops)
         for j, (c, K) in enumerate(zip(coeffs, ops)):
             assert np.abs(np.diagonal(K, offset=j) - c).max() <= 1e-15
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.95, 0.99, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3, 16, 32, 64, 256, 1024])
+    def test_kraus_coefficients_match_scipy_oracle(self, dim, eta):
+        coeffs = fock.loss_kraus_coefficients(eta, dim)
+        ref = oracles.loss_kraus_coefficients_scipy(eta, dim)
+        assert [c.shape for c in coeffs] == [r.shape for r in ref]
+        assert max(np.abs(c - r).max() for c, r in zip(coeffs, ref)) <= 1e-12
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.99])
     @pytest.mark.parametrize("dim,modes,mode", [(8, 1, 0), (6, 2, 0), (6, 2, 1)])
