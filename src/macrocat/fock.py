@@ -3,10 +3,12 @@
 The one state type, :class:`DensityMatrix`, is the 4 x 4 matrix on
 ``|00>, |01>, |10>, |11>``: two modes with two levels each, which hold the
 post-undisplacement state the tomography reconstructs.  The round trip's
-operators (displacement, loss Kraus coefficients, the displaced amplitudes)
-act at a per-mode truncation ``dim``.  Every displacement of the experiment
-is real, so :func:`displacement_matrix` takes a real amplitude and returns
-a real matrix whose phase factors are exact signs.
+kernels act at a per-mode truncation ``dim``: :func:`displaced_levels`, the
+two displaced levels ``D(alpha)|0>`` and ``D(alpha)|1>`` of the paper's
+cats, and :func:`loss_kraus_coefficients`, the loss channel's Kraus
+diagonals.  Every displacement of the experiment is real, so
+:func:`displaced_levels` takes a real amplitude and returns real columns
+whose phase factors are exact signs.
 
 Conventions used throughout the package:
 
@@ -25,8 +27,7 @@ Conventions used throughout the package:
 All state objects are immutable after construction and every operation is
 a pure function, so everything here is safe to call concurrently.
 
-The round trip's kernels, :func:`displacement_matrix` and
-:func:`loss_kraus_coefficients`, run on numpy and a once-built table of
+The round trip's two kernels run on numpy and a once-built table of
 ``log k!``; nothing here loads scipy.
 """
 
@@ -104,65 +105,43 @@ def _check_dim(dim: int) -> None:
         raise ConfigError(f"dim must be at most {_DIM_MAX}, got {dim}")
 
 
-def displacement_matrix(alpha: float, dim: int) -> np.ndarray:
-    """Matrix elements ``<m|D(alpha)|n>`` for a real ``alpha`` and m, n < dim.
+def displaced_levels(alpha: float, dim: int) -> np.ndarray:
+    """The displaced vacuum and single photon, ``D(alpha)|0>`` and
+    ``D(alpha)|1>``, for a real ``alpha``: the amplitudes ``<m|D(alpha)|n>``
+    for m < dim as columns n = 0 and 1 of a real ``dim x 2`` array.
 
-    The closed form (Cahill and Glauber) is, with ``p = min(m, n)``,
-    ``k = |m - n|`` and ``x = alpha^2``,
-    ``sqrt(p!/(p+k)!) |alpha|^k exp(-x/2) L_p^(k)(x)`` times an exact sign.
-    The Laguerre factor is written ``L_p^(k)(x) = C(p+k, p) q_p^(k)(x)``, and
-    the binomial folds into the log-space magnitude,
-    ``sqrt(p!/(p+k)!) C(p+k, p) = sqrt((p+k)!/p!) / k!``.  The normalized
-    values ``q_p^(k)`` come from the forward recurrence in the degree p, run
-    once for all orders k together: dim - 2 vector steps, so the matrix
-    costs O(dim^2).  Each element is exact up to float rounding, so the
-    result is the truncation of the infinite-dimensional operator
-    (approximately unitary only while ``alpha**2`` is well below dim).
-    Column 0 holds the coherent-state amplitudes
-    ``exp(-alpha^2/2) alpha^m / sqrt(m!)``.
+    They are the Cahill-Glauber Laguerre form at degree ``p = min(m, n) <=
+    1``, where ``L_0 = 1`` and ``L_1^(k)(x) = k + 1 - x``.  Column 0 holds
+    the coherent amplitudes ``c0[m] = exp(-alpha^2/2) alpha^m / sqrt(m!)``,
+    taken as ``sign(alpha)^m exp(m log|alpha| - alpha^2/2 - log(m!)/2)``;
+    column 1 is ``(a^dagger - alpha) D(alpha)|0>``: ``c1[0] = -alpha c0[0]``
+    and ``c1[m] = (m - alpha^2)/sqrt(m) c0[m-1]`` for m >= 1.  Each entry is
+    exact up to float rounding, so the columns are those of the
+    infinite-dimensional operator, truncated.  The sign pattern is exact:
+    rows 0 and 1 of ``D(-alpha)`` are these columns, transposed.
 
     ``dim`` lies in [2, 1024]: the cap is the documented domain (the length
     of the log-factorial table), not an overflow guard.  ``alpha**2`` must be
-    finite.  At very large ``alpha`` the recurrence overflows where its
-    prefactor underflows to 0: those elements are NaN, left for the caller
-    to reject, while columns 0 and 1 stay exactly 0.  The result is a real
-    (float64) array.
+    finite.  Far out the amplitudes underflow without a numpy warning: at
+    ``alpha`` 30 every amplitude below dim 32 is ~1e-166, and at 1e100 every
+    amplitude is exactly 0.  The result is a real (float64) array.
     """
     _check_dim(dim)
     alpha = float(alpha)
     if alpha == 0:
-        return np.eye(dim)
-    a = abs(alpha)
-    x = a * a
+        return np.eye(dim, 2)
+    x = alpha * alpha
     if not math.isfinite(x):
         raise ConfigError(f"alpha = {alpha} has no finite square")
-    # the normalized recurrence scipy's eval_genlaguerre runs for an integer
-    # degree, one step per degree for every order at once, with its
-    # coefficients -x/(p+k+1) and p/(p+k+1) tabulated up front
-    degree = np.arange(dim - 1.0)[:, None]
-    den = degree + np.arange(dim, dtype=float) + 1.0
-    rise = -x / den
-    keep = degree / den
-    q = np.empty((dim, dim))  # q[p, k] = q_p^(k)(x)
-    q[0] = 1.0
-    d = rise[0]
-    q[1] = d + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(1, dim - 1):
-            d = rise[p] * q[p] + keep[p] * d
-            np.add(d, q[p], out=q[p + 1])
-    n = np.arange(dim)
-    row, col = np.meshgrid(n, n, indexing="ij")
-    p = np.minimum(row, col)
-    k = np.abs(row - col)
-    logfact = _log_factorials()
-    logmag = 0.5 * (logfact[p + k] - logfact[p]) - logfact[k] + k * math.log(a) - x / 2.0
-    with np.errstate(invalid="ignore"):
-        mag = np.exp(logmag) * q[p, k]
-    # row >= col carries alpha^k, row < col carries (-alpha)^k: |alpha|^k
-    # times an exact sign
-    sign = math.copysign(1.0, alpha)
-    return mag * np.where(row >= col, sign, -sign) ** k
+    m = np.arange(dim)
+    c0 = np.exp(m * math.log(abs(alpha)) - x / 2.0 - 0.5 * _log_factorials()[:dim])
+    if alpha < 0:
+        c0[1::2] = -c0[1::2]
+    levels = np.empty((dim, 2))
+    levels[:, 0] = c0
+    levels[0, 1] = -alpha * c0[0]
+    levels[1:, 1] = (m[1:] - x) / np.sqrt(m[1:]) * c0[:-1]
+    return levels
 
 
 def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
@@ -174,7 +153,7 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
     ``eta = 1`` only ``K_0`` (the identity) is nonzero, and the list holds
     it alone; at ``eta = 0`` the ``n = j`` terms ``0 log 0`` are exactly 0.
     The family is complete on the truncated space.  ``dim`` lies in
-    [2, 1024], as for :func:`displacement_matrix`.
+    [2, 1024], as for :func:`displaced_levels`.
     """
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"efficiency must lie in [0, 1], got {eta}")
@@ -191,30 +170,6 @@ def loss_kraus_coefficients(eta: float, dim: int) -> list[np.ndarray]:
         log_binom = logfact[j:] - logfact[j] - logfact[: dim - j]
         coeffs.append(np.exp(0.5 * (log_binom + j * lost_log + kept_log[: dim - j])))
     return coeffs
-
-
-def macro_state_amplitudes(alpha: float, phi: float, dim: int) -> np.ndarray:
-    """Two-mode pure state with both arms displaced by ``alpha``.
-
-    ``(D(a)|0>_A D(a)|1>_B + e^{i phi} D(a)|1>_A D(a)|0>_B)/sqrt(2)``,
-    normalized, as the ``dim x dim`` amplitude matrix ``psi[m, k] =
-    <m|_A <k|_B |psi>``; ``psi.ravel()`` is the ket in the package's
-    two-mode ordering.  ``alpha = 0`` gives the delocalized single photon.
-    Normalized inside ``dim``: the population pushed past ``dim`` is what
-    the round trip's leakage measures.  Raises :class:`ConfigError` when
-    the truncated norm is 0 or not finite.
-    """
-    D = displacement_matrix(alpha, dim)
-    d0 = D[:, 0]
-    d1 = D[:, 1]
-    psi = np.outer(d0, d1) + np.exp(1j * phi) * np.outer(d1, d0)
-    norm = np.linalg.norm(psi)
-    if not 0.0 < norm < math.inf:
-        raise ConfigError(
-            f"alpha = {alpha} leaves the displaced state norm {norm} below dim = {dim}"
-        )
-    psi /= norm
-    return psi
 
 
 def quadrature_basis(x: np.ndarray, theta: float, dim: int) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import counting, fock, sampling, tomography
 from .counting import CountModelParams
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 STREAM_COUNTS_PHI0 = 0
 STREAM_COUNTS_PHI90 = 1
@@ -479,30 +479,32 @@ class RoundtripResult:
     leakage: float
 
 
-def _roundtrip_block(
-    alpha_small: float, mismatch_eta: float, dim: int, phi: float
-) -> tuple[np.ndarray, float]:
-    """Unnormalized round-trip state on ``|00>, |01>, |10>, |11>``, and its trace.
+def _roundtrip_block(alpha_small: float, mismatch_eta: float, dim: int, phi: float) -> np.ndarray:
+    """Round-trip state on ``|00>, |01>, |10>, |11>``, with the displaced
+    ket normalized inside ``dim``.
 
     See :func:`displacement_roundtrip_check` for the formulas.  No array
-    here has more than ``4 dim**2`` entries.
+    here has more than ``4 dim`` entries.
     """
-    psi = fock.macro_state_amplitudes(alpha_small, phi, dim)
-    u = fock.displacement_matrix(-math.sqrt(mismatch_eta) * alpha_small, dim)
+    d = fock.displaced_levels(alpha_small, dim)
+    norms = np.linalg.norm(d, axis=0)
+    if not norms.min() > 0.0:
+        raise ConfigError(
+            f"alpha = {alpha_small} leaves the displaced state norm {norms.min()} below dim = {dim}"
+        )
+    # scaling a column scales the ket: unit columns keep its norm, a product
+    # of two column norms, from underflowing
+    d = d / norms
+    e = fock.displaced_levels(math.sqrt(mismatch_eta) * alpha_small, dim)
+    c = np.array([[0.0, 1.0], [np.exp(1j * phi), 0.0]])
+    s = d.T @ d
+    norm2 = np.trace(c @ s @ c.conj().T @ s).real
     coeffs = fock.loss_kraus_coefficients(mismatch_eta, dim)
-    n = len(coeffs)
-    gram = u.conj().T @ u
-    rows = np.zeros((n, 2, dim), dtype=complex)  # first two rows of U K_j
-    h = np.zeros((dim, dim), dtype=complex)  # sum_j K_j^dagger U^dagger U K_j
-    for j, c in enumerate(coeffs):
-        rows[j, :, j:] = u[:2, : dim - j] * c
-        h[j:, j:] += c[:, None] * gram[: dim - j, : dim - j] * c
-    rows = rows.reshape(2 * n, dim)
-    m = rows @ psi @ rows.T  # m[(j, a), (k, b)] = (A_j psi A_k^T)[a, b]
-    # x[(a, b), (j, k)]: the block is x x^dagger
-    x = m.reshape(n, 2, n, 2).transpose(1, 3, 0, 2).reshape(4, n * n)
-    trace = float(np.trace(psi @ h.conj() @ psi.conj().T @ h).real)
-    return x @ x.conj().T, trace
+    v = np.array([e[: dim - j].T @ (cj[:, None] * d[j:]) for j, cj in enumerate(coeffs)])
+    w = v.reshape(len(coeffs), 4)
+    g = (w.T @ w).reshape(2, 2, 2, 2)  # g[a, c, a', c'] = sum_j V_j[a, c] V_j[a', c']
+    block = np.einsum("cd,ef,acge,bdhf->abgh", c, c.conj(), g, g).reshape(4, 4)
+    return block / norm2
 
 
 def displacement_roundtrip_check(
@@ -518,22 +520,24 @@ def displacement_roundtrip_check(
     ``eta |psi_0><psi_0| + (1 - eta)|00><00|`` of
     :func:`model_microscopic_state`, and the entanglement can only drop.
 
-    The state is never formed on the full two-mode space.  The displaced
-    ket is the ``dim x dim`` amplitude matrix ``Psi`` of
-    :func:`macrocat.fock.macro_state_amplitudes`, and with ``U =
-    D(-sqrt(eta) alpha)`` and the loss Kraus operators ``K_j`` (one nonzero
-    diagonal ``c_j`` each, :func:`macrocat.fock.loss_kraus_coefficients`)
-    the unnormalized result is the ensemble of kets ``A_j Psi A_k^T`` with
-    ``A_j = U K_j``.  Only the first two rows of each ``A_j`` reach the
-    one-photon block: ``(U K_j)[a, n] = U[a, n-j] c_j[n-j]`` for ``n >= j``.
-    Stacked into ``L`` (``2 dim x dim``), ``M = L Psi L^T`` holds every
-    ``(A_j Psi A_k^T)[a, b]`` and
+    Only two displaced levels per mode are ever formed.  The displaced ket
+    is ``Psi = D C D^T`` as a ``dim x dim`` amplitude matrix, with ``D`` the
+    columns ``D(alpha)|0>, D(alpha)|1>`` of
+    :func:`macrocat.fock.displaced_levels` and ``C = [[0, 1], [e^{i phi},
+    0]]``; its squared norm inside ``dim`` is ``tr(C S C^dagger S)``, ``S =
+    D^T D``.  With ``U = D(-sqrt(eta) alpha)`` and the loss Kraus operators
+    ``K_j`` (one nonzero diagonal ``c_j`` each,
+    :func:`macrocat.fock.loss_kraus_coefficients`), the unnormalized result
+    is the ensemble of kets ``A_j Psi A_k^T`` with ``A_j = U K_j``.  Only
+    rows 0 and 1 of ``U`` reach the one-photon block, and they are the
+    columns ``E`` of ``D(sqrt(eta) alpha)``, transposed, so one mode's map
+    is the 2 x 2 matrix ``V_j = E[:dim-j]^T (c_j D[j:])`` and each ket's
+    block is ``V_j C V_k^T``.  Summed over j and k,
 
-        block[(a,b), (c,e)] = sum_jk M[(j,a), (k,b)] conj(M[(j,c), (k,e)]),
-        trace = Tr(Psi conj(H) Psi^dagger H),  H = sum_j K_j^dagger U^dagger U K_j,
+        block[(a,b), (a',b')] = sum C[c,d] conj(C[c',d']) G[a,c,a',c'] G[b,d,b',d'],
+        G[a,c,a',c'] = sum_j V_j[a,c] V_j[a',c'],
 
-    with ``H`` built from shifted diagonal blocks of ``U^dagger U``: O(dim^3)
-    in all.  The block over the trace is the
+    O(dim^2) in all.  The block over its own trace is the
     :class:`~macrocat.fock.DensityMatrix` the fidelity and the concurrence
     read.
 
@@ -550,18 +554,17 @@ def displacement_roundtrip_check(
         raise ConfigError(f"mismatch_etas entry must lie in (0, 1], got {mismatch_eta}")
     spec = f"alpha_small = {alpha_small} at dim = {dim}"
     try:
-        block, trace = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
+        block = _roundtrip_block(alpha_small, mismatch_eta, dim, phi)
     except ConfigError as exc:  # a kernel's own check: name the spec's fields
         raise ConfigError(f"{spec}: {exc}") from None
-    leakage = 1.0 - float(np.trace(block).real)
+    kept = float(np.trace(block).real)
+    leakage = 1.0 - kept
     if not leakage <= _LEAKAGE_TOL:
         raise ConfigError(
             f"{spec}: the round trip loses {leakage:.3e} of its population "
             f"to the truncation, above {_LEAKAGE_TOL:g}"
         )
-    if not (math.isfinite(trace) and trace > 0.0):
-        raise NumericError(f"round-trip state has trace {trace}")
-    roundtrip = fock.DensityMatrix(block / trace)
+    roundtrip = fock.DensityMatrix(block / kept)
     return RoundtripResult(
         mismatch_eta=mismatch_eta,
         fidelity_to_loss_model=tomography.fidelity(

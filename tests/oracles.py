@@ -14,21 +14,23 @@ trustworthy as an oracle:
 * the whole-array binning of count records, ``bin_count_records``
   (counterpart of the block-by-block reduction in
   :func:`macrocat.pipeline.run_counts_scenario`);
-* the round trip's two kernels in scipy's special functions: the
+* the round trip's two kernels in scipy's special functions: the whole
   displacement matrix element by element from ``eval_genlaguerre`` and
-  ``gammaln``, ``displacement_matrix_scipy``, and the loss channel's Kraus
+  ``gammaln``, ``displacement_matrix_scipy``, the test suite's one dense
+  displacement (its columns 0 and 1 are the counterpart of the numpy-only
+  :func:`macrocat.fock.displaced_levels`), and the loss channel's Kraus
   diagonals from ``gammaln`` and ``xlogy``, ``loss_kraus_coefficients_scipy``
-  (counterparts of the numpy-only :func:`macrocat.fock.displacement_matrix`
-  and :func:`macrocat.fock.loss_kraus_coefficients`);
+  (counterpart of :func:`macrocat.fock.loss_kraus_coefficients`);
 * ``FockState``, a density matrix at any per-mode truncation ``dim`` on one
   or two modes: the package's one state type,
   :class:`macrocat.fock.DensityMatrix`, holds two modes at two levels each;
 * the delocalized photon's ket at any ``dim``, ``delocalized_photon``
   (counterpart of the ket in :func:`macrocat.pipeline.model_microscopic_state`);
 * the delocalized photon with both arms displaced, as a dense two-mode
-  density matrix (counterpart of :func:`macrocat.fock.macro_state_amplitudes`),
-  and the bosonic loss channel on a density matrix (with the two, the dense
-  counterpart of :func:`macrocat.pipeline.displacement_roundtrip_check`);
+  density matrix (counterpart of the displaced ket ``D C D^T`` inside
+  :func:`macrocat.pipeline.displacement_roundtrip_check`), and the bosonic
+  loss channel on a density matrix (with the two, the dense counterpart of
+  the round trip itself);
 * the rank-1 density matrix of a ket, ``pure_state``;
 * the photon-number distribution, partial trace, photon-number moments and
   single-mode quadrature marginal of a truncated Fock-space state
@@ -64,7 +66,7 @@ from scipy.special import eval_genlaguerre, gammaln, ndtr, xlogy
 
 from macrocat import counting, fock
 from macrocat.counting import CountModelParams
-from macrocat.fock import displacement_matrix, loss_kraus_coefficients, quadrature_basis
+from macrocat.fock import loss_kraus_coefficients, quadrature_basis
 from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
 from macrocat.sampling import (
     _QUAD_GRID,
@@ -332,7 +334,7 @@ def build_macro_state(alpha: float, phi: float, dim: int) -> FockState:
     as a rank-1 density matrix built from Kronecker products.  ``alpha = 0``
     reduces to the delocalized single photon.
     """
-    D = displacement_matrix(alpha, dim)
+    D = displacement_matrix_scipy(alpha, dim)
     d0 = D[:, 0]
     d1 = D[:, 1]
     vec = (np.kron(d0, d1) + np.exp(1j * phi) * np.kron(d1, d0)) / np.sqrt(2.0)

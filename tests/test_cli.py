@@ -147,7 +147,7 @@ class TestSmoke:
         ps = np.unique(p)
         w = w.reshape(xs.size, ps.size)
         marginal = np.trapezoid(w, ps, axis=1)
-        D = fock.displacement_matrix(1.0, 16)
+        D = oracles.displacement_matrix_scipy(1.0, 16)
         rho = oracles.pure_state(D[:, 0] + D[:, 1], 16, 1)
         # the direct evaluation needs a grid spanning the displaced mean +- 6
         wide = np.arange(-6.0, 8.5, 0.05)

@@ -2,7 +2,8 @@
 
 Oracles: brute-force matrix exponential (scaling and squaring, padded
 space) and the scipy special-function forms of ``tests/oracles.py`` for the
-displacement matrix and the Kraus coefficients; direct Kraus sums and
+displaced levels (the coherent amplitudes and the dense displacement
+matrix) and the Kraus coefficients; direct Kraus sums and
 closed-form loss models for channels; trapezoid integration for densities.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from macrocat import fock
+from macrocat import fock, pipeline
 from macrocat.errors import ConfigError
 import oracles
 
@@ -80,48 +81,63 @@ def random_state(dim, modes, seed):
     return oracles.FockState(dim, modes, data / np.trace(data))
 
 
+def displaced_columns_oracle(alpha, dim):
+    """``D(alpha)|0>, D(alpha)|1>`` from ``oracles.xi0``/``xi1``, which take a
+    positive amplitude; a negative one through the exact symmetry
+    ``<m|D(-a)|n> = (-1)^(m-n) <m|D(a)|n>``."""
+    n = np.arange(dim)
+    cols = np.stack([oracles.xi0(n, abs(alpha)), oracles.xi1(n, abs(alpha))], axis=1)
+    if alpha < 0:
+        cols *= (-1.0) ** (n[:, None] - np.arange(2))
+    return cols
+
+
 class TestDisplacementMatrix:
+    """Columns 0 and 1 of the displacement matrix, ``D(alpha)|0>`` and
+    ``D(alpha)|1>``, from :func:`macrocat.fock.displaced_levels`."""
+
     def test_zero_alpha_is_identity(self):
-        assert np.array_equal(fock.displacement_matrix(0.0, 8), np.eye(8))
+        assert np.array_equal(fock.displaced_levels(0.0, 8), np.eye(8)[:, :2])
 
     def test_vacuum_amplitude(self):
-        # <0|D(1)|0> = exp(-1/2)
-        D = fock.displacement_matrix(1.0, 32)
-        assert D[0, 0].real == pytest.approx(np.exp(-0.5), abs=1e-12)
-        assert D[0, 0].imag == 0.0
+        # <0|D(1)|0> = exp(-1/2), <0|D(1)|1> = -exp(-1/2)
+        D = fock.displaced_levels(1.0, 32)
+        assert D.dtype == np.float64
+        assert D[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-12)
+        assert D[0, 1] == pytest.approx(-np.exp(-0.5), abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.3, 2.0, -1.1, -2.0])
     def test_matches_matrix_exponential(self, alpha):
-        D = fock.displacement_matrix(alpha, 64)
-        oracle = displacement_expm_oracle(alpha, 64)
+        D = fock.displaced_levels(alpha, 64)
+        oracle = displacement_expm_oracle(alpha, 64)[:, :2]
         assert np.abs(D - oracle).max() < 1e-8
 
     def test_negative_alpha_is_exact_adjoint(self):
-        # the round trip's undisplacement: its phase factors are exact signs,
-        # so D(-a) is real and bit for bit the adjoint D(a)^T
-        D = fock.displacement_matrix(-1.1, 16)
-        assert np.array_equal(D.imag, np.zeros((16, 16)))
-        assert np.array_equal(D, fock.displacement_matrix(1.1, 16).T)
+        # the round trip's undisplacement reads rows 0 and 1 of D(-a) as the
+        # columns of D(a), transposed: the phase factors are exact signs, so
+        # D(-a) = D(a)^T bit for bit, column by column
+        dim = 16
+        signs = (-1.0) ** (np.arange(dim)[:, None] - np.arange(2))
+        assert np.array_equal(fock.displaced_levels(-1.1, dim), signs * fock.displaced_levels(1.1, dim))
+        rows = oracles.displacement_matrix_scipy(-1.1, dim)[:2].T
+        assert np.abs(fock.displaced_levels(1.1, dim) - rows).max() <= 1e-15
 
     def test_column_zero_is_coherent_state(self):
         alpha, dim = 1.7, 48
-        D = fock.displacement_matrix(alpha, dim)
+        D = fock.displaced_levels(alpha, dim)
         expected = oracles.xi0(np.arange(dim), alpha)
-        assert np.abs(D[:, 0].real - expected).max() < 1e-10
-        assert np.abs(D[:, 0].imag).max() == 0.0
+        assert np.abs(D[:, 0] - expected).max() < 1e-10
 
     def test_composition_with_inverse(self):
-        # D(a) D(-a) = 1 on the low block while |a|^2 <= dim/8
+        # (D(-a) D(a))[:2, :2] = 1 while |a|^2 <= dim/8: rows 0 and 1 of
+        # D(-a) are the columns of D(a), transposed
         dim = 64
-        alpha = np.sqrt(dim / 8.0)
-        prod = fock.displacement_matrix(alpha, dim) @ fock.displacement_matrix(-alpha, dim)
-        block = dim // 4
-        dev = np.abs(prod - np.eye(dim))[:block, :block].max()
-        assert dev < 1e-8
+        D = fock.displaced_levels(np.sqrt(dim / 8.0), dim)
+        assert np.abs(D.T @ D - np.eye(2)).max() < 1e-8
 
     def test_rejects_tiny_dim(self):
         with pytest.raises(ValueError):
-            fock.displacement_matrix(1.0, 1)
+            fock.displaced_levels(1.0, 1)
         with pytest.raises(ValueError):
             fock.loss_kraus_coefficients(0.5, 1)
 
@@ -129,21 +145,31 @@ class TestDisplacementMatrix:
         # 1024 levels is the round trip kernels' documented domain, the length
         # of their log-factorial table; a larger dim is rejected up front
         with pytest.raises(ConfigError, match="1024"):
-            fock.displacement_matrix(0.5, 1025)
+            fock.displaced_levels(0.5, 1025)
         with pytest.raises(ConfigError, match="1024"):
             fock.loss_kraus_coefficients(0.5, 1025)
 
-    def test_finite_at_dim_1024(self):
-        assert np.isfinite(fock.displacement_matrix(3.0, 1024)).all()
+    def test_rejects_alpha_without_finite_square(self):
+        with pytest.raises(ConfigError, match="no finite square"):
+            fock.displaced_levels(1.4e154, 4)
 
-    # the Laguerre recurrence and the log-space binomial against scipy's
-    # per-element eval_genlaguerre and gammaln
+    # at alpha 1e100 every amplitude underflows to exactly 0, without a warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_at_dim_1024(self):
+        for alpha in (3.0, 30.0, 1e100):
+            assert np.isfinite(fock.displaced_levels(alpha, 1024)).all()
+
+    # the log-space coherent amplitudes against scipy's gammaln forms, and at
+    # dims up to 64 against the dense eval_genlaguerre matrix
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [-2.0, -0.3, 0.5, 1.0, 2.0, 3.0, 10.0, 30.0])
     @pytest.mark.parametrize("dim", [2, 3, 16, 32, 64, 256, 1024])
     def test_matches_scipy_oracle(self, dim, alpha):
-        D = fock.displacement_matrix(alpha, dim)
-        assert np.abs(D - oracles.displacement_matrix_scipy(alpha, dim)).max() <= 1e-12
+        D = fock.displaced_levels(alpha, dim)
+        assert np.abs(D - displaced_columns_oracle(alpha, dim)).max() <= 1e-12
+        if dim <= 64:
+            dense = oracles.displacement_matrix_scipy(alpha, dim)[:, :2]
+            assert np.abs(D - dense).max() <= 1e-12
 
 
 # eta = 0 takes 0 log 0 terms, which must give exactly 0 without a warning
@@ -211,22 +237,38 @@ class TestLossChannel:
             oracles.apply_loss(rho, 1.2, 0)
 
 
+# the round trip's displaced ket Psi = D C D^T, C = [[0, 1], [e^{i phi}, 0]]
+def _cat_coupling(phi):
+    return np.array([[0.0, 1.0], [np.exp(1j * phi), 0.0]])
+
+
+def macro_ket(alpha, phi, dim):
+    """The displaced ket's amplitude matrix from the two displaced levels,
+    normalized inside ``dim``."""
+    D = fock.displaced_levels(alpha, dim)
+    psi = D @ _cat_coupling(phi) @ D.T
+    return psi / np.linalg.norm(psi)
+
+
 def macro_rho(alpha, phi, dim):
-    """Density matrix of the amplitude matrix under test."""
-    psi = fock.macro_state_amplitudes(alpha, phi, dim)
-    return oracles.pure_state(psi.ravel(), dim, 2)
+    return oracles.pure_state(macro_ket(alpha, phi, dim).ravel(), dim, 2)
 
 
 class TestMacroState:
     def test_alpha_zero_is_delocalized_photon(self):
-        psi = fock.macro_state_amplitudes(0.0, 0.0, 4)
+        psi = macro_ket(0.0, 0.0, 4)
         expected = oracles.delocalized_photon(0.0, 4)
         assert np.abs(psi.ravel() - expected).max() < 1e-15
 
     @pytest.mark.parametrize("alpha,phi", [(0.0, 0.0), (1.0, 0.5), (1.5, np.pi / 2)])
     def test_unit_trace(self, alpha, phi):
-        psi = fock.macro_state_amplitudes(alpha, phi, 32)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        # the round trip's norm of Psi inside dim: tr(C S C^dagger S), S = D^T D
+        D = fock.displaced_levels(alpha, 32)
+        c = _cat_coupling(phi)
+        s = D.T @ D
+        norm2 = np.trace(c @ s @ c.conj().T @ s).real
+        assert np.linalg.norm(D @ c @ D.T) ** 2 == pytest.approx(norm2, rel=1e-14)
+        assert norm2 == pytest.approx(2.0, abs=1e-13)
 
     @pytest.mark.parametrize("alpha,phi,dim", [(0.8, 0.3, 16), (1.2, 0.7, 24), (2.0, 1.7, 32)])
     def test_matches_dense_kron_oracle(self, alpha, phi, dim):
@@ -249,22 +291,24 @@ class TestMacroState:
             assert mean == pytest.approx(alpha**2 + 0.5, abs=1e-6)
 
     def test_undisplacement_recovers_delocalized_photon(self):
+        # rows 0 and 1 of D(-alpha) are the displaced levels, transposed: the
+        # undisplaced ket's one-photon block is D^T Psi D
         alpha, dim = 1.5, 32
-        psi = fock.macro_state_amplitudes(alpha, 0.3, dim)
-        D = fock.displacement_matrix(-alpha, dim)
-        back = D @ psi @ D.T  # D (x) D on the ket
-        expected = oracles.delocalized_photon(0.3, dim)
+        D = fock.displaced_levels(alpha, dim)
+        back = D.T @ macro_ket(alpha, 0.3, dim) @ D
+        expected = oracles.delocalized_photon(0.3, 2)
         fidelity = abs(np.vdot(expected, back.ravel())) ** 2
         assert fidelity > 1.0 - 1e-6
 
     # alpha 30: every amplitude below dim 32 is ~1e-166 and the norm's sum of
-    # squares underflows to 0; alpha 1e100: the two columns read are exactly 0
-    # while the rest of the displacement matrix is 0 * inf = NaN
+    # squares underflows to 0; alpha 1e100: the two columns are exactly 0.
+    # Neither warns, and the round trip rejects the state
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [30.0, 1e100])
     def test_unrepresentable_state_rejected(self, alpha):
+        assert np.array_equal(np.linalg.norm(fock.displaced_levels(alpha, 32), axis=0), [0.0, 0.0])
         with pytest.raises(ConfigError, match="norm 0.0 below dim = 32"):
-            fock.macro_state_amplitudes(alpha, 0.0, 32)
+            pipeline.displacement_roundtrip_check(alpha, 1.0, 32, 0.0)
 
 
 class TestPhotonMoments:
@@ -273,7 +317,7 @@ class TestPhotonMoments:
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_vacuum(self, alpha):
-        vec = fock.displacement_matrix(alpha, 64)[:, 0]
+        vec = fock.displaced_levels(alpha, 64)[:, 0]
         mean, var = oracles.photon_moments(oracles.pure_state(vec, 64, 1))
         assert mean == pytest.approx(alpha**2, abs=1e-6)
         assert var == pytest.approx(alpha**2, abs=1e-6)
@@ -281,7 +325,7 @@ class TestPhotonMoments:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
     def test_displaced_single_photon(self, alpha):
         # mean alpha^2 + 1, variance three shot-noise units
-        vec = fock.displacement_matrix(alpha, 64)[:, 1]
+        vec = fock.displaced_levels(alpha, 64)[:, 1]
         mean, var = oracles.photon_moments(oracles.pure_state(vec, 64, 1))
         assert mean == pytest.approx(alpha**2 + 1.0, abs=1e-6)
         assert var == pytest.approx(3.0 * alpha**2, abs=1e-6)
@@ -334,7 +378,7 @@ class TestWigner:
 
     def test_marginal_matches_quadrature_marginal(self):
         alpha, dim = 1.0, 16
-        D = fock.displacement_matrix(alpha, dim)
+        D = oracles.displacement_matrix_scipy(alpha, dim)
         rho = oracles.pure_state(D[:, 0] + D[:, 1], dim, 1)
         xs = np.linspace(-7, 9, 161)
         ps = np.linspace(-8, 8, 641)
@@ -351,8 +395,8 @@ class TestWigner:
     @pytest.mark.parametrize("alpha,dim", [(0.0, 4), (-0.8, 28), (2.0, 48)])
     def test_matches_fock_oracle(self, alpha, dim):
         c0, c1 = 0.6 + 0.3j, -0.4 + 0.7j
-        vec = c0 * fock.displacement_matrix(alpha, dim)[:, 0]
-        vec = vec + c1 * fock.displacement_matrix(alpha, dim)[:, 1]
+        D = oracles.displacement_matrix_scipy(alpha, dim)
+        vec = c0 * D[:, 0] + c1 * D[:, 1]
         assert abs(vec[-1]) ** 2 / np.vdot(vec, vec).real < 1e-30
         xs = np.sqrt(2.0) * alpha + np.linspace(-5, 5, 41)
         ps = np.linspace(-5, 5, 41)
