@@ -2,13 +2,14 @@
 
 The one state type, :class:`DensityMatrix`, is the 4 x 4 matrix on
 ``|00>, |01>, |10>, |11>``: two modes with two levels each, which hold the
-post-undisplacement state the tomography reconstructs.  The round trip's
-kernels act at a per-mode truncation ``dim``: :func:`displaced_levels`, the
-two displaced levels ``D(alpha)|0>`` and ``D(alpha)|1>`` of the paper's
-cats, and :func:`loss_kraus_coefficients`, the loss channel's Kraus
-diagonals.  Every displacement of the experiment is real, so
-:func:`displaced_levels` takes a real amplitude and returns real columns
-whose phase factors are exact signs.
+post-undisplacement state the tomography reconstructs.  Construction checks
+that the matrix is a state, so every ``DensityMatrix`` is one and no
+consumer checks again.  The round trip's kernels act at a per-mode
+truncation ``dim``: :func:`displaced_levels`, the two displaced levels
+``D(alpha)|0>`` and ``D(alpha)|1>`` of the paper's cats, and
+:func:`loss_kraus_coefficients`, the loss channel's Kraus diagonals.  Every
+displacement of the experiment is real, so :func:`displaced_levels` takes a
+real amplitude and returns real columns whose phase factors are exact signs.
 
 Conventions used throughout the package:
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 _HERMITIAN_ATOL = 1e-10
 _TRACE_ATOL = 1e-8
@@ -48,33 +49,28 @@ _TRACE_ATOL = 1e-8
 @dataclass(frozen=True)
 class DensityMatrix:
     """Two-mode state on ``|00>, |01>, |10>, |11>``: the complex 4 x 4
-    ``data``, frozen (read-only) on construction."""
+    ``data``, copied and frozen (read-only) on construction, which raises
+    :class:`NumericError` unless it is a state: finite, Hermitian and positive
+    within ``_HERMITIAN_ATOL``, of unit trace within ``_TRACE_ATOL``."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=complex)
+        arr = np.array(self.data, dtype=complex, order="C")
         if arr.shape != (4, 4):
             raise ValueError(f"expected shape (4, 4), got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    def trace(self) -> float:
-        return float(np.trace(self.data).real)
-
-    def check_hermitian(self) -> None:
-        """Raise if the matrix deviates from its adjoint beyond rounding."""
-        dev = np.abs(self.data - self.data.conj().T).max()
-        # written so a NaN entry fails too
-        if not dev <= _HERMITIAN_ATOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-
-    def validate(self) -> None:
-        """Raise if Hermiticity or unit trace is violated."""
-        self.check_hermitian()
-        tr = self.trace()
-        if not abs(tr - 1.0) <= _TRACE_ATOL:
-            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        dev = np.abs(arr - arr.conj().T).max()
+        # a non-finite entry makes dev NaN or inf, so only a finite Hermitian
+        # matrix reaches eigvalsh; each comparison is written so a NaN fails it
+        low = np.linalg.eigvalsh(arr)[0] if dev <= _HERMITIAN_ATOL else math.nan
+        trace = arr.trace().real
+        if not (dev <= _HERMITIAN_ATOL and low >= -_HERMITIAN_ATOL and abs(trace - 1.0) <= _TRACE_ATOL):
+            raise NumericError(
+                f"not a state: Hermitian deviation {dev:.3e}, smallest eigenvalue "
+                f"{low:.3e}, trace {trace:.9f}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,10 +220,15 @@ def wigner(alpha: float, c0: complex, c1: complex, xs: np.ndarray, ps: np.ndarra
         if g.size > 1 and np.diff(g).max() > 0.5:
             raise ConfigError(f"{name}-grid spacing exceeds 0.5; refine the grid")
     c0, c1 = complex(c0), complex(c1)
-    norm = math.hypot(c0.real, c0.imag, c1.real, c1.imag)
-    if norm == 0.0:
+    parts = (c0.real, c0.imag, c1.real, c1.imag)
+    if not any(parts):
         raise ConfigError("c0 and c1 cannot both vanish")
-    c0, c1 = c0 / norm, c1 / norm
+    # scaled by the largest component's power of two (exact), so that the
+    # 2-norm neither overflows nor rounds subnormal components
+    exp = math.frexp(max(map(abs, parts)))[1]
+    re0, im0, re1, im1 = (math.ldexp(part, -exp) for part in parts)
+    norm = math.hypot(re0, im0, re1, im1)
+    c0, c1 = complex(re0, im0) / norm, complex(re1, im1) / norm
     cross = 2.0 * math.sqrt(2.0) * c0.conjugate() * c1
     u = np.clip(xs - math.sqrt(2.0) * alpha, -_FAR, _FAR)[:, None]
     v = np.clip(ps, -_FAR, _FAR)[None, :]

@@ -333,7 +333,6 @@ def mle_reconstruct(records: QuadratureSample) -> TomographyResult:
     rho = np.zeros((4, 4), dtype=complex)
     rho[:3, :3] = lik.unpack(x)
     result_rho = DensityMatrix(rho)
-    result_rho.validate()
     return TomographyResult(
         rho=result_rho,
         loglik=np.asarray(loglik),
@@ -350,9 +349,9 @@ def concurrence(rho: DensityMatrix) -> float:
     ``2 (|rho_{01,10}| - sqrt(rho_{00} rho_{11}))``, clamped at 0.
 
     The unclamped expression goes negative on separable states; the clamp
-    maps those to zero entanglement.  Raises if ``rho`` is not Hermitian.
+    maps those to zero entanglement.  ``rho`` is a state by construction, so
+    its populations are nonnegative up to rounding.
     """
-    rho.check_hermitian()
     pops = np.clip(np.diag(rho.data).real, 0.0, None)
     coherence = abs(rho.data[1, 2])  # <01| rho |10>
     value = 2.0 * (coherence - math.sqrt(pops[0] * pops[3]))
@@ -362,7 +361,7 @@ def concurrence(rho: DensityMatrix) -> float:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(Tr sqrt(sqrt(sigma) rho sqrt(sigma)))**2``.
 
-    ``sigma`` must be a density matrix (positive semidefinite): then a zero
+    ``sigma`` is a state by construction, so positive semidefinite: a zero
     diagonal entry means a zero row and column, so the fidelity is exactly
     that of ``rho[s, s]`` with ``sigma[s, s]`` on the basis kets ``s`` where
     ``diag(sigma)`` is nonzero, and only that block is decomposed.  The

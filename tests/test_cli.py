@@ -131,7 +131,7 @@ class TestSmoke:
         doc = result["rho"]
         assert (doc["dim"], doc["modes"]) == (2, 2)
         data = np.reshape(doc["re"], (4, 4)) + 1j * np.reshape(doc["im"], (4, 4))
-        fock.DensityMatrix(data).validate()
+        fock.DensityMatrix(data)  # construction checks that it is a state
         assert (out / "records.csv").read_text().startswith("shot,thetaA,xA,thetaB,xB")
 
     def test_wigner_marginal_matches_direct_computation(self, tmp_path):
@@ -209,6 +209,21 @@ class TestSmoke:
             runs.append(read_dir(out))
         assert runs[0] == runs[1] == runs[2]
         assert "dim" not in json.loads(runs[0]["manifest.json"])["config"]
+
+    # 2^1023 overflows the 2-norm unless scaled first; 2^-1074 is subnormal,
+    # where a formed factor 2^1075 would overflow instead
+    @pytest.mark.parametrize("scale", [2.0**1023, 2.0**-1074])
+    def test_wigner_scaled_coefficients_write_the_same_table(self, tmp_path, scale):
+        tables = []
+        for value in (1.0, scale):
+            spec = tmp_path / f"state-{value!r}.json"
+            spec.write_text(json.dumps({"c0": [value, value], "c1": [value, value]}))
+            out = tmp_path / f"out-{value!r}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 0
+            tables.append((out / "wigner.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_wigner_at_the_largest_amplitude(self, tmp_path):
         alpha = math.sqrt(np.finfo(float).max) / 2.0

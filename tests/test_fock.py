@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from macrocat import fock, pipeline
-from macrocat.errors import ConfigError
+from macrocat.errors import ConfigError, NumericError
 import oracles
 
 
@@ -452,12 +452,12 @@ class TestSerialization:
     def test_rejects_non_hermitian_payload(self):
         bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="Hermitian"):
-            fock.DensityMatrix(bad).validate()
+        with pytest.raises(NumericError, match="Hermitian deviation 5.000e-01"):
+            fock.DensityMatrix(bad)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            fock.DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0])).validate()
+        with pytest.raises(NumericError, match="trace 1.400000000"):
+            fock.DensityMatrix(np.diag([0.7, 0.7, 0.0, 0.0]))
 
     @pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
     def test_rejects_nan_entry(self, entry):
@@ -465,11 +465,8 @@ class TestSerialization:
         # only a value that compares within its tolerance
         data = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         data[entry] = np.nan
-        rho = fock.DensityMatrix(data)
-        with pytest.raises(ValueError, match="Hermitian"):
-            rho.check_hermitian()
-        with pytest.raises(ValueError, match="Hermitian"):
-            rho.validate()
+        with pytest.raises(NumericError, match="not a state: Hermitian deviation nan"):
+            fock.DensityMatrix(data)
 
 
 class TestInvariantSweeps:

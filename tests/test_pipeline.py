@@ -108,10 +108,56 @@ def test_kernel_domain_check_is_config_error(call):
     with pytest.raises(ConfigError):
         call()
 
+
+def _model_states():
+    return [
+        pipeline.model_microscopic_state(eta, phi, dephasing_sigma=sigma)
+        for eta in (1e-300, 0.01, 0.49, 0.99, 1.0)
+        for sigma in (0.0, 0.3, 1.0, 1e155)
+        for phi in (0.0, 1.0, math.pi / 2, 3.0)
+    ]
+
+
+def _roundtrip_states():
+    """The normalised blocks the round trip builds, wherever its leakage rule
+    passes them."""
+    states = []
+    for alpha in (0.0, 2.0, -2.0, 1.0, 3.0):
+        for dim in (2, 4, 16, 32, 64, 256, 1024):
+            for eta in (1.0, 0.99, 0.95, 0.5, 0.01):
+                for phi in (0.0, 1.3, math.pi):
+                    block = pipeline._roundtrip_block(alpha, eta, dim, phi)
+                    kept = float(np.trace(block).real)
+                    if 1.0 - kept <= pipeline._LEAKAGE_TOL:
+                        states.append(fock.DensityMatrix(block / kept))
+    return states
+
+
+def _mle_states():
+    return [
+        pipeline.run_tomography_scenario(ExperimentConfig(seed=seed)).result.rho
+        for seed in (1, 7)
+    ]
+
+
+@pytest.mark.parametrize(
+    "build", [_model_states, _roundtrip_states, _mle_states], ids=["model", "roundtrip", "mle"]
+)
+def test_built_states_construct_with_margin(build):
+    """Every state a command builds passes construction's check, four orders
+    or more inside each tolerance (1e-10 Hermitian and eigenvalue, 1e-8
+    trace)."""
+    states = build()
+    assert states
+    for rho in states:
+        assert np.abs(rho.data - rho.data.conj().T).max() <= 1e-14
+        assert np.linalg.eigvalsh(rho.data)[0] >= -1e-14
+        assert abs(np.trace(rho.data).real - 1.0) <= 1e-14
+
+
 class TestMicroscopicModel:
     def test_plain_loss_model(self):
         rho = pipeline.model_microscopic_state(0.49, 0.0)
-        rho.validate()
         assert np.linalg.eigvalsh(rho.data)[0] >= -1e-8
         assert tomography.concurrence(rho) == pytest.approx(0.49, abs=1e-12)
 
@@ -126,14 +172,12 @@ class TestMicroscopicModel:
         cfg = ExperimentConfig(phase_noise_sigma=sigma)
         assert cfg.model_concurrence() == 0.49 * expected
         rho = pipeline.model_microscopic_state(0.49, 1.0, dephasing_sigma=sigma)
-        rho.validate()
         # subnormal factors keep only a few digits
         assert abs(rho.data[1, 2]) == pytest.approx(0.245 * expected, rel=1e-12, abs=1e-320)
 
     def test_dephasing_damps_concurrence(self):
         sigma = math.sqrt(-2.0 * math.log(0.32 / 0.49))
         rho = pipeline.model_microscopic_state(0.49, 0.0, dephasing_sigma=sigma)
-        rho.validate()
         assert np.linalg.eigvalsh(rho.data)[0] >= -1e-8
         assert tomography.concurrence(rho) == pytest.approx(0.32, abs=1e-12)
 
@@ -389,7 +433,13 @@ class TestThreadedCounts:
 def _qubit_block(data, dim):
     """The block of a dense two-mode matrix on ``|00>, |01>, |10>, |11>``."""
     qubit = [0, 1, dim, dim + 1]
-    return fock.DensityMatrix(data[np.ix_(qubit, qubit)])
+    return data[np.ix_(qubit, qubit)]
+
+
+def _qubit_state(data, dim):
+    """That block over its own trace, as the round trip normalises it."""
+    block = _qubit_block(data, dim)
+    return fock.DensityMatrix(block / np.trace(block).real)
 
 
 def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
@@ -401,18 +451,18 @@ def _dense_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     lossy = oracles.apply_loss(oracles.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
     d_rev = np.kron(*[oracles.displacement_matrix_scipy(-math.sqrt(mismatch_eta) * alpha_small, dim)] * 2)
     data = d_rev @ lossy.data @ d_rev.conj().T
-    roundtrip = _qubit_block(data / np.trace(data), dim)
+    roundtrip = _qubit_state(data, dim)
     # the displaced state is not renormalized here, so the block's share of
     # its trace is what the normalized round trip keeps
-    kept = _qubit_block(data, dim).trace() / np.trace(displaced.data).real
+    kept = np.trace(_qubit_block(data, dim)).real / np.trace(displaced.data).real
     reference = oracles.apply_loss(oracles.apply_loss(rho0, mismatch_eta, 0), mismatch_eta, 1)
     return pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
         # the reference lies in the block, so the fidelity reads only the
         # round-trip state's block
-        fidelity_to_loss_model=tomography.fidelity(roundtrip, _qubit_block(reference.data, dim)),
+        fidelity_to_loss_model=tomography.fidelity(roundtrip, _qubit_state(reference.data, dim)),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
-        concurrence_initial=tomography.concurrence(_qubit_block(rho0.data, dim)),
+        concurrence_initial=tomography.concurrence(_qubit_state(rho0.data, dim)),
         leakage=1.0 - kept,
     )
 
@@ -422,7 +472,7 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
     with :func:`oracles.apply_loss`, then ``D (x) D`` undisplacement as
     one five-operand ``einsum``.  Returns the unnormalized block on
     ``|00>, |01>, |10>, |11>``, the trace, and the result fields read from
-    the normalized dense state; the leakage is ``1 - tr(block)``."""
+    the block over its own trace; the leakage is ``1 - tr(block)``."""
     displaced = oracles.build_macro_state(alpha_small, phi, dim)
     lossy = oracles.apply_loss(oracles.apply_loss(displaced, mismatch_eta, 0), mismatch_eta, 1)
     u = oracles.displacement_matrix_scipy(-math.sqrt(mismatch_eta) * alpha_small, dim)
@@ -432,7 +482,7 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
         optimize=True,
     )
     data = t.reshape(dim * dim, dim * dim)
-    roundtrip = _qubit_block(data / np.trace(data), dim)
+    roundtrip = _qubit_state(data, dim)
     block = _qubit_block(data, dim)
     result = pipeline.RoundtripResult(
         mismatch_eta=mismatch_eta,
@@ -441,9 +491,9 @@ def _einsum_roundtrip_oracle(alpha_small, mismatch_eta, dim, phi):
         ),
         concurrence_roundtrip=tomography.concurrence(roundtrip),
         concurrence_initial=tomography.concurrence(pipeline.model_microscopic_state(1.0, phi)),
-        leakage=1.0 - block.trace(),
+        leakage=1.0 - np.trace(block).real,
     )
-    return block.data, float(np.trace(data).real), result
+    return block, float(np.trace(data).real), result
 
 
 _EINSUM_CASES = [

@@ -399,16 +399,21 @@ class TestQuadratureSampler:
                 assert np.mean(arr**power) == pytest.approx(target, abs=5 * se)
 
     def test_underresolved_grid_rejected(self):
-        # Hermitian and of unit trace but not positive, or with a NaN entry.
+        # Hermitian and of unit trace but not positive, or with a NaN entry:
+        # no such rho reaches the sampler, since construction refuses it.
         # The coherence 0.505 between |00> and |01> gives an eigenvalue of
         # -0.005, which a check on the grid's total mass let through
         leaky = np.zeros((4, 4))
         leaky[0, 0] = leaky[1, 1] = 0.5
         leaky[0, 1] = leaky[1, 0] = 0.505
-        for data in (np.diag([1.5, -0.5, 0.0, 0.0]), np.diag([1.0, np.nan, 0.0, 0.0]), leaky):
-            rho = fock.DensityMatrix(data)
-            with pytest.raises(NumericError, match="not a state"):
-                sampling.sample_quadrature_schedule(rho, [0.0], 10, seed=45)
+        cases = (
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "-5.000e-01"),
+            (np.diag([1.0, np.nan, 0.0, 0.0]), "nan"),
+            (leaky, "-5.000e-03"),
+        )
+        for data, low in cases:
+            with pytest.raises(NumericError, match=f"not a state: .* smallest eigenvalue {low}"):
+                fock.DensityMatrix(data)
 
 
 def _pure(index):
@@ -471,7 +476,7 @@ class TestQuadratureDrawOracle:
         _assert_matches_grid_oracle(rho, seed, start_shot, n_shots)
 
     def test_drawn_rows_clipped_as_grid_oracle(self, monkeypatch):
-        # diag(1.5, -0.5, 0, 0) is not a state, so let the check pass it: its
+        # diag(1.5, -0.5, 0, 0) is not a state, so let construction pass it: its
         # density psi_0(x_A)^2 (1.5 psi_0(x_B)^2 - 0.5 psi_1(x_B)^2) is
         # negative for |x_B| > 1.22 on every row, while clipping leaves the
         # shape of the x_A marginal as it is
