@@ -51,7 +51,7 @@ _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
 _N_COUNT_BINS = 41
 _BIN_SPAN_SIGMAS = 4.0
 _WINDOW_FRAC = 0.04
-# count shots drawn and reduced at a time: a 1 MiB uniform table that stays
+# count shots drawn and reduced at a time: a 512 KiB uniform table that stays
 # in cache
 _COUNT_BLOCK_SHOTS = 1 << 14
 # tomography: Alice's LO steps uniformly through 12 phases over [0, 2 pi)

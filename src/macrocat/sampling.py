@@ -36,7 +36,8 @@ from .counting import CountModelParams
 from .errors import ConfigError
 
 _PHILOX_WORDS_PER_TICK = 4
-_WORDS_COUNTS = 8  # component, 3 primary normals, sign, partner normal, 2 pad
+# component and sign, primary normal, partner normal, exponential; no pad
+_WORDS_COUNTS = 4
 _WORDS_QUAD = 4  # x_A uniform, x_B uniform, 2 pad
 
 _U_LO = 2.0**-53
@@ -102,9 +103,22 @@ def sample_counts(
     Sampling is exact: in rotated coordinates ``u = (nA+nB)/sqrt(2)``,
     ``v = (nA-nB)/sqrt(2)`` the density factorizes into a three-component
     mixture (quadratically weighted Gaussian in u, same in v, plain
-    Gaussian) with weights ``eta(1+cos phi)/4``, ``eta(1-cos phi)/4`` and
-    ``1 - eta/2``; the quadratic components are signed chi(3)-distributed
-    radii.  Cost per shot is constant in alpha.
+    Gaussian) with weights ``w_u = eta(1+cos phi)/4``, ``w_v = eta(1-cos
+    phi)/4`` and ``1 - eta/2``; the quadratic components are signed
+    chi(3)-distributed radii.  Each shot reads four words:
+
+    - ``u0`` picks the component, and the sign of a quadratic one: given
+      ``u0 < w_u``, ``u0 / w_u`` is uniform and independent of that choice,
+      so ``u0 < w_u/2`` means negative (likewise on ``[w_u, w_u + w_v)``);
+    - ``u1`` gives the normal ``z1 = ndtri(u1)``: the plain component's u,
+      and the radius's normal;
+    - ``u2`` gives the partner normal;
+    - ``u3`` gives the exponential ``-2 ln u3``, a chi^2(2) variate (the
+      fact behind Box & Muller, Ann. Math. Stat. 29, 610 (1958)), so
+      ``z1^2 - 2 ln u3`` is chi^2(3) and the radius is
+      ``sigma sqrt(z1^2 - 2 ln u3)``.  ``_U_LO`` keeps ``ln u3`` finite.
+
+    Cost per shot is constant in alpha.
     """
     from scipy.special import ndtri
 
@@ -115,19 +129,19 @@ def sample_counts(
     w_u = params.eta * (1.0 + cph) / 4.0
     w_v = params.eta * (1.0 - cph) / 4.0
     tab = shot_uniforms(seed, stream, start_shot, n_shots, _WORDS_COUNTS)
-    # plain component: u is the first primary normal, v the partner
+    # plain component: u is the primary normal, v the partner
     z1 = ndtri(tab[:, 1])
     u = sigma * z1
-    v = sigma * ndtri(tab[:, 5])
+    v = sigma * ndtri(tab[:, 2])
     # quadratic components: a signed chi(3) radius replaces u (or v, whose
     # partner normal then moves to u)
     quad = np.flatnonzero(tab[:, 0] < w_u + w_v)
     q = tab[quad]
     z1 = z1[quad]
-    z2, z3 = ndtri(q[:, 2]), ndtri(q[:, 3])
-    radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
-    np.negative(radius, out=radius, where=q[:, 4] < 0.5)
-    in_u = q[:, 0] < w_u
+    radius = sigma * np.sqrt(z1 * z1 - 2.0 * np.log(q[:, 3]))
+    c = q[:, 0]
+    in_u = c < w_u
+    np.negative(radius, out=radius, where=c < np.where(in_u, w_u / 2.0, w_u + w_v / 2.0))
     iu, iv = quad[in_u], quad[~in_u]
     u[iv] = v[iv]
     v[iv] = radius[~in_u]

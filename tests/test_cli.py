@@ -444,7 +444,7 @@ class TestExitCodes:
             for column in curves.dtype.names:
                 assert np.isfinite(curves[column][filled]).all(), (name, column)
 
-    @pytest.mark.parametrize("seed", [3, 71])
+    @pytest.mark.parametrize("seed", [4, 11])
     def test_counts_infinite_edge_variance_leaves_no_files(self, tmp_path, capsys, seed):
         # an edge bin's few shots spread over ~10 alpha: its variance exceeds
         # the float64 range; this exited 0 with inf in var_nB, after a numpy
@@ -1182,7 +1182,14 @@ def _is_number(v) -> bool:
 # grid bounds and steps outside the plausible draws are never numbers, so no
 # run tabulates a large grid
 _NON_NUMBERS = _JSON_VALUES.filter(lambda v: not _is_number(v))
-_COEFFS = st.one_of(st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+# plain, huge (their squares overflow) and subnormal coefficients
+_COEFF = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(2.0**1000, 2.0**1023),
+    st.floats(-(2.0**1023), -(2.0**1000)),
+    st.floats(-(2.0**-1022), 2.0**-1022, allow_subnormal=True),
+)
+_COEFFS = st.one_of(_COEFF, st.lists(_COEFF, min_size=2, max_size=2))
 _WIGNER_SPECS = _with_unknown_key(st.fixed_dictionaries(
     {},
     optional={
@@ -1207,19 +1214,46 @@ _WIGNER_SPECS = _with_unknown_key(st.fixed_dictionaries(
 ), "wigner")
 
 
+def _scaled_coeffs(spec, shift):
+    """``spec``'s c0 and c1 (a number or a [re, im] pair each; 1 and 0 by
+    default) times the power of two that brings the largest part to
+    ``[2**(shift-1), 2**shift)``; None where that is not exact."""
+    coeffs = {name: spec.get(name, default) for name, default in (("c0", 1.0), ("c1", 0.0))}
+    parts = {name: c if isinstance(c, list) else [c] for name, c in coeffs.items()}
+    k = shift - math.frexp(max(abs(float(x)) for p in parts.values() for x in p))[1]
+    scaled = {}
+    for name, p in parts.items():
+        new = [math.ldexp(float(x), k) for x in p]
+        if any(math.ldexp(y, -k) != x for x, y in zip(p, new)):
+            return None
+        scaled[name] = new if isinstance(coeffs[name], list) else new[0]
+    return scaled
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(spec=_WIGNER_SPECS)
-def test_wigner_spec_property(spec):
+@given(spec=_WIGNER_SPECS, shift=st.integers(-8, 8))
+def test_wigner_spec_property(spec, shift):
     """Any wigner spec on a small grid ends in a finite Wigner function within
     the bound ``|W| <= 1/pi`` of a normalized state (exit 0), or fails as in
-    :func:`_run_spec`."""
+    :func:`_run_spec`.  The state is normalized, so scaling every coefficient
+    of an accepted spec by one power of two (where that is exact) writes the
+    same ``wigner.csv``: huge and subnormal coefficients tabulate as their
+    scaled copies near 1 do."""
+    tables = []
 
     def check(out):
         w = np.loadtxt(out / "wigner.csv", delimiter=",", skiprows=1, usecols=2, ndmin=1)
         assert np.isfinite(w).all()
         assert np.abs(w).max() <= 1.0 / math.pi + 1e-9
+        tables.append((out / "wigner.csv").read_bytes())
 
-    _run_spec("wigner", spec, check)
+    if _run_spec("wigner", spec, check)[0] != 0:
+        return
+    scaled = _scaled_coeffs(spec, shift)
+    if scaled is None:
+        return
+    assert _run_spec("wigner", {**spec, **scaled}, check)[0] == 0
+    assert tables[0] == tables[1]
 
 
 # a valid document of each kind, and the paths to its number fields

@@ -100,23 +100,25 @@ class TestDeterminism:
 
 
 def _sample_counts_oracle(params, n_shots, seed, stream=0, start_shot=0):
-    """The unblocked count kernel: one clipped uniform table for all shots,
-    five ``ndtri`` per shot and nested selects over full columns."""
+    """The unblocked count kernel: one clipped uniform table of four words
+    per shot, the radius and the sign over full columns, nested selects."""
     sigma = math.sqrt(2.0) * params.alpha
     cph = math.cos(params.phi)
     w_u = params.eta * (1.0 + cph) / 4.0
     w_v = params.eta * (1.0 - cph) / 4.0
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(start_shot * 8 // 4)
-    tab = np.clip(np.random.Generator(bg).random((n_shots, 8)), 2.0**-53, 1.0 - 2.0**-53)
+    bg.advance(start_shot)  # four words per shot: one Philox tick
+    tab = np.clip(np.random.Generator(bg).random((n_shots, 4)), 2.0**-53, 1.0 - 2.0**-53)
     comp_u = tab[:, 0] < w_u
     comp_v = (tab[:, 0] >= w_u) & (tab[:, 0] < w_u + w_v)
     comp_c = ~(comp_u | comp_v)
-    sign = np.where(tab[:, 4] < 0.5, -1.0, 1.0)
-    z1, z2, z3 = ndtri(tab[:, 1]), ndtri(tab[:, 2]), ndtri(tab[:, 3])
-    radius = sigma * np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+    # the component word's position within its component's interval
+    negative = np.where(comp_u, tab[:, 0] < w_u / 2.0, tab[:, 0] < w_u + w_v / 2.0)
+    sign = np.where(negative, -1.0, 1.0)
+    z1 = ndtri(tab[:, 1])
+    radius = sigma * np.sqrt(z1 * z1 - 2.0 * np.log(tab[:, 3]))
     plain = sigma * ndtri(tab[:, 1])
-    partner = sigma * ndtri(tab[:, 5])
+    partner = sigma * ndtri(tab[:, 2])
     u = np.where(comp_u, sign * radius, np.where(comp_c, plain, partner))
     v = np.where(comp_v, sign * radius, partner)
     return (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
@@ -196,6 +198,42 @@ class TestGaussianCountSampler:
         res = stats.kstest(rec.dn_a, lambda x: oracles.alice_marginal_ref_cdf(x, p))
         critical_1pct = 1.628 / math.sqrt(rec.dn_a.size)
         assert res.statistic < critical_1pct
+
+    @staticmethod
+    def _rotated(rec, p):
+        sigma = math.sqrt(2.0) * p.alpha
+        u = (rec.dn_a + rec.dn_b) / math.sqrt(2.0)
+        v = (rec.dn_a - rec.dn_b) / math.sqrt(2.0)
+        return u / sigma, v / sigma
+
+    def test_rotated_marginals_kolmogorov_smirnov(self):
+        # at eta 1, phi 0 (w_v = 0) half the shots are plain, half carry a
+        # signed chi(3) radius in u; v is standard normal throughout
+        p = CountModelParams(1e4, 1.0, 0.0)
+        u, v = self._rotated(sampling.sample_counts(p, 200_000, seed=26), p)
+        chi3 = stats.chi(3)
+
+        def mixture_cdf(x):
+            signed_chi3 = 0.5 + 0.5 * np.sign(x) * chi3.cdf(np.abs(x))
+            return 0.5 * stats.norm.cdf(x) + 0.5 * signed_chi3
+
+        critical_1pct = 1.628 / math.sqrt(u.size)
+        assert stats.kstest(u, mixture_cdf).statistic < critical_1pct
+        assert stats.kstest(v, stats.norm.cdf).statistic < critical_1pct
+
+    def test_sign_independent_of_component(self):
+        # the component word also picks the sign: within each quadratic
+        # component, half the radii are negative
+        p = CountModelParams(1e4, 0.49, 1.0)
+        n_shots = 400_000
+        u, v = self._rotated(sampling.sample_counts(p, n_shots, seed=27, stream=3), p)
+        c = sampling.shot_uniforms(27, 3, 0, n_shots, sampling._WORDS_COUNTS)[:, 0]
+        w_u = p.eta * (1.0 + math.cos(p.phi)) / 4.0
+        w_v = p.eta * (1.0 - math.cos(p.phi)) / 4.0
+        for radius in (u[c < w_u], v[(c >= w_u) & (c < w_u + w_v)]):
+            assert radius.size > 20_000
+            # 4.4 binomial standard errors: a two-sided 1e-5 bound
+            assert abs(np.mean(radius < 0) - 0.5) < 4.4 * 0.5 / math.sqrt(radius.size)
 
     def test_variance_ratio_at_full_scale(self):
         # compact version of the headline check; the acceptance suite
@@ -398,7 +436,7 @@ class TestQuadratureSampler:
                 se = np.std(arr**power) / math.sqrt(len(arr))
                 assert np.mean(arr**power) == pytest.approx(target, abs=5 * se)
 
-    def test_underresolved_grid_rejected(self):
+    def test_non_states_refused_at_construction(self):
         # Hermitian and of unit trace but not positive, or with a NaN entry:
         # no such rho reaches the sampler, since construction refuses it.
         # The coherence 0.505 between |00> and |01> gives an eigenvalue of

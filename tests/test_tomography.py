@@ -148,7 +148,7 @@ class TestMleReconstruct:
         assert np.abs(back - result.rho.data).max() < 1e-12
         assert len(doc["loglik"]) == doc["iterations"] + 1
 
-    def test_output_failing_validation_raises(self, monkeypatch):
+    def test_estimate_that_is_not_a_state_raises(self, monkeypatch):
         # the returned state is constructed, so checked: coordinates of
         # trace 2 do not pass
         records = _simulate(_VACUUM, 2000, seed=67, schedule=_FOUR_PHASES)
