@@ -134,6 +134,28 @@ class TestSmoke:
         fock.DensityMatrix(data)  # construction checks that it is a state
         assert (out / "records.csv").read_text().startswith("shot,thetaA,xA,thetaB,xB")
 
+    def test_tomography_records_keep_a_zero_thetaB_column(self, tmp_path):
+        # Bob's LO is locked at 0: every record's thetaB cell is the text 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_quad_shots": 6000}')
+        out = tmp_path / "out"
+        assert run_cli("tomography", "--config", cfg, "--out", out, "--quiet") == 0
+        header, *rows = (out / "records.csv").read_text().splitlines()
+        assert header == "shot,thetaA,xA,thetaB,xB"
+        assert len(rows) == 6000
+        assert {row.split(",")[3] for row in rows} == {"0"}
+
+    def test_tomography_prints_two_progress_lines(self, tmp_path, capsys):
+        # stderr holds the two progress lines and nothing else: no warning
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_quad_shots": 6000}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("tomography", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("progress: ") for line in lines), lines
+
     def test_wigner_marginal_matches_direct_computation(self, tmp_path):
         spec = tmp_path / "state.json"
         spec.write_text(json.dumps({
@@ -249,6 +271,21 @@ class TestSmoke:
         assert doc["concurrence_monotone"] is True
         assert doc["results"][0]["fidelity_to_loss_model"] == pytest.approx(1.0, abs=1e-6)
         assert doc["results"][1]["concurrence_roundtrip"] == pytest.approx(0.95, abs=1e-6)
+
+    # the round trip reads two displaced levels per mode, O(dim^2): at dim
+    # 1024 it runs warning-free, and every eta's leakage is within 1e-10
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec", [{}, {"alpha_small": 2.0, "dim": 1024}], ids=["default", "dim-1024"]
+    )
+    def test_roundtrip_check_leakage(self, tmp_path, spec):
+        cfg = tmp_path / "rt.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run_cli("roundtrip-check", "--config", cfg, "--out", out, "--quiet") == 0
+        rows = json.loads((out / "roundtrip.json").read_text())["results"]
+        assert len(rows) == 3  # the default etas
+        assert all(row["leakage"] <= 1e-10 for row in rows), rows
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1031,23 +1068,24 @@ def _run_spec(command, spec, check_outputs=lambda out: None) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _check_roundtrip(out):
+    """roundtrip.json holds finite, bounded results within the leakage tolerance."""
+    doc = json.loads((out / "roundtrip.json").read_text())
+    assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
+    for row in doc["results"]:
+        assert all(math.isfinite(v) for v in row.values()), row
+        assert row["leakage"] <= pipeline._LEAKAGE_TOL, row
+        for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
+                     "concurrence_initial"):
+            assert 0.0 <= row[name] <= 1.0 + 1e-9, row
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(spec=_ROUNDTRIP_SPECS)
 def test_roundtrip_spec_property(spec):
     """Any roundtrip spec ends in finite, bounded results (exit 0) or in one
     stderr line, no traceback and an empty --out (exit 1)."""
-
-    def check(out):
-        doc = json.loads((out / "roundtrip.json").read_text())
-        assert math.isfinite(doc["alpha_small"]) and math.isfinite(doc["phi"])
-        for row in doc["results"]:
-            assert all(math.isfinite(v) for v in row.values()), row
-            assert row["leakage"] <= pipeline._LEAKAGE_TOL, row
-            for name in ("fidelity_to_loss_model", "concurrence_roundtrip",
-                         "concurrence_initial"):
-                assert 0.0 <= row[name] <= 1.0 + 1e-9, row
-
-    _run_spec("roundtrip-check", spec, check)
+    _run_spec("roundtrip-check", spec, _check_roundtrip)
 
 
 # the largest accepted alpha_small at each dim, bisected over eta 1 and 0.5
@@ -1072,6 +1110,33 @@ def test_roundtrip_accepts_within_leakage_edge(dim):
     assert _run_spec("roundtrip-check", {"alpha_small": edge / 2, "dim": dim}, check)[0] == 0
     code, err = _run_spec("roundtrip-check", {"alpha_small": 2 * edge, "dim": dim})
     assert code == 1 and err.startswith("config error: ") and "loses" in err, err
+
+
+# specs the round trip accepts: alpha_small within half the leakage edge at
+# its dim, any etas in (0, 1] and any phi
+_ACCEPTED_ROUNDTRIP_SPECS = st.sampled_from(sorted(_LEAKAGE_EDGES)).flatmap(
+    lambda dim: st.fixed_dictionaries(
+        {
+            "dim": st.just(dim),
+            "alpha_small": st.floats(-_LEAKAGE_EDGES[dim] / 2, _LEAKAGE_EDGES[dim] / 2),
+        },
+        optional={
+            "mismatch_etas": st.lists(
+                st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3
+            ),
+            "phi": st.floats(-10.0, 10.0),
+        },
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_ACCEPTED_ROUNDTRIP_SPECS)
+def test_accepted_roundtrip_spec_property(spec):
+    """Every accepted spec, drawn at four dims, exits 0 with the results
+    :func:`test_roundtrip_spec_property` checks; that property reaches exit
+    0 in few of its draws."""
+    assert _run_spec("roundtrip-check", spec, _check_roundtrip)[0] == 0
 
 
 def _experiment_specs(field=_field, **required):
@@ -1113,6 +1178,12 @@ def test_experiment_config_property(spec):
     """Any experiment.json, read by ``analytic`` (every command reads it the
     same way), ends in bounded results and a manifest that records each field
     as given (exit 0), or fails as in :func:`_run_spec`."""
+    _run_analytic(spec)
+
+
+def _run_analytic(spec) -> int:
+    """Run ``analytic`` on ``spec`` as :func:`_run_spec` does; on exit 0 the
+    results are bounded and the manifest records each field as given."""
 
     def check(out):
         summary = json.loads((out / "summary.json").read_text())
@@ -1127,7 +1198,50 @@ def test_experiment_config_property(spec):
         given_config = {**pipeline.ExperimentConfig().to_json_dict(), **spec}
         assert json.dumps(config, sort_keys=True) == json.dumps(given_config, sort_keys=True)
 
-    _run_spec("analytic", spec, check)
+    return _run_spec("analytic", spec, check)[0]
+
+
+# an eta_total near the default budget's product, or an eta_budget with the
+# eta_total its product gives (any eta_total when the budget is empty)
+_ACCEPTED_ETAS = st.one_of(
+    st.fixed_dictionaries({}, optional={"eta_total": st.floats(0.49, 0.529)}),
+    st.dictionaries(
+        st.sampled_from(["modematch", "optics", "detector", "undisplacement"]),
+        st.floats(0.3, 1.0),
+        max_size=4,
+    ).flatmap(lambda budget: st.fixed_dictionaries({
+        "eta_budget": st.just(budget),
+        "eta_total": st.just(math.prod(budget.values())) if budget else st.floats(0.05, 1.0),
+    })),
+)
+
+
+def _accepted_experiment_specs(**required):
+    """experiment.json documents every command accepts; each keyword names a
+    field that is always drawn, from the strategy given."""
+    optional = {
+        "alpha": st.floats(10.0, 1e5),
+        "phi": st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        "n_count_shots": st.integers(1, 10**7),
+        "n_quad_shots": st.integers(1000, 10**7),
+        "phase_noise_sigma": st.one_of(
+            st.floats(0.0, 3.0), st.sampled_from([40.0, 1e155, 1e300])
+        ),
+        "seed": st.integers(0, 2**64 - 1),
+    }
+    for name in required:
+        del optional[name]
+    fields = st.fixed_dictionaries(required, optional=optional)
+    return st.tuples(fields, _ACCEPTED_ETAS).map(lambda pair: {**pair[0], **pair[1]})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_accepted_experiment_specs())
+def test_accepted_experiment_config_property(spec):
+    """Every accepted experiment.json exits 0 through ``analytic`` with the
+    results :func:`test_experiment_config_property` checks; that property
+    reaches exit 0 in few of its draws."""
+    assert _run_analytic(spec) == 0
 
 
 def _plausible(plausible, other=None):
@@ -1162,6 +1276,12 @@ def test_simulate_counts_config_property(spec):
     """Any experiment.json run through ``simulate-counts`` ends in curves
     that hold NaN only in bins with too few shots (exit 0), or fails as in
     :func:`_run_spec`."""
+    _run_counts(spec)
+
+
+def _run_counts(spec) -> int:
+    """Run ``simulate-counts`` on ``spec`` as :func:`_run_spec` does; on exit
+    0 the curves hold every shot, and NaN only in bins with too few shots."""
 
     def check(out):
         for name in ("curves_phi0.csv", "curves_phi90.csv"):
@@ -1170,7 +1290,19 @@ def test_simulate_counts_config_property(spec):
             assert np.array_equal(np.isnan(curves["mean_nB"]), curves["count"] == 0)
             assert np.array_equal(np.isnan(curves["var_nB"]), curves["count"] < 2)
 
-    _run_spec("simulate-counts", spec, check)
+    return _run_spec("simulate-counts", spec, check)[0]
+
+
+# each conditioning window holds at least 0.36% of the shots at any eta: from
+# 5000 shots on, one left empty (exit 2) is below one draw in 10^7
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_accepted_experiment_specs(n_count_shots=st.integers(5000, 8000)))
+def test_accepted_simulate_counts_config_property(spec):
+    """Every accepted experiment.json with a few thousand shots exits 0
+    through ``simulate-counts`` with the curves
+    :func:`test_simulate_counts_config_property` checks; that property
+    reaches exit 0 in few of its draws."""
+    assert _run_counts(spec) == 0
 
 
 def _is_number(v) -> bool:
@@ -1239,6 +1371,14 @@ def test_wigner_spec_property(spec, shift):
     of an accepted spec by one power of two (where that is exact) writes the
     same ``wigner.csv``: huge and subnormal coefficients tabulate as their
     scaled copies near 1 do."""
+    _compare_scaled_wigner(spec, shift)
+
+
+def _compare_scaled_wigner(spec, shift) -> bool:
+    """Run ``wigner`` on ``spec`` as :func:`_run_spec` does; on exit 0 the
+    table is finite within ``|W| <= 1/pi``.  If the spec is accepted and its
+    coefficients scale exactly (:func:`_scaled_coeffs`), the scaled copy must
+    write the same ``wigner.csv``.  Returns whether that comparison ran."""
     tables = []
 
     def check(out):
@@ -1248,12 +1388,57 @@ def test_wigner_spec_property(spec, shift):
         tables.append((out / "wigner.csv").read_bytes())
 
     if _run_spec("wigner", spec, check)[0] != 0:
-        return
+        return False
     scaled = _scaled_coeffs(spec, shift)
     if scaled is None:
-        return
+        return False
     assert _run_spec("wigner", {**spec, **scaled}, check)[0] == 0
     assert tables[0] == tables[1]
+    return True
+
+
+def _one_scale_coeffs(part):
+    """c0 and c1, each a number or an [re, im] pair, every part drawn from
+    ``part``, not all zero."""
+    coeff = st.one_of(part, st.lists(part, min_size=2, max_size=2))
+    return st.fixed_dictionaries({"c0": coeff, "c1": coeff}).filter(
+        lambda c: any(np.ravel(c["c0"])) or any(np.ravel(c["c1"]))
+    )
+
+
+# the parts of one spec's coefficients share a scale, so scaling them by one
+# power of two is exact: plain (zero or at least 2^-1000), huge (their squares
+# overflow) or subnormal
+_COEFF_SCALES = [
+    st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) >= 2.0**-1000),
+    st.one_of(
+        st.just(0.0), st.floats(2.0**1000, 2.0**1023), st.floats(-(2.0**1023), -(2.0**1000))
+    ),
+    st.floats(-(2.0**-1022), 2.0**-1022, allow_subnormal=True),
+]
+# wigner specs every field of which is accepted, on a grid of at most 61^2 points
+_ACCEPTED_WIGNER_SPECS = st.tuples(
+    st.fixed_dictionaries(
+        {
+            "grid": st.fixed_dictionaries({
+                "min": st.floats(-3.0, -0.5),
+                "max": st.floats(0.5, 3.0),
+                "step": st.floats(0.1, 0.45),
+            }),
+        },
+        optional={"alpha": st.floats(-2.0, 2.0)},
+    ),
+    st.sampled_from(_COEFF_SCALES).flatmap(_one_scale_coeffs),
+).map(lambda pair: {**pair[0], **pair[1]})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(spec=_ACCEPTED_WIGNER_SPECS, shift=st.integers(-8, 8))
+def test_accepted_wigner_spec_property(spec, shift):
+    """Every draw is accepted and scales exactly, so every draw compares its
+    table with its scaled copy's, huge and subnormal coefficients included;
+    :func:`test_wigner_spec_property` does so in few of its draws."""
+    assert _compare_scaled_wigner(spec, shift)
 
 
 # a valid document of each kind, and the paths to its number fields
