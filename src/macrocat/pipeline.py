@@ -51,8 +51,8 @@ _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
 _N_COUNT_BINS = 41
 _BIN_SPAN_SIGMAS = 4.0
 _WINDOW_FRAC = 0.04
-# count shots drawn and reduced at a time: a 512 KiB uniform table that stays
-# in cache
+# count shots drawn and reduced at a time: a 512 KiB uniform table, and each
+# pool thread's other block arrays of 128-256 KiB, allocated once per thread
 _COUNT_BLOCK_SHOTS = 1 << 14
 # tomography: Alice's LO steps uniformly through 12 phases over [0, 2 pi)
 # while Bob's stays locked at 0; an informationally complete scan of the
@@ -206,20 +206,29 @@ class CountScenarioResult:
     variance_ratio: float
 
 
-def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _bin_index(
+    x: np.ndarray, edges: np.ndarray, out: np.ndarray, scratch: np.ndarray, flags: np.ndarray
+) -> np.ndarray:
     """Index of the bin of ``edges`` that holds each ``x``, outliers clipped
     into the edge bins: ``np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)``.
 
     The edges are uniform, so the index is arithmetic; rounding can put a
     value within a few ulps of an edge one bin off, and one comparison
-    against ``edges`` on each side moves it back.
+    against ``edges`` on each side moves it back.  The index goes to the
+    intp array ``out``; ``scratch`` (float) and ``flags`` (bool) are
+    scratch of ``x``'s length.
     """
     last = edges.size - 2
-    t = (x - edges[0]) * ((last + 1) / (edges[-1] - edges[0]))
+    t = np.subtract(x, edges[0], out=scratch)
+    np.multiply(t, (last + 1) / (edges[-1] - edges[0]), out=t)
     # truncation is floor on [0, last]
-    k = np.clip(t, 0, last, out=t).astype(np.intp)
-    k -= x < edges[k]
-    k += x >= edges[k + 1]
+    k = out
+    np.copyto(k, np.clip(t, 0, last, out=t), casting="unsafe")
+    # every index taken is in range, so "clip" only skips take's copy of out
+    k -= np.less(x, np.take(edges, k, out=t, mode="clip"), out=flags)
+    k += 1
+    k += np.greater_equal(x, np.take(edges, k, out=t, mode="clip"), out=flags)
+    k -= 1
     # an outlier's step to -1 or last + 1 is clipped back
     return np.clip(k, 0, last, out=k)
 
@@ -240,12 +249,15 @@ class _BinMoments:
     m2: np.ndarray
 
     @classmethod
-    def of(cls, idx: np.ndarray, y: np.ndarray) -> "_BinMoments":
+    def of(cls, idx: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> "_BinMoments":
+        """The moments of the values ``y`` in bins ``idx``; ``scratch`` is a
+        float array of their length."""
         n = np.bincount(idx, minlength=_N_COUNT_BINS)
         # an empty bin gets mean 0, which the merge weights by its 0 shots
         mean = np.bincount(idx, weights=y, minlength=_N_COUNT_BINS) / np.maximum(n, 1)
-        dev = y - mean[idx]
-        return cls(n, mean, np.bincount(idx, weights=dev * dev, minlength=_N_COUNT_BINS))
+        dev = np.subtract(y, np.take(mean, idx, out=scratch, mode="clip"), out=scratch)
+        m2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=_N_COUNT_BINS)
+        return cls(n, mean, m2)
 
     def merge(self, other: "_BinMoments") -> "_BinMoments":
         """The pairwise update of Chan, Golub & LeVeque (1983)."""
@@ -296,37 +308,60 @@ class _CountPartial:
         )
 
 
+class _BlockBuffers:
+    """One pool thread's arrays for its count blocks, sized for ``shots``
+    shots and sliced for a shorter last block: the sampler's workspace, and
+    the reduction's bin indices and scratch."""
+
+    def __init__(self, shots: int):
+        self.draw = sampling.CountWorkspace(shots)
+        self.index = np.empty(shots, dtype=np.intp)
+        self.scratch = np.empty(shots)
+        self.flags = np.empty(shots, dtype=bool)
+
+
 def _count_block(
-    config: ExperimentConfig, params: tuple, edges: np.ndarray, lo: int
+    config: ExperimentConfig, params: tuple, edges: np.ndarray, local, lo: int
 ) -> _CountPartial:
     """Draw shots ``[lo, lo + block)`` of both phase settings and reduce them.
 
     ``params`` holds the count parameters of phi = 0 and phi = pi/2; both
     settings share the bin ``edges``.  The draw is a function of ``lo`` alone
     (the Philox stream is counter-based), so the blocks can be reduced in any
-    order.
+    order.  The arrays come from the ``_BlockBuffers`` that the calling
+    thread keeps on ``local`` (a ``threading.local``), made on its first
+    block: a thread's later blocks allocate no array of a block's length.
     """
     n = min(_COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
+    buffers = getattr(local, "buffers", None)
+    if buffers is None:
+        buffers = local.buffers = _BlockBuffers(_COUNT_BLOCK_SHOTS)
+    idx, scratch, flags = buffers.index[:n], buffers.scratch[:n], buffers.flags[:n]
     scale = _count_scale(config.alpha)
-    records = [
-        sampling.sample_counts(p, n, config.seed, stream, start_shot=lo)
-        for p, stream in zip(params, (STREAM_COUNTS_PHI0, STREAM_COUNTS_PHI90))
-    ]
-    moments = tuple(
-        _BinMoments.of(_bin_index(rec.dn_a, edges), rec.dn_b * scale) for rec in records
-    )
-    rec0 = records[0]
+
+    def moments(rec: sampling.CountSample) -> _BinMoments:
+        # Bob's counts are scaled in place, so this is the draw's last use
+        y = np.multiply(rec.dn_b, scale, out=rec.dn_b)
+        return _BinMoments.of(_bin_index(rec.dn_a, edges, idx, scratch, flags), y, scratch)
+
+    rec = buffers.draw.draw(params[0], n, config.seed, STREAM_COUNTS_PHI0, start_shot=lo)
     delta_a = default_delta_a(config.alpha)
     window = _WINDOW_FRAC * counting.count_marginal_std(params[0])
+    # Bob's counts where |dn_a - delta_a|, then |dn_a + delta_a|, is within
+    # the window
     bob = [
-        rec0.dn_b[np.abs(rec0.dn_a - delta_a) <= window],
-        rec0.dn_b[np.abs(rec0.dn_a + delta_a) <= window],
+        rec.dn_b[np.less_equal(np.abs(np.subtract(rec.dn_a, d, out=scratch), out=scratch),
+                               window, out=flags)]
+        for d in (delta_a, -delta_a)
     ]
+    moments0 = moments(rec)
+    # a draw overwrites the last one, which is reduced by now
+    rec = buffers.draw.draw(params[1], n, config.seed, STREAM_COUNTS_PHI90, start_shot=lo)
     # the likelihood-ratio test for the two conditional laws reduces to the
     # sign of Bob's count: it errs above on a negative count, below on a
     # positive one
     return _CountPartial(
-        moments=moments,
+        moments=(moments0, moments(rec)),
         window_shots=np.array([b.size for b in bob]),
         window_errors=np.array([np.count_nonzero(bob[0] < 0.0), np.count_nonzero(bob[1] > 0.0)]),
         histograms=np.array([np.histogram(b, bins=edges)[0] for b in bob]),
@@ -369,13 +404,16 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     The shots are drawn and reduced in blocks of ``_COUNT_BLOCK_SHOTS``
     by :func:`_count_block`, on a thread pool with one thread per CPU in
     the process's affinity mask; at most two blocks per thread run or wait
-    ahead of the one being merged.  The partials are merged in block
-    order: no per-shot array outlives its block, so the working memory is
-    O(threads x block) for any ``n_count_shots``, and the result does not
-    depend on the pool size or on the order in which blocks are drawn.
+    ahead of the one being merged.  Each thread draws and reduces its
+    blocks in one set of block-length arrays, kept on a ``threading.local``
+    for this scenario.  The partials are merged in block order: no per-shot
+    array outlives its thread, so the working memory is O(threads x block)
+    for any ``n_count_shots``, and the result does not depend on the pool
+    size or on the order in which blocks are drawn.
     """
-    # imported here, like scipy: only this scenario uses it, and every
-    # command pays for what `import macrocat.cli` loads
+    # imported here: only this scenario uses them, and every command pays
+    # for what `import macrocat.cli` loads
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     params = (config.count_params(phi=0.0), config.count_params(phi=math.pi / 2.0))
@@ -390,7 +428,7 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
     with ThreadPoolExecutor(workers) as pool:
         partials = _in_order(
             pool,
-            functools.partial(_count_block, config, params, edges),
+            functools.partial(_count_block, config, params, edges, threading.local()),
             range(0, config.n_count_shots, _COUNT_BLOCK_SHOTS),
             2 * workers,
         )

@@ -402,10 +402,10 @@ class TestExitCodes:
         # a block that fails on a pool thread exits 2 as it would in-line
         count_block = pipeline._count_block
 
-        def block(config, params, edges, lo):
+        def block(config, params, edges, local, lo):
             if lo > 0:
                 raise NumericError("block failed")
-            return count_block(config, params, edges, lo)
+            return count_block(config, params, edges, local, lo)
 
         monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", 1000)
         monkeypatch.setattr(pipeline, "_count_block", block)
@@ -515,6 +515,20 @@ class TestExitCodes:
         assert run_cli("simulate-counts", "--config", cfg, "--out", out, "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+    def test_counts_empty_window_leaves_no_files(self, tmp_path, capsys):
+        # each +-0.04 sigma conditioning window holds under 1% of the shots:
+        # at 1000 shots one of them can stay empty, and the error rate has
+        # no denominator
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"alpha": 10, "eta_total": 0.25, "eta_budget": {}, '
+                       '"n_count_shots": 1000, "seed": 46988}')
+        out = tmp_path / "o"
+        assert run_cli("simulate-counts", "--config", cfg, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            "numerical error: no shots fall in the conditioning windows\n"
+        )
         assert list(out.iterdir()) == []
 
     # no floating-point warning on the way to the config error
@@ -965,15 +979,33 @@ def test_import_loads_no_logging():
         ("wigner", "{}"),
         ("tomography", '{"n_quad_shots": 6000}'),
         ("roundtrip-check", "{}"),
+        ("simulate-counts", '{"n_count_shots": 30000}'),
     ],
 )
 def test_command_without_scipy_kernels_loads_no_scipy(tmp_path, command, document):
-    # only sample_counts calls scipy.special
+    # the package needs numpy alone: no command loads scipy
     spec = tmp_path / "spec.json"
     spec.write_text(document)
     argv = [command, "--config", str(spec), "--out", str(tmp_path / "o"), "--quiet"]
     code = f"from macrocat import cli\nassert cli.main({argv!r}) == 0"
     assert _modules_after(code, "scipy") == []
+
+
+def test_simulate_counts_with_scipy_blocked_writes_the_same_bytes(tmp_path):
+    # with scipy unimportable the count sampler's normal quantile still
+    # runs (it is numpy), and the files are those of a normal run
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_count_shots": 30000}')
+    files = {}
+    for name, prelude in (("normal", ""), ("blocked", 'import sys\nsys.modules["scipy"] = None\n')):
+        out = tmp_path / name
+        argv = ["simulate-counts", "--config", str(spec), "--out", str(out), "--quiet"]
+        code = f"{prelude}from macrocat import cli\nraise SystemExit(cli.main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(files["normal"]) == 5
+    assert files["blocked"] == files["normal"]
 
 
 # Any JSON value a roundtrip spec field can hold: NaN and +-Infinity tokens,

@@ -5,6 +5,7 @@ analytic overlays, the undisplacement locality check, and output files.
 import json
 import math
 import os
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -301,7 +302,10 @@ class TestStreamedCounts:
             np.random.default_rng(5).uniform(-1.5 * span, 1.5 * span, 10_000),
         ])
         expected = np.clip(np.digitize(x, edges) - 1, 0, edges.size - 2)
-        assert np.array_equal(pipeline._bin_index(x, edges), expected)
+        got = pipeline._bin_index(
+            x, edges, np.empty(x.size, np.intp), np.empty(x.size), np.empty(x.size, bool)
+        )
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("block", [pipeline._COUNT_BLOCK_SHOTS, 1000, 7])
     @pytest.mark.parametrize("alpha,seed", [(1.05e4, 71), (5e153, 3)])
@@ -352,6 +356,32 @@ class TestStreamedCounts:
         # whole-array records of 1,000,000 shots alone take 32 MB
         assert large < 8 * 2**20
         assert abs(large - small) < 2**20
+
+    def test_warm_block_allocates_no_block_array(self):
+        # a pool thread's first block allocates its arrays; its later blocks
+        # draw and reduce in them, so no array of a block's size (2^14
+        # doubles, 128 KiB) is allocated while they run
+        block = pipeline._COUNT_BLOCK_SHOTS
+        cfg = ExperimentConfig(n_count_shots=3 * block, seed=5)
+        params = (cfg.count_params(phi=0.0), cfg.count_params(phi=math.pi / 2.0))
+        edges = pipeline.count_bin_edges(params[0])
+        local = threading.local()
+
+        def peak_of(lo):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                pipeline._count_block(cfg, params, edges, local, lo)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        cold = peak_of(0)
+        warm = [peak_of(lo) for lo in (block, 2 * block)]
+        # tracemalloc sees numpy's arrays: the first block's hold over ten
+        # blocks' worth of doubles
+        assert cold > 10 * block * 8
+        assert max(warm) < block * 8, warm
 
 
 def _use_cpus(monkeypatch, n):
@@ -415,11 +445,11 @@ class TestThreadedCounts:
         started = []
         count_block = pipeline._count_block
 
-        def block(config, params, edges, lo):
+        def block(config, params, edges, local, lo):
             started.append(lo)
             if lo == failing * 1000:
                 raise error
-            return count_block(config, params, edges, lo)
+            return count_block(config, params, edges, local, lo)
 
         monkeypatch.setattr(pipeline, "_count_block", block)
         cfg = ExperimentConfig(alpha=37.5, n_count_shots=100_000, seed=3)
