@@ -8,6 +8,8 @@ Subcommands::
     macrocat wigner          --out DIR [--config state.json]
     macrocat roundtrip-check --out DIR [--config roundtrip.json]
 
+This module parses the arguments and the config or spec, reports, and maps
+failures to exit codes; :mod:`macrocat.pipeline` builds every document.
 Each command returns its resolved configuration and its documents (file
 name to content); :func:`main` adds a ``manifest.json`` recording the
 command, that configuration, the package version and the output list, and
@@ -27,15 +29,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-import warnings
-from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, counting, fock, output, pipeline
+from . import __version__, output, pipeline
 from .errors import ConfigError, NumericError
 
 
@@ -106,22 +103,7 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
 
 def cmd_analytic(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
-    edges = pipeline.count_bin_edges(config.count_params(phi=0.0))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    documents = {}
-    for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
-        params = config.count_params(phi=phi)
-        documents[name] = {
-            "nA": centers,
-            "mean_nB": counting.conditional_mean(centers, params),
-            "var_nB": counting.conditional_variance(centers, params),
-        }
-    documents["summary.json"] = pipeline.summary(
-        counting.variance_peak_ratio(config.eta_total),
-        config.model_discrimination_error(),
-        config.model_concurrence(),
-    )
-    return config.to_json_dict(), documents
+    return config.to_json_dict(), pipeline.analytic_documents(config)
 
 
 def cmd_simulate_counts(args) -> tuple[dict, dict]:
@@ -129,39 +111,28 @@ def cmd_simulate_counts(args) -> tuple[dict, dict]:
     _progress(
         args, f"sampling {config.n_count_shots} count shots per setting at alpha={config.alpha:g}"
     )
-    result = pipeline.run_counts_scenario(config)
+    documents = pipeline.run_counts_scenario(config)
+    summary = documents["summary.json"]
     _progress(
         args,
-        f"variance ratio {result.variance_ratio:.4f}, "
-        f"discrimination error {result.discrimination_error:.4f}",
+        f"variance ratio {summary['variance_ratio']:.4f}, "
+        f"discrimination error {summary['discrimination_error']:.4f}",
     )
-    return config.to_json_dict(), pipeline.count_documents(result, config)
+    return config.to_json_dict(), documents
 
 
 def cmd_tomography(args) -> tuple[dict, dict]:
     config = _experiment_config(args)
     _progress(args, f"sampling {config.n_quad_shots} quadrature records")
-    scenario = pipeline.run_tomography_scenario(config)
-    result, records = scenario.result, scenario.records
+    documents = pipeline.run_tomography_scenario(config)
+    result = documents["result.json"]
     _progress(
         args,
-        f"reconstruction: {result.iterations} iterations, stop {result.stop_reason} "
-        f"at likelihood gap {result.gap:.3e}, concurrence {result.concurrence:.4f}, "
-        f"fidelity to model {scenario.fidelity_to_model:.4f}",
+        f"reconstruction: {result['iterations']} iterations, stop {result['stop_reason']} "
+        f"at likelihood gap {result['gap']:.3e}, concurrence {result['concurrence']:.4f}, "
+        f"fidelity to model {result['fidelity_to_model']:.4f}",
     )
-    return config.to_json_dict(), {
-        "records.csv": {
-            "shot": records.shots, "thetaA": records.theta_a, "xA": records.x_a,
-            # Bob's LO is locked at 0; the column keeps the file's format
-            "thetaB": np.zeros(len(records)), "xB": records.x_b,
-        },
-        "result.json": {**result.to_json_dict(), "fidelity_to_model": scenario.fidelity_to_model},
-        "summary.json": pipeline.summary(
-            counting.variance_peak_ratio(config.eta_total),
-            config.model_discrimination_error(),
-            result.concurrence,
-        ),
-    }
+    return config.to_json_dict(), documents
 
 
 def _coeff(name: str, value) -> complex:
@@ -177,11 +148,10 @@ def _coeff(name: str, value) -> complex:
 def cmd_wigner(args) -> tuple[dict, dict]:
     """Config: {"alpha", "c0", "c1", "grid": {"min", "max", "step"}}.
 
-    The tabulated state is ``c0 D(alpha)|0> + c1 D(alpha)|1>``, normalized.
-    A ``UserWarning`` names the table's captured mass ``sum(w) step^2`` when
-    it is off 1 by more than 1e-3.
-    An integer ``dim`` is accepted for older spec files and ignored: the
-    closed form has no truncation.
+    The tabulated state is ``c0 D(alpha)|0> + c1 D(alpha)|1>``, normalized
+    (see :func:`macrocat.pipeline.wigner_documents`).  An integer ``dim`` is
+    accepted for older spec files and ignored: the closed form has no
+    truncation.
     """
     doc = _load_json(args.config)
     pipeline.check_fields("state", doc, {"alpha", "c0", "c1", "dim", "grid"})
@@ -200,25 +170,13 @@ def cmd_wigner(args) -> tuple[dict, dict]:
         pipeline.json_integer("dim", doc["dim"])
     if hi <= lo or step <= 0:
         raise ConfigError("grid must satisfy min < max and step > 0")
-    axis = np.arange(lo, hi + step / 2.0, step)
-    grid_w = fock.wigner(alpha, c0, c1, axis, axis)
-    mass = float(grid_w.sum()) * step * step
-    if abs(mass - 1.0) > 1e-3:
-        warnings.warn(
-            f"the grid captures {mass:.6f} of the Wigner function's unit mass; "
-            "the state lies partly or wholly off the grid"
-        )
     resolved = {
         "alpha": alpha,
         "c0": [c0.real, c0.imag],
         "c1": [c1.real, c1.imag],
         "grid": {"min": lo, "max": hi, "step": step},
     }
-    return resolved, {
-        "wigner.csv": {
-            "x": np.repeat(axis, axis.size), "p": np.tile(axis, axis.size), "w": grid_w.ravel(),
-        },
-    }
+    return resolved, pipeline.wigner_documents(alpha, c0, c1, lo, hi, step)
 
 
 def cmd_roundtrip_check(args) -> tuple[dict, dict]:
@@ -232,24 +190,8 @@ def cmd_roundtrip_check(args) -> tuple[dict, dict]:
     etas = [float(pipeline.json_number(f"mismatch_etas[{k}]", v)) for k, v in enumerate(etas)]
     phi = float(pipeline.json_number("phi", doc.get("phi", 0.0)))
     dim = pipeline.json_integer("dim", doc.get("dim", 32))
-    rows = [
-        asdict(pipeline.displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi))
-        for eta in etas
-    ]
-    monotone = all(
-        rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
-        for i in range(len(rows) - 1)
-    ) if sorted(etas, reverse=True) == etas else None
     resolved = {"alpha_small": alpha_small, "mismatch_etas": etas, "dim": dim, "phi": phi}
-    return resolved, {
-        "roundtrip.json": {
-            "alpha_small": alpha_small,
-            "dim": dim,
-            "phi": phi,
-            "results": rows,
-            "concurrence_monotone": monotone,
-        },
-    }
+    return resolved, pipeline.roundtrip_documents(alpha_small, etas, dim, phi)
 
 
 _COMMANDS = {

@@ -1,6 +1,5 @@
-"""End-to-end experiment scenarios: counting runs, tomography runs and the
-undisplacement locality check, with analytic overlays and the documents a
-counting run emits.
+"""End-to-end experiment scenarios: every command's documents (file name to
+content, written by :func:`macrocat.output.write_documents`) are built here.
 
 A counting scenario draws balanced-detection records for both phase
 settings (0 and pi/2), bins Alice's outcomes, and produces the
@@ -13,7 +12,8 @@ one thread per CPU the process may run on, a bounded number of them
 ahead of the merge, and their partials merge in block order, so the
 output does not depend on the pool size.  A tomography scenario builds
 the microscopic post-undisplacement model state, samples homodyne records
-over a phase schedule, and reconstructs it.
+over a phase schedule, and reconstructs it.  The analytic curves, the
+Wigner table and the undisplacement locality check are built here too.
 
 The macroscopic counting path uses the Gaussian-regime law.  The
 tomography path works on the two-mode, two-level state
@@ -29,6 +29,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 from collections import deque
 from dataclasses import dataclass, field, asdict
 
@@ -158,16 +159,6 @@ class ExperimentConfig:
     def count_params(self, phi: float) -> CountModelParams:
         return CountModelParams(alpha=self.alpha, eta=self.eta_total, phi=phi)
 
-    def model_concurrence(self) -> float:
-        """Concurrence of the loss + dephasing model state."""
-        return self.eta_total * dephasing_factor(self.phase_noise_sigma)
-
-    def model_discrimination_error(self) -> float:
-        """Closed-form discrimination error at the default Alice offset."""
-        return counting.distinguishability_error(
-            self.count_params(phi=0.0), default_delta_a(self.alpha)
-        )
-
 
 def default_delta_a(alpha: float) -> float:
     return _DELTA_A_PER_ALPHA * alpha
@@ -179,31 +170,36 @@ def count_bin_edges(params: CountModelParams) -> np.ndarray:
     return np.linspace(-span, span, _N_COUNT_BINS + 1)
 
 
-@dataclass(frozen=True)
-class BinnedCurve:
-    """Per-bin conditional statistics of Bob's counts vs Alice's bin center."""
+def _summary(config: ExperimentConfig, **measured: float) -> dict:
+    """``summary.json``: the model's three headline numbers, with the ones a
+    run measured in their place.  The model's discrimination error is the
+    closed form at the default Alice offset, its concurrence that of the
+    loss + dephasing model state."""
+    return {
+        "variance_ratio": counting.variance_peak_ratio(config.eta_total),
+        "discrimination_error": counting.distinguishability_error(
+            config.count_params(phi=0.0), default_delta_a(config.alpha)
+        ),
+        "concurrence": config.eta_total * dephasing_factor(config.phase_noise_sigma),
+        **measured,
+    }
 
-    centers: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    counts: np.ndarray
-    model_mean: np.ndarray
-    model_variance: np.ndarray
 
-
-@dataclass(frozen=True)
-class CountScenarioResult:
-    """Everything a counting run produces (curves, histograms, summary)."""
-
-    curves: dict  # phi -> BinnedCurve
-    histogram_above: np.ndarray
-    histogram_below: np.ndarray
-    # shots in the conditioning windows (above, below), and how many of them
-    # the sign test misassigns
-    window_shots: np.ndarray
-    window_errors: np.ndarray
-    discrimination_error: float
-    variance_ratio: float
+def analytic_documents(config: ExperimentConfig) -> dict:
+    """``analytic``'s documents: the model's conditional curves at both phase
+    settings over the count bins' centers, and its summary."""
+    edges = count_bin_edges(config.count_params(phi=0.0))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    documents = {}
+    for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
+        params = config.count_params(phi=phi)
+        documents[name] = {
+            "nA": centers,
+            "mean_nB": counting.conditional_mean(centers, params),
+            "var_nB": counting.conditional_variance(centers, params),
+        }
+    documents["summary.json"] = _summary(config)
+    return documents
 
 
 def _bin_index(
@@ -268,9 +264,11 @@ class _BinMoments:
             n, self.mean + delta * frac, self.m2 + other.m2 + delta * delta * self.n * frac
         )
 
-    def curve(self, edges: np.ndarray, params: CountModelParams, scale: float) -> BinnedCurve:
-        """Unscaled conditional mean and unbiased variance of each bin: NaN
-        mean in an empty bin, NaN variance in a bin with fewer than 2 shots."""
+    def curve(self, edges: np.ndarray, params: CountModelParams, scale: float) -> dict:
+        """The columns of a curve file: each bin's center, unscaled
+        conditional mean and unbiased variance (NaN mean in an empty bin,
+        NaN variance in a bin with fewer than 2 shots), shot count, and the
+        model's mean and variance."""
         centers = 0.5 * (edges[:-1] + edges[1:])
         # a few shots spread over ~10 alpha can have a variance beyond the
         # float64 range once unscaled; the infinity is rejected when the
@@ -278,14 +276,11 @@ class _BinMoments:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             mean = np.where(self.n > 0, self.mean / scale, np.nan)
             var = np.where(self.n > 1, self.m2 / (self.n - 1), np.nan) / scale**2
-        return BinnedCurve(
-            centers=centers,
-            mean=mean,
-            variance=var,
-            counts=self.n.astype(np.int64),
-            model_mean=counting.conditional_mean(centers, params),
-            model_variance=counting.conditional_variance(centers, params),
-        )
+        return {
+            "nA": centers, "mean_nB": mean, "var_nB": var, "count": self.n.astype(np.int64),
+            "model_mean_nB": counting.conditional_mean(centers, params),
+            "model_var_nB": counting.conditional_variance(centers, params),
+        }
 
 
 @dataclass(frozen=True)
@@ -386,20 +381,9 @@ def _in_order(pool, fn, items, depth: int):
             future.cancel()
 
 
-def peak_variance_ratio(curve: BinnedCurve, params: CountModelParams) -> float:
-    """Center-bin conditional variance over the large-offset asymptote.
-
-    The asymptote is the two-shot-noise-unit floor ``2 alpha^2`` the law
-    decays to; bins at reachable offsets still sit a few percent above it,
-    so the known floor (in the lab: the measured reference/vacuum noise)
-    serves as the denominator.
-    """
-    center = np.argmin(np.abs(curve.centers))
-    return float(curve.variance[center] / (2.0 * params.alpha**2))
-
-
-def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
-    """Counting run for both phase settings with analytic overlays.
+def run_counts_scenario(config: ExperimentConfig) -> dict:
+    """``simulate-counts``' documents: a counting run for both phase
+    settings with analytic overlays.
 
     The shots are drawn and reduced in blocks of ``_COUNT_BLOCK_SHOTS``
     by :func:`_count_block`, on a thread pool with one thread per CPU in
@@ -437,20 +421,27 @@ def run_counts_scenario(config: ExperimentConfig) -> CountScenarioResult:
         raise ValueError("no shots fall in the conditioning windows")
     error_rates = total.window_errors / total.window_shots
     scale = _count_scale(config.alpha)
-    curves = {
-        phi: m.curve(edges, p, scale)
-        for phi, m, p in zip((0.0, math.pi / 2.0), total.moments, params)
+    curves = [m.curve(edges, p, scale) for m, p in zip(total.moments, params)]
+    # the center bin's conditional variance over the large-offset asymptote,
+    # the two-shot-noise-unit floor 2 alpha^2 the law decays to: bins at
+    # reachable offsets still sit a few percent above it, so the known floor
+    # (in the lab: the measured reference/vacuum noise) is the denominator
+    center = np.argmin(np.abs(curves[0]["nA"]))
+    return {
+        "summary.json": _summary(
+            config,
+            variance_ratio=float(curves[0]["var_nB"][center] / (2.0 * config.alpha**2)),
+            # the empirical Bayes error of the sign test
+            discrimination_error=0.5 * float(error_rates[0] + error_rates[1]),
+        ),
+        "curves_phi0.csv": curves[0],
+        "curves_phi90.csv": curves[1],
+        "histograms.csv": {
+            "dnB": curves[0]["nA"],
+            "count_above": total.histograms[0],
+            "count_below": total.histograms[1],
+        },
     }
-    return CountScenarioResult(
-        curves=curves,
-        histogram_above=total.histograms[0],
-        histogram_below=total.histograms[1],
-        window_shots=total.window_shots,
-        window_errors=total.window_errors,
-        # the empirical Bayes error of the sign test
-        discrimination_error=0.5 * float(error_rates[0] + error_rates[1]),
-        variance_ratio=peak_variance_ratio(curves[0.0], params[0]),
-    )
 
 
 def model_microscopic_state(
@@ -474,15 +465,9 @@ def model_microscopic_state(
     return fock.DensityMatrix(data)
 
 
-@dataclass(frozen=True)
-class TomographyScenarioResult:
-    result: tomography.TomographyResult
-    records: sampling.QuadratureSample
-    fidelity_to_model: float
-
-
-def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResult:
-    """Simulate the homodyne run on the model state and reconstruct it.
+def run_tomography_scenario(config: ExperimentConfig) -> dict:
+    """``tomography``'s documents: the homodyne run simulated on the model
+    state, and its reconstruction.
 
     The heralded source emits one photon split between the arms, and
     :func:`macrocat.tomography.mle_reconstruct` reconstructs on the vacuum +
@@ -496,11 +481,17 @@ def run_tomography_scenario(config: ExperimentConfig) -> TomographyScenarioResul
         model, TOMO_PHASES, config.n_quad_shots, config.seed, stream=STREAM_QUADRATURES
     )
     result = tomography.mle_reconstruct(records)
-    return TomographyScenarioResult(
-        result=result,
-        records=records,
-        fidelity_to_model=tomography.fidelity(result.rho, model),
-    )
+    return {
+        "records.csv": {
+            "shot": records.shots, "thetaA": records.theta_a, "xA": records.x_a,
+            # Bob's LO is locked at 0; the column keeps the file's format
+            "thetaB": np.zeros(len(records)), "xB": records.x_b,
+        },
+        "result.json": {
+            **result.to_json_dict(), "fidelity_to_model": tomography.fidelity(result.rho, model),
+        },
+        "summary.json": _summary(config, concurrence=result.concurrence),
+    }
 
 
 # The round trip's one truncation rule: the population its 4 x 4 block
@@ -614,36 +605,49 @@ def displacement_roundtrip_check(
     )
 
 
-# ---------------------------------------------------------------------------
-# documents (written by macrocat.output.write_documents)
-
-def summary(variance_ratio: float, discrimination_error: float, concurrence: float) -> dict:
-    """``summary.json``: the three headline numbers of a run."""
+def roundtrip_documents(alpha_small: float, mismatch_etas: list, dim: int, phi: float) -> dict:
+    """``roundtrip-check``'s document: :func:`displacement_roundtrip_check` at
+    each of ``mismatch_etas``, and whether the round-trip concurrence falls
+    with eta (``None`` unless the etas are in descending order)."""
+    rows = [
+        asdict(displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi))
+        for eta in mismatch_etas
+    ]
+    monotone = all(
+        rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
+        for i in range(len(rows) - 1)
+    ) if sorted(mismatch_etas, reverse=True) == mismatch_etas else None
     return {
-        "variance_ratio": variance_ratio,
-        "discrimination_error": discrimination_error,
-        "concurrence": concurrence,
+        "roundtrip.json": {
+            "alpha_small": alpha_small,
+            "dim": dim,
+            "phi": phi,
+            "results": rows,
+            "concurrence_monotone": monotone,
+        },
     }
 
 
-def count_documents(result: CountScenarioResult, config: ExperimentConfig) -> dict:
-    """The documents of a counting run: summary.json, curves_phi0.csv,
-    curves_phi90.csv and histograms.csv."""
-    documents = {
-        "summary.json": summary(
-            result.variance_ratio, result.discrimination_error, config.model_concurrence()
-        ),
+def wigner_documents(
+    alpha: float, c0: complex, c1: complex, lo: float, hi: float, step: float
+) -> dict:
+    """``wigner``'s document: the Wigner function of ``c0 D(alpha)|0> + c1
+    D(alpha)|1>``, normalized, on the square grid from ``lo`` to ``hi`` in
+    steps of ``step``.
+
+    A ``UserWarning`` names the table's captured mass ``sum(w) step^2`` when
+    it is off 1 by more than 1e-3.
+    """
+    axis = np.arange(lo, hi + step / 2.0, step)
+    grid_w = fock.wigner(alpha, c0, c1, axis, axis)
+    mass = float(grid_w.sum()) * step * step
+    if abs(mass - 1.0) > 1e-3:
+        warnings.warn(
+            f"the grid captures {mass:.6f} of the Wigner function's unit mass; "
+            "the state lies partly or wholly off the grid"
+        )
+    return {
+        "wigner.csv": {
+            "x": np.repeat(axis, axis.size), "p": np.tile(axis, axis.size), "w": grid_w.ravel(),
+        },
     }
-    for name, phi in (("curves_phi0.csv", 0.0), ("curves_phi90.csv", math.pi / 2.0)):
-        curve = result.curves[phi]
-        documents[name] = {
-            "nA": curve.centers, "mean_nB": curve.mean, "var_nB": curve.variance,
-            "count": curve.counts, "model_mean_nB": curve.model_mean,
-            "model_var_nB": curve.model_variance,
-        }
-    documents["histograms.csv"] = {
-        "dnB": result.curves[0.0].centers,
-        "count_above": result.histogram_above,
-        "count_below": result.histogram_below,
-    }
-    return documents

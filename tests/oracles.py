@@ -67,7 +67,7 @@ from scipy.special import eval_genlaguerre, gammaln, ndtr, xlogy
 from macrocat import counting, fock
 from macrocat.counting import CountModelParams
 from macrocat.fock import loss_kraus_coefficients, quadrature_basis
-from macrocat.pipeline import _N_COUNT_BINS, BinnedCurve, count_bin_edges
+from macrocat.pipeline import _N_COUNT_BINS, count_bin_edges
 from macrocat.sampling import (
     _QUAD_GRID,
     CountSample,
@@ -221,8 +221,10 @@ def alice_marginal_ref_cdf(n_a, params: CountModelParams):
     return out if out.shape else float(out)
 
 
-def bin_count_records(records: CountSample, params: CountModelParams) -> BinnedCurve:
-    """Conditional mean/variance of dn_B binned over Alice's outcome.
+def bin_count_records(records: CountSample, params: CountModelParams) -> dict:
+    """Conditional mean/variance of dn_B binned over Alice's outcome, as the
+    columns of a curve file (``nA``, ``mean_nB``, ``var_nB``, ``count``,
+    ``model_mean_nB``, ``model_var_nB``).
 
     Bins are those of :func:`count_bin_edges`; outliers are clipped into
     the edge bins so counts always total the number of shots.
@@ -247,14 +249,11 @@ def bin_count_records(records: CountSample, params: CountModelParams) -> BinnedC
         var = np.where(counts > 1, var * counts / (counts - 1), np.nan)
         mean /= scale
         var /= scale**2
-    return BinnedCurve(
-        centers=centers,
-        mean=mean,
-        variance=var,
-        counts=counts,
-        model_mean=counting.conditional_mean(centers, params),
-        model_variance=counting.conditional_variance(centers, params),
-    )
+    return {
+        "nA": centers, "mean_nB": mean, "var_nB": var, "count": counts,
+        "model_mean_nB": counting.conditional_mean(centers, params),
+        "model_var_nB": counting.conditional_variance(centers, params),
+    }
 
 
 # ---------------------------------------------------------------------------

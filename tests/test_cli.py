@@ -972,6 +972,19 @@ def test_import_loads_no_logging():
     assert _modules_after("import macrocat.cli", "logging") == []
 
 
+def test_cli_imports_no_physics_module():
+    # pipeline builds every document; cli parses, reports and maps exit
+    # codes, so it imports neither the count model nor the Fock algebra
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert not names & {"counting", "fock"}, sorted(names)
+
+
 @pytest.mark.parametrize(
     "command,document",
     [

@@ -2,6 +2,7 @@
 analytic overlays, the undisplacement locality check, and output files.
 """
 
+import functools
 import json
 import math
 import os
@@ -18,6 +19,11 @@ from macrocat.counting import CountModelParams
 from macrocat.errors import ConfigError, NumericError
 from macrocat.pipeline import ExperimentConfig
 import oracles
+
+
+def _model_summary(cfg):
+    """The model's ``summary.json``, as ``analytic`` writes it."""
+    return pipeline.analytic_documents(cfg)["summary.json"]
 
 
 class TestExperimentConfig:
@@ -75,7 +81,8 @@ class TestExperimentConfig:
 
     def test_model_concurrence_with_dephasing(self):
         cfg = ExperimentConfig(phase_noise_sigma=0.5)
-        assert cfg.model_concurrence() == pytest.approx(0.49 * math.exp(-0.125), rel=1e-12)
+        concurrence = _model_summary(cfg)["concurrence"]
+        assert concurrence == pytest.approx(0.49 * math.exp(-0.125), rel=1e-12)
 
 
 
@@ -134,9 +141,15 @@ def _roundtrip_states():
     return states
 
 
+def _state_of(result_json):
+    """The state ``result.json`` records, rebuilt from its row-major parts."""
+    rho = result_json["rho"]
+    return fock.DensityMatrix((np.array(rho["re"]) + 1j * np.array(rho["im"])).reshape(4, 4))
+
+
 def _mle_states():
     return [
-        pipeline.run_tomography_scenario(ExperimentConfig(seed=seed)).result.rho
+        _state_of(pipeline.run_tomography_scenario(ExperimentConfig(seed=seed))["result.json"])
         for seed in (1, 7)
     ]
 
@@ -171,7 +184,7 @@ class TestMicroscopicModel:
             expected = 0.0
         assert pipeline.dephasing_factor(sigma) == expected
         cfg = ExperimentConfig(phase_noise_sigma=sigma)
-        assert cfg.model_concurrence() == 0.49 * expected
+        assert _model_summary(cfg)["concurrence"] == 0.49 * expected
         rho = pipeline.model_microscopic_state(0.49, 1.0, dephasing_sigma=sigma)
         # subnormal factors keep only a few digits
         assert abs(rho.data[1, 2]) == pytest.approx(0.245 * expected, rel=1e-12, abs=1e-320)
@@ -189,69 +202,75 @@ def small_run():
     return cfg, pipeline.run_counts_scenario(cfg)
 
 
+# the curve file of each phase setting
+_CURVE_OF = {0.0: "curves_phi0.csv", math.pi / 2.0: "curves_phi90.csv"}
+
+
 class TestCountsScenario:
     def test_bin_counts_cover_all_shots(self, small_run):
-        cfg, result = small_run
-        for curve in result.curves.values():
-            assert curve.counts.sum() == cfg.n_count_shots
+        cfg, documents = small_run
+        for name in _CURVE_OF.values():
+            assert documents[name]["count"].sum() == cfg.n_count_shots
 
     def test_quarter_phase_mean_slope_flat(self, small_run):
-        cfg, result = small_run
-        curve = result.curves[math.pi / 2.0]
-        use = curve.counts >= 100
-        x = curve.centers[use]
-        y = curve.mean[use]
-        w = curve.counts[use] / curve.variance[use]
+        cfg, documents = small_run
+        curve = documents["curves_phi90.csv"]
+        use = curve["count"] >= 100
+        x = curve["nA"][use]
+        y = curve["mean_nB"][use]
+        w = curve["count"][use] / curve["var_nB"][use]
         xbar = np.average(x, weights=w)
         slope = np.sum(w * (x - xbar) * y) / np.sum(w * (x - xbar) ** 2)
         slope_se = 1.0 / math.sqrt(np.sum(w * (x - xbar) ** 2))
         assert abs(slope) < 3.0 * slope_se
 
     def test_zero_phase_matches_analytic_curve(self, small_run):
-        cfg, result = small_run
-        curve = result.curves[0.0]
-        use = curve.counts >= 100
-        se = np.sqrt(curve.variance[use] / curve.counts[use])
-        chi2 = float(np.sum(((curve.mean[use] - curve.model_mean[use]) / se) ** 2))
+        cfg, documents = small_run
+        curve = documents["curves_phi0.csv"]
+        use = curve["count"] >= 100
+        se = np.sqrt(curve["var_nB"][use] / curve["count"][use])
+        chi2 = float(np.sum(((curve["mean_nB"][use] - curve["model_mean_nB"][use]) / se) ** 2))
         assert chi2 / use.sum() < 2.0
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2.0])
     def test_variance_curves_match_analytic(self, small_run, phi):
-        cfg, result = small_run
-        curve = result.curves[phi]
-        use = curve.counts >= 100
+        cfg, documents = small_run
+        curve = documents[_CURVE_OF[phi]]
+        use = curve["count"] >= 100
         # sample-variance standard error, Gaussian-dominated statistics
-        se = curve.variance[use] * np.sqrt(2.0 / curve.counts[use])
-        chi2 = float(np.sum(((curve.variance[use] - curve.model_variance[use]) / se) ** 2))
+        se = curve["var_nB"][use] * np.sqrt(2.0 / curve["count"][use])
+        chi2 = float(np.sum(((curve["var_nB"][use] - curve["model_var_nB"][use]) / se) ** 2))
         assert chi2 / use.sum() < 2.0
 
     def test_variance_ratio_and_error_tracking(self, small_run):
-        cfg, result = small_run
-        assert result.variance_ratio == pytest.approx(
+        cfg, documents = small_run
+        summary = documents["summary.json"]
+        assert summary["variance_ratio"] == pytest.approx(
             counting.variance_peak_ratio(cfg.eta_total), abs=0.05
         )
-        assert result.discrimination_error == pytest.approx(
-            cfg.model_discrimination_error(), abs=0.02
+        assert summary["discrimination_error"] == pytest.approx(
+            _model_summary(cfg)["discrimination_error"], abs=0.02
         )
 
     def test_histograms_are_windowed_subsets(self, small_run):
-        cfg, result = small_run
-        assert result.histogram_above.sum() > 0
-        assert result.histogram_below.sum() > 0
-        assert result.histogram_above.sum() < cfg.n_count_shots // 10
+        cfg, documents = small_run
+        histograms = documents["histograms.csv"]
+        assert histograms["count_above"].sum() > 0
+        assert histograms["count_below"].sum() > 0
+        assert histograms["count_above"].sum() < cfg.n_count_shots // 10
 
     def test_determinism(self):
         cfg = ExperimentConfig(seed=23, n_count_shots=50_000)
         a = pipeline.run_counts_scenario(cfg)
         b = pipeline.run_counts_scenario(cfg)
         # at this shot count outer bins are empty (NaN mean), hence equal_nan
-        assert np.array_equal(a.curves[0.0].mean, b.curves[0.0].mean, equal_nan=True)
-        assert a.discrimination_error == b.discrimination_error
-        assert a.variance_ratio == b.variance_ratio
+        assert np.array_equal(
+            a["curves_phi0.csv"]["mean_nB"], b["curves_phi0.csv"]["mean_nB"], equal_nan=True
+        )
+        assert a["summary.json"] == b["summary.json"]
 
     def test_output_files(self, small_run, tmp_path):
-        cfg, result = small_run
-        documents = pipeline.count_documents(result, cfg)
+        cfg, documents = small_run
         assert sorted(documents) == [
             "curves_phi0.csv", "curves_phi90.csv", "histograms.csv", "summary.json",
         ]
@@ -284,6 +303,18 @@ def _whole_array_windows(cfg):
     )
 
 
+def _merged_partial(cfg):
+    """The ``_CountPartial`` of all of ``cfg``'s shots: its ``_count_block``
+    calls, on this thread, merged in block order."""
+    params = (cfg.count_params(phi=0.0), cfg.count_params(phi=math.pi / 2.0))
+    edges = pipeline.count_bin_edges(params[0])
+    local = threading.local()
+    return functools.reduce(pipeline._CountPartial.merge, (
+        pipeline._count_block(cfg, params, edges, local, lo)
+        for lo in range(0, cfg.n_count_shots, pipeline._COUNT_BLOCK_SHOTS)
+    ))
+
+
 class TestStreamedCounts:
     """The block-by-block reduction of a counting run against whole-array
     oracles: the binning with ``digitize``, ``np.histogram`` and
@@ -313,33 +344,39 @@ class TestStreamedCounts:
         monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", block)
         # at alpha = 5e153 seed 3 has an edge bin whose variance overflows
         cfg = ExperimentConfig(alpha=alpha, n_count_shots=20_000, seed=seed)
-        result = pipeline.run_counts_scenario(cfg)
+        documents = pipeline.run_counts_scenario(cfg)
         shots, errors, (hist_above, hist_below) = _whole_array_windows(cfg)
-        assert result.window_shots.tolist() == shots
-        assert result.window_errors.tolist() == errors
-        assert np.array_equal(result.histogram_above, hist_above)
-        assert np.array_equal(result.histogram_below, hist_below)
-        assert result.discrimination_error == 0.5 * (errors[0] / shots[0] + errors[1] / shots[1])
+        # the window counts are in no document: check them on the partial
+        total = _merged_partial(cfg)
+        assert total.window_shots.tolist() == shots
+        assert total.window_errors.tolist() == errors
+        histograms = documents["histograms.csv"]
+        assert np.array_equal(histograms["count_above"], hist_above)
+        assert np.array_equal(histograms["count_below"], hist_below)
+        assert documents["summary.json"]["discrimination_error"] == 0.5 * (
+            errors[0] / shots[0] + errors[1] / shots[1]
+        )
         streams = {0.0: pipeline.STREAM_COUNTS_PHI0, math.pi / 2.0: pipeline.STREAM_COUNTS_PHI90}
         for phi, stream in streams.items():
             params = cfg.count_params(phi=phi)
             rec = sampling.sample_counts(params, cfg.n_count_shots, cfg.seed, stream)
             ref = oracles.bin_count_records(rec, params)
-            got = result.curves[phi]
-            assert np.array_equal(got.counts, ref.counts)
-            assert np.array_equal(got.centers, ref.centers)
+            got = documents[_CURVE_OF[phi]]
+            assert np.array_equal(got["count"], ref["count"])
+            assert np.array_equal(got["nA"], ref["nA"])
             # NaN and infinity in the same bins; the finite values agree to
             # 1e-12 of the bin's scale, its spread where the mean is near 0
-            for name in ("mean", "variance"):
-                a, b = getattr(got, name), getattr(ref, name)
+            for name in ("mean_nB", "var_nB"):
+                a, b = got[name], ref[name]
                 assert np.array_equal(np.isnan(a), np.isnan(b))
                 assert np.array_equal(np.isinf(a), np.isinf(b))
-            filled = ref.counts > 0
-            spread = np.isfinite(ref.variance)
-            scale = np.abs(ref.mean)
-            scale[spread] = np.maximum(scale[spread], np.sqrt(ref.variance[spread]))
-            assert np.all(np.abs(got.mean[filled] - ref.mean[filled]) <= 1e-12 * scale[filled])
-            var, ref_var = got.variance[spread], ref.variance[spread]
+            mean, ref_mean, ref_var = got["mean_nB"], ref["mean_nB"], ref["var_nB"]
+            filled = ref["count"] > 0
+            spread = np.isfinite(ref_var)
+            scale = np.abs(ref_mean)
+            scale[spread] = np.maximum(scale[spread], np.sqrt(ref_var[spread]))
+            assert np.all(np.abs(mean[filled] - ref_mean[filled]) <= 1e-12 * scale[filled])
+            var, ref_var = got["var_nB"][spread], ref_var[spread]
             assert np.all(np.abs(var - ref_var) <= 1e-12 * ref_var)
 
     def test_working_memory_does_not_grow_with_shots(self):
@@ -402,9 +439,7 @@ class TestThreadedCounts:
             _use_cpus(monkeypatch, cpus)
             out = tmp_path / str(cpus)
             out.mkdir()
-            output.write_documents(
-                out, pipeline.count_documents(pipeline.run_counts_scenario(cfg), cfg)
-            )
+            output.write_documents(out, pipeline.run_counts_scenario(cfg))
             files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert sorted(files[1]) == ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv",
                                     "summary.json"]
@@ -616,21 +651,21 @@ class TestTomographyScenarioSmall:
             cfg = ExperimentConfig(
                 seed=37, eta_total=eta, eta_budget={}, n_quad_shots=30_000
             )
-            scenario = pipeline.run_tomography_scenario(cfg)
-            values.append(scenario.result.concurrence)
+            result = pipeline.run_tomography_scenario(cfg)["result.json"]
+            values.append(result["concurrence"])
         # statistical slack ~2 standard errors at this sample size
         assert all(a >= b - 0.03 for a, b in zip(values, values[1:]))
 
     def test_small_run_consistent(self):
         cfg = ExperimentConfig(seed=29, n_quad_shots=20_000)
-        scenario = pipeline.run_tomography_scenario(cfg)
-        assert scenario.result.concurrence == pytest.approx(0.49, abs=0.06)
-        assert scenario.fidelity_to_model > 0.99
-        assert np.all(np.diff(scenario.result.loglik) >= -1e-9)
+        result = pipeline.run_tomography_scenario(cfg)["result.json"]
+        assert result["concurrence"] == pytest.approx(0.49, abs=0.06)
+        assert result["fidelity_to_model"] > 0.99
+        assert np.all(np.diff(result["loglik"]) >= -1e-9)
 
     def test_identical_reconstruction_inputs(self):
         cfg = ExperimentConfig(seed=31, n_quad_shots=5_000)
-        a = pipeline.run_tomography_scenario(cfg)
-        b = pipeline.run_tomography_scenario(cfg)
-        assert np.array_equal(a.records.x_a, b.records.x_a)
-        assert np.array_equal(a.records.theta_a, b.records.theta_a)
+        a = pipeline.run_tomography_scenario(cfg)["records.csv"]
+        b = pipeline.run_tomography_scenario(cfg)["records.csv"]
+        assert np.array_equal(a["xA"], b["xA"])
+        assert np.array_equal(a["thetaA"], b["thetaA"])
