@@ -205,28 +205,27 @@ def analytic_documents(config: ExperimentConfig) -> dict:
 def _bin_index(
     x: np.ndarray, edges: np.ndarray, out: np.ndarray, scratch: np.ndarray, flags: np.ndarray
 ) -> np.ndarray:
-    """Index of the bin of ``edges`` that holds each ``x``, outliers clipped
-    into the edge bins: ``np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)``.
+    """Index of the bin of ``edges`` that holds each ``x``, outliers in the
+    edge bins: ``np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)``.
 
-    The edges are uniform, so the index is arithmetic; rounding can put a
-    value within a few ulps of an edge one bin off, and one comparison
-    against ``edges`` on each side moves it back.  The index goes to the
-    intp array ``out``; ``scratch`` (float) and ``flags`` (bool) are
-    scratch of ``x``'s length.
+    ``x`` is clamped in place to ``[edges[0], edges[-2]]``, which moves no
+    value to another bin.  The edges are uniform, so the index is
+    arithmetic; rounding can put a value within a few ulps of an edge one
+    bin off, and one comparison against ``edges`` on each side moves it
+    back.  The index goes to the intp array ``out``; ``scratch`` (float) and
+    ``flags`` (bool) are scratch of ``x``'s length.
     """
     last = edges.size - 2
+    np.minimum(np.maximum(x, edges[0], out=x), edges[last], out=x)
     t = np.subtract(x, edges[0], out=scratch)
-    np.multiply(t, (last + 1) / (edges[-1] - edges[0]), out=t)
-    # truncation is floor on [0, last]
+    # t is in [0, last] up to rounding: truncation is floor, and the index
+    # stays in [0, last] through both corrections
     k = out
-    np.copyto(k, np.clip(t, 0, last, out=t), casting="unsafe")
+    np.copyto(k, np.multiply(t, (last + 1) / (edges[-1] - edges[0]), out=t), casting="unsafe")
     # every index taken is in range, so "clip" only skips take's copy of out
     k -= np.less(x, np.take(edges, k, out=t, mode="clip"), out=flags)
-    k += 1
-    k += np.greater_equal(x, np.take(edges, k, out=t, mode="clip"), out=flags)
-    k -= 1
-    # an outlier's step to -1 or last + 1 is clipped back
-    return np.clip(k, 0, last, out=k)
+    k += np.greater_equal(x, np.take(edges[1:], k, out=t, mode="clip"), out=flags)
+    return k
 
 
 def _count_scale(alpha: float) -> float:
@@ -238,46 +237,49 @@ def _count_scale(alpha: float) -> float:
 @dataclass(frozen=True)
 class _BinMoments:
     """Per-bin shot count, mean and sum of squared deviations (M2) of Bob's
-    scaled counts."""
+    scaled counts, one row per phase setting."""
 
     n: np.ndarray
     mean: np.ndarray
     m2: np.ndarray
 
     @classmethod
-    def of(cls, idx: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> "_BinMoments":
-        """The moments of the values ``y`` in bins ``idx``; ``scratch`` is a
-        float array of their length."""
-        n = np.bincount(idx, minlength=_N_COUNT_BINS)
+    def of(cls, idx: np.ndarray, y: np.ndarray, scratch: np.ndarray, settings: int) -> "_BinMoments":
+        """The moments of the values ``y`` in bins ``idx``, setting s's bins
+        offset by ``s * _N_COUNT_BINS``; ``scratch`` is a float array of
+        their length."""
+        bins = settings * _N_COUNT_BINS
+        n = np.bincount(idx, minlength=bins)
         # an empty bin gets mean 0, which the merge weights by its 0 shots
-        mean = np.bincount(idx, weights=y, minlength=_N_COUNT_BINS) / np.maximum(n, 1)
+        mean = np.bincount(idx, weights=y, minlength=bins) / np.maximum(n, 1)
         dev = np.subtract(y, np.take(mean, idx, out=scratch, mode="clip"), out=scratch)
-        m2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=_N_COUNT_BINS)
-        return cls(n, mean, m2)
+        m2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=bins)
+        return cls(*(a.reshape(settings, _N_COUNT_BINS) for a in (n, mean, m2)))
 
     def merge(self, other: "_BinMoments") -> "_BinMoments":
         """The pairwise update of Chan, Golub & LeVeque (1983)."""
         n = self.n + other.n
-        frac = np.divide(other.n, n, out=np.zeros(n.size), where=n > 0)
+        frac = np.divide(other.n, n, out=np.zeros(n.shape), where=n > 0)
         delta = other.mean - self.mean
         return _BinMoments(
             n, self.mean + delta * frac, self.m2 + other.m2 + delta * delta * self.n * frac
         )
 
-    def curve(self, edges: np.ndarray, params: CountModelParams, scale: float) -> dict:
-        """The columns of a curve file: each bin's center, unscaled
-        conditional mean and unbiased variance (NaN mean in an empty bin,
-        NaN variance in a bin with fewer than 2 shots), shot count, and the
-        model's mean and variance."""
+    def curve(self, setting: int, edges: np.ndarray, params: CountModelParams, scale: float) -> dict:
+        """The columns of ``setting``'s curve file: each bin's center,
+        unscaled conditional mean and unbiased variance (NaN mean in an
+        empty bin, NaN variance in a bin with fewer than 2 shots), shot
+        count, and the model's mean and variance."""
+        n, mean, m2 = self.n[setting], self.mean[setting], self.m2[setting]
         centers = 0.5 * (edges[:-1] + edges[1:])
         # a few shots spread over ~10 alpha can have a variance beyond the
         # float64 range once unscaled; the infinity is rejected when the
         # curve is written
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            mean = np.where(self.n > 0, self.mean / scale, np.nan)
-            var = np.where(self.n > 1, self.m2 / (self.n - 1), np.nan) / scale**2
+            mean = np.where(n > 0, mean / scale, np.nan)
+            var = np.where(n > 1, m2 / (n - 1), np.nan) / scale**2
         return {
-            "nA": centers, "mean_nB": mean, "var_nB": var, "count": self.n.astype(np.int64),
+            "nA": centers, "mean_nB": mean, "var_nB": var, "count": n.astype(np.int64),
             "model_mean_nB": counting.conditional_mean(centers, params),
             "model_var_nB": counting.conditional_variance(centers, params),
         }
@@ -286,17 +288,18 @@ class _BinMoments:
 @dataclass(frozen=True)
 class _CountPartial:
     """What a run of consecutive count shots reduces to: the per-bin moments
-    of each phase setting (0, pi/2) and, for phi = 0, the shots and errors in
-    the two conditioning windows (above, below) and Bob's histogram in each."""
+    of both phase settings (0, pi/2) and, for phi = 0, the shots and errors
+    in the two conditioning windows (above, below) and Bob's histogram in
+    each."""
 
-    moments: tuple[_BinMoments, _BinMoments]
+    moments: _BinMoments
     window_shots: np.ndarray
     window_errors: np.ndarray
     histograms: np.ndarray
 
     def merge(self, other: "_CountPartial") -> "_CountPartial":
         return _CountPartial(
-            tuple(a.merge(b) for a, b in zip(self.moments, other.moments)),
+            self.moments.merge(other.moments),
             self.window_shots + other.window_shots,
             self.window_errors + other.window_errors,
             self.histograms + other.histograms,
@@ -304,15 +307,18 @@ class _CountPartial:
 
 
 class _BlockBuffers:
-    """One pool thread's arrays for its count blocks, sized for ``shots``
-    shots and sliced for a shorter last block: the sampler's workspace, and
-    the reduction's bin indices and scratch."""
+    """One pool thread's arrays for its count blocks of ``shots`` shots per
+    setting, sliced for a shorter last block: the sampler's workspace for
+    both settings, and the reduction's bin indices, scratch and flags."""
 
     def __init__(self, shots: int):
-        self.draw = sampling.CountWorkspace(shots)
-        self.index = np.empty(shots, dtype=np.intp)
-        self.scratch = np.empty(shots)
-        self.flags = np.empty(shots, dtype=bool)
+        self.draw = sampling.CountWorkspace(2 * shots)
+        # the reduction runs between draws, in the workspace's spare floats;
+        # an intp is no wider than a float64
+        spare = self.draw.spare
+        self.index = spare[: 2 * shots].view(np.intp)[: 2 * shots]
+        self.scratch = spare[2 * shots : 4 * shots]
+        self.flags = np.empty(2 * shots, dtype=bool)
 
 
 def _count_block(
@@ -321,45 +327,51 @@ def _count_block(
     """Draw shots ``[lo, lo + block)`` of both phase settings and reduce them.
 
     ``params`` holds the count parameters of phi = 0 and phi = pi/2; both
-    settings share the bin ``edges``.  The draw is a function of ``lo`` alone
-    (the Philox stream is counter-based), so the blocks can be reduced in any
-    order.  The arrays come from the ``_BlockBuffers`` that the calling
-    thread keeps on ``local`` (a ``threading.local``), made on its first
-    block: a thread's later blocks allocate no array of a block's length.
+    settings share the bin ``edges``, so one pass draws them and one bins
+    them.  The draw is a function of ``lo`` alone (the Philox stream is
+    counter-based), so the blocks can be reduced in any order.  The arrays
+    come from the ``_BlockBuffers`` that the calling thread keeps on
+    ``local`` (a ``threading.local``), made on its first block: a thread's
+    later blocks allocate no array of a block's length.
     """
     n = min(_COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
     buffers = getattr(local, "buffers", None)
     if buffers is None:
         buffers = local.buffers = _BlockBuffers(_COUNT_BLOCK_SHOTS)
-    idx, scratch, flags = buffers.index[:n], buffers.scratch[:n], buffers.flags[:n]
-    scale = _count_scale(config.alpha)
-
-    def moments(rec: sampling.CountSample) -> _BinMoments:
-        # Bob's counts are scaled in place, so this is the draw's last use
-        y = np.multiply(rec.dn_b, scale, out=rec.dn_b)
-        return _BinMoments.of(_bin_index(rec.dn_a, edges, idx, scratch, flags), y, scratch)
-
-    rec = buffers.draw.draw(params[0], n, config.seed, STREAM_COUNTS_PHI0, start_shot=lo)
-    delta_a = default_delta_a(config.alpha)
+    idx, scratch, flags = buffers.index[: 2 * n], buffers.scratch[: 2 * n], buffers.flags[: 2 * n]
+    rec = buffers.draw.draw(
+        list(zip(params, (STREAM_COUNTS_PHI0, STREAM_COUNTS_PHI90))), n, config.seed, lo
+    )
+    # phi = 0's conditioning windows, where |dn_a - delta_a| or |dn_a +
+    # delta_a| is within the window: one test on ||dn_a| - delta_a|, the
+    # same bits, as the windows lie on either side of 0
+    dn_a = rec.dn_a[0]
+    dist = np.abs(dn_a, out=scratch[:n])
+    np.abs(np.subtract(dist, default_delta_a(config.alpha), out=dist), out=dist)
     window = _WINDOW_FRAC * counting.count_marginal_std(params[0])
-    # Bob's counts where |dn_a - delta_a|, then |dn_a + delta_a|, is within
-    # the window
-    bob = [
-        rec.dn_b[np.less_equal(np.abs(np.subtract(rec.dn_a, d, out=scratch), out=scratch),
-                               window, out=flags)]
-        for d in (delta_a, -delta_a)
-    ]
-    moments0 = moments(rec)
-    # a draw overwrites the last one, which is reduced by now
-    rec = buffers.draw.draw(params[1], n, config.seed, STREAM_COUNTS_PHI90, start_shot=lo)
+    inside = np.less_equal(dist, window, out=flags[:n])
+    below = dn_a[inside] < 0.0
+    bob = rec.dn_b[0][inside]
     # the likelihood-ratio test for the two conditional laws reduces to the
     # sign of Bob's count: it errs above on a negative count, below on a
     # positive one
+    wrong = np.where(below, bob > 0.0, bob < 0.0)
+    # np.histogram(bob, edges) of each window: its counts in [edges[0],
+    # edges[-1]], binned, the last edge in the last bin
+    kept = (bob >= edges[0]) & (bob <= edges[-1])
+    m = np.count_nonzero(kept)
+    hist = _bin_index(bob[kept], edges, idx[:m], scratch[:m], flags[:m])
+    hist += _N_COUNT_BINS * below[kept]
+    histograms = np.bincount(hist, minlength=2 * _N_COUNT_BINS).reshape(2, _N_COUNT_BINS)
+    # Bob's counts are scaled in place, so this is the draw's last use
+    y = np.multiply(rec.dn_b, _count_scale(config.alpha), out=rec.dn_b).reshape(-1)
+    k = _bin_index(rec.dn_a.reshape(-1), edges, idx, scratch, flags)
+    k[n:] += _N_COUNT_BINS
     return _CountPartial(
-        moments=(moments0, moments(rec)),
-        window_shots=np.array([b.size for b in bob]),
-        window_errors=np.array([np.count_nonzero(bob[0] < 0.0), np.count_nonzero(bob[1] > 0.0)]),
-        histograms=np.array([np.histogram(b, bins=edges)[0] for b in bob]),
+        moments=_BinMoments.of(k, y, scratch, 2),
+        window_shots=np.bincount(below, minlength=2),
+        window_errors=np.bincount(below[wrong], minlength=2),
+        histograms=histograms,
     )
 
 
@@ -421,7 +433,7 @@ def run_counts_scenario(config: ExperimentConfig) -> dict:
         raise ValueError("no shots fall in the conditioning windows")
     error_rates = total.window_errors / total.window_shots
     scale = _count_scale(config.alpha)
-    curves = [m.curve(edges, p, scale) for m, p in zip(total.moments, params)]
+    curves = [total.moments.curve(s, edges, p, scale) for s, p in enumerate(params)]
     # the center bin's conditional variance over the large-offset asymptote,
     # the two-shot-noise-unit floor 2 alpha^2 the law decays to: bins at
     # reachable offsets still sit a few percent above it, so the known floor

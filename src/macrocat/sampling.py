@@ -93,8 +93,10 @@ def shot_uniforms(
     """
     if words_per_shot % _PHILOX_WORDS_PER_TICK:
         raise ConfigError("words_per_shot must be a multiple of 4")
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK)
+    bg = np.random.Philox(
+        counter=start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK,
+        key=np.array([seed, stream], dtype=np.uint64),
+    )
     u = np.random.Generator(bg).random((n_shots, words_per_shot), out=out)
     # random() returns k * 2**-53 for k < 2**53, so only the lower clip can bind
     return np.maximum(u, _U_LO, out=u)
@@ -138,122 +140,143 @@ _AS241_FAR = _as241(
 
 def _rational(coef: np.ndarray, x: np.ndarray, acc: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = P(x) / Q(x)``: numerator and denominator in one Horner pass
-    over the ``(2, n)`` stack ``acc``.  ``out`` may be ``x``."""
-    acc[...] = coef[0]
-    for c in coef[1:]:
-        np.multiply(acc, x, out=acc)
-        np.add(acc, c, out=acc)
-    return np.divide(acc[0], acc[1], out=out)
+    over the ``(2, w)`` stack ``acc``, w values of ``x`` at a time.  ``out``
+    may be ``x``."""
+    width = acc.shape[1]
+    for lo in range(0, x.size, width):
+        xs = x[lo : lo + width]
+        a = acc[:, : xs.size]
+        a[...] = coef[0]
+        for c in coef[1:]:
+            np.multiply(a, xs, out=a)
+            np.add(a, c, out=a)
+        np.divide(a[0], a[1], out=out[lo : lo + width])
+    return out
 
 
-def _ndtri(
-    p: np.ndarray, out: np.ndarray, scratch: np.ndarray, acc: np.ndarray, tail: np.ndarray
-) -> np.ndarray:
-    """The standard normal quantile of each ``p`` in (0, 1), written to
-    ``out``: AS241's PPND16, relative error about 1e-16.
+def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each ``p`` in (0, 1), written over
+    ``p``: AS241's PPND16, relative error about 1e-16.
 
-    ``p``, ``out`` and ``scratch`` are 1-D float arrays of one length n,
-    ``acc`` a ``(2, n)`` float one and ``tail`` an n-bool one.  With ``q = p -
-    1/2``, the central rational runs over the whole array; the tail
-    rationals run by index on the ~15% of values with ``|q| > 0.425``, and
-    the far one only where ``p`` or ``1 - p`` is below ``exp(-25)``.  The
-    sign is q's, so ``ndtri(1 - p) = -ndtri(p)`` wherever ``1 - p`` is exact.
+    ``p`` and ``x`` are 1-D float arrays of one length L, ``acc`` a ``(2,
+    w)`` float one with ``2 w >= L``, and ``tail`` an L-bool one.  With ``q
+    = p - 1/2``, the central rational runs over the whole array, w values at
+    a time; the tail rationals run by index on the ~15% of values with
+    ``|q| > 0.425``, and the far one only where ``p`` or ``1 - p`` is below
+    ``exp(-25)``.  The sign is q's, so ``ndtri(1 - p) = -ndtri(p)`` wherever
+    ``1 - p`` is exact.
     """
-    r = scratch
-    q = np.subtract(p, 0.5, out=out)
-    np.greater(np.abs(q, out=r), 0.425, out=tail)
-    np.subtract(0.180625, np.multiply(q, q, out=r), out=r)
-    np.multiply(q, _rational(_AS241_CENTRAL, r, acc, r), out=out)
+    np.abs(np.subtract(p, 0.5, out=x), out=x)
+    np.greater(x, 0.425, out=tail)
+    np.subtract(0.180625, np.multiply(x, x, out=x), out=x)
+    _rational(_AS241_CENTRAL, x, acc, x)
     idx = np.flatnonzero(tail)
+    # the tail's p, and where its q is negative, taken before p is overwritten
+    spare = acc.reshape(-1)[: idx.size]
+    negative = np.less(np.take(p, idx, out=spare, mode="clip"), 0.5, out=tail[: idx.size])
+    np.multiply(np.subtract(p, 0.5, out=p), x, out=p)
     if idx.size:
-        t = np.take(p, idx, out=r[: idx.size], mode="clip")
-        np.minimum(t, np.subtract(1.0, t, out=acc[0, : t.size]), out=t)
+        t = x[: idx.size]
+        np.copyto(t, spare)
+        np.minimum(t, np.subtract(1.0, t, out=spare), out=t)
         np.sqrt(np.negative(np.log(t, out=t), out=t), out=t)
-        far = np.flatnonzero(t > 5.0)
-        t_far = t[far] - 5.0
-        _rational(_AS241_NEAR, np.subtract(t, 1.6, out=t), acc[:, : t.size], t)
-        if far.size:
-            t[far] = _rational(_AS241_FAR, t_far, np.empty((2, far.size)), t_far)
+        # r > 5 needs p or 1 - p below exp(-25): about one value in 10^10
+        far = np.flatnonzero(t > 5.0) if np.maximum.reduce(t) > 5.0 else None
+        if far is not None:
+            t_far = t[far] - 5.0
+            _rational(_AS241_FAR, t_far, np.empty((2, far.size)), t_far)
+        _rational(_AS241_NEAR, np.subtract(t, 1.6, out=t), acc, t)
+        if far is not None:
+            t[far] = t_far
         # the tail rationals are positive and take q's sign here; the central
         # one, positive, has q's sign already
-        sign = np.take(p, idx, out=acc[0, : t.size], mode="clip")
-        np.subtract(sign, 0.5, out=sign)
-        out[idx] = np.copysign(t, sign, out=t)
-    return out
+        p[idx] = _negate_where(t, negative, spare)
+    return p
 
 
 def _negate_where(x: np.ndarray, flags: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``x`` negated in place where ``flags`` is set, as a product with ``1 -
     2 flags`` (in the float array ``scratch``): numpy vectorizes it, where a
-    masked ``np.negative(x, where=flags)`` runs element by element."""
-    np.multiply(flags, -2.0, out=scratch)
+    masked ``np.negative(x, where=flags)`` runs element by element.  The
+    flags are copied into ``scratch`` first, so no cast buffer is allocated."""
+    np.copyto(scratch, flags)
+    np.multiply(scratch, -2.0, out=scratch)
     np.add(scratch, 1.0, out=scratch)
     return np.multiply(x, scratch, out=x)
 
 
 class CountWorkspace:
-    """Every array a count draw of up to ``shots`` shots uses, sliced for
-    fewer.  A draw overwrites all of them and returns views of the counts,
-    so each thread draws into its own workspace."""
+    """Every array a count draw of up to ``shots`` shots uses, counted over
+    all the draw's phase settings, sliced for fewer.  A draw overwrites all
+    of them and returns views of the counts, so each thread draws into its
+    own workspace.  :attr:`spare`, 3 ``shots`` floats, holds nothing a draw
+    returns: the caller may use it between draws."""
 
     def __init__(self, shots: int):
-        # the uniform table; once its words are copied out, the quantile's
-        # Horner stack
-        self._table = np.empty(_WORDS_COUNTS * shots)
-        # the table's four words as rows; the two normal words' rows then
-        # hold the counts
-        self._words = np.empty(_WORDS_COUNTS * shots)
-        self._normals = np.empty(2 * shots)
-        self._scratch = np.empty(2 * shots)
-        self._flags = np.empty(3 * shots, dtype=bool)
+        self._shots = shots
+        # [the normal words | 2 ln u3 | the Philox tables]; once their words
+        # are taken out, the tables' space holds the quantile's x and Horner
+        # stack, then the counts
+        self._floats = np.empty(7 * shots)
+        self.spare = self._floats[: 3 * shots]
+        # three flags per shot, then the quantile's tail flags
+        self._flags = np.empty(5 * shots, dtype=bool)
 
-    def draw(
-        self, params: CountModelParams, n_shots: int, seed: int, stream: int, start_shot: int
-    ) -> CountSample:
-        """Shots ``[start_shot, start_shot + n_shots)`` of ``(seed, stream)``
-        (``n_shots`` at most ``shots``), drawn as :func:`sample_counts`
-        describes; the arrays are views into this workspace."""
-        n = n_shots
-        sigma = math.sqrt(2.0) * params.alpha
-        cph = math.cos(params.phi)
-        w_u = params.eta * (1.0 + cph) / 4.0
-        w_v = params.eta * (1.0 - cph) / 4.0
-        table = self._table[: _WORDS_COUNTS * n]
-        words = self._words[: _WORDS_COUNTS * n].reshape(_WORDS_COUNTS, n)
-        tab = shot_uniforms(
-            seed, stream, start_shot, n, _WORDS_COUNTS, out=table.reshape(n, _WORDS_COUNTS)
-        )
-        np.copyto(words, tab.T)
-        c, u3 = words[0], words[3]
-        normals = _ndtri(
-            words[1:3].reshape(-1), self._normals[: 2 * n], self._scratch[: 2 * n],
-            table.reshape(2, 2 * n), self._flags[: 2 * n],
-        )
-        z1 = normals[:n]
-        # the signed chi(3) radius of every shot; only the quadratic
-        # components' shots keep theirs
-        radius, scratch = self._scratch[: 2 * n].reshape(2, n)
-        np.multiply(z1, z1, out=radius)
-        log_u3 = np.multiply(np.log(u3, out=scratch), 2.0, out=scratch)
-        np.multiply(np.sqrt(np.subtract(radius, log_u3, out=radius), out=radius), sigma, out=radius)
-        in_u, quad, negative = self._flags[: 3 * n].reshape(3, n)
-        np.less(c, w_u, out=in_u)
+    def draw(self, settings: list, n_shots: int, seed: int, start_shot: int) -> CountSample:
+        """Shots ``[start_shot, start_shot + n_shots)`` of each of
+        ``settings``, pairs ``(params, stream)``, drawn as
+        :func:`sample_counts` describes, all settings in one pass
+        (``len(settings) * n_shots`` at most ``shots``).  Row s of the
+        returned ``(len(settings), n_shots)`` arrays holds setting s; they
+        are views into this workspace."""
+        s, n, cap = len(settings), n_shots, self._shots
+        m = s * n
+        # each setting's spread and component weights, as a column over its row
+        sigma = np.array([[math.sqrt(2.0) * p.alpha] for p, _ in settings])
+        w_u = np.array([[p.eta * (1.0 + math.cos(p.phi)) / 4.0] for p, _ in settings])
+        w_v = np.array([[p.eta * (1.0 - math.cos(p.phi)) / 4.0] for p, _ in settings])
+        space = self._floats[3 * cap : 3 * cap + _WORDS_COUNTS * m]
+        tables = space.reshape(s, n, _WORDS_COUNTS)
+        for table, (_, stream) in zip(tables, settings):
+            shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table)
+        c, u3 = tables[..., 0], tables[..., 3]
+        negative, flip, quad = self._flags[: 3 * m].reshape(3, s, n)
         # the radius is negative on [0, w_u/2) and on [w_u, w_u + w_v/2):
         # the xor of the nested intervals below w_u/2, w_u and w_u + w_v/2
+        in_u = np.less(c, w_u, out=flip)
         np.logical_xor(np.less(c, w_u / 2.0, out=negative), in_u, out=negative)
         np.logical_xor(negative, np.less(c, w_u + w_v / 2.0, out=quad), out=negative)
-        _negate_where(radius, negative, scratch)
+        np.less(c, w_u + w_v, out=quad)
+        # c < w_u implies c < w_u + w_v, so the xor leaves [w_u, w_u + w_v):
+        # the v component's shots
+        np.logical_xor(quad, in_u, out=flip)
+        log_u3 = self._floats[2 * cap : 2 * cap + m].reshape(s, n)
+        np.multiply(np.log(u3, out=log_u3), 2.0, out=log_u3)
+        normals = self._floats[: 2 * m].reshape(2, s, n)
+        np.copyto(normals, tables[..., 1:3].transpose(2, 0, 1))
+        _ndtri(
+            normals.reshape(-1), space[: 2 * m], space[2 * m :].reshape(2, m),
+            self._flags[3 * cap : 3 * cap + 2 * m],
+        )
+        z1 = normals[0]
+        # 1 - 2 flags: the radius's sign, and the v component's sign of u - v
+        signs = np.multiply(self._flags[: 2 * m].reshape(2, s, n), -2.0, out=space[2 * m :].reshape(2, s, n))
+        np.add(signs, 1.0, out=signs)
+        # the signed chi(3) radius of every shot; only the quadratic
+        # components' shots keep theirs
+        radius = np.subtract(np.multiply(z1, z1, out=space[:m].reshape(s, n)), log_u3, out=log_u3)
+        np.multiply(np.multiply(np.sqrt(radius, out=radius), sigma, out=radius), signs[0], out=radius)
         # plain component: u is the primary normal, v the partner.  The
         # radius replaces u on the u component; on the v component it
         # replaces v and v's normal moves to u, which leaves u + v as it is
         # and changes the sign of u - v
-        u, v = np.multiply(normals, sigma, out=normals).reshape(2, n)
-        np.copyto(u, radius, where=np.less(c, w_u + w_v, out=quad))
-        dn_a, dn_b = words[1:3]
-        np.divide(np.add(u, v, out=dn_a), math.sqrt(2.0), out=dn_a)
-        np.divide(np.subtract(u, v, out=dn_b), math.sqrt(2.0), out=dn_b)
-        # c < w_u implies c < w_u + w_v, so the xor leaves [w_u, w_u + w_v)
-        _negate_where(dn_b, np.logical_xor(quad, in_u, out=quad), scratch)
+        u, v = np.multiply(normals, sigma, out=normals)
+        np.putmask(u, quad, radius)
+        dn_a, dn_b = counts = space[: 2 * m].reshape(2, s, n)
+        np.add(u, v, out=dn_a)
+        np.subtract(u, v, out=dn_b)
+        np.divide(counts, math.sqrt(2.0), out=counts)
+        np.multiply(dn_b, signs[1], out=dn_b)
         return CountSample(dn_a=dn_a, dn_b=dn_b)
 
 
@@ -286,11 +309,13 @@ def sample_counts(
 
     ``ndtri`` is :func:`_ndtri`, run once over both normal words.  Cost per
     shot is constant in alpha.  This draws into a new
-    :class:`CountWorkspace`; a caller drawing many blocks keeps one.
+    :class:`CountWorkspace`; a caller drawing many blocks keeps one, and
+    draws all its phase settings in one pass.
     """
     if n_shots < 1:
         raise ConfigError(f"n_shots must be positive, got {n_shots}")
-    return CountWorkspace(n_shots).draw(params, n_shots, seed, stream, start_shot)
+    rec = CountWorkspace(n_shots).draw([(params, stream)], n_shots, seed, start_shot)
+    return CountSample(dn_a=rec.dn_a[0], dn_b=rec.dn_b[0])
 
 
 def _cell_products(theta: float) -> np.ndarray:
@@ -317,13 +342,20 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> tuple[np.n
     base = rows * width
     last = base + (width - 1)
     target = u * flat[last]
-    # pos - base counts the row's entries below target, built bit by bit
+    # pos - base counts the row's entries below target, built bit by bit;
+    # each step adds its stride where the probe is below target, as a
+    # product, since a masked add runs element by element
     pos = base.copy()
+    probe = np.empty_like(pos)
+    value = np.empty(pos.size)
+    hit = np.empty(pos.size, dtype=bool)
     stride = 1 << (width - 1).bit_length()
     while stride > 1:
         stride >>= 1
-        probe = np.minimum(pos + (stride - 1), last)
-        np.add(pos, stride, out=pos, where=flat[probe] < target)
+        np.minimum(np.add(pos, stride - 1, out=probe), last, out=probe)
+        # every probe is in range, so "clip" only skips take's copy of out
+        np.less(np.take(flat, probe, out=value, mode="clip"), target, out=hit)
+        pos += np.multiply(hit, stride, out=probe)
     j = pos - base
     lo = np.where(j > 0, flat[np.maximum(pos - 1, 0)], 0.0)
     frac = (target - lo) / np.maximum(flat[pos] - lo, 1e-300)
