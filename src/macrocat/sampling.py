@@ -145,11 +145,11 @@ def _rational(coef: np.ndarray, x: np.ndarray, acc: np.ndarray, out: np.ndarray)
     width = acc.shape[1]
     for lo in range(0, x.size, width):
         xs = x[lo : lo + width]
-        a = acc[:, : xs.size]
-        a[...] = coef[0]
-        for c in coef[1:]:
-            np.multiply(a, xs, out=a)
-            np.add(a, c, out=a)
+        a = np.multiply(xs, coef[0], out=acc[:, : xs.size])
+        for c in coef[1:-1]:
+            a += c
+            a *= xs
+        a += coef[-1]
         np.divide(a[0], a[1], out=out[lo : lo + width])
     return out
 
@@ -158,8 +158,9 @@ def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> n
     """The standard normal quantile of each ``p`` in (0, 1), written over
     ``p``: AS241's PPND16, relative error about 1e-16.
 
-    ``p`` and ``x`` are 1-D float arrays of one length L, ``acc`` a ``(2,
-    w)`` float one with ``2 w >= L``, and ``tail`` an L-bool one.  With ``q
+    ``p`` and ``x`` are 1-D float arrays of one length L, ``acc`` a
+    C-ordered ``(2, w)`` float one with ``2 w >= L``, and ``tail`` an L-bool
+    one.  With ``q
     = p - 1/2``, the central rational runs over the whole array, w values at
     a time; the tail rationals run by index on the ~15% of values with
     ``|q| > 0.425``, and the far one only where ``p`` or ``1 - p`` is below
@@ -171,38 +172,30 @@ def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> n
     np.subtract(0.180625, np.multiply(x, x, out=x), out=x)
     _rational(_AS241_CENTRAL, x, acc, x)
     idx = np.flatnonzero(tail)
-    # the tail's p, and where its q is negative, taken before p is overwritten
-    spare = acc.reshape(-1)[: idx.size]
-    negative = np.less(np.take(p, idx, out=spare, mode="clip"), 0.5, out=tail[: idx.size])
+    # the tail's p, taken before p is overwritten; the rest of acc is then
+    # the tail rational's Horner stack
+    flat = acc.reshape(-1)
+    tail_p = np.take(p, idx, out=flat[: idx.size], mode="clip")
     np.multiply(np.subtract(p, 0.5, out=p), x, out=p)
     if idx.size:
         t = x[: idx.size]
-        np.copyto(t, spare)
-        np.minimum(t, np.subtract(1.0, t, out=spare), out=t)
+        np.minimum(tail_p, np.subtract(1.0, tail_p, out=t), out=t)
         np.sqrt(np.negative(np.log(t, out=t), out=t), out=t)
         # r > 5 needs p or 1 - p below exp(-25): about one value in 10^10
         far = np.flatnonzero(t > 5.0) if np.maximum.reduce(t) > 5.0 else None
         if far is not None:
             t_far = t[far] - 5.0
             _rational(_AS241_FAR, t_far, np.empty((2, far.size)), t_far)
-        _rational(_AS241_NEAR, np.subtract(t, 1.6, out=t), acc, t)
+        free = flat[idx.size :]
+        # with all but one value in the tail, no stack fits in acc
+        stack = free[: free.size // 2 * 2].reshape(2, -1) if free.size > 1 else np.empty((2, t.size))
+        _rational(_AS241_NEAR, np.subtract(t, 1.6, out=t), stack, t)
         if far is not None:
             t[far] = t_far
         # the tail rationals are positive and take q's sign here; the central
         # one, positive, has q's sign already
-        p[idx] = _negate_where(t, negative, spare)
+        p[idx] = np.copysign(t, np.subtract(tail_p, 0.5, out=tail_p), out=t)
     return p
-
-
-def _negate_where(x: np.ndarray, flags: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``x`` negated in place where ``flags`` is set, as a product with ``1 -
-    2 flags`` (in the float array ``scratch``): numpy vectorizes it, where a
-    masked ``np.negative(x, where=flags)`` runs element by element.  The
-    flags are copied into ``scratch`` first, so no cast buffer is allocated."""
-    np.copyto(scratch, flags)
-    np.multiply(scratch, -2.0, out=scratch)
-    np.add(scratch, 1.0, out=scratch)
-    return np.multiply(x, scratch, out=x)
 
 
 class CountWorkspace:
