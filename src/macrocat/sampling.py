@@ -44,6 +44,7 @@ _WORDS_COUNTS = 4
 _WORDS_QUAD = 4  # x_A uniform, x_B uniform, 2 pad
 
 _U_LO = 2.0**-53
+_WORD = (1 << 64) - 1
 
 # homodyne outcomes are tabulated on [-8, 8] in steps of 0.02
 _QUAD_GRID = np.linspace(-8.0, 8.0, 801)
@@ -83,21 +84,34 @@ def shot_uniforms(
     n_shots: int,
     words_per_shot: int,
     out: np.ndarray | None = None,
+    bit_generator: np.random.Philox | None = None,
 ) -> np.ndarray:
     """Uniform table whose row i belongs to absolute shot ``start_shot + i``.
 
     ``words_per_shot`` must be a multiple of 4 so blocks align with the
     Philox counter; values are clipped into the open interval (0, 1) for
     safe inverse-CDF transforms.  The table is written to ``out`` (C-ordered,
-    ``(n_shots, words_per_shot)``) when one is given.
+    ``(n_shots, words_per_shot)``) when one is given.  A caller drawing
+    table after table passes one ``bit_generator`` to put each in the state
+    a new one would start in, which costs a third of building it.
     """
     if words_per_shot % _PHILOX_WORDS_PER_TICK:
         raise ConfigError("words_per_shot must be a multiple of 4")
-    bg = np.random.Philox(
-        counter=start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK,
-        key=np.array([seed, stream], dtype=np.uint64),
-    )
-    u = np.random.Generator(bg).random((n_shots, words_per_shot), out=out)
+    counter = start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK
+    key = np.array([seed, stream], dtype=np.uint64)
+    if bit_generator is None:
+        bit_generator = np.random.Philox(counter=counter, key=key)
+    else:
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                # the 256-bit counter as four 64-bit words, lowest first
+                "counter": np.array([counter >> s & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64),
+                "key": key,
+            },
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    u = np.random.Generator(bit_generator).random((n_shots, words_per_shot), out=out)
     # random() returns k * 2**-53 for k < 2**53, so only the lower clip can bind
     return np.maximum(u, _U_LO, out=u)
 
@@ -214,6 +228,8 @@ class CountWorkspace:
         self.spare = self._floats[: 3 * shots]
         # three flags per shot, then the quantile's tail flags
         self._flags = np.empty(5 * shots, dtype=bool)
+        # one bit generator per phase setting, reset for each table
+        self._philox = []
 
     def draw(self, settings: list, n_shots: int, seed: int, start_shot: int) -> CountSample:
         """Shots ``[start_shot, start_shot + n_shots)`` of each of
@@ -230,8 +246,10 @@ class CountWorkspace:
         w_v = np.array([[p.eta * (1.0 - math.cos(p.phi)) / 4.0] for p, _ in settings])
         space = self._floats[3 * cap : 3 * cap + _WORDS_COUNTS * m]
         tables = space.reshape(s, n, _WORDS_COUNTS)
-        for table, (_, stream) in zip(tables, settings):
-            shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table)
+        while len(self._philox) < s:
+            self._philox.append(np.random.Philox())
+        for table, (_, stream), bits in zip(tables, settings, self._philox):
+            shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table, bit_generator=bits)
         c, u3 = tables[..., 0], tables[..., 3]
         negative, flip, quad = self._flags[: 3 * m].reshape(3, s, n)
         # the radius is negative on [0, w_u/2) and on [w_u, w_u + w_v/2):
