@@ -223,8 +223,8 @@ def _bin_index(
     k = out
     np.copyto(k, np.multiply(t, (last + 1) / (edges[-1] - edges[0]), out=t), casting="unsafe")
     # every index taken is in range, so "clip" only skips take's copy of out
-    k -= np.less(x, np.take(edges, k, out=t, mode="clip"), out=flags)
-    k += np.greater_equal(x, np.take(edges[1:], k, out=t, mode="clip"), out=flags)
+    k -= np.less(x, edges.take(k, out=t, mode="clip"), out=flags)
+    k += np.greater_equal(x, edges[1:].take(k, out=t, mode="clip"), out=flags)
     return k
 
 
@@ -252,7 +252,7 @@ class _BinMoments:
         n = np.bincount(idx, minlength=bins)
         # an empty bin gets mean 0, which the merge weights by its 0 shots
         mean = np.bincount(idx, weights=y, minlength=bins) / np.maximum(n, 1)
-        dev = np.subtract(y, np.take(mean, idx, out=scratch, mode="clip"), out=scratch)
+        dev = np.subtract(y, mean.take(idx, out=scratch, mode="clip"), out=scratch)
         m2 = np.bincount(idx, weights=np.square(dev, out=dev), minlength=bins)
         return cls(*(a.reshape(settings, _N_COUNT_BINS) for a in (n, mean, m2)))
 

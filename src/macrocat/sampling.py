@@ -185,11 +185,11 @@ def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> n
     np.greater(x, 0.425, out=tail)
     np.subtract(0.180625, np.multiply(x, x, out=x), out=x)
     _rational(_AS241_CENTRAL, x, acc, x)
-    idx = np.flatnonzero(tail)
+    idx = tail.nonzero()[0]
     # the tail's p, taken before p is overwritten; the rest of acc is then
     # the tail rational's Horner stack
     flat = acc.reshape(-1)
-    tail_p = np.take(p, idx, out=flat[: idx.size], mode="clip")
+    tail_p = p.take(idx, out=flat[: idx.size], mode="clip")
     np.multiply(np.subtract(p, 0.5, out=p), x, out=p)
     if idx.size:
         t = x[: idx.size]
@@ -240,8 +240,9 @@ class CountWorkspace:
         are views into this workspace."""
         s, n, cap = len(settings), n_shots, self._shots
         m = s * n
-        # each setting's spread and component weights, as a column over its row
-        sigma = np.array([[math.sqrt(2.0) * p.alpha] for p, _ in settings])
+        # each setting's spread and component weights, as a column over its
+        # row; the spread's second row scales nothing
+        spread = np.array([[[math.sqrt(2.0) * p.alpha] for p, _ in settings], [[1.0]] * s])
         w_u = np.array([[p.eta * (1.0 + math.cos(p.phi)) / 4.0] for p, _ in settings])
         w_v = np.array([[p.eta * (1.0 - math.cos(p.phi)) / 4.0] for p, _ in settings])
         space = self._floats[3 * cap : 3 * cap + _WORDS_COUNTS * m]
@@ -270,18 +271,21 @@ class CountWorkspace:
             self._flags[3 * cap : 3 * cap + 2 * m],
         )
         z1 = normals[0]
-        # 1 - 2 flags: the radius's sign, and the v component's sign of u - v
-        signs = np.multiply(self._flags[: 2 * m].reshape(2, s, n), -2.0, out=space[2 * m :].reshape(2, s, n))
-        np.add(signs, 1.0, out=signs)
+        # spread (1 - 2 flags): the radius's signed spread, and the v
+        # component's sign of u - v
+        signs = np.multiply(
+            self._flags[: 2 * m].reshape(2, s, n), -2.0 * spread, out=space[2 * m :].reshape(2, s, n)
+        )
+        np.add(signs, spread, out=signs)
         # the signed chi(3) radius of every shot; only the quadratic
         # components' shots keep theirs
         radius = np.subtract(np.multiply(z1, z1, out=space[:m].reshape(s, n)), log_u3, out=log_u3)
-        np.multiply(np.multiply(np.sqrt(radius, out=radius), sigma, out=radius), signs[0], out=radius)
+        np.multiply(np.sqrt(radius, out=radius), signs[0], out=radius)
         # plain component: u is the primary normal, v the partner.  The
         # radius replaces u on the u component; on the v component it
         # replaces v and v's normal moves to u, which leaves u + v as it is
         # and changes the sign of u - v
-        u, v = np.multiply(normals, sigma, out=normals)
+        u, v = np.multiply(normals, spread[0], out=normals)
         np.putmask(u, quad, radius)
         dn_a, dn_b = counts = space[: 2 * m].reshape(2, s, n)
         np.add(u, v, out=dn_a)
@@ -365,7 +369,7 @@ def _inverse_cdf(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> tuple[np.n
         stride >>= 1
         np.minimum(np.add(pos, stride - 1, out=probe), last, out=probe)
         # every probe is in range, so "clip" only skips take's copy of out
-        np.less(np.take(flat, probe, out=value, mode="clip"), target, out=hit)
+        np.less(flat.take(probe, out=value, mode="clip"), target, out=hit)
         pos += np.multiply(hit, stride, out=probe)
     j = pos - base
     lo = np.where(j > 0, flat[np.maximum(pos - 1, 0)], 0.0)
