@@ -7,7 +7,9 @@ conditional mean/variance curves, the two conditional histograms of
 Bob's counts at macroscopically separated Alice outcomes, and the
 empirical single-shot discrimination error.  It reduces each block of
 shots as the sampler draws it and keeps no per-shot array, so its memory
-does not grow with the shot count.  The blocks run on a thread pool with
+does not grow with the shot count.  A block holds both settings: one
+pass of the sampler draws them, and one bin index and one set of
+``bincount`` calls reduce them.  The blocks run on a thread pool with
 one thread per CPU the process may run on, a bounded number of them
 ahead of the merge, and their partials merge in block order, so the
 output does not depend on the pool size.  A tomography scenario builds
@@ -52,8 +54,9 @@ _DELTA_A_PER_ALPHA = 3.1e4 / 1.05e4
 _N_COUNT_BINS = 41
 _BIN_SPAN_SIGMAS = 4.0
 _WINDOW_FRAC = 0.04
-# count shots drawn and reduced at a time: a 512 KiB uniform table, and each
-# pool thread's other block arrays of 128-256 KiB, allocated once per thread
+# count shots per phase setting drawn and reduced at a time, both settings
+# in one pass: each pool thread's arrays, ~2.0 MB with the two settings'
+# 512 KiB uniform tables, are allocated once per thread
 _COUNT_BLOCK_SHOTS = 1 << 14
 # tomography: Alice's LO steps uniformly through 12 phases over [0, 2 pi)
 # while Bob's stays locked at 0; an informationally complete scan of the
@@ -228,6 +231,22 @@ def _bin_index(
     return k
 
 
+def _window_histograms(
+    bob: np.ndarray, below: np.ndarray, edges: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+    flags: np.ndarray,
+) -> np.ndarray:
+    """``np.histogram(bob[~below], edges)[0]`` and ``np.histogram(bob[below],
+    edges)[0]`` as the rows of one array: the values in ``[edges[0],
+    edges[-1]]`` binned by :func:`_bin_index`, the last edge in the last bin,
+    and counted by one ``bincount``.  ``out``, ``scratch`` and ``flags`` are
+    as :func:`_bin_index` takes them, at least ``bob``'s length."""
+    kept = (bob >= edges[0]) & (bob <= edges[-1])
+    m = np.count_nonzero(kept)
+    k = _bin_index(bob[kept], edges, out[:m], scratch[:m], flags[:m])
+    k += _N_COUNT_BINS * below[kept]
+    return np.bincount(k, minlength=2 * _N_COUNT_BINS).reshape(2, _N_COUNT_BINS)
+
+
 def _count_scale(alpha: float) -> float:
     """A power of two near ``1/alpha``: scaling Bob's counts by it is exact and
     keeps their squares finite at any alpha the config accepts."""
@@ -356,13 +375,7 @@ def _count_block(
     # sign of Bob's count: it errs above on a negative count, below on a
     # positive one
     wrong = np.where(below, bob > 0.0, bob < 0.0)
-    # np.histogram(bob, edges) of each window: its counts in [edges[0],
-    # edges[-1]], binned, the last edge in the last bin
-    kept = (bob >= edges[0]) & (bob <= edges[-1])
-    m = np.count_nonzero(kept)
-    hist = _bin_index(bob[kept], edges, idx[:m], scratch[:m], flags[:m])
-    hist += _N_COUNT_BINS * below[kept]
-    histograms = np.bincount(hist, minlength=2 * _N_COUNT_BINS).reshape(2, _N_COUNT_BINS)
+    histograms = _window_histograms(bob, below, edges, idx, scratch, flags)
     # Bob's counts are scaled in place, so this is the draw's last use
     y = np.multiply(rec.dn_b, _count_scale(config.alpha), out=rec.dn_b).reshape(-1)
     k = _bin_index(rec.dn_a.reshape(-1), edges, idx, scratch, flags)

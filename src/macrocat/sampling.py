@@ -24,7 +24,8 @@ The count sampler's normals come from :func:`_ndtri`, Wichura's AS241
 normal quantile in numpy, so the package needs numpy alone.  A
 :class:`CountWorkspace` holds every array of a count draw, so a caller that
 draws block after block, as the count scenario does on each pool thread,
-allocates them once.
+allocates them once.  One draw takes a stack of phase settings, each from
+its own stream, and runs each numpy call once over all of them.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def shot_uniforms(
     Philox counter; values are clipped into the open interval (0, 1) for
     safe inverse-CDF transforms.  The table is written to ``out`` (C-ordered,
     ``(n_shots, words_per_shot)``) when one is given.  A caller drawing
-    table after table passes one ``bit_generator`` to put each in the state
-    a new one would start in, which costs a third of building it.
+    table after table may pass a Philox ``bit_generator`` to reuse: it is
+    put in the state a new one would start in, at a fraction of the cost
+    of building one.
     """
     if words_per_shot % _PHILOX_WORDS_PER_TICK:
         raise ConfigError("words_per_shot must be a multiple of 4")
@@ -174,12 +176,11 @@ def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> n
 
     ``p`` and ``x`` are 1-D float arrays of one length L, ``acc`` a
     C-ordered ``(2, w)`` float one with ``2 w >= L``, and ``tail`` an L-bool
-    one.  With ``q
-    = p - 1/2``, the central rational runs over the whole array, w values at
-    a time; the tail rationals run by index on the ~15% of values with
-    ``|q| > 0.425``, and the far one only where ``p`` or ``1 - p`` is below
-    ``exp(-25)``.  The sign is q's, so ``ndtri(1 - p) = -ndtri(p)`` wherever
-    ``1 - p`` is exact.
+    one.  With ``q = p - 1/2``, the central rational runs over the whole
+    array, w values at a time; the tail rationals run by index on the ~15%
+    of values with ``|q| > 0.425``, and the far one only where ``p`` or ``1
+    - p`` is below ``exp(-25)``.  The sign is q's, so ``ndtri(1 - p) =
+    -ndtri(p)`` wherever ``1 - p`` is exact.
     """
     np.abs(np.subtract(p, 0.5, out=x), out=x)
     np.greater(x, 0.425, out=tail)
@@ -240,8 +241,8 @@ class CountWorkspace:
         are views into this workspace."""
         s, n, cap = len(settings), n_shots, self._shots
         m = s * n
-        # each setting's spread and component weights, as a column over its
-        # row; the spread's second row scales nothing
+        # each setting's spread sigma and component weights, as a column over
+        # its row; spread's second row, all 1, scales the v component's sign
         spread = np.array([[[math.sqrt(2.0) * p.alpha] for p, _ in settings], [[1.0]] * s])
         w_u = np.array([[p.eta * (1.0 + math.cos(p.phi)) / 4.0] for p, _ in settings])
         w_v = np.array([[p.eta * (1.0 - math.cos(p.phi)) / 4.0] for p, _ in settings])

@@ -338,6 +338,27 @@ class TestStreamedCounts:
         )
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("alpha", [10.0, 1.05e4, 5e153])
+    def test_window_histograms_equal_np_histogram(self, alpha):
+        edges = pipeline.count_bin_edges(CountModelParams(alpha, 0.49))
+        span = edges[-1]
+        ends = edges[[0, -1]]
+        rng = np.random.default_rng(7)
+        bob = np.concatenate([
+            ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+            edges, 0.5 * (edges[:-1] + edges[1:]),
+            [0.0, 2.0 * span, -2.0 * span, 1e6 * span, -1e6 * span],
+            rng.uniform(-1.5 * span, 1.5 * span, 2_000),
+        ])
+        below = rng.random(bob.size) < 0.5
+        for b, w in ((bob, below), (bob[:0], below[:0])):  # and two empty windows
+            size = b.size
+            got = pipeline._window_histograms(
+                b, w, edges, np.empty(size, np.intp), np.empty(size), np.empty(size, bool)
+            )
+            expected = [np.histogram(b[window], bins=edges)[0] for window in (~w, w)]
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("block", [pipeline._COUNT_BLOCK_SHOTS, 1000, 7])
     @pytest.mark.parametrize("alpha,seed", [(1.05e4, 71), (5e153, 3)])
     def test_matches_whole_array_oracles(self, monkeypatch, block, alpha, seed):

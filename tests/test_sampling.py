@@ -221,6 +221,26 @@ class TestCountKernelOracle:
         assert _bitwise_equal(np.concatenate([q.dn_b for q in parts]), ref_b)
 
 
+    def test_stacked_settings_match_one_setting_draws(self):
+        # the scenario's draw: both phase settings, each from its own stream,
+        # in one pass over one workspace, block after block.  Row s is setting
+        # s's own draw, bit for bit, for a full block, a short last block and
+        # a start past 0
+        settings = [
+            (CountModelParams(1.05e4, 0.49, phi), stream)
+            for phi, stream in ((0.0, pipeline.STREAM_COUNTS_PHI0),
+                                (math.pi / 2.0, pipeline.STREAM_COUNTS_PHI90))
+        ]
+        ws = sampling.CountWorkspace(2 * _BLOCK)
+        for n_shots, start_shot in [(_BLOCK, 0), (1234, _BLOCK), (_BLOCK, 5 * _BLOCK + 77)]:
+            rec = ws.draw(settings, n_shots, 61, start_shot)
+            for row, (p, stream) in enumerate(settings):
+                one = sampling.sample_counts(p, n_shots, seed=61, stream=stream, start_shot=start_shot)
+                ref_a, ref_b = _sample_counts_oracle(p, n_shots, 61, stream, start_shot)
+                assert _bitwise_equal(rec.dn_a[row], one.dn_a) and _bitwise_equal(rec.dn_a[row], ref_a)
+                assert _bitwise_equal(rec.dn_b[row], one.dn_b) and _bitwise_equal(rec.dn_b[row], ref_b)
+
+
 class TestShotUniforms:
     @pytest.mark.parametrize("words", [4, 8])
     @pytest.mark.parametrize("seed,stream,start_shot", [(1, 0, 0), (42, 3, 0), (7, 1, 1001)])
@@ -231,6 +251,13 @@ class TestShotUniforms:
         ref = np.clip(gen.random((start_shot + 500, words)), 2.0**-53, 1.0 - 2.0**-53)
         got = sampling.shot_uniforms(seed, stream, start_shot, 500, words)
         assert _bitwise_equal(got, ref[start_shot:])
+
+    def test_reused_bit_generator_gives_the_same_table(self):
+        # a start of 2^70 shots puts the counter past its first 64-bit word
+        bits = np.random.Philox()
+        for seed, stream, start_shot in [(1, 0, 0), (42, 3, 2**70), (7, 1, 1001), (1, 0, 0)]:
+            got = sampling.shot_uniforms(seed, stream, start_shot, 100, 4, bit_generator=bits)
+            assert _bitwise_equal(got, sampling.shot_uniforms(seed, stream, start_shot, 100, 4))
 
     def test_words_per_shot_must_fill_philox_ticks(self):
         with pytest.raises(ValueError, match="multiple of 4"):
