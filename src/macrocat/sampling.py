@@ -263,31 +263,41 @@ class CountWorkspace:
         # c < w_u implies c < w_u + w_v, so the xor leaves [w_u, w_u + w_v):
         # the v component's shots
         np.logical_xor(quad, in_u, out=flip)
-        log_u3 = self._floats[2 * cap : 2 * cap + m].reshape(s, n)
-        np.multiply(np.log(u3, out=log_u3), 2.0, out=log_u3)
+        # only the quadratic components' shots, about eta/2 of them, have a
+        # radius: 2 ln u3 is taken on those alone, before the quantile
+        # overwrites the tables.  Their index is found again after it, so no
+        # index array is held while the quantile allocates its own
+        quads = quad.reshape(-1).nonzero()[0]
+        log_u3 = self._floats[2 * cap : 2 * cap + quads.size]
+        # u3 is word 3 of its shot's row in the tables
+        quads *= _WORDS_COUNTS
+        space.take(np.add(quads, 3, out=quads), out=log_u3, mode="clip")
+        np.multiply(np.log(log_u3, out=log_u3), 2.0, out=log_u3)
+        del quads
         normals = self._floats[: 2 * m].reshape(2, s, n)
         np.copyto(normals, tables[..., 1:3].transpose(2, 0, 1))
         _ndtri(
             normals.reshape(-1), space[: 2 * m], space[2 * m :].reshape(2, m),
             self._flags[3 * cap : 3 * cap + 2 * m],
         )
-        z1 = normals[0]
         # spread (1 - 2 flags): the radius's signed spread, and the v
         # component's sign of u - v
         signs = np.multiply(
             self._flags[: 2 * m].reshape(2, s, n), -2.0 * spread, out=space[2 * m :].reshape(2, s, n)
         )
         np.add(signs, spread, out=signs)
-        # the signed chi(3) radius of every shot; only the quadratic
-        # components' shots keep theirs
-        radius = np.subtract(np.multiply(z1, z1, out=space[:m].reshape(s, n)), log_u3, out=log_u3)
-        np.multiply(np.sqrt(radius, out=radius), signs[0], out=radius)
+        # the signed chi(3) radius of each quadratic component's shot
+        quads = quad.reshape(-1).nonzero()[0]
+        z1 = normals[0].reshape(-1).take(quads, out=space[: quads.size], mode="clip")
+        radius = np.subtract(np.multiply(z1, z1, out=z1), log_u3, out=log_u3)
+        np.sqrt(radius, out=radius)
+        np.multiply(radius, signs[0].reshape(-1).take(quads, out=z1, mode="clip"), out=radius)
         # plain component: u is the primary normal, v the partner.  The
         # radius replaces u on the u component; on the v component it
         # replaces v and v's normal moves to u, which leaves u + v as it is
         # and changes the sign of u - v
         u, v = np.multiply(normals, spread[0], out=normals)
-        np.putmask(u, quad, radius)
+        u.reshape(-1)[quads] = radius
         dn_a, dn_b = counts = space[: 2 * m].reshape(2, s, n)
         np.add(u, v, out=dn_a)
         np.subtract(u, v, out=dn_b)

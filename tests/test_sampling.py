@@ -220,7 +220,6 @@ class TestCountKernelOracle:
         assert _bitwise_equal(np.concatenate([q.dn_a for q in parts]), ref_a)
         assert _bitwise_equal(np.concatenate([q.dn_b for q in parts]), ref_b)
 
-
     def test_stacked_settings_match_one_setting_draws(self):
         # the scenario's draw: both phase settings, each from its own stream,
         # in one pass over one workspace, block after block.  Row s is setting
