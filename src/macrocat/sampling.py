@@ -222,9 +222,9 @@ class CountWorkspace:
 
     def __init__(self, shots: int):
         self._shots = shots
-        # [the normal words | 2 ln u3 | the Philox tables]; once their words
-        # are taken out, the tables' space holds the quantile's x and Horner
-        # stack, then the counts
+        # [the normal words | 2 ln u3 of the quadratic components' shots |
+        # the Philox tables]; once their words are taken out, the tables'
+        # space holds the quantile's x and Horner stack, then the counts
         self._floats = np.empty(7 * shots)
         self.spare = self._floats[: 3 * shots]
         # three flags per shot, then the quantile's tail flags
@@ -252,7 +252,7 @@ class CountWorkspace:
             self._philox.append(np.random.Philox())
         for table, (_, stream), bits in zip(tables, settings, self._philox):
             shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table, bit_generator=bits)
-        c, u3 = tables[..., 0], tables[..., 3]
+        c = tables[..., 0]
         negative, flip, quad = self._flags[: 3 * m].reshape(3, s, n)
         # the radius is negative on [0, w_u/2) and on [w_u, w_u + w_v/2):
         # the xor of the nested intervals below w_u/2, w_u and w_u + w_v/2
