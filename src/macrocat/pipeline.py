@@ -325,21 +325,6 @@ class _CountPartial:
         )
 
 
-class _BlockBuffers:
-    """One pool thread's arrays for its count blocks of ``shots`` shots per
-    setting, sliced for a shorter last block: the sampler's workspace for
-    both settings, and the reduction's bin indices, scratch and flags."""
-
-    def __init__(self, shots: int):
-        self.draw = sampling.CountWorkspace(2 * shots)
-        # the reduction runs between draws, in the workspace's spare floats;
-        # an intp is no wider than a float64
-        spare = self.draw.spare
-        self.index = spare[: 2 * shots].view(np.intp)[: 2 * shots]
-        self.scratch = spare[2 * shots : 4 * shots]
-        self.flags = np.empty(2 * shots, dtype=bool)
-
-
 def _count_block(
     config: ExperimentConfig, params: tuple, edges: np.ndarray, local, lo: int
 ) -> _CountPartial:
@@ -349,16 +334,18 @@ def _count_block(
     settings share the bin ``edges``, so one pass draws them and one bins
     them.  The draw is a function of ``lo`` alone (the Philox stream is
     counter-based), so the blocks can be reduced in any order.  The arrays
-    come from the ``_BlockBuffers`` that the calling thread keeps on
-    ``local`` (a ``threading.local``), made on its first block: a thread's
-    later blocks allocate no array of a block's length.
+    come from the :class:`~macrocat.sampling.CountWorkspace` for both
+    settings that the calling thread keeps on ``local`` (a
+    ``threading.local``), made on its first block: the reduction runs in its
+    index, scratch and flags, so a thread's later blocks allocate no array
+    of a block's length.
     """
     n = min(_COUNT_BLOCK_SHOTS, config.n_count_shots - lo)
-    buffers = getattr(local, "buffers", None)
-    if buffers is None:
-        buffers = local.buffers = _BlockBuffers(_COUNT_BLOCK_SHOTS)
-    idx, scratch, flags = buffers.index[: 2 * n], buffers.scratch[: 2 * n], buffers.flags[: 2 * n]
-    rec = buffers.draw.draw(
+    ws = getattr(local, "workspace", None)
+    if ws is None:
+        ws = local.workspace = sampling.CountWorkspace(2 * _COUNT_BLOCK_SHOTS)
+    idx, scratch, flags = ws.index[: 2 * n], ws.scratch[: 2 * n], ws.flags[: 2 * n]
+    rec = ws.draw(
         list(zip(params, (STREAM_COUNTS_PHI0, STREAM_COUNTS_PHI90))), n, config.seed, lo
     )
     # phi = 0's conditioning windows, where |dn_a - delta_a| or |dn_a +

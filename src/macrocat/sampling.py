@@ -45,7 +45,6 @@ _WORDS_COUNTS = 4
 _WORDS_QUAD = 4  # x_A uniform, x_B uniform, 2 pad
 
 _U_LO = 2.0**-53
-_WORD = (1 << 64) - 1
 
 # homodyne outcomes are tabulated on [-8, 8] in steps of 0.02
 _QUAD_GRID = np.linspace(-8.0, 8.0, 801)
@@ -85,35 +84,19 @@ def shot_uniforms(
     n_shots: int,
     words_per_shot: int,
     out: np.ndarray | None = None,
-    bit_generator: np.random.Philox | None = None,
 ) -> np.ndarray:
     """Uniform table whose row i belongs to absolute shot ``start_shot + i``.
 
     ``words_per_shot`` must be a multiple of 4 so blocks align with the
     Philox counter; values are clipped into the open interval (0, 1) for
     safe inverse-CDF transforms.  The table is written to ``out`` (C-ordered,
-    ``(n_shots, words_per_shot)``) when one is given.  A caller drawing
-    table after table may pass a Philox ``bit_generator`` to reuse: it is
-    put in the state a new one would start in, at a fraction of the cost
-    of building one.
+    ``(n_shots, words_per_shot)``) when one is given.
     """
     if words_per_shot % _PHILOX_WORDS_PER_TICK:
         raise ConfigError("words_per_shot must be a multiple of 4")
     counter = start_shot * words_per_shot // _PHILOX_WORDS_PER_TICK
-    key = np.array([seed, stream], dtype=np.uint64)
-    if bit_generator is None:
-        bit_generator = np.random.Philox(counter=counter, key=key)
-    else:
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                # the 256-bit counter as four 64-bit words, lowest first
-                "counter": np.array([counter >> s & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64),
-                "key": key,
-            },
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-    u = np.random.Generator(bit_generator).random((n_shots, words_per_shot), out=out)
+    bg = np.random.Philox(counter=counter, key=np.array([seed, stream], dtype=np.uint64))
+    u = np.random.Generator(bg).random((n_shots, words_per_shot), out=out)
     # random() returns k * 2**-53 for k < 2**53, so only the lower clip can bind
     return np.maximum(u, _U_LO, out=u)
 
@@ -197,15 +180,15 @@ def _ndtri(p: np.ndarray, x: np.ndarray, acc: np.ndarray, tail: np.ndarray) -> n
         np.minimum(tail_p, np.subtract(1.0, tail_p, out=t), out=t)
         np.sqrt(np.negative(np.log(t, out=t), out=t), out=t)
         # r > 5 needs p or 1 - p below exp(-25): about one value in 10^10
-        far = np.flatnonzero(t > 5.0) if np.maximum.reduce(t) > 5.0 else None
-        if far is not None:
+        far = np.flatnonzero(t > 5.0)
+        if far.size:
             t_far = t[far] - 5.0
             _rational(_AS241_FAR, t_far, np.empty((2, far.size)), t_far)
         free = flat[idx.size :]
         # with all but one value in the tail, no stack fits in acc
         stack = free[: free.size // 2 * 2].reshape(2, -1) if free.size > 1 else np.empty((2, t.size))
         _rational(_AS241_NEAR, np.subtract(t, 1.6, out=t), stack, t)
-        if far is not None:
+        if far.size:
             t[far] = t_far
         # the tail rationals are positive and take q's sign here; the central
         # one, positive, has q's sign already
@@ -217,8 +200,9 @@ class CountWorkspace:
     """Every array a count draw of up to ``shots`` shots uses, counted over
     all the draw's phase settings, sliced for fewer.  A draw overwrites all
     of them and returns views of the counts, so each thread draws into its
-    own workspace.  :attr:`spare`, 3 ``shots`` floats, holds nothing a draw
-    returns: the caller may use it between draws."""
+    own workspace.  Between draws the caller may use :attr:`index` (intp),
+    :attr:`scratch` (float) and :attr:`flags` (bool), ``shots`` values each:
+    they hold nothing a draw returns."""
 
     def __init__(self, shots: int):
         self._shots = shots
@@ -226,11 +210,13 @@ class CountWorkspace:
         # the Philox tables]; once their words are taken out, the tables'
         # space holds the quantile's x and Horner stack, then the counts
         self._floats = np.empty(7 * shots)
-        self.spare = self._floats[: 3 * shots]
         # three flags per shot, then the quantile's tail flags
         self._flags = np.empty(5 * shots, dtype=bool)
-        # one bit generator per phase setting, reset for each table
-        self._philox = []
+        # the normal words' space, which the counts never occupy; an intp is
+        # no wider than a float64
+        self.index = self._floats[:shots].view(np.intp)[:shots]
+        self.scratch = self._floats[shots : 2 * shots]
+        self.flags = self._flags[:shots]
 
     def draw(self, settings: list, n_shots: int, seed: int, start_shot: int) -> CountSample:
         """Shots ``[start_shot, start_shot + n_shots)`` of each of
@@ -248,10 +234,8 @@ class CountWorkspace:
         w_v = np.array([[p.eta * (1.0 - math.cos(p.phi)) / 4.0] for p, _ in settings])
         space = self._floats[3 * cap : 3 * cap + _WORDS_COUNTS * m]
         tables = space.reshape(s, n, _WORDS_COUNTS)
-        while len(self._philox) < s:
-            self._philox.append(np.random.Philox())
-        for table, (_, stream), bits in zip(tables, settings, self._philox):
-            shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table, bit_generator=bits)
+        for table, (_, stream) in zip(tables, settings):
+            shot_uniforms(seed, stream, start_shot, n, _WORDS_COUNTS, out=table)
         c = tables[..., 0]
         negative, flip, quad = self._flags[: 3 * m].reshape(3, s, n)
         # the radius is negative on [0, w_u/2) and on [w_u, w_u + w_v/2):
