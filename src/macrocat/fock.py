@@ -198,6 +198,7 @@ def _oscillator_functions(x: np.ndarray, dim: int) -> np.ndarray:
 # clipping the shifted coordinates there changes no value of the table and
 # keeps u^2 finite at any grid point
 _FAR = 40.0
+GRID_SPACING_MAX = 0.5  # the widest grid spacing wigner tabulates
 
 
 def wigner(alpha: float, c0: complex, c1: complex, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -217,8 +218,8 @@ def wigner(alpha: float, c0: complex, c1: complex, xs: np.ndarray, ps: np.ndarra
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
     for g, name in ((xs, "x"), (ps, "p")):
-        if g.size > 1 and np.diff(g).max() > 0.5:
-            raise ConfigError(f"{name}-grid spacing exceeds 0.5; refine the grid")
+        if g.size > 1 and np.diff(g).max() > GRID_SPACING_MAX:
+            raise ConfigError(f"{name}-grid spacing exceeds {GRID_SPACING_MAX}; refine the grid")
     c0, c1 = complex(c0), complex(c1)
     parts = (c0.real, c0.imag, c1.real, c1.imag)
     if not any(parts):

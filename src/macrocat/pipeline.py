@@ -1,5 +1,5 @@
-"""End-to-end experiment scenarios: every command's documents (file name to
-content, written by :func:`macrocat.output.write_documents`) are built here.
+"""End-to-end experiment scenarios, with every command's spec type and its
+documents (file name to content, written by :func:`macrocat.output.write_documents`).
 
 A counting scenario draws balanced-detection records for both phase
 settings (0 and pi/2), bins Alice's outcomes, and produces the
@@ -33,7 +33,8 @@ import os
 import sys
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import InitVar, asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def dephasing_factor(sigma: float) -> float:
     return math.exp(-min(abs(sigma), _SIGMA_FAR) ** 2 / 2.0)
 
 
-def json_number(name: str, value):
+def _json_number(name: str, value):
     """``value`` if it is a finite JSON number: an int or a float, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -94,23 +95,39 @@ def json_number(name: str, value):
     return value
 
 
-def json_integer(name: str, value) -> int:
+def _json_integer(name: str, value) -> int:
     """``value`` if it is a JSON integer (an int, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def check_fields(what: str, doc: dict, known: set[str]) -> None:
+def _check_fields(what: str, doc: dict, known: set[str]) -> None:
     """Raise :class:`ConfigError` if ``doc`` has a key outside ``known``."""
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
 
 
+class _JsonSpec:
+    """A command's spec, a frozen dataclass whose ``__post_init__`` is its one
+    field check: read from a JSON object of its field names (``_WHAT`` names
+    the object in an unknown-field error), and recorded as one."""
+
+    _WHAT = "config"
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        _check_fields(cls._WHAT, doc, set(cls.__dataclass_fields__))
+        return cls(**doc)
+
+
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Run parameters; serializes to JSON with exactly these field names."""
+class ExperimentConfig(_JsonSpec):
+    """Run parameters; recorded with each field as given."""
 
     alpha: float = 1.05e4
     phi: float = 0.0
@@ -123,15 +140,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_count_shots", "n_quad_shots", "seed"):
-            json_integer(name, getattr(self, name))
+            _json_integer(name, getattr(self, name))
         for name in ("alpha", "phi", "eta_total", "phase_noise_sigma"):
-            json_number(name, getattr(self, name))
+            _json_number(name, getattr(self, name))
         if not 0.0 < self.eta_total <= 1.0:
             raise ConfigError(f"eta_total must lie in (0, 1], got {self.eta_total}")
         if not isinstance(self.eta_budget, dict):
             raise ConfigError(f"eta_budget must be an object, got {self.eta_budget!r}")
         for name, value in self.eta_budget.items():
-            if not 0.0 < json_number(f"eta_budget[{name!r}]", value) <= 1.0:
+            if not 0.0 < _json_number(f"eta_budget[{name!r}]", value) <= 1.0:
                 raise ConfigError(f"eta_budget[{name!r}] must lie in (0, 1], got {value}")
         if self.eta_budget:
             prod = math.prod(self.eta_budget.values())
@@ -151,16 +168,76 @@ class ExperimentConfig:
         # fails here, before any sampling
         self.count_params(phi=self.phi)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        check_fields("config", doc, set(cls.__dataclass_fields__))
-        return cls(**doc)
-
     def count_params(self, phi: float) -> CountModelParams:
         return CountModelParams(alpha=self.alpha, eta=self.eta_total, phi=phi)
+
+
+def _json_pair(name: str, value) -> list:
+    """A number or an ``[re, im]`` pair of numbers, as an ``[re, im]`` pair."""
+    if not isinstance(value, list):
+        return [float(_json_number(name, value)), 0.0]
+    if len(value) != 2:
+        raise ConfigError(f"{name} must be a number or an [re, im] pair, got {value!r}")
+    return [float(_json_number(f"{name}[{k}]", v)) for k, v in enumerate(value)]
+
+
+# wigner's grid, in x and p alike, where the spec leaves a key out
+_WIGNER_GRID = {"min": -6.0, "max": 6.0, "step": 0.1}
+
+
+@dataclass(frozen=True)
+class WignerSpec(_JsonSpec):
+    """``wigner``'s spec (see :func:`wigner_documents`); the check stores each
+    field as it is recorded.  An integer ``dim``, from older spec files, is
+    checked and dropped: the closed form has no truncation."""
+
+    _WHAT = "state"
+
+    alpha: float = 0.0
+    c0: list = field(default_factory=lambda: [1.0, 0.0])
+    c1: list = field(default_factory=lambda: [0.0, 0.0])
+    grid: dict = field(default_factory=lambda: dict(_WIGNER_GRID))
+    dim: InitVar[int] = 0
+
+    def __post_init__(self, dim):
+        alpha = float(_json_number("alpha", self.alpha))
+        c0, c1 = _json_pair("c0", self.c0), _json_pair("c1", self.c1)
+        if not isinstance(self.grid, dict):
+            raise ConfigError(f"grid must be an object, got {self.grid!r}")
+        _check_fields("grid", self.grid, set(_WIGNER_GRID))
+        grid = {
+            key: float(_json_number(f"grid.{key}", self.grid.get(key, default)))
+            for key, default in _WIGNER_GRID.items()
+        }
+        _json_integer("dim", dim)
+        if grid["max"] <= grid["min"] or grid["step"] <= 0:
+            raise ConfigError("grid must satisfy min < max and step > 0")
+        # past the frozen __setattr__
+        vars(self).update(alpha=alpha, c0=c0, c1=c1, grid=grid)
+
+
+@dataclass(frozen=True)
+class RoundtripSpec(_JsonSpec):
+    """``roundtrip-check``'s spec (see :func:`roundtrip_documents`); the check
+    stores each number as a float, ``dim`` as an integer."""
+
+    _WHAT = "roundtrip-spec"
+
+    alpha_small: float = 2.0
+    mismatch_etas: list = field(default_factory=lambda: [1.0, 0.99, 0.95])
+    dim: int = 32
+    phi: float = 0.0
+
+    def __post_init__(self):
+        etas = self.mismatch_etas
+        if not isinstance(etas, list) or not etas:
+            raise ConfigError(f"mismatch_etas must be a non-empty list, got {etas!r}")
+        alpha_small = float(_json_number("alpha_small", self.alpha_small))
+        etas = [float(_json_number(f"mismatch_etas[{k}]", v)) for k, v in enumerate(etas)]
+        phi = float(_json_number("phi", self.phi))
+        dim = _json_integer("dim", self.dim)
+        # past the frozen __setattr__
+        vars(self).update(alpha_small=alpha_small, mismatch_etas=etas, phi=phi, dim=dim)
 
 
 def default_delta_a(alpha: float) -> float:
@@ -253,8 +330,7 @@ def _count_scale(alpha: float) -> float:
     return 2.0 ** -math.frexp(alpha)[1]
 
 
-@dataclass(frozen=True)
-class _BinMoments:
+class _BinMoments(NamedTuple):
     """Per-bin shot count, mean and sum of squared deviations (M2) of Bob's
     scaled counts, one row per phase setting."""
 
@@ -304,8 +380,7 @@ class _BinMoments:
         }
 
 
-@dataclass(frozen=True)
-class _CountPartial:
+class _CountPartial(NamedTuple):
     """What a run of consecutive count shots reduces to: the per-bin moments
     of both phase settings (0, pi/2) and, for phi = 0, the shots and errors
     in the two conditioning windows (above, below) and Bob's histogram in
@@ -511,8 +586,7 @@ def run_tomography_scenario(config: ExperimentConfig) -> dict:
 _LEAKAGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RoundtripResult:
+class RoundtripResult(NamedTuple):
     mismatch_eta: float
     fidelity_to_loss_model: float
     concurrence_roundtrip: float
@@ -617,41 +691,48 @@ def displacement_roundtrip_check(
     )
 
 
-def roundtrip_documents(alpha_small: float, mismatch_etas: list, dim: int, phi: float) -> dict:
+def roundtrip_documents(spec: RoundtripSpec) -> dict:
     """``roundtrip-check``'s document: :func:`displacement_roundtrip_check` at
-    each of ``mismatch_etas``, and whether the round-trip concurrence falls
-    with eta (``None`` unless the etas are in descending order)."""
+    the spec's ``alpha_small``, ``dim`` and ``phi``, once per entry of its
+    ``mismatch_etas``, and whether the round-trip concurrence falls with eta
+    (``None`` unless the etas are in descending order)."""
+    etas = spec.mismatch_etas
     rows = [
-        asdict(displacement_roundtrip_check(alpha_small, eta, dim=dim, phi=phi))
-        for eta in mismatch_etas
+        displacement_roundtrip_check(spec.alpha_small, eta, dim=spec.dim, phi=spec.phi)._asdict()
+        for eta in etas
     ]
-    monotone = all(
-        rows[i]["concurrence_roundtrip"] >= rows[i + 1]["concurrence_roundtrip"] - 1e-6
-        for i in range(len(rows) - 1)
-    ) if sorted(mismatch_etas, reverse=True) == mismatch_etas else None
+    conc = [row["concurrence_roundtrip"] for row in rows]
+    descending = sorted(etas, reverse=True) == etas
+    monotone = all(a >= b - 1e-6 for a, b in zip(conc, conc[1:])) if descending else None
     return {
         "roundtrip.json": {
-            "alpha_small": alpha_small,
-            "dim": dim,
-            "phi": phi,
+            "alpha_small": spec.alpha_small,
+            "dim": spec.dim,
+            "phi": spec.phi,
             "results": rows,
             "concurrence_monotone": monotone,
         },
     }
 
 
-def wigner_documents(
-    alpha: float, c0: complex, c1: complex, lo: float, hi: float, step: float
-) -> dict:
-    """``wigner``'s document: the Wigner function of ``c0 D(alpha)|0> + c1
-    D(alpha)|1>``, normalized, on the square grid from ``lo`` to ``hi`` in
-    steps of ``step``.
+def wigner_documents(spec: WignerSpec) -> dict:
+    """``wigner``'s document: the Wigner function of the spec's state ``c0
+    D(alpha)|0> + c1 D(alpha)|1>``, normalized, on the square grid from
+    ``min`` to ``max`` in steps of ``step``.
 
     A ``UserWarning`` names the table's captured mass ``sum(w) step^2`` when
     it is off 1 by more than 1e-3.
     """
-    axis = np.arange(lo, hi + step / 2.0, step)
-    grid_w = fock.wigner(alpha, c0, c1, axis, axis)
+    lo, hi, step = spec.grid["min"], spec.grid["max"], spec.grid["step"]
+    try:
+        axis = np.arange(lo, hi + step / 2.0, step)
+    # too many points to size or to hold: past the spacing limit, the grid is
+    # refused as fock.wigner refuses a smaller one
+    except (ValueError, MemoryError):
+        if step <= fock.GRID_SPACING_MAX:
+            raise
+        raise ConfigError(f"x-grid spacing exceeds {fock.GRID_SPACING_MAX}; refine the grid")
+    grid_w = fock.wigner(spec.alpha, complex(*spec.c0), complex(*spec.c1), axis, axis)
     mass = float(grid_w.sum()) * step * step
     if abs(mass - 1.0) > 1e-3:
         warnings.warn(

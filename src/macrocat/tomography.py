@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ _MAX_HALVINGS = 60
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class TomographyResult:
+class TomographyResult(NamedTuple):
     """Reconstructed state plus convergence diagnostics."""
 
     rho: DensityMatrix

@@ -347,15 +347,36 @@ class TestDeterminism:
         assert run_cli(manifest["command"], "--config", cfg2, "--out", out2, "--quiet") == 0
         assert read_dir(out1) == read_dir(out2)
 
-    def test_manifest_config_round_trips(self, tmp_path):
-        from macrocat.pipeline import ExperimentConfig
-
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        run_cli("analytic", "--config", cfg, "--out", out, "--quiet")
-        manifest = json.loads((out / "manifest.json").read_text())
-        reparsed = ExperimentConfig.from_json_dict(manifest["config"])
-        assert reparsed == ExperimentConfig.from_json_dict(json.loads(cfg.read_text()))
+    @pytest.mark.parametrize(
+        "command,spec_type,document",
+        [
+            # ints in float fields, recorded as given
+            ("analytic", pipeline.ExperimentConfig,
+             {"alpha": 20000, "phi": 1, "eta_total": 0.5, "eta_budget": {}, "seed": 9}),
+            # a number coefficient, ints in float fields, a partial grid and
+            # a dim that is dropped
+            ("wigner", pipeline.WignerSpec,
+             {"alpha": 1, "c0": 2, "c1": [0, -1], "dim": 8, "grid": {"min": -4, "step": 0.25}}),
+            ("roundtrip-check", pipeline.RoundtripSpec,
+             {"alpha_small": 1, "mismatch_etas": [1, 0.97], "dim": 16}),
+        ],
+        ids=["analytic", "wigner", "roundtrip-check"],
+    )
+    def test_manifest_config_round_trips(self, tmp_path, command, spec_type, document):
+        # the manifest's config reads back as the spec the run was given, and
+        # a rerun from it writes the same bytes, the manifest's own included
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps(document))
+        out1 = tmp_path / "a"
+        assert run_cli(command, "--config", cfg, "--out", out1, "--quiet") == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        reparsed = spec_type.from_json_dict(manifest["config"])
+        assert reparsed == spec_type.from_json_dict(document)
+        cfg2 = tmp_path / "from_manifest.json"
+        cfg2.write_text(json.dumps(manifest["config"]))
+        out2 = tmp_path / "b"
+        assert run_cli(command, "--config", cfg2, "--out", out2, "--quiet") == 0
+        assert read_dir(out1) == read_dir(out2)
 
 
 # Python 3.10.7 and later refuse to convert an integer string of more than
@@ -566,12 +587,25 @@ class TestExitCodes:
             ("wigner", '{"grid": {"step": 0.6}}'),
             ("wigner", '{"alpha": 1e200}'),
             ("wigner", '{"c0": 0, "c1": 0}'),
+            # three points; numpy cannot size the axis, its length overflows
+            ("wigner", '{"grid": {"min": -1e308, "max": 1e308, "step": 1e308}}'),
         ],
     )
     def test_out_of_domain_spec_is_config_error(self, tmp_path, capsys, command, document):
         """A value outside a kernel's domain is a config error: the kernel's
         own check raises ConfigError, so the run exits 1 and names the field."""
         _assert_out_of_domain_config_error(tmp_path, capsys, command, document)
+
+    def test_wigner_grid_too_long_to_size_is_numerical_error(self, tmp_path, capsys):
+        # 4e300 points within the spacing limit: numpy cannot size the axis,
+        # so nothing is allocated, and the grid is not a config error
+        spec = tmp_path / "state.json"
+        spec.write_text('{"grid": {"min": -1e300, "max": 1e300, "step": 0.5}}')
+        out = tmp_path / "o"
+        assert run_cli("wigner", "--config", spec, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     @pytest.mark.parametrize(

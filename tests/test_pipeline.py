@@ -286,21 +286,28 @@ class TestCountsScenario:
         ]
 
 
-def _whole_array_windows(cfg):
-    """Window shot counts, error counts and histograms of the phi = 0
-    stream, computed on its whole record arrays."""
+def _two_sided_windows(cfg, dn_a, dn_b):
+    """Window shot counts, error counts and histograms of phi = 0 records,
+    each window tested on its own side of 0."""
     params = cfg.count_params(phi=0.0)
-    rec = sampling.sample_counts(params, cfg.n_count_shots, cfg.seed, pipeline.STREAM_COUNTS_PHI0)
     delta_a = pipeline.default_delta_a(cfg.alpha)
     window = pipeline._WINDOW_FRAC * counting.count_marginal_std(params)
-    above = np.abs(rec.dn_a - delta_a) <= window
-    below = np.abs(rec.dn_a + delta_a) <= window
+    above = np.abs(dn_a - delta_a) <= window
+    below = np.abs(dn_a + delta_a) <= window
     edges = pipeline.count_bin_edges(params)
     return (
         [above.sum(), below.sum()],
-        [(rec.dn_b[above] < 0.0).sum(), (rec.dn_b[below] > 0.0).sum()],
-        [np.histogram(rec.dn_b[w], bins=edges)[0] for w in (above, below)],
+        [(dn_b[above] < 0.0).sum(), (dn_b[below] > 0.0).sum()],
+        [np.histogram(dn_b[w], bins=edges)[0] for w in (above, below)],
     )
+
+
+def _whole_array_windows(cfg):
+    """:func:`_two_sided_windows` of the phi = 0 stream's whole record arrays."""
+    rec = sampling.sample_counts(
+        cfg.count_params(phi=0.0), cfg.n_count_shots, cfg.seed, pipeline.STREAM_COUNTS_PHI0
+    )
+    return _two_sided_windows(cfg, rec.dn_a, rec.dn_b)
 
 
 def _merged_partial(cfg):
@@ -400,6 +407,38 @@ class TestStreamedCounts:
             var, ref_var = got["var_nB"][spread], ref_var[spread]
             assert np.all(np.abs(var - ref_var) <= 1e-12 * ref_var)
 
+    def test_window_edges_lie_inside(self):
+        # at alpha 10502 each edge +-(delta_a +- window) is exactly window
+        # from +-delta_a in float64; a shot on an edge is in its window, and
+        # one a step past it is not
+        cfg = ExperimentConfig(alpha=10502.0, n_count_shots=1000, seed=4)
+        params = (cfg.count_params(phi=0.0), cfg.count_params(phi=math.pi / 2.0))
+        delta_a = pipeline.default_delta_a(cfg.alpha)
+        window = pipeline._WINDOW_FRAC * counting.count_marginal_std(params[0])
+        on = np.array([delta_a + window, delta_a - window])
+        on = np.concatenate([on, -on])
+        assert (np.abs(np.abs(on) - delta_a) == window).all()
+        past = np.nextafter(on, [np.inf, -np.inf, -np.inf, np.inf])
+
+        class EdgeWorkspace(sampling.CountWorkspace):
+            """Puts Alice's first phi = 0 counts on the edges, then past
+            them, and keeps a copy of the record it returns."""
+
+            def draw(self, settings, n_shots, seed, start_shot):
+                rec = super().draw(settings, n_shots, seed, start_shot)
+                rec.dn_a[0, :8] = np.concatenate([on, past])
+                self.record = rec.dn_a[0].copy(), rec.dn_b[0].copy()
+                return rec
+
+        local = threading.local()
+        ws = local.workspace = EdgeWorkspace(2 * pipeline._COUNT_BLOCK_SHOTS)
+        edges = pipeline.count_bin_edges(params[0])
+        partial = pipeline._count_block(cfg, params, edges, local, 0)
+        shots, errors, (hist_above, hist_below) = _two_sided_windows(cfg, *ws.record)
+        assert partial.window_shots.tolist() == shots
+        assert partial.window_errors.tolist() == errors
+        assert np.array_equal(partial.histograms, [hist_above, hist_below])
+
     def test_working_memory_does_not_grow_with_shots(self):
         def peak(n_shots):
             cfg = ExperimentConfig(n_count_shots=n_shots, seed=2)
@@ -451,20 +490,30 @@ class TestThreadedCounts:
     """The count blocks run on a thread pool sized from the CPU affinity
     mask; the partials merge in block order."""
 
-    @pytest.mark.parametrize("block", [pipeline._COUNT_BLOCK_SHOTS, 1000])
-    def test_same_bytes_at_every_pool_size(self, monkeypatch, tmp_path, block):
+    _SMALL = ExperimentConfig(alpha=37.5, n_count_shots=100_000, seed=3)
+
+    @pytest.mark.parametrize(
+        "block,cfg,pool_sizes",
+        [
+            pytest.param(pipeline._COUNT_BLOCK_SHOTS, _SMALL, (1, 2, 4),
+                         id=str(pipeline._COUNT_BLOCK_SHOTS)),
+            pytest.param(1000, _SMALL, (1, 2, 4), id="1000"),
+            # the default run, 2 x 5M shots at seed 1
+            pytest.param(pipeline._COUNT_BLOCK_SHOTS, ExperimentConfig(), (1, 2), id="default"),
+        ],
+    )
+    def test_same_bytes_at_every_pool_size(self, monkeypatch, tmp_path, block, cfg, pool_sizes):
         monkeypatch.setattr(pipeline, "_COUNT_BLOCK_SHOTS", block)
-        cfg = ExperimentConfig(alpha=37.5, n_count_shots=100_000, seed=3)
-        files = {}
-        for cpus in (1, 2, 4):
+        files = []
+        for cpus in pool_sizes:
             _use_cpus(monkeypatch, cpus)
             out = tmp_path / str(cpus)
             out.mkdir()
             output.write_documents(out, pipeline.run_counts_scenario(cfg))
-            files[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert sorted(files[1]) == ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv",
+            files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(files[0]) == ["curves_phi0.csv", "curves_phi90.csv", "histograms.csv",
                                     "summary.json"]
-        assert files[1] == files[2] == files[4]
+        assert all(f == files[0] for f in files[1:])
 
     def test_in_order_bounds_look_ahead(self):
         depth = 3
